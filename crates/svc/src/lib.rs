@@ -66,7 +66,7 @@ pub use degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 pub use error::{ServiceError, StartError};
 pub use exporter::{parse_bind_addr, Exporter};
 pub use loadgen::{AddrMode, LoadReport, LoadgenConfig};
-pub use service::{ReadReply, Service, ServiceConfig, ServiceHandle, ServiceReport};
+pub use service::{Service, ServiceConfig, ServiceHandle, ServiceReport};
 pub use sharded::{merge_reports, ShardSession, ShardedCache};
 pub use telemetry::{
     Exemplar, FlightRecorder, TelemetryConfig, TelemetryRegistry, TelemetrySnapshot, TraceOutcome,

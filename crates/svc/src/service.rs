@@ -28,8 +28,15 @@
 //! enqueuer itself via flat combining, the claim holder's release
 //! re-check, or a pool worker as the backstop — pops up to [`BATCH`] ops
 //! at once, serves the packet through one session, writes each result
-//! and flips one atomic flag; the client spins briefly then parks. No
-//! per-request channel allocation anywhere on the hot path.
+//! and flips one atomic flag; the client spins briefly then parks. The
+//! slot is the only completion mechanism.
+//!
+//! Both demand ops share one admission prologue (health and acceptance
+//! checks, one trace ID, the claim-retry loop), and every served op is
+//! completed by one routine: inline and queued ops run the cache
+//! operation through `serve_and_account` under the demand path's only
+//! `catch_unwind`, and it and the lock-free hit share the same counter
+//! and [`TraceRecord`] accounting.
 //!
 //! The scrub daemon ticks shards round-robin on the configured interval:
 //! inject (per-shard decorrelated [`FaultInjector::fork`] streams, so
@@ -95,7 +102,6 @@ use std::io::Write as _;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::thread::JoinHandle;
@@ -177,37 +183,13 @@ impl ServiceConfig {
     }
 }
 
-/// Where a queued read's reply goes.
-enum ReadDest {
-    /// A client's preallocated completion slot (the common case).
-    Slot(SlotSender<Result<LineData, ServiceError>>),
-    /// A caller-owned channel ([`ServiceHandle::read_to`]), so one client
-    /// thread can keep several reads in flight.
-    Channel(Sender<ReadReply>),
-}
-
-impl ReadDest {
-    fn complete(self, line: u64, trace: u64, result: Result<LineData, ServiceError>) {
-        match self {
-            ReadDest::Slot(sender) => sender.complete(result),
-            ReadDest::Channel(tx) => {
-                let _ = tx.send(ReadReply {
-                    line,
-                    trace,
-                    result,
-                });
-            }
-        }
-    }
-}
-
 /// One demand operation queued for a shard.
 enum Op {
     Read {
         line: u64,
         trace: u64,
         enqueued: Instant,
-        dest: ReadDest,
+        reply: SlotSender<Result<LineData, ServiceError>>,
     },
     Write {
         line: u64,
@@ -219,18 +201,6 @@ enum Op {
     /// this, optionally while holding the shard's state mutex (which
     /// poisons it, like a real mid-repair panic would).
     Panic { hold_lock: bool },
-}
-
-/// The answer to a [`ServiceHandle`] read.
-#[derive(Clone, Copy, Debug)]
-pub struct ReadReply {
-    /// The line that was read.
-    pub line: u64,
-    /// The request's trace ID (allocated at enqueue; the same ID keys the
-    /// sampled per-phase [`TraceRecord`]s in `/snapshot.json`).
-    pub trace: u64,
-    /// The recovered data, a DUE, or an availability error.
-    pub result: Result<LineData, ServiceError>,
 }
 
 /// One shard's bounded op queue, claimable by one pool worker at a time.
@@ -543,137 +513,98 @@ impl ServiceHandle {
         }
     }
 
-    /// Serves `line` lock-free off the seqlock view when it is verifiably
-    /// clean, doing the full per-request telemetry accounting. `None`
-    /// means the caller must take the queued path; a hit returns the data
-    /// with the trace ID it was recorded under.
-    fn fast_read(&self, line: u64, shard: usize) -> Option<(LineData, u64)> {
-        if !self.demand.accepting.load(Ordering::Acquire) {
-            return None; // shutdown: the queued path reports ShuttingDown
+    /// The admission prologue every demand op shares: the health and
+    /// acceptance checks, the op's one trace ID, then the claim-retry
+    /// loop. `attempt` tries to serve the op without queueing (lock-free,
+    /// or inline on a free claim); it runs up to `CLAIM_RETRIES + 1`
+    /// times, yielding to the claim holder in between — the holder is
+    /// mid-op and usually sub-µs from release, while the queue costs a
+    /// slot round trip (reads) or a pending window that knocks every
+    /// reader of the line off the lock-free view (writes).
+    /// `Ok((trace, None))` means every attempt lost and the caller
+    /// enqueues under `trace`; on `Err` no trace was allocated.
+    fn admit<T>(
+        &self,
+        shard: usize,
+        mut attempt: impl FnMut(u64) -> Option<T>,
+    ) -> Result<(u64, Option<T>), ServiceError> {
+        if !self.state.health().is_up(shard) {
+            self.state.note_reject();
+            return Err(ServiceError::ShardDown(shard));
         }
+        if !self.demand.accepting.load(Ordering::Acquire) {
+            return Err(ServiceError::ShuttingDown);
+        }
+        let trace = self.registry.next_trace_id();
+        for round in 0..=CLAIM_RETRIES {
+            if let Some(served) = attempt(trace) {
+                return Ok((trace, Some(served)));
+            }
+            if round < CLAIM_RETRIES {
+                thread::yield_now();
+            }
+        }
+        Ok((trace, None))
+    }
+
+    /// Serves `line` lock-free off the seqlock view when it is verifiably
+    /// clean, accounted under `trace` like any other served read. `None`
+    /// means the caller must take the claimed path.
+    fn fast_read(&self, line: u64, shard: usize, trace: u64) -> Option<LineData> {
         let service_start = Instant::now();
         let (hit, retries) = self.state.try_read_clean(line);
         let data = hit?;
-        let trace = self.registry.next_trace_id();
-        self.registry.reads.inc();
+        account(
+            &self.registry,
+            TraceRecord {
+                trace,
+                shard: shard as u32,
+                write: false,
+                path: TracePath::Lockfree,
+                outcome: TraceOutcome::Ok,
+                queue_wait_ns: 0,
+                service_ns: service_start.elapsed().as_nanos() as u64,
+                h2_ns: 0,
+            },
+        );
         self.registry.clean_read_lockfree_hits.inc();
         self.registry.seqlock_retries.add(u64::from(retries));
-        self.registry.note_request(TraceRecord {
-            trace,
-            shard: shard as u32,
-            write: false,
-            path: TracePath::Lockfree,
-            outcome: TraceOutcome::Ok,
-            queue_wait_ns: 0,
-            service_ns: service_start.elapsed().as_nanos() as u64,
-            h2_ns: 0,
-        });
-        Some((data, trace))
+        Some(data)
     }
 
-    /// Serves a read inline on this thread: win `shard`'s claim, drain
+    /// Serves one op inline on this thread: win `shard`'s claim, drain
     /// whatever is FIFO-ahead in its queue (write-pending lines settle
-    /// here), then run the locked ladder read directly — no op, no slot,
-    /// no context switch. `None` when another thread holds the claim (the
-    /// caller enqueues behind it). Accounting is identical to the worker
-    /// path, with zero queue wait.
-    fn read_inline(
+    /// here), then run the op through [`serve_and_account`] directly — no
+    /// op, no slot, no context switch. `None` when another thread holds
+    /// the claim (the caller retries or enqueues behind it).
+    fn serve_inline(
         &self,
         line: u64,
         shard: usize,
         trace: u64,
+        write: Option<&LineData>,
     ) -> Option<Result<LineData, ServiceError>> {
         let q = &self.demand.queues[shard];
         if q.claimed.swap(true, Ordering::Acquire) {
             return None;
         }
         drain_claimed(&self.state, &self.demand, shard, &self.registry);
-        let service_start = Instant::now();
-        let mut h2_ns = 0u64;
         let mut session = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_read(
-                &self.state,
-                shard,
+        let served = serve_and_account(
+            &self.state,
+            &self.demand,
+            &self.registry,
+            shard,
+            Request {
                 line,
                 trace,
-                &mut session,
-                &mut h2_ns,
-                &self.registry,
-            )
-        }));
-        drop(session);
-        let result = match outcome {
-            Ok(result) => {
-                self.registry.reads.inc();
-                if matches!(result, Err(ServiceError::Uncorrectable(_))) {
-                    self.registry.due_reads.inc();
-                }
-                self.registry.note_request(TraceRecord {
-                    trace,
-                    shard: shard as u32,
-                    write: false,
-                    path: TracePath::Inline,
-                    outcome: read_outcome(&result),
-                    queue_wait_ns: 0,
-                    service_ns: service_start.elapsed().as_nanos() as u64,
-                    h2_ns,
-                });
-                result
-            }
-            Err(_) => {
-                fail_shard(&self.state, &self.demand, shard);
-                Err(ServiceError::ShardDown(shard))
-            }
-        };
+                write,
+                enqueued: None,
+            },
+            &mut session,
+        );
         release_claim(&self.state, &self.demand, shard, &self.registry);
-        Some(result)
-    }
-
-    /// Serves a write inline on this thread (same protocol as
-    /// [`ServiceHandle::read_inline`]): drain the queue FIFO-ahead, apply
-    /// through a session, release. Returns `false` when the claim is held
-    /// elsewhere — the caller falls back to the fire-and-forget enqueue.
-    fn write_inline(&self, line: u64, shard: usize, trace: u64, data: &LineData) -> bool {
-        let q = &self.demand.queues[shard];
-        if q.claimed.swap(true, Ordering::Acquire) {
-            return false;
-        }
-        drain_claimed(&self.state, &self.demand, shard, &self.registry);
-        let service_start = Instant::now();
-        let mut session = None;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            serve_write(&self.state, shard, line, trace, data, &mut session)
-        }));
-        drop(session);
-        match outcome {
-            Ok(result) => {
-                match &result {
-                    Ok(()) => self.registry.writes.inc(),
-                    Err(_) => self.registry.failed_writes.inc(),
-                }
-                self.registry.note_request(TraceRecord {
-                    trace,
-                    shard: shard as u32,
-                    write: true,
-                    path: TracePath::Inline,
-                    outcome: if result.is_ok() {
-                        TraceOutcome::Ok
-                    } else {
-                        TraceOutcome::Error
-                    },
-                    queue_wait_ns: 0,
-                    service_ns: service_start.elapsed().as_nanos() as u64,
-                    h2_ns: 0,
-                });
-            }
-            Err(_) => {
-                fail_shard(&self.state, &self.demand, shard);
-                self.registry.failed_writes.inc();
-            }
-        }
-        release_claim(&self.state, &self.demand, shard, &self.registry);
-        true
+        Some(served.unwrap_or(Err(ServiceError::ShardDown(shard))))
     }
 
     /// Enqueues a write for `line`'s shard (blocking on a full queue) and
@@ -709,29 +640,19 @@ impl ServiceHandle {
         data: &LineData,
     ) -> (Option<u64>, Result<(), ServiceError>) {
         let shard = self.plan.shard_of_line(line);
-        if !self.state.health().is_up(shard) {
-            self.state.note_reject();
-            return (None, Err(ServiceError::ShardDown(shard)));
-        }
-        if !self.demand.accepting.load(Ordering::Acquire) {
-            return (None, Err(ServiceError::ShuttingDown));
-        }
-        let trace = self.registry.next_trace_id();
-        // Queue-bypass fast path: if the shard's claim is free, serve the
-        // write synchronously on this thread — no op allocation, no queue
-        // mutex, no pending-gate round trip. The engine write itself is
-        // ~0.3µs; everything the queue adds is overhead we skip here. A
-        // held claim is usually sub-µs (its holder is mid-inline-op), so
-        // yield to it and retry before paying the queue path — enqueueing
-        // would open a pending window that knocks every reader of this
-        // line off the lock-free view.
-        for attempt in 0..=CLAIM_RETRIES {
-            if self.write_inline(line, shard, trace, data) {
-                return (Some(trace), Ok(()));
-            }
-            if attempt < CLAIM_RETRIES {
-                thread::yield_now();
-            }
+        // Queue-bypass fast path: on a free claim the write is applied
+        // synchronously on this thread — no op allocation, no queue
+        // mutex, no pending-gate round trip. Like a queued write it
+        // completes at acceptance: a shard that dies under it counts it
+        // in `failed_writes`.
+        let (trace, served) = match self.admit(shard, |trace| {
+            self.serve_inline(line, shard, trace, Some(data))
+        }) {
+            Ok(admitted) => admitted,
+            Err(e) => return (None, Err(e)),
+        };
+        if served.is_some() {
+            return (Some(trace), Ok(()));
         }
         self.state.begin_write(line);
         let accepted = self.demand.enqueue(
@@ -758,47 +679,6 @@ impl ServiceHandle {
         (Some(trace), accepted)
     }
 
-    /// Reads `line`, preferring the lock-free clean path; a view miss
-    /// enqueues the read whose reply goes to `reply` (a caller-owned
-    /// channel, so a client thread can keep several reads in flight). On
-    /// a lock-free hit the reply is delivered before this returns.
-    ///
-    /// # Errors
-    ///
-    /// Same acceptance errors as [`ServiceHandle::write`]; on `Err` no
-    /// reply will arrive for this request.
-    pub fn read_to(&self, line: u64, reply: &Sender<ReadReply>) -> Result<(), ServiceError> {
-        let shard = self.plan.shard_of_line(line);
-        if let Some((data, trace)) = self.fast_read(line, shard) {
-            let _ = reply.send(ReadReply {
-                line,
-                trace,
-                result: Ok(data),
-            });
-            return Ok(());
-        }
-        if !self.state.health().is_up(shard) {
-            self.state.note_reject();
-            return Err(ServiceError::ShardDown(shard));
-        }
-        let trace = self.registry.next_trace_id();
-        self.demand.enqueue(
-            shard,
-            Op::Read {
-                line,
-                trace,
-                enqueued: Instant::now(),
-                dest: ReadDest::Channel(reply.clone()),
-            },
-            &self.state,
-            &self.registry,
-        )?;
-        // Flat-combining assist: drain the shard queue ourselves if the
-        // claim is free — the reply (ours included) is sent inline.
-        claim_and_drain(&self.state, &self.demand, shard, &self.registry);
-        Ok(())
-    }
-
     /// Blocking read: lock-free off the seqlock view when the line is
     /// verifiably clean, otherwise enqueued and answered through this
     /// thread's completion slot.
@@ -823,33 +703,21 @@ impl ServiceHandle {
     /// Same as [`ServiceHandle::read`].
     pub fn read_traced(&self, line: u64) -> (Option<u64>, Result<LineData, ServiceError>) {
         let shard = self.plan.shard_of_line(line);
-        if let Some((data, trace)) = self.fast_read(line, shard) {
-            return (Some(trace), Ok(data));
-        }
-        if !self.state.health().is_up(shard) {
-            self.state.note_reject();
-            return (None, Err(ServiceError::ShardDown(shard)));
-        }
-        if !self.demand.accepting.load(Ordering::Acquire) {
-            return (None, Err(ServiceError::ShuttingDown));
-        }
-        let trace = self.registry.next_trace_id();
-        // Queue-bypass fast path: a free claim lets us drain whatever is
-        // FIFO-ahead (our line's pending write included) and run the
-        // locked ladder read right here — no slot, no wait. On a held
-        // claim, yield to the holder and retry: its release re-check
-        // drains anything queued meanwhile, often republishing our line
-        // clean, so the lock-free view is worth re-probing each round.
-        for attempt in 0..=CLAIM_RETRIES {
-            if let Some(result) = self.read_inline(line, shard, trace) {
-                return (Some(trace), result);
-            }
-            if attempt < CLAIM_RETRIES {
-                thread::yield_now();
-                if let Some((data, trace)) = self.fast_read(line, shard) {
-                    return (Some(trace), Ok(data));
-                }
-            }
+        // Each round probes the lock-free view, then tries the claim: a
+        // free claim drains whatever is FIFO-ahead (our line's pending
+        // write included) and runs the locked ladder read right here. A
+        // held claim's release re-check drains anything queued meanwhile,
+        // often republishing our line clean for the next round's probe.
+        let (trace, served) = match self.admit(shard, |trace| {
+            self.fast_read(line, shard, trace)
+                .map(Ok)
+                .or_else(|| self.serve_inline(line, shard, trace, None))
+        }) {
+            Ok(admitted) => admitted,
+            Err(e) => return (None, Err(e)),
+        };
+        if let Some(result) = served {
+            return (Some(trace), result);
         }
         let result = READ_SLOT.with(|slot| {
             self.demand.enqueue(
@@ -858,7 +726,7 @@ impl ServiceHandle {
                     line,
                     trace,
                     enqueued: Instant::now(),
-                    dest: ReadDest::Slot(slot.arm()),
+                    reply: slot.arm(),
                 },
                 &self.state,
                 &self.registry,
@@ -1460,13 +1328,11 @@ fn fail_shard(state: &ShardedCache, demand: &Demand, shard: usize) {
 fn complete_shard_down(op: Op, shard: usize, state: &ShardedCache, reg: &TelemetryRegistry) {
     match op {
         Op::Panic { .. } => {}
-        Op::Read {
-            line, trace, dest, ..
-        } => {
+        Op::Read { reply, .. } => {
             let d = reg.depth(shard).dec();
             reg.queue_depth_hist.record(d);
             state.note_reject();
-            dest.complete(line, trace, Err(ServiceError::ShardDown(shard)));
+            reply.complete(Err(ServiceError::ShardDown(shard)));
         }
         Op::Write { line, .. } => {
             let d = reg.depth(shard).dec();
@@ -1535,17 +1401,113 @@ fn serve_write<'a>(
     Ok(())
 }
 
+/// One demand op as [`serve_and_account`] sees it.
+struct Request<'d> {
+    line: u64,
+    trace: u64,
+    /// The data to store for a write; `None` for a read.
+    write: Option<&'d LineData>,
+    /// When a queued op was enqueued; `None` for an op served inline.
+    enqueued: Option<Instant>,
+}
+
+/// Serves one demand op on `shard`, whose claim the caller holds, and
+/// accounts for it: the one completion routine behind the inline and the
+/// queued paths alike. The cache operation runs under the demand path's
+/// only `catch_unwind`; completion handles stay with the caller, outside
+/// it. A served op is [`account`]ed and answered `Some` — for a write,
+/// `Ok` carries the data it stored. A caught panic quarantines the shard,
+/// counts a lost write as failed, and answers `None`: the caller then
+/// error-completes the op and whatever is queued behind it.
+fn serve_and_account<'a>(
+    state: &'a ShardedCache,
+    demand: &Demand,
+    reg: &TelemetryRegistry,
+    shard: usize,
+    req: Request<'_>,
+    session: &mut Option<ShardSession<'a>>,
+) -> Option<Result<LineData, ServiceError>> {
+    let service_start = Instant::now();
+    let queue_wait_ns = req
+        .enqueued
+        .map_or(0, |at| service_start.duration_since(at).as_nanos() as u64);
+    let mut h2_ns = 0u64;
+    let outcome = catch_unwind(AssertUnwindSafe(|| match req.write {
+        None => serve_read(state, shard, req.line, req.trace, session, &mut h2_ns, reg),
+        Some(data) => serve_write(state, shard, req.line, req.trace, data, session).map(|()| *data),
+    }));
+    if req.enqueued.is_none() {
+        // An inline op's session serves that op alone: release the shard
+        // mutex before the accounting, so the scrub daemon's chunked
+        // passes never wait behind telemetry.
+        *session = None;
+    }
+    let Ok(result) = outcome else {
+        fail_shard(state, demand, shard);
+        if req.write.is_some() {
+            reg.failed_writes.inc();
+        }
+        return None;
+    };
+    account(
+        reg,
+        TraceRecord {
+            trace: req.trace,
+            shard: shard as u32,
+            write: req.write.is_some(),
+            path: if req.enqueued.is_some() {
+                TracePath::Queued
+            } else {
+                TracePath::Inline
+            },
+            outcome: trace_outcome(&result),
+            queue_wait_ns,
+            service_ns: service_start.elapsed().as_nanos() as u64,
+            h2_ns,
+        },
+    );
+    Some(result)
+}
+
+/// The accounting every served demand op gets, whichever path served it
+/// (lock-free, inline, or queued): the op counters its outcome implies,
+/// then its one [`TraceRecord`] — latency, queue-wait, service and H2
+/// phase samples, exemplar, and the sampled trace ring.
+fn account(reg: &TelemetryRegistry, record: TraceRecord) {
+    match (record.write, record.outcome) {
+        (false, outcome) => {
+            reg.reads.inc();
+            if outcome == TraceOutcome::Due {
+                reg.due_reads.inc();
+            }
+        }
+        (true, TraceOutcome::Ok) => reg.writes.inc(),
+        (true, _) => reg.failed_writes.inc(),
+    }
+    reg.note_request(record);
+}
+
+/// Maps a served op's result to its trace outcome.
+fn trace_outcome(result: &Result<LineData, ServiceError>) -> TraceOutcome {
+    match result {
+        Ok(_) => TraceOutcome::Ok,
+        Err(e) if e.is_due() => TraceOutcome::Due,
+        Err(_) => TraceOutcome::Error,
+    }
+}
+
 /// Serves one work packet against `shard`, holding one [`ShardSession`]
 /// across the batch (one mutex acquire amortized over up to [`BATCH`]
 /// ops).
 ///
 /// Panic protocol: completion handles **never** enter the `catch_unwind`
-/// closure — only the cache operation does — so a panic cannot strand or
-/// double-complete a client. On a caught panic the shard is quarantined
-/// first, then the current op and everything left in the packet complete
-/// with [`ServiceError::ShardDown`]. The session `Option` lives outside
-/// the closure, so the shard mutex is released (not poisoned) on the way
-/// out; `hold_lock` chaos panics still poison it via their own acquire.
+/// inside [`serve_and_account`] — only the cache operation does — so a
+/// panic cannot strand or double-complete a client. On a caught panic the
+/// shard is quarantined first, then the current op and everything left in
+/// the packet complete with [`ServiceError::ShardDown`]. The session
+/// `Option` lives outside the closure, so the shard mutex is released
+/// (not poisoned) on the way out; `hold_lock` chaos panics still poison
+/// it via their own acquire.
 fn serve_packet(
     state: &ShardedCache,
     demand: &Demand,
@@ -1556,7 +1518,7 @@ fn serve_packet(
     let mut session: Option<ShardSession<'_>> = None;
     let mut ops = batch.into_iter();
     while let Some(op) = ops.next() {
-        match op {
+        let (line, trace, enqueued, write, reply) = match op {
             Op::Panic { hold_lock } => {
                 // Release the session first: a hold_lock panic re-acquires
                 // the shard mutex itself (and poisons it on unwind).
@@ -1574,92 +1536,39 @@ fn serve_packet(
                 line,
                 trace,
                 enqueued,
-                dest,
-            } => {
-                let d = reg.depth(shard).dec();
-                reg.queue_depth_hist.record(d);
-                let service_start = Instant::now();
-                let queue_wait_ns = service_start.duration_since(enqueued).as_nanos() as u64;
-                let mut h2_ns = 0u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    serve_read(state, shard, line, trace, &mut session, &mut h2_ns, reg)
-                }));
-                match outcome {
-                    Ok(result) => {
-                        reg.reads.inc();
-                        if matches!(result, Err(ServiceError::Uncorrectable(_))) {
-                            reg.due_reads.inc();
-                        }
-                        reg.note_request(TraceRecord {
-                            trace,
-                            shard: shard as u32,
-                            write: false,
-                            path: TracePath::Queued,
-                            outcome: read_outcome(&result),
-                            queue_wait_ns,
-                            service_ns: service_start.elapsed().as_nanos() as u64,
-                            h2_ns,
-                        });
-                        dest.complete(line, trace, result);
-                    }
-                    Err(_) => {
-                        fail_shard(state, demand, shard);
-                        dest.complete(line, trace, Err(ServiceError::ShardDown(shard)));
-                        for rest in ops {
-                            complete_shard_down(rest, shard, state, reg);
-                        }
-                        return;
-                    }
-                }
-            }
+                reply,
+            } => (line, trace, enqueued, None, Some(reply)),
             Op::Write {
                 line,
                 trace,
                 data,
                 enqueued,
-            } => {
-                let d = reg.depth(shard).dec();
-                reg.queue_depth_hist.record(d);
-                let service_start = Instant::now();
-                let queue_wait_ns = service_start.duration_since(enqueued).as_nanos() as u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    serve_write(state, shard, line, trace, &data, &mut session)
-                }));
-                // Retire *after* the apply-and-republish (or on the way to
-                // the teardown paths below): only then is the view
-                // authoritative for the line again.
-                state.retire_write(line);
-                match outcome {
-                    Ok(result) => {
-                        match &result {
-                            Ok(()) => reg.writes.inc(),
-                            Err(_) => reg.failed_writes.inc(),
-                        }
-                        reg.note_request(TraceRecord {
-                            trace,
-                            shard: shard as u32,
-                            write: true,
-                            path: TracePath::Queued,
-                            outcome: if result.is_ok() {
-                                TraceOutcome::Ok
-                            } else {
-                                TraceOutcome::Error
-                            },
-                            queue_wait_ns,
-                            service_ns: service_start.elapsed().as_nanos() as u64,
-                            h2_ns: 0,
-                        });
-                    }
-                    Err(_) => {
-                        fail_shard(state, demand, shard);
-                        reg.failed_writes.inc();
-                        for rest in ops {
-                            complete_shard_down(rest, shard, state, reg);
-                        }
-                        return;
-                    }
-                }
+            } => (line, trace, enqueued, Some(data), None),
+        };
+        let d = reg.depth(shard).dec();
+        reg.queue_depth_hist.record(d);
+        let req = Request {
+            line,
+            trace,
+            write: write.as_ref(),
+            enqueued: Some(enqueued),
+        };
+        let served = serve_and_account(state, demand, reg, shard, req, &mut session);
+        if write.is_some() {
+            // Retire *after* the apply-and-republish (or on the way to the
+            // teardown below): only then is the view authoritative for the
+            // line again.
+            state.retire_write(line);
+        }
+        let panicked = served.is_none();
+        if let Some(reply) = reply {
+            reply.complete(served.unwrap_or(Err(ServiceError::ShardDown(shard))));
+        }
+        if panicked {
+            for rest in ops {
+                complete_shard_down(rest, shard, state, reg);
             }
+            return;
         }
     }
 }
@@ -1730,15 +1639,6 @@ fn daemon_tick(
         reg.unresolved_lines.add(report.unresolved.len() as u64);
     }
     reg.scrub_ticks.inc();
-}
-
-/// Maps a served read's result to its trace outcome.
-fn read_outcome(result: &Result<LineData, ServiceError>) -> TraceOutcome {
-    match result {
-        Ok(_) => TraceOutcome::Ok,
-        Err(e) if e.is_due() => TraceOutcome::Due,
-        Err(_) => TraceOutcome::Error,
-    }
 }
 
 #[allow(clippy::too_many_arguments)] // private; mirrors the service wiring
@@ -2060,61 +1960,6 @@ mod tests {
         assert!(report.daemon_panicked);
         assert!(report.worker_panics.is_empty());
         assert_eq!(report.writes, 1);
-    }
-
-    #[test]
-    fn adaptive_scrub_recovers_deadline_under_tick_overrun() {
-        // Regression for the cadence-drift bug: the old loop computed each
-        // tick deadline as `now + tick` *after* the previous tick's work,
-        // so sustained overrun silently stretched the achieved period
-        // while the startup quota kept assuming the ideal one — packets
-        // quietly blew the 20 ms contract forever. With the absolute
-        // schedule + adaptive controller, the overrun shows up as tick
-        // lag, the achieved-period EWMA lifts the quota floor, and misses
-        // stop once the controller converges.
-        let mut config = ServiceConfig::small(1024, 4, 0.0, 21);
-        config.scrub_every = Some(Duration::from_millis(1));
-        let service = Service::start(config).unwrap();
-        // Artificial per-tick work: ~2 ms of stall against a 1 ms tick,
-        // i.e. every tick overruns its period threefold.
-        for _ in 0..50 {
-            service.inject_daemon_stall(Duration::from_millis(2));
-            std::thread::sleep(Duration::from_millis(3));
-        }
-        let mid_misses = service.audit().tracker.total_misses();
-        for _ in 0..50 {
-            service.inject_daemon_stall(Duration::from_millis(2));
-            std::thread::sleep(Duration::from_millis(3));
-        }
-        let registry = Arc::clone(service.registry());
-        let plane = Arc::clone(service.audit());
-        let report = service.shutdown();
-        // Converged: the second half of the run adds (at most a straggler
-        // or two of) no new misses. The old static quota missed on every
-        // revisit here — dozens in this window.
-        let late_misses = report.scrub_deadline_misses - mid_misses;
-        assert!(
-            late_misses <= 4,
-            "controller failed to converge: {late_misses} new misses after warmup \
-             (total {}, quota floor ended at {})",
-            report.scrub_deadline_misses,
-            registry.scrub_floor_quota.get()
-        );
-        // The overrun is surfaced as tick lag, not hidden by the schedule.
-        let lag = registry.tick_lag_ns.snapshot();
-        assert!(lag.count() > 0);
-        assert!(lag.max() >= 1_000_000, "2 ms stalls must show up as lag");
-        // The bulk of the achieved intervals sit inside the envelope.
-        let achieved = plane.tracker.achieved_hist_all();
-        assert!(
-            achieved.quantile(0.50) <= plane.tracker.deadline_ns(),
-            "median achieved interval {} ns blew the deadline",
-            achieved.quantile(0.50)
-        );
-        // Backpressure (stall-induced lag = pressure 1) pinned the quota
-        // at its floor at least once along the way — the clamp counter is
-        // what the watchdog's floor-breach alert keys on.
-        assert!(report.scrub_floor_clamps > 0);
     }
 
     #[test]

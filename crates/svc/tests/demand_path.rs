@@ -6,14 +6,14 @@
 //! covered by `determinism.rs`; this file pins the *front-end*: packets,
 //! completion slots, and the seqlock view must add no observable state.)
 //! Plus a torn-read soak proving the seqlock view never serves a
-//! half-written line, and channel-path coverage for `read_to`.
+//! half-written line, and a contention stress proving every issued trace
+//! ID reaches exactly one caller with exactly one accounting record.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 use sudoku_codes::LineData;
 use sudoku_fault::FaultInjector;
-use sudoku_svc::{ReadReply, Service, ServiceConfig, ShardedCache};
+use sudoku_svc::{Service, ServiceConfig, ShardedCache};
 
 const LINES: u64 = 256;
 
@@ -207,29 +207,86 @@ fn seqlock_view_never_serves_torn_lines() {
     );
 }
 
-/// The channel-based `read_to` path (kept for callers that multiplex many
-/// in-flight reads onto one receiver) still resolves every request with
-/// the right data and a live trace ID.
+/// Trace conservation under contention: four clients race `read_traced`
+/// and `write_traced` over a handful of lines on one shard, so every op
+/// contends for the same claim and reads that lose the claim race
+/// re-probe the lock-free view. Every trace ID the registry issues must
+/// reach exactly one caller, and every served request must record exactly
+/// one latency sample and one queue-wait sample.
 #[test]
-fn read_to_channel_path_still_serves() {
-    let mut config = ServiceConfig::small(256, 2, 0.0, 17);
+fn trace_ids_are_conserved_under_contention() {
+    const HOT: u64 = 8;
+    const CLIENTS: u64 = 4;
+    const OPS: u64 = 20_000;
+    let mut config = ServiceConfig::small(LINES, 1, 0.0, 23);
     config.scrub_every = None;
     let service = Service::start(config).unwrap();
-    let handle = service.handle();
-    for line in 0..256u64 {
-        handle.write(line, &pattern(line)).unwrap();
-    }
-    let (tx, rx) = std::sync::mpsc::channel::<ReadReply>();
-    for line in 0..256u64 {
-        handle.read_to(line, &tx).unwrap();
-    }
-    drop(tx);
-    let mut seen = 0u64;
-    while let Ok(reply) = rx.recv_timeout(Duration::from_secs(5)) {
-        assert_eq!(reply.result.unwrap(), pattern(reply.line));
-        seen += 1;
-    }
-    assert_eq!(seen, 256);
+    // Each hot line only ever holds one of two values, so a read can be
+    // checked without knowing which write it raced.
+    let value = |line: u64, alt: bool| pattern(line + if alt { LINES } else { 0 });
+    let mut traces: Vec<u64> = (0..HOT)
+        .map(|line| {
+            let (trace, result) = service.handle().write_traced(line, &value(line, false));
+            result.unwrap();
+            trace.expect("an accepted write carries a trace")
+        })
+        .collect();
+    std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let handle = service.handle();
+                s.spawn(move || {
+                    let mut mine = Vec::with_capacity(OPS as usize);
+                    let mut x = client.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                    for _ in 0..OPS {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let line = (x >> 33) % HOT;
+                        let trace = if (x >> 13).is_multiple_of(3) {
+                            let (trace, result) =
+                                handle.write_traced(line, &value(line, (x >> 17) & 1 == 1));
+                            result.unwrap();
+                            trace
+                        } else {
+                            let (trace, result) = handle.read_traced(line);
+                            let got = result.unwrap();
+                            assert!(
+                                got == value(line, false) || got == value(line, true),
+                                "line {line} served a value never written to it: {got:?}"
+                            );
+                            trace
+                        };
+                        mine.push(trace.expect("an admitted request carries a trace"));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        for client in clients {
+            traces.extend(client.join().unwrap());
+        }
+    });
+    let registry = std::sync::Arc::clone(service.registry());
     let report = service.shutdown();
-    assert_eq!(report.reads, 256);
+    let returned = traces.len() as u64;
+    traces.sort_unstable();
+    traces.dedup();
+    assert_eq!(
+        traces.len() as u64,
+        returned,
+        "one trace ID reached two callers"
+    );
+    assert_eq!(
+        returned,
+        registry.traces_issued(),
+        "issued trace IDs that no caller received"
+    );
+    assert_eq!(report.failed_writes, 0);
+    assert_eq!(report.reads + report.writes, returned);
+    assert_eq!(registry.read_latency_ns.snapshot().count(), report.reads);
+    assert_eq!(
+        registry.queue_wait_ns.snapshot().count(),
+        report.reads + report.writes
+    );
 }
