@@ -853,19 +853,18 @@ fn main() {
             .field_str("git_rev", &git_rev());
         // Soak-wide spatial stamps: where the soak's own (i.i.d. + stuck)
         // faults actually landed, as geometry plus hottest-cell skew.
-        if let Some(maps) = &report.heatmaps {
-            let cells = maps.observed_cells();
-            let total: u64 = cells.iter().sum();
-            let max = cells.iter().copied().max().unwrap_or(0);
-            let mean = total as f64 / cells.len().max(1) as f64;
-            obj.field_u64("heatmap_shards", maps.geometry().n_shards() as u64)
-                .field_u64("heatmap_regions", maps.geometry().n_regions() as u64)
-                .field_u64("heatmap_observed_total", total)
-                .field_f64(
-                    "max_region_skew",
-                    if mean > 0.0 { max as f64 / mean } else { 0.0 },
-                );
-        }
+        let maps = &report.heatmaps;
+        let cells = maps.observed_cells();
+        let total: u64 = cells.iter().sum();
+        let max = cells.iter().copied().max().unwrap_or(0);
+        let mean = total as f64 / cells.len().max(1) as f64;
+        obj.field_u64("heatmap_shards", maps.geometry().n_shards() as u64)
+            .field_u64("heatmap_regions", maps.geometry().n_regions() as u64)
+            .field_u64("heatmap_observed_total", total)
+            .field_f64(
+                "max_region_skew",
+                if mean > 0.0 { max as f64 / mean } else { 0.0 },
+            );
         std::fs::write("BENCH_chaos.json", obj.finish() + "\n").expect("write BENCH_chaos.json");
         println!("wrote BENCH_chaos.json");
     }
@@ -873,9 +872,12 @@ fn main() {
     // Final heatmap snapshot for post-mortem (`forensics --heatmap <path>`
     // renders it): the full per-cell grids plus the last correlation stat,
     // the same shape `/heatmap.json` serves live.
-    if let (Some(path), Some(maps)) = (&opts.heatmap, &report.heatmaps) {
-        std::fs::write(path, maps.to_json(report.spatial.as_ref()) + "\n")
-            .unwrap_or_else(|e| panic!("write --heatmap snapshot {path}: {e}"));
+    if let Some(path) = &opts.heatmap {
+        std::fs::write(
+            path,
+            report.heatmaps.to_json(report.spatial.as_ref()) + "\n",
+        )
+        .unwrap_or_else(|e| panic!("write --heatmap snapshot {path}: {e}"));
         println!("wrote final heatmap snapshot to {path}");
     }
 

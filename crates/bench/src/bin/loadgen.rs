@@ -279,19 +279,18 @@ fn main() {
         // whole run, and the detector's last verdict — so the committed
         // baseline records what the heatmap plane saw, not just that it
         // was on.
-        if let Some(maps) = &report.service.heatmaps {
-            let cells = maps.observed_cells();
-            let total: u64 = cells.iter().sum();
-            let max = cells.iter().copied().max().unwrap_or(0);
-            let mean = total as f64 / cells.len().max(1) as f64;
-            obj.field_u64("heatmap_shards", maps.geometry().n_shards() as u64)
-                .field_u64("heatmap_regions", maps.geometry().n_regions() as u64)
-                .field_u64("heatmap_observed_total", total)
-                .field_f64(
-                    "max_region_skew",
-                    if mean > 0.0 { max as f64 / mean } else { 0.0 },
-                );
-        }
+        let maps = &report.service.heatmaps;
+        let cells = maps.observed_cells();
+        let total: u64 = cells.iter().sum();
+        let max = cells.iter().copied().max().unwrap_or(0);
+        let mean = total as f64 / cells.len().max(1) as f64;
+        obj.field_u64("heatmap_shards", maps.geometry().n_shards() as u64)
+            .field_u64("heatmap_regions", maps.geometry().n_regions() as u64)
+            .field_u64("heatmap_observed_total", total)
+            .field_f64(
+                "max_region_skew",
+                if mean > 0.0 { max as f64 / mean } else { 0.0 },
+            );
         match &report.service.spatial {
             Some(stat) => obj.field_raw("spatial", &stat.to_json()),
             None => obj.field_raw("spatial", "null"),

@@ -17,12 +17,15 @@
 //! an `AtomicHist` snapshot is (every cell is a true count that happened,
 //! no cell is torn, totals equal the sum of what was recorded).
 //!
-//! The repair-tier grids are fed by an optional tap on [`crate::Recorder`]:
-//! every repair site in the workspace already emits a [`RecoveryEvent`]
-//! with the exact line, mechanism, and outcome, so
-//! [`Heatmaps::record_event`] charges cells with the *same* cardinality as
-//! the `CacheStats` counters (the PR 2 event-count invariant, extended to
-//! space).
+//! The repair-tier grids are fed by a tap on [`crate::Recorder`]: every
+//! repair site in the workspace already emits a [`RecoveryEvent`] with the
+//! exact line, mechanism, and outcome, so [`Heatmaps::record_event`]
+//! charges cells with the *same* cardinality as the `CacheStats` counters
+//! (one event per counted repair, extended to space). The service's
+//! sharded cache builds one bundle with itself and taps every recorder it
+//! owns; the paths that emit no event (injection, stuck-cell physics,
+//! sparing strikes, dead-shard DUEs) charge the grids directly, and for
+//! stuck reasserts and strikes the grids are the only count there is.
 //!
 //! [`AtomicHist`]: crate::AtomicHist
 

@@ -250,37 +250,7 @@ pub struct ServiceHistograms {
     pub queue_depth: Histogram,
 }
 
-impl Default for ServiceHistograms {
-    fn default() -> Self {
-        ServiceHistograms {
-            read_latency_ns: Histogram::pow2(40),
-            write_latency_ns: Histogram::pow2(40),
-            scrub_tick_ns: Histogram::pow2(40),
-            escalation_ns: Histogram::pow2(40),
-            queue_depth: Histogram::pow2(20),
-        }
-    }
-}
-
 impl ServiceHistograms {
-    /// Merges another set (e.g. a worker's) into this one.
-    pub fn merge(&mut self, other: &ServiceHistograms) {
-        self.read_latency_ns.merge(&other.read_latency_ns);
-        self.write_latency_ns.merge(&other.write_latency_ns);
-        self.scrub_tick_ns.merge(&other.scrub_tick_ns);
-        self.escalation_ns.merge(&other.escalation_ns);
-        self.queue_depth.merge(&other.queue_depth);
-    }
-
-    /// Whether every histogram is empty.
-    pub fn is_empty(&self) -> bool {
-        self.read_latency_ns.is_empty()
-            && self.write_latency_ns.is_empty()
-            && self.scrub_tick_ns.is_empty()
-            && self.escalation_ns.is_empty()
-            && self.queue_depth.is_empty()
-    }
-
     /// JSON object with one entry per histogram.
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
@@ -440,22 +410,6 @@ mod tests {
         assert_eq!(buckets[2], (4, 1));
         let total: u64 = buckets.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, h.count());
-    }
-
-    #[test]
-    fn service_set_merge_and_json() {
-        let mut a = ServiceHistograms::default();
-        assert!(a.is_empty());
-        a.read_latency_ns.record(1_500);
-        a.queue_depth.record(3);
-        let mut b = ServiceHistograms::default();
-        b.read_latency_ns.record(9_000);
-        a.merge(&b);
-        assert_eq!(a.read_latency_ns.count(), 2);
-        assert!(!a.is_empty());
-        let json = a.to_json();
-        assert!(json.contains("read_latency_ns") && json.contains("queue_depth"));
-        assert!(json.contains("\"p999\""));
     }
 
     #[test]

@@ -278,17 +278,12 @@ impl Recorder {
         self.trace
     }
 
-    /// Attaches (or detaches) the spatial heatmap tap: every subsequent
-    /// emission also charges the matching grid cell, so the grids stay
-    /// count-exact with the `CacheStats` counters incremented alongside
-    /// each emission — regardless of the sink's ring capacity.
-    pub fn set_tap(&mut self, tap: Option<Arc<Heatmaps>>) {
-        self.tap = tap;
-    }
-
-    /// The attached spatial tap, if any (cloned `Arc`).
-    pub fn tap(&self) -> Option<Arc<Heatmaps>> {
-        self.tap.clone()
+    /// Attaches the spatial heatmap tap: every subsequent emission also
+    /// charges the matching grid cell, so the grids stay count-exact with
+    /// the `CacheStats` counters incremented alongside each emission —
+    /// regardless of the sink's ring capacity.
+    pub fn set_tap(&mut self, tap: Arc<Heatmaps>) {
+        self.tap = Some(tap);
     }
 
     /// Emits one event, stamping it with the current interval. Call only

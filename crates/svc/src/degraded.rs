@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use sudoku_codes::LineData;
 use sudoku_obs::json::JsonObject;
+use sudoku_obs::Heatmaps;
 
 /// Liveness of every shard, shared between the engine, the workers, the
 /// scrub daemon, and every client handle. Lock-free: one atomic per shard.
@@ -94,8 +95,6 @@ pub struct SpareTable {
     pub spare_reads: u64,
     /// Writes absorbed by the spare pool.
     pub spare_writes: u64,
-    /// Strikes recorded (DUEs + undone reconstructions).
-    pub strikes_recorded: u64,
     /// Sparing requests dropped because the pool was full.
     pub spare_overflow: u64,
 }
@@ -144,15 +143,18 @@ impl SpareTable {
     }
 
     /// Records one strike against `line` — a DUE, or a reconstruction that
-    /// stuck cells immediately undid. `recovered` carries the repaired data
-    /// when the striking event produced one. Once the strike count reaches
-    /// the threshold the line is spared (if the pool has room); returns
-    /// `true` exactly when this call performed the remap.
-    pub fn strike(&mut self, line: u64, recovered: Option<LineData>) -> bool {
+    /// stuck cells immediately undid — and charges it to `line`'s cell of
+    /// the `strikes` grid, the only strike count there is. Nothing is
+    /// recorded while sparing is disabled or once the line is spared.
+    /// `recovered` carries the repaired data when the striking event
+    /// produced one. Once the strike count reaches the threshold the line
+    /// is spared (if the pool has room); returns `true` exactly when this
+    /// call performed the remap.
+    pub fn strike(&mut self, line: u64, recovered: Option<LineData>, maps: &Heatmaps) -> bool {
         if self.config.spare_cap_per_shard == 0 || self.is_spared(line) {
             return false;
         }
-        self.strikes_recorded += 1;
+        maps.charge_strike(line);
         let count = self.strikes.entry(line).or_insert(0);
         *count += 1;
         if *count < self.config.strike_threshold {
@@ -182,13 +184,15 @@ pub struct DegradedStats {
     pub spare_reads: u64,
     /// Writes absorbed by spare pools.
     pub spare_writes: u64,
-    /// Strikes recorded (DUEs + reconstructions undone by stuck cells).
+    /// Strikes recorded (DUEs + reconstructions undone by stuck cells):
+    /// the `strikes` heatmap grid's total.
     pub strikes: u64,
     /// Sparing requests dropped on full pools.
     pub spare_overflow: u64,
     /// Lines with permanent (stuck-at) cells in the physical fault map.
     pub stuck_lines: u64,
-    /// Stored bits re-corrupted by stuck cells after writes/repairs.
+    /// Stored bits re-corrupted by stuck cells after writes/repairs: the
+    /// `stuck` heatmap grid's total.
     pub stuck_reasserts: u64,
     /// Group reconstructions of stuck lines that the stuck cells undid —
     /// the "SDR hit a stuck bit" non-convergence signal.
@@ -232,6 +236,10 @@ mod tests {
         d
     }
 
+    fn maps() -> Heatmaps {
+        Heatmaps::new(sudoku_obs::RegionGeometry::new(1, 1, 64, |_| 0))
+    }
+
     #[test]
     fn health_transitions_once() {
         let health = ShardHealth::new(4);
@@ -250,8 +258,9 @@ mod tests {
             spare_cap_per_shard: 4,
             strike_threshold: 2,
         });
-        assert!(!table.strike(7, None), "one strike is not enough");
-        assert!(table.strike(7, None), "second strike spares");
+        let maps = maps();
+        assert!(!table.strike(7, None, &maps), "one strike is not enough");
+        assert!(table.strike(7, None, &maps), "second strike spares");
         assert!(table.is_spared(7));
         assert_eq!(table.lookup(7), Some(None), "data was lost to the DUE");
         assert!(table.write(7, &data(5)));
@@ -259,7 +268,8 @@ mod tests {
         assert_eq!(table.spare_reads, 2);
         assert_eq!(table.spare_writes, 1);
         // Strikes against an already-spared line are no-ops.
-        assert!(!table.strike(7, None));
+        assert!(!table.strike(7, None, &maps));
+        assert_eq!(maps.strikes.total(), 2, "only recorded strikes are charged");
     }
 
     #[test]
@@ -268,7 +278,7 @@ mod tests {
             spare_cap_per_shard: 4,
             strike_threshold: 1,
         });
-        assert!(table.strike(3, Some(data(9))));
+        assert!(table.strike(3, Some(data(9)), &maps()));
         assert_eq!(table.lookup(3), Some(Some(data(9))));
     }
 
@@ -278,8 +288,9 @@ mod tests {
             spare_cap_per_shard: 1,
             strike_threshold: 1,
         });
-        assert!(table.strike(1, None));
-        assert!(!table.strike(2, None), "pool is full");
+        let maps = maps();
+        assert!(table.strike(1, None, &maps));
+        assert!(!table.strike(2, None, &maps), "pool is full");
         assert_eq!(table.spare_overflow, 1);
         assert!(table.is_spared(1));
         assert!(!table.is_spared(2));
@@ -291,10 +302,12 @@ mod tests {
             spare_cap_per_shard: 0,
             strike_threshold: 1,
         });
+        let maps = maps();
         for _ in 0..4 {
-            assert!(!table.strike(1, None));
+            assert!(!table.strike(1, None, &maps));
         }
         assert_eq!(table.spared_lines(), 0);
+        assert_eq!(maps.strikes.total(), 0, "no strike is recorded");
     }
 
     #[test]

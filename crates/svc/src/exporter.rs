@@ -22,8 +22,7 @@
 //! * `GET /heatmap.json` — the spatial reliability plane: every per-cell
 //!   `shard × region` grid (injected, repair tiers, DUEs, stuck bits,
 //!   strikes, scrub staleness), the combined observed grid, and the
-//!   correlation detector's latest verdict. `503` when the service runs
-//!   without heatmaps attached.
+//!   correlation detector's latest verdict.
 //!
 //! No HTTP library: the accept loop parses exactly the request line,
 //! answers with `Content-Length` + `Connection: close`, and serves one
@@ -258,18 +257,11 @@ fn serve_connection(
             }
         }
         "/traces.json" => ("200 OK", "application/json", traces_json(registry)),
-        "/heatmap.json" => match state.heatmaps() {
-            Some(maps) => (
-                "200 OK",
-                "application/json",
-                maps.to_json(plane.latest_spatial().as_ref()),
-            ),
-            None => (
-                "503 Service Unavailable",
-                "text/plain",
-                "no heatmaps attached to this service\n".to_string(),
-            ),
-        },
+        "/heatmap.json" => (
+            "200 OK",
+            "application/json",
+            state.heatmaps().to_json(plane.latest_spatial().as_ref()),
+        ),
         _ => (
             "404 Not Found",
             "text/plain",
@@ -567,25 +559,20 @@ mod tests {
 
     #[test]
     fn heatmap_endpoint_serves_grids_and_correlation() {
-        use sudoku_obs::{Heatmaps, RegionGeometry};
         let (exporter, state, plane) = test_exporter_with_plane();
-        // No heatmaps attached yet: an honest 503, not a 404 or hangup.
-        let (head, _) = get(exporter.addr(), "/heatmap.json");
-        assert!(head.starts_with("HTTP/1.1 503"), "{head}");
-        let plan = *state.plan();
-        let geom = RegionGeometry::new(2, 8, 256, |l| plan.shard_of_line(l));
-        let maps = Arc::new(Heatmaps::new(geom));
+        // The grids are built with the cache: the endpoint serves from
+        // the first request on.
+        let maps = state.heatmaps();
         plane.arm_spatial(maps.geometry());
-        state.attach_heatmaps(Arc::clone(&maps));
         maps.charge_injected(3, 2);
-        plane.step_spatial(&maps);
+        plane.step_spatial(maps);
         let (head, body) = get(exporter.addr(), "/heatmap.json");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert!(body.contains("\"n_regions\":8"), "{body}");
+        assert!(body.contains("\"n_regions\":16"), "{body}");
         assert!(body.contains("\"injected\":{\"total\":2"), "{body}");
         assert!(body.contains("\"correlation\":{"), "{body}");
         assert!(body.contains("\"fired\":false"), "{body}");
-        // The Prometheus families ride the same attachment.
+        // The Prometheus families ride the same grids.
         let (_, prom) = get(exporter.addr(), "/metrics");
         assert!(
             prom.contains("sudoku_region_observed_flips_total{shard=\"0\",region=\"0\"}"),

@@ -109,10 +109,7 @@ use std::time::{Duration, Instant};
 use sudoku_codes::LineData;
 use sudoku_core::{CacheStats, Recorder, ShardPlan, SudokuConfig};
 use sudoku_fault::{FaultInjector, StuckBitMap};
-use sudoku_obs::{
-    CorrelationStat, Heatmaps, RecoveryHistograms, RegionGeometry, ServiceHistograms,
-    DEFAULT_REGIONS,
-};
+use sudoku_obs::{CorrelationStat, Heatmaps, RecoveryHistograms, ServiceHistograms};
 
 /// Ops per work packet: one shard-mutex acquire is amortized over up to
 /// this many demand operations.
@@ -425,7 +422,7 @@ pub struct ServiceReport {
     pub scrub_floor_clamps: u64,
     /// The spatial reliability plane's heatmap bundle (shared with the
     /// now-stopped service; the grids are final at shutdown).
-    pub heatmaps: Option<Arc<Heatmaps>>,
+    pub heatmaps: Arc<Heatmaps>,
     /// The spatial-correlation detector's last verdict of the run.
     pub spatial: Option<CorrelationStat>,
 }
@@ -471,10 +468,8 @@ impl ServiceReport {
             .field_u64("scrub_floor_clamps", self.scrub_floor_clamps)
             .field_raw("degraded", &self.degraded.to_json())
             .field_raw("stats", &self.stats.to_json())
-            .field_raw("service_hists", &self.hists.to_json());
-        if let Some(maps) = &self.heatmaps {
-            obj.field_raw("heatmap", &maps.to_json(self.spatial.as_ref()));
-        }
+            .field_raw("service_hists", &self.hists.to_json())
+            .field_raw("heatmap", &self.heatmaps.to_json(self.spatial.as_ref()));
         obj.finish()
     }
 }
@@ -850,20 +845,6 @@ impl Service {
             config.stuck,
             config.degraded,
         )?);
-        // The spatial reliability plane: one heatmap bundle over a
-        // shard × region grid, tapped by every shard recorder. Attached
-        // before the workers spawn so no repair escapes attribution.
-        let heatmaps = {
-            let plan = *state.plan();
-            let geom = RegionGeometry::new(
-                config.n_shards,
-                DEFAULT_REGIONS,
-                state.config().geometry.lines(),
-                |line| plan.shard_of_line(line),
-            );
-            Arc::new(Heatmaps::new(geom))
-        };
-        state.attach_heatmaps(Arc::clone(&heatmaps));
         let registry = Arc::new(TelemetryRegistry::new(config.n_shards));
         let demand = Arc::new(Demand {
             queues: (0..config.n_shards).map(|_| ShardQueue::new()).collect(),
@@ -891,7 +872,7 @@ impl Service {
         // accounting and alerting are part of the reliability story, not
         // an optional extra.
         let plane = Arc::new(AuditPlane::new(state.plan(), config.audit.clone())?);
-        plane.arm_spatial(heatmaps.geometry());
+        plane.arm_spatial(state.heatmaps().geometry());
         let daemon = config.scrub_every.map(|tick| {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
@@ -1132,7 +1113,7 @@ impl Service {
             scrub_interval_p99_ns: self.plane.tracker.achieved_hist_all().quantile(0.99),
             scrub_lines_swept: reg.scrub_lines_swept.get(),
             scrub_floor_clamps: reg.scrub_floor_clamps.get(),
-            heatmaps: self.state.heatmaps().cloned(),
+            heatmaps: Arc::clone(self.state.heatmaps()),
             spatial: self.plane.latest_spatial(),
         }
     }
@@ -1623,9 +1604,7 @@ fn daemon_tick(
     let (_report, leftover) = state.scrub_shard_local(shard, &hints);
     for (packet, first_line) in swept {
         let interval_ns = tracker.note_packet(shard, packet);
-        if let Some(maps) = state.heatmaps() {
-            maps.note_staleness(first_line, interval_ns);
-        }
+        state.heatmaps().note_staleness(first_line, interval_ns);
     }
     reg.scrub_tick_ns
         .record(started.elapsed().as_nanos() as u64);
@@ -1639,6 +1618,21 @@ fn daemon_tick(
         reg.unresolved_lines.add(report.unresolved.len() as u64);
     }
     reg.scrub_ticks.inc();
+}
+
+/// Sleeps until `deadline` in slices of at most 1 ms, each cut to the
+/// time left. Returns `false` as soon as `stop` is raised.
+fn sleep_until(deadline: Instant, stop: &AtomicBool) -> bool {
+    loop {
+        if stop.load(Ordering::Relaxed) {
+            return false;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return true;
+        }
+        std::thread::sleep(left.min(Duration::from_millis(1)));
+    }
 }
 
 #[allow(clippy::too_many_arguments)] // private; mirrors the service wiring
@@ -1703,26 +1697,19 @@ fn daemon_loop(
         if stop.load(Ordering::Relaxed) {
             break 'daemon;
         }
-        // Sleep in small slices so shutdown stays prompt.
-        while Instant::now() < next_deadline {
-            if stop.load(Ordering::Relaxed) {
-                break 'daemon;
-            }
-            std::thread::sleep(tick.min(Duration::from_millis(1)));
+        // Sleep in slices of at most 1 ms so shutdown stays prompt, and
+        // never past the deadline: a fixed slice would overshoot it by up
+        // to a whole slice.
+        if !sleep_until(next_deadline, stop) {
+            break 'daemon;
         }
         // Chaos hook: an injected stall — alive but not scrubbing. It
         // lands *after* the tick deadline so the whole stall shows up as
         // tick lag and growing packet staleness, exactly like a real
         // starvation would.
         let stall = stall_us.swap(0, Ordering::Relaxed);
-        if stall > 0 {
-            let until = Instant::now() + Duration::from_micros(stall);
-            while Instant::now() < until {
-                if stop.load(Ordering::Relaxed) {
-                    break 'daemon;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
+        if stall > 0 && !sleep_until(Instant::now() + Duration::from_micros(stall), stop) {
+            break 'daemon;
         }
         // How late the tick started: scheduling + the previous tick's
         // overrun. The gauge holds the latest value; the histogram the

@@ -38,6 +38,16 @@
 //!   resurrection that can never converge) — are remapped to a small
 //!   per-shard spare pool instead of being repaired forever.
 //!
+//! # Spatial plane
+//!
+//! The cache builds its [`Heatmaps`] with itself (one row per shard,
+//! [`DEFAULT_REGIONS`] line ranges per row) and installs them as the tap
+//! of every recorder it owns, so each repair event lands in its
+//! (shard, region) cell. The paths that emit no event charge the grids
+//! directly: fault injection, stuck-cell reasserts, sparing strikes, and
+//! DUEs of lines on dead shards. For stuck reasserts and strikes the
+//! grids are the only count: [`DegradedStats`] reports their totals.
+//!
 //! [`VminCache`]: sudoku_core::VminCache
 
 use crate::degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
@@ -45,7 +55,7 @@ use crate::error::ServiceError;
 use crate::view::{LineView, ViewRead};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
     reassert_stuck, CacheStats, ConfigError, GroupScratch, GroupView, HashDim, LineStore,
@@ -53,7 +63,7 @@ use sudoku_core::{
     SudokuCache, SudokuConfig, UncorrectableError,
 };
 use sudoku_fault::{FaultInjector, StuckBitMap};
-use sudoku_obs::Heatmaps;
+use sudoku_obs::{Heatmaps, RegionGeometry, DEFAULT_REGIONS};
 
 /// Lines per shard-mutex hold in the daemon's bulk passes (fault
 /// injection, scrub scan). A tick can touch hundreds of lines; taking the
@@ -70,13 +80,12 @@ struct Coordinator {
     scratch: GroupScratch,
 }
 
-/// Per-shard degraded-mode state: the sparing table plus stuck-cell
-/// accounting. Guarded by its own mutex, acquired only *after* the shard's
-/// cache mutex (never while waiting on one) — a strict shard → extra
-/// order, so it cannot deadlock against recovery.
+/// Per-shard degraded-mode state: the sparing table plus the
+/// non-convergence count. Guarded by its own mutex, acquired only *after*
+/// the shard's cache mutex (never while waiting on one) — a strict shard →
+/// extra order, so it cannot deadlock against recovery.
 struct ShardExtra {
     spares: SpareTable,
-    stuck_reasserts: u64,
     undone_reconstructions: u64,
 }
 
@@ -163,6 +172,14 @@ impl GroupView for GatherView<'_, '_> {
     }
 }
 
+/// A ring recorder carrying the heatmap tap: the coordinator's, and the
+/// replacements [`ShardedCache::harvest_recorders`] installs.
+fn tapped_recorder(maps: &Arc<Heatmaps>) -> Recorder {
+    let mut recorder = Recorder::ring(4096);
+    recorder.set_tap(Arc::clone(maps));
+    recorder
+}
+
 /// Merges per-shard and coordinator [`ScrubReport`]s into the global view
 /// a single-threaded scrub would have produced: counters sum, unresolved
 /// lines concatenate and sort ascending.
@@ -221,11 +238,12 @@ pub struct ShardedCache {
     /// Seqlock-stamped mirror of every stored line for lock-free clean
     /// reads; `None` when the geometry is too large to mirror.
     view: Option<LineView>,
-    /// The spatial reliability plane, once attached: every recorder emit
-    /// taps into its per-(shard, region) grids, and the paths that bump
-    /// counters *without* emitting (fault injection, stuck-cell physics,
-    /// sparing strikes, dead-shard DUEs) charge it directly.
-    heatmaps: OnceLock<Arc<Heatmaps>>,
+    /// The spatial reliability plane, built with the cache: every recorder
+    /// emit taps into its per-(shard, region) grids, and the paths that
+    /// emit nothing (fault injection, stuck-cell physics, sparing strikes,
+    /// dead-shard DUEs) charge it directly. Its `stuck` and `strikes` grids
+    /// are the only count of stuck reasserts and strikes.
+    heatmaps: Arc<Heatmaps>,
 }
 
 impl ShardedCache {
@@ -251,7 +269,9 @@ impl ShardedCache {
     /// [`VminCache`](sudoku_core::VminCache) — after every write and every
     /// repair write-back, the stuck cells reassert their values — and
     /// `degraded` sets the line-sparing policy for cells the ladder keeps
-    /// re-repairing.
+    /// re-repairing. The spatial plane ([`ShardedCache::heatmaps`]) is
+    /// built here too, over the plan's shards and [`DEFAULT_REGIONS`], and
+    /// installed as the tap of every recorder the cache owns.
     ///
     /// # Errors
     ///
@@ -263,15 +283,24 @@ impl ShardedCache {
         degraded: DegradedConfig,
     ) -> Result<Self, ConfigError> {
         let plan = ShardPlan::new(&config, n_shards)?;
+        let heatmaps = Arc::new(Heatmaps::new(RegionGeometry::new(
+            n_shards,
+            DEFAULT_REGIONS,
+            config.geometry.lines(),
+            |line| plan.shard_of_line(line),
+        )));
         let shard_config = config.with_deferred_hash2();
         let shards = (0..n_shards)
-            .map(|_| SudokuCache::new_sparse(shard_config).map(Mutex::new))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|_| {
+                let mut cache = SudokuCache::new_sparse(shard_config)?;
+                cache.recorder_mut().set_tap(Arc::clone(&heatmaps));
+                Ok(Mutex::new(cache))
+            })
+            .collect::<Result<Vec<_>, ConfigError>>()?;
         let extras = (0..n_shards)
             .map(|_| {
                 Mutex::new(ShardExtra {
                     spares: SpareTable::new(degraded),
-                    stuck_reasserts: 0,
                     undone_reconstructions: 0,
                 })
             })
@@ -283,7 +312,7 @@ impl ShardedCache {
             shards,
             coord: Mutex::new(Coordinator {
                 stats: CacheStats::default(),
-                recorder: Recorder::ring(4096),
+                recorder: tapped_recorder(&heatmaps),
                 scratch: GroupScratch::default(),
             }),
             health: ShardHealth::new(n_shards),
@@ -292,39 +321,14 @@ impl ShardedCache {
             rejects: AtomicU64::new(0),
             skipped_h2: AtomicU64::new(0),
             view,
-            heatmaps: OnceLock::new(),
+            heatmaps,
         })
     }
 
-    /// Attaches the spatial reliability plane: installs `maps` as the
-    /// recorder tap on every shard and on the coordinator, so each
-    /// [`RecoveryEvent`](sudoku_obs::RecoveryEvent) a repair emits is also
-    /// charged to its (shard, region) heatmap cell, and arms the direct
-    /// charge paths (injection, stuck physics, strikes, dead-shard DUEs).
-    /// Call once, before traffic; later calls are ignored.
-    pub fn attach_heatmaps(&self, maps: Arc<Heatmaps>) {
-        if self.heatmaps.set(Arc::clone(&maps)).is_err() {
-            return;
-        }
-        for shard in 0..self.n_shards() {
-            self.lock_shard_telemetry(shard)
-                .recorder_mut()
-                .set_tap(Some(Arc::clone(&maps)));
-        }
-        self.lock_coord().recorder.set_tap(Some(Arc::clone(&maps)));
-    }
-
-    /// The attached spatial reliability plane, if any.
-    pub fn heatmaps(&self) -> Option<&Arc<Heatmaps>> {
-        self.heatmaps.get()
-    }
-
-    /// A fresh ring recorder carrying the attached heatmap tap (if any) —
-    /// the replacement installed by [`ShardedCache::harvest_recorders`].
-    fn fresh_recorder(&self) -> Recorder {
-        let mut recorder = Recorder::ring(4096);
-        recorder.set_tap(self.heatmaps.get().cloned());
-        recorder
+    /// The spatial reliability plane: per-(shard, region) grids of every
+    /// injected bit, repair, DUE, stuck reassert and strike.
+    pub fn heatmaps(&self) -> &Arc<Heatmaps> {
+        &self.heatmaps
     }
 
     /// Number of shards.
@@ -398,41 +402,24 @@ impl ShardedCache {
     }
 
     /// Reasserts the stuck cells of `line` after a write or repair
-    /// write-back, charging the flipped bits to `shard`'s counters.
-    fn reassert_line(&self, cache: &mut SudokuCache<SparseStore>, shard: usize, line: u64) {
+    /// write-back, charging the flipped bits to the `stuck` grid.
+    fn reassert_line(&self, cache: &mut SudokuCache<SparseStore>, line: u64) {
         if self.stuck.is_stuck(line) {
             let changed = reassert_stuck(cache, &self.stuck, line) as u64;
             if changed > 0 {
-                self.lock_extra(shard).stuck_reasserts += changed;
-                if let Some(maps) = self.heatmaps.get() {
-                    maps.charge_stuck(line, changed);
-                }
+                self.heatmaps.charge_stuck(line, changed);
             }
         }
     }
 
     /// Reasserts every stuck line owned by `shard` (the post-scrub physics
-    /// step). Returns the number of stored bits flipped back.
-    fn reassert_shard(&self, cache: &mut SudokuCache<SparseStore>, shard: usize) -> u64 {
-        if self.stuck.is_empty() {
-            return 0;
-        }
-        let mut changed = 0u64;
+    /// step).
+    fn reassert_shard(&self, cache: &mut SudokuCache<SparseStore>, shard: usize) {
         for line in self.stuck.lines() {
             if self.plan.shard_of_line(line) == shard {
-                let flipped = reassert_stuck(cache, &self.stuck, line) as u64;
-                if flipped > 0 {
-                    if let Some(maps) = self.heatmaps.get() {
-                        maps.charge_stuck(line, flipped);
-                    }
-                }
-                changed += flipped;
+                self.reassert_line(cache, line);
             }
         }
-        if changed > 0 {
-            self.lock_extra(shard).stuck_reasserts += changed;
-        }
-        changed
     }
 
     /// Republishes `line`'s stored state into the lock-free view. Callers
@@ -647,9 +634,7 @@ impl ShardedCache {
         // Mirror the corruption into the view: the lock-free path must see
         // the faulty bits (and miss on the CRC), never stale clean data.
         self.publish_line(&cache, line);
-        if let Some(maps) = self.heatmaps.get() {
-            maps.charge_injected(line, 1);
-        }
+        self.heatmaps.charge_injected(line, 1);
     }
 
     /// Applies a resolved fault plan (line, fault positions) as produced by
@@ -661,9 +646,7 @@ impl ShardedCache {
                 shard.inject_fault(*line, pos);
             }
             self.publish_line(&shard, *line);
-            if let Some(maps) = self.heatmaps.get() {
-                maps.charge_injected(*line, positions.len() as u64);
-            }
+            self.heatmaps.charge_injected(*line, positions.len() as u64);
         }
     }
 
@@ -689,9 +672,7 @@ impl ShardedCache {
                     cache.inject_fault(line, pos);
                 }
                 self.publish_line(&cache, line);
-                if let Some(maps) = self.heatmaps.get() {
-                    maps.charge_injected(line, positions.len() as u64);
-                }
+                self.heatmaps.charge_injected(line, positions.len() as u64);
                 lines.push(line);
             }
         }
@@ -761,6 +742,8 @@ impl ShardedCache {
             stuck_lines: self.stuck.faulty_lines() as u64,
             shard_down_rejects: self.rejects.load(Ordering::Relaxed),
             skipped_h2_escalations: self.skipped_h2.load(Ordering::Relaxed),
+            strikes: self.heatmaps.strikes.total(),
+            stuck_reasserts: self.heatmaps.stuck.total(),
             ..DegradedStats::default()
         };
         for shard in 0..self.n_shards() {
@@ -768,9 +751,7 @@ impl ShardedCache {
             out.spared_lines += extra.spares.spared_lines() as u64;
             out.spare_reads += extra.spares.spare_reads;
             out.spare_writes += extra.spares.spare_writes;
-            out.strikes += extra.spares.strikes_recorded;
             out.spare_overflow += extra.spares.spare_overflow;
-            out.stuck_reasserts += extra.stuck_reasserts;
             out.undone_reconstructions += extra.undone_reconstructions;
         }
         out
@@ -783,11 +764,11 @@ impl ShardedCache {
         for shard in 0..self.n_shards() {
             let old = self
                 .lock_shard_telemetry(shard)
-                .set_recorder(self.fresh_recorder());
+                .set_recorder(tapped_recorder(&self.heatmaps));
             master.absorb(old);
         }
         let mut coord = self.lock_coord();
-        let old = std::mem::replace(&mut coord.recorder, self.fresh_recorder());
+        let old = std::mem::replace(&mut coord.recorder, tapped_recorder(&self.heatmaps));
         master.absorb(old);
     }
 
@@ -1045,10 +1026,7 @@ impl ShardedCache {
                 if !w.st.report.unresolved.is_empty() {
                     let mut extra = self.lock_extra(shard);
                     for &line in &w.st.report.unresolved {
-                        if let Some(maps) = self.heatmaps.get() {
-                            maps.charge_strike(line);
-                        }
-                        if extra.spares.strike(line, None) {
+                        if extra.spares.strike(line, None, &self.heatmaps) {
                             // Remapped: the array copy is dead to readers.
                             self.invalidate_view(line);
                         }
@@ -1090,12 +1068,9 @@ impl ShardedCache {
         for (&line, value) in recovered {
             if self.stuck.is_stuck(line) {
                 extra.undone_reconstructions += 1;
-                if let Some(maps) = self.heatmaps.get() {
-                    maps.charge_strike(line);
-                }
                 // When the threshold is reached the line is spared *with*
                 // the reconstructed data — reads stop needing escalation.
-                if extra.spares.strike(line, Some(value.data)) {
+                if extra.spares.strike(line, Some(value.data), &self.heatmaps) {
                     self.invalidate_view(line);
                 }
             }
@@ -1114,10 +1089,8 @@ impl ShardedCache {
         self.lock_coord().stats.due_lines += down_report.unresolved.len() as u64;
         // These DUEs bypass every recorder (the owning shard is dead), so
         // the heatmap is charged directly to keep grid == counter exact.
-        if let Some(maps) = self.heatmaps.get() {
-            for &line in &down_report.unresolved {
-                maps.charge_due(line);
-            }
+        for &line in &down_report.unresolved {
+            self.heatmaps.charge_due(line);
         }
     }
 
@@ -1292,7 +1265,7 @@ impl ShardSession<'_> {
         // it. The write itself reports which case ran — no separate
         // stored-line CRC probe needed.
         let clean_old = self.cache.write(line, data);
-        owner.reassert_line(&mut self.cache, self.shard, line);
+        owner.reassert_line(&mut self.cache, line);
         if clean_old {
             owner.publish_line(&self.cache, line);
         } else {
@@ -1320,7 +1293,7 @@ impl ShardSession<'_> {
         let old = self.cache.stored_line(line);
         let clean_old = old.is_zero() || LineCodec::shared().crc_ok(&old);
         let result = self.cache.read(line).map_err(ServiceError::from);
-        owner.reassert_line(&mut self.cache, self.shard, line);
+        owner.reassert_line(&mut self.cache, line);
         if !clean_old {
             owner.publish_h1_group(&self.cache, line);
         }
@@ -1593,6 +1566,43 @@ mod tests {
         cache.write(0, &data_with(&[7])).unwrap();
         assert_eq!(cache.read(0).unwrap(), data_with(&[7]));
         assert!(cache.degraded_stats().spare_reads >= 1);
+    }
+
+    #[test]
+    fn strikes_grid_counts_only_recorded_strikes() {
+        // The stuck pair of `stuck_sdr_line_spared_with_recovered_data`
+        // with sparing disabled: every reconstruction is undone by the
+        // stuck cells, but no strike is ever recorded, so the strikes
+        // grid must stay empty rather than charge each attempt.
+        let mut stuck = StuckBitMap::new();
+        for bit in [100u16, 200] {
+            stuck.insert(4, bit, true);
+            stuck.insert(5, bit, true);
+        }
+        let cache = ShardedCache::with_faults(
+            SudokuConfig::small(Scheme::Z, 256, 16),
+            2,
+            stuck,
+            DegradedConfig {
+                spare_cap_per_shard: 0,
+                strike_threshold: 2,
+            },
+        )
+        .unwrap();
+        for line in 0..256u64 {
+            cache
+                .write(line, &data_with(&[line as usize % 512]))
+                .unwrap();
+        }
+        for _ in 0..3 {
+            assert_eq!(cache.read(4).unwrap(), data_with(&[4]));
+            assert_eq!(cache.read(5).unwrap(), data_with(&[5]));
+        }
+        let degraded = cache.degraded_stats();
+        assert!(degraded.undone_reconstructions > 0, "{degraded:?}");
+        assert_eq!(degraded.spared_lines, 0);
+        assert_eq!(cache.heatmaps().strikes.total(), degraded.strikes);
+        assert_eq!(degraded.strikes, 0, "sparing is off: nothing struck");
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! latency (queue wait → shard service → cross-shard H2 gather+repair)
 //! threaded by a per-request trace ID.
 //!
+//! Every exported scalar and histogram is declared once, as one row of
+//! the `SCALARS` or `HISTOGRAMS` table: its `to_json()` key, its Prometheus
+//! family, HELP text and type, and the function a capture reads it with.
+//! [`TelemetrySnapshot::capture`], [`TelemetrySnapshot::to_json`] and
+//! [`TelemetrySnapshot::to_prometheus`] walk the rows; only the labelled
+//! families (per shard, per heatmap cell) and the audit block are
+//! written out by hand. The spatial grids are always there: the
+//! [`ShardedCache`] builds them with itself.
+//!
 //! Cost model: the hot path touches only [`Counter`]s, [`Gauge`]s and
 //! striped [`AtomicHist`]s — relaxed atomics, no locks, no allocation.
 //! Snapshots are pulled by the sampler (or a scrape), which *does* briefly
@@ -464,6 +473,222 @@ impl HeatmapSnapshot {
     }
 }
 
+/// Prometheus type of a [`ScalarMetric`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum MetricKind {
+    /// Monotone count; the family name ends in `_total`.
+    Counter,
+    /// A level that can go down.
+    Gauge,
+}
+
+impl MetricKind {
+    /// The exposition `# TYPE` word.
+    fn name(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One exported scalar, declared once: its `to_json()` key, its
+/// Prometheus family, HELP text and type, and how a capture reads it.
+/// [`TelemetrySnapshot`] keeps one value per row of [`SCALARS`].
+#[derive(Clone, Copy, Debug)]
+struct ScalarMetric {
+    /// Top-level `to_json()` key; `None` for Prometheus-only rows (the
+    /// ladder and degraded rows sit in the nested `stats` / `degraded`
+    /// objects instead).
+    json: Option<&'static str>,
+    /// Prometheus family; `None` for JSON-only rows.
+    prom: Option<&'static str>,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    /// Prometheus `# TYPE`.
+    kind: MetricKind,
+    read: ScalarRead,
+}
+
+/// One exported histogram, declared once. [`TelemetrySnapshot`] keeps one
+/// [`Histogram`] per row of [`HISTOGRAMS`].
+#[derive(Clone, Copy, Debug)]
+struct HistMetric {
+    /// `to_json()` key.
+    json: &'static str,
+    /// Prometheus family (`_bucket` / `_sum` / `_count` series).
+    prom: &'static str,
+    /// Prometheus `# HELP` text.
+    help: &'static str,
+    read: fn(&TelemetryRegistry) -> &AtomicHist,
+}
+
+type ScalarRead = fn(&TelemetryRegistry, &TelemetrySnapshot) -> u64;
+
+const fn counter(
+    json: Option<&'static str>,
+    prom: Option<&'static str>,
+    help: &'static str,
+    read: ScalarRead,
+) -> ScalarMetric {
+    ScalarMetric {
+        json,
+        prom,
+        help,
+        kind: MetricKind::Counter,
+        read,
+    }
+}
+
+const fn gauge(
+    json: Option<&'static str>,
+    prom: Option<&'static str>,
+    help: &'static str,
+    read: ScalarRead,
+) -> ScalarMetric {
+    ScalarMetric {
+        kind: MetricKind::Gauge,
+        ..counter(json, prom, help, read)
+    }
+}
+
+/// Every exported scalar. Rows read the registry, or the parts of the
+/// snapshot captured before them (shard health, ladder and degraded
+/// counters, histograms).
+#[rustfmt::skip]
+const SCALARS: &[ScalarMetric] = &[
+    gauge(Some("shards_up"), Some("sudoku_shards_up"),
+        "Shards currently serving", |_, s| (s.shards - s.quarantined.len()) as u64),
+    gauge(Some("shards"), Some("sudoku_shards"),
+        "Configured shard count", |_, s| s.shards as u64),
+    gauge(None, Some("sudoku_daemon_up"),
+        "1 while the scrub daemon is alive", |_, s| u64::from(!s.daemon_dead)),
+    // Demand path.
+    counter(Some("reads"), Some("sudoku_reads_total"),
+        "Demand reads served", |r, _| r.reads.get()),
+    counter(Some("writes"), Some("sudoku_writes_total"),
+        "Demand writes served", |r, _| r.writes.get()),
+    counter(Some("failed_writes"), Some("sudoku_failed_writes_total"),
+        "Demand writes rejected (shard down)", |r, _| r.failed_writes.get()),
+    counter(Some("escalated_reads"), Some("sudoku_escalated_reads_total"),
+        "Demand reads escalated cross-shard", |r, _| r.escalated_reads.get()),
+    counter(Some("due_reads"), Some("sudoku_due_reads_total"),
+        "Demand reads left uncorrectable", |r, _| r.due_reads.get()),
+    counter(Some("clean_read_lockfree_hits"), Some("sudoku_clean_read_lockfree_hits_total"),
+        "Demand reads served lock-free off the seqlock line view",
+        |r, _| r.clean_read_lockfree_hits.get()),
+    counter(Some("seqlock_retries"), Some("sudoku_seqlock_retries_total"),
+        "Seqlock retries taken by lock-free reads", |r, _| r.seqlock_retries.get()),
+    counter(Some("traces_issued"), Some("sudoku_traces_total"),
+        "Per-request trace IDs issued", |r, _| r.traces_issued()),
+    // Scrub daemon.
+    counter(Some("scrub_ticks"), Some("sudoku_scrub_ticks_total"),
+        "Scrub ticks completed", |r, _| r.scrub_ticks.get()),
+    counter(Some("skipped_ticks"), Some("sudoku_scrub_skipped_ticks_total"),
+        "Scrub ticks skipped (quarantined shard)", |r, _| r.skipped_ticks.get()),
+    counter(Some("injected_lines"), Some("sudoku_injected_lines_total"),
+        "Lines faulted by the injectors", |r, _| r.injected_lines.get()),
+    counter(Some("escalations"), Some("sudoku_scrub_escalations_total"),
+        "Cross-shard escalations from scrub leftovers", |r, _| r.escalations.get()),
+    counter(Some("escalated_lines"), None,
+        "Lines handed to scrub escalations", |r, _| r.escalated_lines.get()),
+    counter(Some("unresolved_lines"), Some("sudoku_scrub_unresolved_lines_total"),
+        "Scrub-detected DUE lines", |r, _| r.unresolved_lines.get()),
+    counter(Some("scrub_lines_swept"), Some("sudoku_scrub_lines_swept_total"),
+        "Lines actually swept by the scrub daemon", |r, _| r.scrub_lines_swept.get()),
+    counter(Some("scrub_floor_clamps"), Some("sudoku_scrub_floor_clamps_total"),
+        "Scrub visits where the quota floor was enforced against demand pressure",
+        |r, _| r.scrub_floor_clamps.get()),
+    gauge(Some("scrub_cursor"), Some("sudoku_scrub_cursor"),
+        "Next shard the daemon scrubs", |r, _| r.scrub_cursor.get()),
+    gauge(Some("last_tick_lag_ns"), Some("sudoku_scrub_tick_lag_ns"),
+        "Most recent tick's start lag behind deadline", |r, _| r.last_tick_lag_ns.get()),
+    gauge(Some("scrub_packet_quota"), Some("sudoku_scrub_packet_quota"),
+        "Most recent adaptive scrub quota (packets per visit)", |r, _| r.scrub_packet_quota.get()),
+    gauge(Some("scrub_floor_quota"), Some("sudoku_scrub_floor_quota"),
+        "Most recent adaptive scrub quota floor (packets)", |r, _| r.scrub_floor_quota.get()),
+    // Wire plane.
+    counter(Some("net_connections"), Some("sudoku_net_connections_total"),
+        "Wire connections accepted", |r, _| r.net_connections.get()),
+    gauge(Some("net_open_connections"), Some("sudoku_net_open_connections"),
+        "Wire connections open", |r, _| r.net_open_connections.get()),
+    counter(Some("net_frames"), Some("sudoku_net_frames_total"),
+        "Wire request frames decoded", |r, _| r.net_frames.get()),
+    counter(Some("net_sheds"), Some("sudoku_net_sheds_total"),
+        "Wire requests shed with RETRY", |r, _| r.net_sheds.get()),
+    counter(Some("net_malformed"), Some("sudoku_net_malformed_total"),
+        "Malformed wire frames", |r, _| r.net_malformed.get()),
+    // Recovery ladder (CacheStats).
+    counter(None, Some("sudoku_ecc1_repairs_total"),
+        "ECC-1 single-bit fixes", |_, s| s.stats.ecc1_repairs),
+    counter(None, Some("sudoku_meta_repairs_total"),
+        "ECC-metadata regenerations", |_, s| s.stats.meta_repairs),
+    counter(None, Some("sudoku_multibit_detections_total"),
+        "Lines flagged multibit by CRC", |_, s| s.stats.multibit_detections),
+    counter(None, Some("sudoku_raid4_repairs_total"),
+        "RAID-4 reconstructions", |_, s| s.stats.raid4_repairs),
+    counter(None, Some("sudoku_sdr_repairs_total"),
+        "SDR resurrections", |_, s| s.stats.sdr_repairs),
+    counter(None, Some("sudoku_sdr_trials_total"),
+        "SDR flip-and-check trials", |_, s| s.stats.sdr_trials),
+    counter(None, Some("sudoku_hash2_repairs_total"),
+        "Repairs only the Hash-2 dimension delivered", |_, s| s.stats.hash2_repairs),
+    counter(None, Some("sudoku_due_lines_total"),
+        "Lines left uncorrectable", |_, s| s.stats.due_lines),
+    counter(None, Some("sudoku_group_scans_total"),
+        "Whole-group recovery reads", |_, s| s.stats.group_scans),
+    // Degraded mode.
+    counter(None, Some("sudoku_skipped_h2_escalations_total"),
+        "H2 escalations refused (shard down)", |_, s| s.degraded.skipped_h2_escalations),
+    counter(None, Some("sudoku_shard_down_rejects_total"),
+        "Requests rejected fast on quarantined shards", |_, s| s.degraded.shard_down_rejects),
+    counter(None, Some("sudoku_stuck_reasserts_total"),
+        "Bits re-corrupted by stuck cells", |_, s| s.degraded.stuck_reasserts),
+    counter(None, Some("sudoku_spare_strikes_total"),
+        "Sparing strikes recorded", |_, s| s.degraded.strikes),
+    gauge(None, Some("sudoku_spared_lines"),
+        "Lines remapped to spare pools", |_, s| s.degraded.spared_lines),
+    // Latency quantiles.
+    gauge(None, Some("sudoku_read_latency_ns_p99"),
+        "Demand-read latency p99 (histogram upper bound)",
+        |_, s| s.hist("read_latency_ns").quantile(0.99)),
+    gauge(None, Some("sudoku_read_latency_ns_p999"),
+        "Demand-read latency p999 (histogram upper bound)",
+        |_, s| s.hist("read_latency_ns").quantile(0.999)),
+];
+
+const fn hist(
+    json: &'static str,
+    prom: &'static str,
+    help: &'static str,
+    read: fn(&TelemetryRegistry) -> &AtomicHist,
+) -> HistMetric {
+    HistMetric {
+        json,
+        prom,
+        help,
+        read,
+    }
+}
+
+/// Every exported histogram.
+#[rustfmt::skip]
+const HISTOGRAMS: &[HistMetric] = &[
+    hist("read_latency_ns", "sudoku_read_latency_ns",
+        "Demand-read latency", |r| &r.read_latency_ns),
+    hist("write_latency_ns", "sudoku_write_latency_ns",
+        "Demand-write latency", |r| &r.write_latency_ns),
+    hist("queue_wait_ns", "sudoku_queue_wait_ns", "Queue-wait phase", |r| &r.queue_wait_ns),
+    hist("shard_service_ns", "sudoku_shard_service_ns",
+        "Shard-service phase", |r| &r.shard_service_ns),
+    hist("h2_gather_ns", "sudoku_h2_gather_ns",
+        "Cross-shard H2 gather+repair phase", |r| &r.h2_gather_ns),
+    hist("scrub_tick_ns", "sudoku_scrub_tick_ns", "Scrub-tick duration", |r| &r.scrub_tick_ns),
+    hist("tick_lag_ns", "sudoku_tick_lag_ns", "Scrub-tick lag", |r| &r.tick_lag_ns),
+    hist("scrub_quota", "sudoku_scrub_quota_packets",
+        "Adaptive scrub quota per daemon visit", |r| &r.scrub_quota_hist),
+];
+
 /// One coherent picture of the whole service at a sampling instant: the
 /// registry's lock-free metrics, plus the recovery-ladder and degraded
 /// counters pulled (briefly, under the shard mutexes) from the engine.
@@ -475,8 +700,6 @@ pub struct TelemetrySnapshot {
     pub unix_ms: u64,
     /// Quarantined shards, ascending.
     pub quarantined: Vec<usize>,
-    /// Shards still serving.
-    pub shards_up: usize,
     /// Total shard count.
     pub shards: usize,
     /// Whether the scrub daemon died to a caught panic.
@@ -485,84 +708,22 @@ pub struct TelemetrySnapshot {
     pub queue_depths: Vec<u64>,
     /// Per-shard spare-pool occupancy (lines remapped).
     pub spare_occupancy: Vec<u64>,
-    /// Demand reads served.
-    pub reads: u64,
-    /// Demand writes served.
-    pub writes: u64,
-    /// Demand writes rejected.
-    pub failed_writes: u64,
-    /// Demand reads that escalated cross-shard.
-    pub escalated_reads: u64,
-    /// Demand reads left uncorrectable.
-    pub due_reads: u64,
-    /// Demand reads served lock-free off the seqlock line view.
-    pub clean_read_lockfree_hits: u64,
-    /// Seqlock retries taken by lock-free reads.
-    pub seqlock_retries: u64,
-    /// Scrub ticks completed.
-    pub scrub_ticks: u64,
-    /// Scrub ticks skipped (quarantined shard).
-    pub skipped_ticks: u64,
-    /// Lines faulted by the injectors.
-    pub injected_lines: u64,
-    /// Cross-shard escalations from scrub leftovers.
-    pub escalations: u64,
-    /// Lines handed to escalations.
-    pub escalated_lines: u64,
-    /// Scrub-detected DUE lines.
-    pub unresolved_lines: u64,
-    /// Next shard the daemon will scrub.
-    pub scrub_cursor: u64,
-    /// Most recent tick's start lag, ns.
-    pub last_tick_lag_ns: u64,
-    /// Lines actually swept by the scrub daemon.
-    pub scrub_lines_swept: u64,
-    /// Most recent adaptive quota decision (packets this visit).
-    pub scrub_packet_quota: u64,
-    /// Most recent adaptive quota floor (packets).
-    pub scrub_floor_quota: u64,
-    /// Visits where the quota floor was enforced against demand pressure.
-    pub scrub_floor_clamps: u64,
-    /// Trace IDs issued (= requests accepted).
-    pub traces_issued: u64,
-    /// Wire connections ever accepted.
-    pub net_connections: u64,
-    /// Wire connections open right now.
-    pub net_open_connections: u64,
-    /// Wire request frames decoded.
-    pub net_frames: u64,
-    /// Wire requests shed with RETRY.
-    pub net_sheds: u64,
-    /// Malformed wire frames.
-    pub net_malformed: u64,
     /// Recovery-ladder counters (ECC-1 fixes, SDR trials, RAID-4/H2
     /// reconstructions, DUEs, group scans) summed over shards+coordinator.
     pub stats: CacheStats,
     /// Degraded-mode counters (sparing, stuck physics, skipped H2, …).
     pub degraded: DegradedStats,
-    /// End-to-end demand-read latency.
-    pub read_latency_ns: Histogram,
-    /// End-to-end demand-write latency.
-    pub write_latency_ns: Histogram,
-    /// Queue-wait phase.
-    pub queue_wait_ns: Histogram,
-    /// Shard-service phase.
-    pub shard_service_ns: Histogram,
-    /// Cross-shard H2 gather+repair phase.
-    pub h2_gather_ns: Histogram,
-    /// Scrub-tick duration.
-    pub scrub_tick_ns: Histogram,
-    /// Scrub-tick lag behind deadline.
-    pub tick_lag_ns: Histogram,
-    /// Adaptive scrub quota per daemon visit, packets.
-    pub scrub_quota: Histogram,
+    /// One histogram per [`HISTOGRAMS`] row, in table order.
+    hists: Vec<Histogram>,
+    /// One value per [`SCALARS`] row, in table order.
+    scalars: Vec<u64>,
     /// Sampled per-request traces, oldest first.
     pub recent_traces: Vec<TraceRecord>,
     /// The audit plane's view (scrub deadlines, burn rates, alerts) when
     /// the capture was given one.
     pub audit: Option<AuditSnapshot>,
-    /// The spatial reliability plane's grids, when heatmaps are attached.
-    pub heatmap: Option<HeatmapSnapshot>,
+    /// The spatial reliability plane's dashboard grids.
+    pub heatmap: HeatmapSnapshot,
 }
 
 fn unix_ms_now() -> u64 {
@@ -589,59 +750,43 @@ impl TelemetrySnapshot {
         reg: &TelemetryRegistry,
         audit: Option<&AuditPlane>,
     ) -> TelemetrySnapshot {
-        TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot {
             seq,
             unix_ms: unix_ms_now(),
             quarantined: state.health().quarantined(),
-            shards_up: state.health().n_up(),
             shards: state.n_shards(),
             daemon_dead: reg.daemon_dead.get() != 0,
             queue_depths: reg.queue_depths(),
             spare_occupancy: state.spare_occupancy(),
-            reads: reg.reads.get(),
-            writes: reg.writes.get(),
-            failed_writes: reg.failed_writes.get(),
-            escalated_reads: reg.escalated_reads.get(),
-            due_reads: reg.due_reads.get(),
-            clean_read_lockfree_hits: reg.clean_read_lockfree_hits.get(),
-            seqlock_retries: reg.seqlock_retries.get(),
-            scrub_ticks: reg.scrub_ticks.get(),
-            skipped_ticks: reg.skipped_ticks.get(),
-            injected_lines: reg.injected_lines.get(),
-            escalations: reg.escalations.get(),
-            escalated_lines: reg.escalated_lines.get(),
-            unresolved_lines: reg.unresolved_lines.get(),
-            scrub_cursor: reg.scrub_cursor.get(),
-            last_tick_lag_ns: reg.last_tick_lag_ns.get(),
-            scrub_lines_swept: reg.scrub_lines_swept.get(),
-            scrub_packet_quota: reg.scrub_packet_quota.get(),
-            scrub_floor_quota: reg.scrub_floor_quota.get(),
-            scrub_floor_clamps: reg.scrub_floor_clamps.get(),
-            traces_issued: reg.traces_issued(),
-            net_connections: reg.net_connections.get(),
-            net_open_connections: reg.net_open_connections.get(),
-            net_frames: reg.net_frames.get(),
-            net_sheds: reg.net_sheds.get(),
-            net_malformed: reg.net_malformed.get(),
             stats: state.stats(),
             degraded: state.degraded_stats(),
-            read_latency_ns: reg.read_latency_ns.snapshot(),
-            write_latency_ns: reg.write_latency_ns.snapshot(),
-            queue_wait_ns: reg.queue_wait_ns.snapshot(),
-            shard_service_ns: reg.shard_service_ns.snapshot(),
-            h2_gather_ns: reg.h2_gather_ns.snapshot(),
-            scrub_tick_ns: reg.scrub_tick_ns.snapshot(),
-            tick_lag_ns: reg.tick_lag_ns.snapshot(),
-            scrub_quota: reg.scrub_quota_hist.snapshot(),
+            hists: HISTOGRAMS
+                .iter()
+                .map(|h| (h.read)(reg).snapshot())
+                .collect(),
+            scalars: Vec::with_capacity(SCALARS.len()),
             recent_traces: reg.recent_traces(),
             audit: audit.map(AuditPlane::snapshot),
-            heatmap: state.heatmaps().map(|m| HeatmapSnapshot::capture(m)),
-        }
+            heatmap: HeatmapSnapshot::capture(state.heatmaps()),
+        };
+        snap.scalars = SCALARS.iter().map(|m| (m.read)(reg, &snap)).collect();
+        snap
     }
 
     /// Whether every shard is up and the daemon (if it ever ran) is alive.
     pub fn healthy(&self) -> bool {
         self.quarantined.is_empty() && !self.daemon_dead
+    }
+
+    /// The captured histogram of the [`HISTOGRAMS`] row with JSON key
+    /// `json`.
+    ///
+    /// # Panics
+    ///
+    /// If no row has that key (a typo in a table reader).
+    fn hist(&self, json: &str) -> &Histogram {
+        let row = HISTOGRAMS.iter().position(|h| h.json == json);
+        &self.hists[row.expect("histogram row")]
     }
 
     /// One JSON object per snapshot — the flight-recorder JSONL line and
@@ -653,330 +798,35 @@ impl TelemetrySnapshot {
             .field_u64("unix_ms", self.unix_ms)
             .field_bool("healthy", self.healthy())
             .field_array_u64("quarantined", self.quarantined.iter().map(|&s| s as u64))
-            .field_u64("shards_up", self.shards_up as u64)
-            .field_u64("shards", self.shards as u64)
             .field_bool("daemon_dead", self.daemon_dead)
             .field_array_u64("queue_depths", self.queue_depths.iter().copied())
-            .field_array_u64("spare_occupancy", self.spare_occupancy.iter().copied())
-            .field_u64("reads", self.reads)
-            .field_u64("writes", self.writes)
-            .field_u64("failed_writes", self.failed_writes)
-            .field_u64("escalated_reads", self.escalated_reads)
-            .field_u64("due_reads", self.due_reads)
-            .field_u64("clean_read_lockfree_hits", self.clean_read_lockfree_hits)
-            .field_u64("seqlock_retries", self.seqlock_retries)
-            .field_u64("scrub_ticks", self.scrub_ticks)
-            .field_u64("skipped_ticks", self.skipped_ticks)
-            .field_u64("injected_lines", self.injected_lines)
-            .field_u64("escalations", self.escalations)
-            .field_u64("escalated_lines", self.escalated_lines)
-            .field_u64("unresolved_lines", self.unresolved_lines)
-            .field_u64("scrub_cursor", self.scrub_cursor)
-            .field_u64("last_tick_lag_ns", self.last_tick_lag_ns)
-            .field_u64("scrub_lines_swept", self.scrub_lines_swept)
-            .field_u64("scrub_packet_quota", self.scrub_packet_quota)
-            .field_u64("scrub_floor_quota", self.scrub_floor_quota)
-            .field_u64("scrub_floor_clamps", self.scrub_floor_clamps)
-            .field_u64("traces_issued", self.traces_issued)
-            .field_u64("net_connections", self.net_connections)
-            .field_u64("net_open_connections", self.net_open_connections)
-            .field_u64("net_frames", self.net_frames)
-            .field_u64("net_sheds", self.net_sheds)
-            .field_u64("net_malformed", self.net_malformed)
-            .field_raw("stats", &self.stats.to_json())
-            .field_raw("degraded", &self.degraded.to_json())
-            .field_raw("read_latency_ns", &self.read_latency_ns.to_json())
-            .field_raw("write_latency_ns", &self.write_latency_ns.to_json())
-            .field_raw("queue_wait_ns", &self.queue_wait_ns.to_json())
-            .field_raw("shard_service_ns", &self.shard_service_ns.to_json())
-            .field_raw("h2_gather_ns", &self.h2_gather_ns.to_json())
-            .field_raw("scrub_tick_ns", &self.scrub_tick_ns.to_json())
-            .field_raw("tick_lag_ns", &self.tick_lag_ns.to_json())
-            .field_raw("scrub_quota", &self.scrub_quota.to_json())
-            .field_raw("recent_traces", &format!("[{}]", traces.join(",")));
+            .field_array_u64("spare_occupancy", self.spare_occupancy.iter().copied());
+        for (row, &v) in SCALARS.iter().zip(&self.scalars) {
+            if let Some(key) = row.json {
+                obj.field_u64(key, v);
+            }
+        }
+        obj.field_raw("stats", &self.stats.to_json())
+            .field_raw("degraded", &self.degraded.to_json());
+        for (row, h) in HISTOGRAMS.iter().zip(&self.hists) {
+            obj.field_raw(row.json, &h.to_json());
+        }
+        obj.field_raw("recent_traces", &format!("[{}]", traces.join(",")));
         if let Some(audit) = &self.audit {
             obj.field_raw("audit", &audit.to_json());
         }
-        if let Some(heatmap) = &self.heatmap {
-            obj.field_raw("heatmap", &heatmap.to_json());
-        }
+        obj.field_raw("heatmap", &self.heatmap.to_json());
         obj.finish()
     }
 
     /// Prometheus text exposition (version 0.0.4) of the snapshot.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::with_capacity(4096);
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
-        };
-        counter(
-            &mut out,
-            "sudoku_reads_total",
-            "Demand reads served",
-            self.reads,
-        );
-        counter(
-            &mut out,
-            "sudoku_writes_total",
-            "Demand writes served",
-            self.writes,
-        );
-        counter(
-            &mut out,
-            "sudoku_failed_writes_total",
-            "Demand writes rejected (shard down)",
-            self.failed_writes,
-        );
-        counter(
-            &mut out,
-            "sudoku_escalated_reads_total",
-            "Demand reads escalated cross-shard",
-            self.escalated_reads,
-        );
-        counter(
-            &mut out,
-            "sudoku_due_reads_total",
-            "Demand reads left uncorrectable",
-            self.due_reads,
-        );
-        counter(
-            &mut out,
-            "sudoku_clean_read_lockfree_hits_total",
-            "Demand reads served lock-free off the seqlock line view",
-            self.clean_read_lockfree_hits,
-        );
-        counter(
-            &mut out,
-            "sudoku_seqlock_retries_total",
-            "Seqlock retries taken by lock-free reads",
-            self.seqlock_retries,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_ticks_total",
-            "Scrub ticks completed",
-            self.scrub_ticks,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_skipped_ticks_total",
-            "Scrub ticks skipped (quarantined shard)",
-            self.skipped_ticks,
-        );
-        counter(
-            &mut out,
-            "sudoku_injected_lines_total",
-            "Lines faulted by the injectors",
-            self.injected_lines,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_escalations_total",
-            "Cross-shard escalations from scrub leftovers",
-            self.escalations,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_unresolved_lines_total",
-            "Scrub-detected DUE lines",
-            self.unresolved_lines,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_lines_swept_total",
-            "Lines actually swept by the scrub daemon",
-            self.scrub_lines_swept,
-        );
-        counter(
-            &mut out,
-            "sudoku_scrub_floor_clamps_total",
-            "Scrub visits where the quota floor was enforced against demand pressure",
-            self.scrub_floor_clamps,
-        );
-        counter(
-            &mut out,
-            "sudoku_traces_total",
-            "Per-request trace IDs issued",
-            self.traces_issued,
-        );
-        // Wire plane.
-        counter(
-            &mut out,
-            "sudoku_net_connections_total",
-            "Wire connections accepted",
-            self.net_connections,
-        );
-        counter(
-            &mut out,
-            "sudoku_net_frames_total",
-            "Wire request frames decoded",
-            self.net_frames,
-        );
-        counter(
-            &mut out,
-            "sudoku_net_sheds_total",
-            "Wire requests shed with RETRY",
-            self.net_sheds,
-        );
-        counter(
-            &mut out,
-            "sudoku_net_malformed_total",
-            "Malformed wire frames",
-            self.net_malformed,
-        );
-        gauge(
-            &mut out,
-            "sudoku_net_open_connections",
-            "Wire connections open",
-            self.net_open_connections,
-        );
-        // Recovery ladder (CacheStats).
-        counter(
-            &mut out,
-            "sudoku_ecc1_repairs_total",
-            "ECC-1 single-bit fixes",
-            self.stats.ecc1_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_meta_repairs_total",
-            "ECC-metadata regenerations",
-            self.stats.meta_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_multibit_detections_total",
-            "Lines flagged multibit by CRC",
-            self.stats.multibit_detections,
-        );
-        counter(
-            &mut out,
-            "sudoku_raid4_repairs_total",
-            "RAID-4 reconstructions",
-            self.stats.raid4_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_sdr_repairs_total",
-            "SDR resurrections",
-            self.stats.sdr_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_sdr_trials_total",
-            "SDR flip-and-check trials",
-            self.stats.sdr_trials,
-        );
-        counter(
-            &mut out,
-            "sudoku_hash2_repairs_total",
-            "Repairs only the Hash-2 dimension delivered",
-            self.stats.hash2_repairs,
-        );
-        counter(
-            &mut out,
-            "sudoku_due_lines_total",
-            "Lines left uncorrectable",
-            self.stats.due_lines,
-        );
-        counter(
-            &mut out,
-            "sudoku_group_scans_total",
-            "Whole-group recovery reads",
-            self.stats.group_scans,
-        );
-        // Degraded mode.
-        counter(
-            &mut out,
-            "sudoku_skipped_h2_escalations_total",
-            "H2 escalations refused (shard down)",
-            self.degraded.skipped_h2_escalations,
-        );
-        counter(
-            &mut out,
-            "sudoku_shard_down_rejects_total",
-            "Requests rejected fast on quarantined shards",
-            self.degraded.shard_down_rejects,
-        );
-        counter(
-            &mut out,
-            "sudoku_stuck_reasserts_total",
-            "Bits re-corrupted by stuck cells",
-            self.degraded.stuck_reasserts,
-        );
-        counter(
-            &mut out,
-            "sudoku_spare_strikes_total",
-            "Sparing strikes recorded",
-            self.degraded.strikes,
-        );
-        gauge(
-            &mut out,
-            "sudoku_shards",
-            "Configured shard count",
-            self.shards as u64,
-        );
-        gauge(
-            &mut out,
-            "sudoku_shards_up",
-            "Shards currently serving",
-            self.shards_up as u64,
-        );
-        gauge(
-            &mut out,
-            "sudoku_daemon_up",
-            "1 while the scrub daemon is alive",
-            u64::from(!self.daemon_dead),
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_cursor",
-            "Next shard the daemon scrubs",
-            self.scrub_cursor,
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_tick_lag_ns",
-            "Most recent tick's start lag behind deadline",
-            self.last_tick_lag_ns,
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_packet_quota",
-            "Most recent adaptive scrub quota (packets per visit)",
-            self.scrub_packet_quota,
-        );
-        gauge(
-            &mut out,
-            "sudoku_scrub_floor_quota",
-            "Most recent adaptive scrub quota floor (packets)",
-            self.scrub_floor_quota,
-        );
-        gauge(
-            &mut out,
-            "sudoku_spared_lines",
-            "Lines remapped to spare pools",
-            self.degraded.spared_lines,
-        );
-        gauge(
-            &mut out,
-            "sudoku_read_latency_ns_p99",
-            "Demand-read latency p99 (histogram upper bound)",
-            self.read_latency_ns.quantile(0.99),
-        );
-        gauge(
-            &mut out,
-            "sudoku_read_latency_ns_p999",
-            "Demand-read latency p999 (histogram upper bound)",
-            self.read_latency_ns.quantile(0.999),
-        );
+        for (row, v) in SCALARS.iter().zip(&self.scalars) {
+            if let Some(name) = row.prom {
+                prometheus_scalar(&mut out, name, row.help, row.kind, v);
+            }
+        }
         // Per-shard labelled gauges.
         out.push_str("# HELP sudoku_shard_up Liveness per shard\n# TYPE sudoku_shard_up gauge\n");
         for shard in 0..self.shards {
@@ -999,61 +849,20 @@ impl TelemetrySnapshot {
                 "sudoku_spare_occupancy{{shard=\"{shard}\"}} {n}\n"
             ));
         }
-        // Histograms.
-        prometheus_hist(
-            &mut out,
-            "sudoku_read_latency_ns",
-            "Demand-read latency",
-            &self.read_latency_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_write_latency_ns",
-            "Demand-write latency",
-            &self.write_latency_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_queue_wait_ns",
-            "Queue-wait phase",
-            &self.queue_wait_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_shard_service_ns",
-            "Shard-service phase",
-            &self.shard_service_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_h2_gather_ns",
-            "Cross-shard H2 gather+repair phase",
-            &self.h2_gather_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_scrub_tick_ns",
-            "Scrub-tick duration",
-            &self.scrub_tick_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_tick_lag_ns",
-            "Scrub-tick lag",
-            &self.tick_lag_ns,
-        );
-        prometheus_hist(
-            &mut out,
-            "sudoku_scrub_quota_packets",
-            "Adaptive scrub quota per daemon visit",
-            &self.scrub_quota,
-        );
+        for (row, h) in HISTOGRAMS.iter().zip(&self.hists) {
+            prometheus_hist(&mut out, row.prom, row.help, h);
+        }
         if let Some(audit) = &self.audit {
+            // Non-finite estimates (no data yet) render as 0.
             let fgauge = |out: &mut String, name: &str, help: &str, v: f64| {
                 let v = if v.is_finite() { v } else { 0.0 };
-                out.push_str(&format!(
-                    "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-                ));
+                prometheus_scalar(out, name, help, MetricKind::Gauge, v);
+            };
+            let counter = |out: &mut String, name: &str, help: &str, v: u64| {
+                prometheus_scalar(out, name, help, MetricKind::Counter, v);
+            };
+            let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
+                prometheus_scalar(out, name, help, MetricKind::Gauge, v);
             };
             counter(
                 &mut out,
@@ -1179,41 +988,57 @@ impl TelemetrySnapshot {
                 );
             }
         }
-        if let Some(hm) = &self.heatmap {
-            let n_regions = hm.n_regions.max(1);
-            let grid = |out: &mut String, name: &str, help: &str, typ: &str, cells: &[u64]| {
-                out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {typ}\n"));
-                for (i, v) in cells.iter().enumerate() {
-                    let (shard, region) = (i / n_regions, i % n_regions);
-                    out.push_str(&format!(
-                        "{name}{{shard=\"{shard}\",region=\"{region}\"}} {v}\n"
-                    ));
-                }
-            };
-            grid(
-                &mut out,
-                "sudoku_region_observed_flips_total",
-                "Observed repair events (ECC-1 + RAID-4 + SDR + DUE) per (shard, region) cell",
-                "counter",
-                &hm.observed,
-            );
-            grid(
-                &mut out,
-                "sudoku_region_due_total",
-                "Uncorrectable lines per (shard, region) cell",
-                "counter",
-                &hm.due,
-            );
-            grid(
-                &mut out,
-                "sudoku_region_scrub_staleness_ns",
-                "Last achieved scrub interval per (shard, region) cell",
-                "gauge",
-                &hm.staleness,
-            );
-        }
+        let hm = &self.heatmap;
+        let n_regions = hm.n_regions.max(1);
+        let grid = |out: &mut String, name: &str, help: &str, kind: MetricKind, cells: &[u64]| {
+            out.push_str(&format!(
+                "# HELP {name} {help}\n# TYPE {name} {}\n",
+                kind.name()
+            ));
+            for (i, v) in cells.iter().enumerate() {
+                let (shard, region) = (i / n_regions, i % n_regions);
+                out.push_str(&format!(
+                    "{name}{{shard=\"{shard}\",region=\"{region}\"}} {v}\n"
+                ));
+            }
+        };
+        grid(
+            &mut out,
+            "sudoku_region_observed_flips_total",
+            "Observed repair events (ECC-1 + RAID-4 + SDR + DUE) per (shard, region) cell",
+            MetricKind::Counter,
+            &hm.observed,
+        );
+        grid(
+            &mut out,
+            "sudoku_region_due_total",
+            "Uncorrectable lines per (shard, region) cell",
+            MetricKind::Counter,
+            &hm.due,
+        );
+        grid(
+            &mut out,
+            "sudoku_region_scrub_staleness_ns",
+            "Last achieved scrub interval per (shard, region) cell",
+            MetricKind::Gauge,
+            &hm.staleness,
+        );
         out
     }
+}
+
+/// Renders one unlabelled sample with its HELP and TYPE lines.
+fn prometheus_scalar(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: MetricKind,
+    v: impl std::fmt::Display,
+) {
+    out.push_str(&format!(
+        "# HELP {name} {help}\n# TYPE {name} {}\n{name} {v}\n",
+        kind.name()
+    ));
 }
 
 /// Renders one histogram in Prometheus exposition shape: cumulative `le`
@@ -1392,9 +1217,61 @@ mod tests {
         let snap = TelemetrySnapshot::capture(0, &state, &reg);
         assert!(!snap.healthy());
         assert_eq!(snap.quarantined, vec![1]);
-        assert_eq!(snap.shards_up, 1);
         let prom = snap.to_prometheus();
+        assert!(prom.contains("\nsudoku_shards_up 1\n"), "{prom}");
         assert!(prom.contains("sudoku_shard_up{shard=\"1\"} 0"), "{prom}");
+    }
+
+    #[test]
+    fn every_metric_is_declared_once() {
+        let mut keys = std::collections::BTreeSet::new();
+        let mut families = std::collections::BTreeSet::new();
+        for row in SCALARS {
+            assert!(
+                row.json.is_some() || row.prom.is_some(),
+                "{row:?} exports nothing"
+            );
+            if let Some(key) = row.json {
+                assert!(keys.insert(key), "JSON key {key} declared twice");
+            }
+            if let Some(name) = row.prom {
+                assert!(families.insert(name), "family {name} declared twice");
+                assert_eq!(
+                    row.kind == MetricKind::Counter,
+                    name.ends_with("_total"),
+                    "{name}: counter families, and only they, end in _total"
+                );
+            }
+        }
+        for row in HISTOGRAMS {
+            assert!(
+                keys.insert(row.json),
+                "JSON key {} declared twice",
+                row.json
+            );
+            assert!(
+                families.insert(row.prom),
+                "family {} declared twice",
+                row.prom
+            );
+        }
+        // Every row renders, with its declared HELP and TYPE.
+        let parsed = crate::promtext::parse(&snap(0).to_prometheus()).expect("valid exposition");
+        for row in SCALARS {
+            if let Some(name) = row.prom {
+                assert_eq!(parsed.helps.get(name).map(String::as_str), Some(row.help));
+                assert_eq!(
+                    parsed.types.get(name).map(String::as_str),
+                    Some(row.kind.name())
+                );
+            }
+        }
+        for row in HISTOGRAMS {
+            assert_eq!(
+                parsed.types.get(row.prom).map(String::as_str),
+                Some("histogram")
+            );
+        }
     }
 
     #[test]

@@ -544,17 +544,17 @@ pub fn watchdog_loop(
         };
         // Heatmap samples ride the same coarse cadence: plain relaxed grid
         // reads, folded across shards for the per-region budget window.
-        let (region_cells, region_totals) = match (sample_flips, state.heatmaps()) {
-            (true, Some(maps)) => {
-                let cells = maps.observed_cells();
-                let n_regions = maps.geometry().n_regions();
-                let mut totals = vec![0u64; n_regions];
-                for (i, &c) in cells.iter().enumerate() {
-                    totals[i % n_regions] += c;
-                }
-                (Some(cells), Some(totals))
+        let (region_cells, region_totals) = if sample_flips {
+            let maps = state.heatmaps();
+            let cells = maps.observed_cells();
+            let n_regions = maps.geometry().n_regions();
+            let mut totals = vec![0u64; n_regions];
+            for (i, &c) in cells.iter().enumerate() {
+                totals[i % n_regions] += c;
             }
-            _ => (None, None),
+            (Some(cells), Some(totals))
+        } else {
+            (None, None)
         };
         let obs = ScanObs {
             now,
