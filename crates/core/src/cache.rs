@@ -71,7 +71,6 @@ pub struct SudokuCache<S = DenseStore> {
     stats: CacheStats,
     recorder: Recorder,
     scratch: GroupScratch,
-    members_scratch: Vec<u64>,
 }
 
 /// Adapts one group of a cache's own store (plus the in-flight
@@ -81,21 +80,45 @@ pub struct SudokuCache<S = DenseStore> {
 struct CacheGroupView<'a, S> {
     store: &'a mut S,
     recovered: &'a mut BTreeMap<u64, ProtectedLine>,
-    members: &'a [u64],
+    hashes: SkewedHashes,
+    dim: HashDim,
+    group: u64,
     parity: ProtectedLine,
 }
 
 impl<S: LineStore> GroupView for CacheGroupView<'_, S> {
     fn len(&self) -> usize {
-        self.members.len()
+        self.hashes.group_lines() as usize
+    }
+
+    /// [`GroupView::state`] is other than `Zero` only for a member in
+    /// `recovered` or materialized in the store, so when those lines are
+    /// fewer than the group's members they are listed instead of the whole
+    /// group. `recovered` counts whatever the store holds: a line
+    /// reconstructed to zero leaves a sparse store but stays in the map.
+    fn live_members(&self, out: &mut Vec<usize>) {
+        let n = self.len();
+        match self.store.materialized_lines() {
+            Some(lines) if lines.len() + self.recovered.len() < n => {
+                let in_group = |line: u64| {
+                    let i = self.hashes.member_index(self.dim, line);
+                    (self.hashes.member(self.dim, self.group, i) == line).then_some(i as usize)
+                };
+                out.extend(lines.filter_map(in_group));
+                out.extend(self.recovered.keys().copied().filter_map(in_group));
+                out.sort_unstable();
+                out.dedup();
+            }
+            _ => out.extend(0..n),
+        }
     }
 
     fn line_id(&self, i: usize) -> u64 {
-        self.members[i]
+        self.hashes.member(self.dim, self.group, i as u64)
     }
 
     fn state(&self, i: usize) -> MemberState {
-        let m = self.members[i];
+        let m = self.line_id(i);
         if let Some(&r) = self.recovered.get(&m) {
             MemberState::Recovered(r)
         } else if !self.store.is_materialized(m) {
@@ -106,11 +129,11 @@ impl<S: LineStore> GroupView for CacheGroupView<'_, S> {
     }
 
     fn commit_repair(&mut self, i: usize, line: ProtectedLine) {
-        self.store.set_line(self.members[i], line);
+        self.store.set_line(self.line_id(i), line);
     }
 
     fn commit_reconstruction(&mut self, i: usize, line: ProtectedLine) {
-        let m = self.members[i];
+        let m = self.line_id(i);
         self.store.set_line(m, line);
         self.recovered.insert(m, line);
     }
@@ -192,7 +215,6 @@ impl<S: LineStore> SudokuCache<S> {
             stats: CacheStats::default(),
             recorder: Recorder::ring(4096),
             scratch: GroupScratch::default(),
-            members_scratch: Vec::new(),
         })
     }
 
@@ -496,10 +518,7 @@ impl<S: LineStore> SudokuCache<S> {
             match self.codec.scrub_check(&stored) {
                 ReadCheck::Clean => {}
                 ReadCheck::Corrected { repaired, kind } => {
-                    match kind {
-                        RepairKind::PayloadBit(_) => report.ecc1_repairs += 1,
-                        RepairKind::EccField => report.meta_repairs += 1,
-                    }
+                    report.count_repair(kind);
                     self.count_repair(idx, kind);
                     self.store.set_line(idx, repaired);
                 }
@@ -647,15 +666,14 @@ impl<S: LineStore> SudokuCache<S> {
         // Borrow the scratch buffers out of `self` for the duration of the
         // scan (restored below) so the per-group Vec allocations happen
         // only once per cache.
-        let mut members = std::mem::take(&mut self.members_scratch);
-        members.clear();
-        members.extend(self.hashes.members(dim, group));
         let mut scratch = std::mem::take(&mut self.scratch);
         let parity = *self.plt(dim).parity(group);
         let mut view = CacheGroupView {
             store: &mut self.store,
             recovered,
-            members: &members,
+            hashes: self.hashes,
+            dim,
+            group,
             parity,
         };
         let mut engine = RepairEngine {
@@ -666,7 +684,6 @@ impl<S: LineStore> SudokuCache<S> {
         };
         engine.repair_group(dim, group, &mut view, &mut scratch, report, fast);
         self.scratch = scratch;
-        self.members_scratch = members;
     }
 
     /// Snapshot of a group's parity line (the PLT is only written by
@@ -704,6 +721,9 @@ pub fn scheme_supported(scheme: Scheme, lines: u64, group: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::{btree_set, vec};
+    use proptest::prelude::*;
+    use sudoku_codes::TOTAL_BITS;
 
     fn data_with(bits: &[usize]) -> LineData {
         let mut d = LineData::zero();
@@ -994,6 +1014,64 @@ mod tests {
     }
 
     #[test]
+    fn group_scan_repairs_count_into_the_scrub_report() {
+        // Line 3's single fault is not in the hints: only the pass-1 scan
+        // of line 7's group finds and fixes it, and that fix belongs to
+        // this scrub's report as much as to the lifetime counters.
+        let mut cache = small_cache(Scheme::Z);
+        cache.inject_fault(3, 40);
+        cache.inject_fault(7, 1);
+        cache.inject_fault(7, 2);
+        let before = *cache.stats();
+        let report = cache.scrub_lines(&[7]);
+        assert!(report.fully_repaired(), "{report:?}");
+        assert_eq!(cache.stats().ecc1_repairs - before.ecc1_repairs, 1);
+        assert_eq!(report.ecc1_repairs, 1, "{report:?}");
+        assert_eq!(report.raid4_repairs, 1, "{report:?}");
+        assert!(cache.is_line_valid(3) && cache.is_line_valid(7));
+    }
+
+    #[test]
+    fn live_members_cover_materialized_and_recovered_lines() {
+        fn live<S: LineStore>(
+            store: &mut S,
+            recovered: &mut BTreeMap<u64, ProtectedLine>,
+            dim: HashDim,
+            group: u64,
+        ) -> Vec<usize> {
+            let mut out = Vec::new();
+            CacheGroupView {
+                store,
+                recovered,
+                hashes: SkewedHashes::new(256, 16).unwrap(),
+                dim,
+                group,
+                parity: ProtectedLine::zero(),
+            }
+            .live_members(&mut out);
+            out
+        }
+        let mut nonzero = ProtectedLine::zero();
+        nonzero.flip_bit(3);
+        // Hash-2 group 5 holds lines 5, 21, 37, 53, 69, ... (members 0..16).
+        let mut store = SparseStore::new(256);
+        store.set_line(37, nonzero);
+        store.set_line(200, nonzero); // another group
+        let mut recovered = BTreeMap::from([(5, nonzero), (37, nonzero), (69, nonzero)]);
+        assert_eq!(live(&mut store, &mut recovered, HashDim::H2, 5), [0, 2, 4]);
+
+        // A dense store, or a sparse one with at least a group's worth of
+        // candidate lines, walks every member.
+        let all: Vec<usize> = (0..16).collect();
+        let mut dense = DenseStore::new(256);
+        assert_eq!(live(&mut dense, &mut recovered, HashDim::H1, 0), all);
+        for l in 100..113 {
+            store.set_line(l, nonzero);
+        }
+        assert_eq!(live(&mut store, &mut recovered, HashDim::H1, 0), all);
+    }
+
+    #[test]
     fn uncorrectable_read_returns_error() {
         let mut cache = small_cache(Scheme::X);
         let _ = populate(&mut cache);
@@ -1163,17 +1241,98 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sparse_cache_behaves_like_dense_for_zero_data() {
-        let config = SudokuConfig::small(Scheme::Z, 256, 16);
-        let mut cache = SudokuCache::new_sparse(config).unwrap();
-        cache.inject_fault(7, 1);
-        cache.inject_fault(7, 2);
-        cache.inject_fault(8, 3);
-        cache.inject_fault(8, 4);
-        let report = cache.scrub_lines(&[7, 8]);
-        assert!(report.fully_repaired(), "{report:?}");
-        assert!(cache.is_line_valid(7) && cache.is_line_valid(8));
-        assert_eq!(cache.store().materialized(), 0, "faults fully reverted");
+    /// Ladder-shaped faults in one Hash-1 group: `victims` (member
+    /// offsets) each get the same number of faults, either at fresh
+    /// positions or, with `overlap`, all at the first victim's positions —
+    /// the pattern only Hash-2 can fix. `stray` adds one unhinted
+    /// single-bit fault that only a group scan finds.
+    #[derive(Clone, Debug)]
+    struct Ladder {
+        scheme: Scheme,
+        group: u64,
+        written: BTreeSet<u64>,
+        victims: Vec<(u64, Vec<usize>)>,
+        stray: Option<(u64, usize)>,
+    }
+
+    fn arb_ladder() -> impl Strategy<Value = Ladder> {
+        (
+            (0..3usize, 0..16u64, btree_set(0..16u64, 0..=3)),
+            (btree_set(0..16u64, 1..=4), 1..=3usize, 0..4u8),
+            (vec(btree_set(0..TOTAL_BITS, 3), 4), 0..32u64, 0..TOTAL_BITS),
+        )
+            .prop_map(
+                |((scheme, group, written), (offsets, m, overlap), (bits, stray, stray_bit))| {
+                    let victims = offsets
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &off)| {
+                            let pick = if overlap == 0 { 0 } else { k };
+                            (off, bits[pick].iter().copied().take(m).collect())
+                        })
+                        .collect();
+                    Ladder {
+                        scheme: [Scheme::X, Scheme::Y, Scheme::Z][scheme],
+                        group,
+                        written,
+                        victims,
+                        stray: (stray < 16 && !offsets.contains(&stray))
+                            .then_some((stray, stray_bit)),
+                    }
+                },
+            )
+    }
+
+    /// Runs `ladder` on `cache` and returns what a scrub can observe.
+    fn run_ladder<S: LineStore>(
+        mut cache: SudokuCache<S>,
+        ladder: &Ladder,
+    ) -> (
+        ScrubReport,
+        CacheStats,
+        Vec<RecoveryEvent>,
+        Vec<ProtectedLine>,
+    ) {
+        let line = |off: u64| ladder.group * 16 + off;
+        for &off in &ladder.written {
+            cache.write(
+                line(off),
+                &data_with(&[off as usize * 31, 300 + off as usize]),
+            );
+        }
+        for (off, bits) in &ladder.victims {
+            for &b in bits {
+                cache.inject_fault(line(*off), b);
+            }
+        }
+        if let Some((off, bit)) = ladder.stray {
+            cache.inject_fault(line(off), bit);
+        }
+        let hints: Vec<u64> = ladder.victims.iter().map(|&(off, _)| line(off)).collect();
+        let report = cache.scrub_lines(&hints);
+        let stored = (0..256).map(|i| cache.stored_line(i)).collect();
+        (
+            report,
+            *cache.stats(),
+            cache.events().copied().collect(),
+            stored,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The sparse store's live-member walk must be indistinguishable
+        /// from the dense store's walk over every member.
+        #[test]
+        fn sparse_cache_behaves_like_dense_for_zero_data(ladder in arb_ladder()) {
+            let config = SudokuConfig::small(ladder.scheme, 256, 16);
+            let dense = run_ladder(SudokuCache::new(config).unwrap(), &ladder);
+            let sparse = run_ladder(SudokuCache::new_sparse(config).unwrap(), &ladder);
+            prop_assert_eq!(&sparse.0, &dense.0, "{:?}", ladder);
+            prop_assert_eq!(&sparse.1, &dense.1, "{:?}", ladder);
+            prop_assert_eq!(&sparse.2, &dense.2, "{:?}", ladder);
+            prop_assert_eq!(&sparse.3, &dense.3, "{:?}", ladder);
+        }
     }
 }

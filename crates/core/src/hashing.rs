@@ -111,15 +111,40 @@ impl SkewedHashes {
     /// Panics if `group >= self.n_groups()`.
     pub fn members(&self, dim: HashDim, group: u64) -> impl Iterator<Item = u64> + '_ {
         assert!(group < self.n_groups(), "group {group} out of range");
+        (0..self.group_lines()).map(move |i| self.member(dim, group, i))
+    }
+
+    /// Member `i` of a group: the `i`-th line [`SkewedHashes::members`]
+    /// yields.
+    #[inline]
+    pub(crate) fn member(&self, dim: HashDim, group: u64, i: u64) -> u64 {
         let b = self.group_bits;
-        (0..self.group_lines()).map(move |i| match dim {
+        match dim {
             HashDim::H1 => (group << b) | i,
             HashDim::H2 => {
                 let low = group & ((1 << b) - 1);
                 let high = group >> b;
                 (high << (2 * b)) | (i << b) | low
             }
-        })
+        }
+    }
+
+    /// Position of `line` within its group under `dim` — the inverse of
+    /// [`SkewedHashes::members`], which yields `line` at this position of
+    /// its group: `addr[b-1:0]` under Hash-1, `addr[2b-1:b]` under Hash-2.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is out of range.
+    #[inline]
+    pub fn member_index(&self, dim: HashDim, line: u64) -> u64 {
+        assert!(line < self.n_lines, "line {line} out of range");
+        let b = self.group_bits;
+        let mask = (1 << b) - 1;
+        match dim {
+            HashDim::H1 => line & mask,
+            HashDim::H2 => (line >> b) & mask,
+        }
     }
 }
 
@@ -172,8 +197,10 @@ mod tests {
         let h = SkewedHashes::new(1 << 12, 64).unwrap();
         for dim in [HashDim::H1, HashDim::H2] {
             for group in [0u64, 1, 17, h.n_groups() - 1] {
-                for line in h.members(dim, group) {
+                for (i, line) in h.members(dim, group).enumerate() {
                     assert_eq!(h.group_of(dim, line), group, "{dim:?} group {group}");
+                    assert_eq!(h.member_index(dim, line), i as u64, "{dim:?} line {line}");
+                    assert_eq!(h.member(dim, group, i as u64), line);
                 }
             }
         }

@@ -111,6 +111,15 @@ pub trait GroupView {
         self.len() == 0
     }
 
+    /// Appends to `out`, ascending and without duplicates, every member
+    /// index whose [`GroupView::state`] may be other than
+    /// [`MemberState::Zero`]. The repair engine visits only these: an
+    /// omitted member is the zero codeword, which is valid and
+    /// XOR-neutral. The default lists every member.
+    fn live_members(&self, out: &mut Vec<usize>) {
+        out.extend(0..self.len());
+    }
+
     /// Global line id of member `i`.
     fn line_id(&self, i: usize) -> u64;
 
@@ -129,12 +138,17 @@ pub trait GroupView {
 }
 
 /// Reusable buffers for [`RepairEngine::repair_group`]: one group scan
-/// needs the corrected view and the faulty-index list, and recovery visits
-/// many groups per scrub — reusing the allocations keeps the per-group
-/// cost at the actual line reads.
+/// needs the live-member list, the corrected view and the faulty list, and
+/// recovery visits many groups per scrub — reusing the allocations keeps
+/// the per-group cost at the actual line reads.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
-    view: Vec<ProtectedLine>,
+    live: Vec<usize>,
+    /// `(member index, corrected line)` for every member that is non-zero
+    /// or a multi-bit casualty, ascending by member index. The members
+    /// left out are zero codewords, which no XOR over the group sees.
+    view: Vec<(usize, ProtectedLine)>,
+    /// Positions in `view` of the multi-bit casualties.
     faulty: Vec<usize>,
 }
 
@@ -189,10 +203,14 @@ impl RepairEngine<'_> {
         emit_event(self.recorder, line, group, mechanism, outcome, trials);
     }
 
-    /// Repairs one RAID-Group: read every member into a corrected buffer
-    /// (fixing singles, paper §III-C.2), then RAID-4 or SDR over the
+    /// Repairs one RAID-Group: read its live members into a corrected
+    /// buffer (fixing singles, paper §III-C.2), then RAID-4 or SDR over the
     /// buffer. With `fast`, members whose raw copy is the all-zero line
     /// skip the CRC check (the zero codeword is valid by linearity).
+    ///
+    /// The work is proportional to [`GroupView::live_members`], not to the
+    /// group size; the telemetry that models a hardware group scan still
+    /// charges every member.
     pub fn repair_group<V: GroupView>(
         &mut self,
         dim: HashDim,
@@ -203,46 +221,54 @@ impl RepairEngine<'_> {
         fast: bool,
     ) {
         self.stats.group_scans += 1;
+        scratch.live.clear();
         scratch.view.clear();
         scratch.faulty.clear();
-        let n = src.len();
+        src.live_members(&mut scratch.live);
         // Pass 1: the corrected view. Previously reconstructed values take
         // precedence over the (possibly re-corrupted) stored copies.
-        for i in 0..n {
-            match src.state(i) {
-                MemberState::Recovered(r) => scratch.view.push(r),
-                MemberState::Zero => scratch.view.push(ProtectedLine::zero()),
+        for &i in scratch.live.iter() {
+            let line = match src.state(i) {
+                MemberState::Recovered(r) => r,
+                MemberState::Zero => continue,
                 MemberState::Stored(raw) => {
                     if fast && raw.is_zero() {
                         // The all-zero codeword is valid by linearity.
-                        scratch.view.push(raw);
                         continue;
                     }
                     self.stats.crc_checks += 1;
                     match self.codec.scrub_check(&raw) {
-                        ReadCheck::Clean => scratch.view.push(raw),
+                        ReadCheck::Clean => raw,
                         ReadCheck::Corrected { repaired, kind } => {
                             record_repair(self.stats, self.recorder, src.line_id(i), kind);
+                            report.count_repair(kind);
                             src.commit_repair(i, repaired);
-                            scratch.view.push(repaired);
+                            repaired
                         }
                         ReadCheck::MultiBit => {
-                            scratch.view.push(raw);
-                            scratch.faulty.push(i);
+                            scratch.faulty.push(scratch.view.len());
+                            raw
                         }
                     }
                 }
+            };
+            // Zero members are XOR-neutral; casualties are never zero.
+            if !line.is_zero() {
+                scratch.view.push((i, line));
             }
         }
         if self.recorder.enabled() {
-            self.recorder.hists.group_scan_lines.record(n as u64);
+            self.recorder
+                .hists
+                .group_scan_lines
+                .record(src.len() as u64);
         }
         if !scratch.faulty.is_empty() {
             // Plain RAID-4 reconstructs exactly one erased member; two or
             // more casualties block it and escalate to SDR.
             if scratch.faulty.len() >= 2 && self.recorder.enabled() {
                 for &fi in scratch.faulty.iter() {
-                    let line = src.line_id(fi);
+                    let line = src.line_id(scratch.view[fi].0);
                     let trials = scratch.faulty.len() as u32;
                     self.emit(
                         line,
@@ -272,7 +298,7 @@ impl RepairEngine<'_> {
         }
     }
 
-    /// RAID-4 reconstruction of the member at view index `vi` from the
+    /// RAID-4 reconstruction of the member at view position `vi` from the
     /// group parity and the corrected view of the remaining members; the
     /// candidate must re-validate (CRC + ECC).
     fn try_raid4<V: GroupView>(
@@ -281,18 +307,19 @@ impl RepairEngine<'_> {
         group: u64,
         vi: usize,
         src: &mut V,
-        view: &[ProtectedLine],
+        view: &[(usize, ProtectedLine)],
     ) -> bool {
         let mut candidate = src.parity();
-        for (i, line) in view.iter().enumerate() {
-            if i != vi {
+        for (k, (_, line)) in view.iter().enumerate() {
+            if k != vi {
                 candidate.xor_assign(line);
             }
         }
         self.stats.crc_checks += 1;
-        let line = src.line_id(vi);
+        let member = view[vi].0;
+        let line = src.line_id(member);
         if self.codec.validate(&candidate) {
-            src.commit_reconstruction(vi, candidate);
+            src.commit_reconstruction(member, candidate);
             self.stats.raid4_repairs += 1;
             if self.recorder.enabled() {
                 self.emit(
@@ -306,7 +333,7 @@ impl RepairEngine<'_> {
                 self.recorder
                     .hists
                     .line_recovery_ns
-                    .record((view.len() as f64 * STT_READ_NS + STT_WRITE_NS) as u64);
+                    .record((src.len() as f64 * STT_READ_NS + STT_WRITE_NS) as u64);
             }
             true
         } else {
@@ -351,7 +378,7 @@ impl RepairEngine<'_> {
                 return;
             }
             let mut computed = ProtectedLine::zero();
-            for line in scratch.view.iter() {
+            for (_, line) in scratch.view.iter() {
                 computed.xor_assign(line);
             }
             let parity = src.parity();
@@ -361,7 +388,7 @@ impl RepairEngine<'_> {
                 // candidates (paper §IV-C caps SDR at six positions).
                 if self.recorder.enabled() {
                     for &fi in scratch.faulty.iter() {
-                        let line = src.line_id(fi);
+                        let line = src.line_id(scratch.view[fi].0);
                         self.emit(line, Some((dim, group)), Mechanism::Sdr, Outcome::Failed, 0);
                     }
                 }
@@ -370,7 +397,7 @@ impl RepairEngine<'_> {
             let round_start_trials = self.stats.sdr_trials;
             let mut fixed_victim: Option<(usize, ProtectedLine)> = None;
             'victims: for &vi in scratch.faulty.iter() {
-                let stored = scratch.view[vi];
+                let stored = scratch.view[vi].1;
                 for &pos in &mismatches {
                     self.stats.sdr_trials += 1;
                     self.stats.crc_checks += 1;
@@ -406,7 +433,7 @@ impl RepairEngine<'_> {
                     let per_line =
                         (self.stats.sdr_trials - round_start_trials) / scratch.faulty.len() as u64;
                     for &fi in scratch.faulty.iter() {
-                        let line = src.line_id(fi);
+                        let line = src.line_id(scratch.view[fi].0);
                         self.emit(
                             line,
                             Some((dim, group)),
@@ -418,13 +445,14 @@ impl RepairEngine<'_> {
                 }
                 return;
             };
-            src.commit_reconstruction(vi, fixed);
-            scratch.view[vi] = fixed;
+            let member = scratch.view[vi].0;
+            src.commit_reconstruction(member, fixed);
+            scratch.view[vi].1 = fixed;
             scratch.faulty.retain(|&f| f != vi);
             self.stats.sdr_repairs += 1;
             if self.recorder.enabled() {
                 let round_trials = self.stats.sdr_trials - round_start_trials;
-                let line = src.line_id(vi);
+                let line = src.line_id(member);
                 self.emit(
                     line,
                     Some((dim, group)),
@@ -438,7 +466,7 @@ impl RepairEngine<'_> {
                     .record(round_trials);
                 // §VII-B: the group scan, the flip-and-check trials (a few
                 // cycles each), the victim's write-back.
-                let ns = scratch.view.len() as f64 * STT_READ_NS
+                let ns = src.len() as f64 * STT_READ_NS
                     + round_trials as f64 * 4.0 * SYNDROME_CHECK_NS
                     + STT_WRITE_NS;
                 self.recorder.hists.line_recovery_ns.record(ns as u64);

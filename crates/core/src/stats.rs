@@ -1,6 +1,7 @@
 //! Event counters and latency accounting (paper §VII-B).
 
 use serde::{Deserialize, Serialize};
+use sudoku_codes::RepairKind;
 
 /// STTRAM read latency, 9 ns (Table VI).
 pub const STT_READ_NS: f64 = 9.0;
@@ -118,6 +119,15 @@ pub struct ScrubReport {
 }
 
 impl ScrubReport {
+    /// Counts one per-line repair (ECC-1 payload fix or ECC-field
+    /// regeneration) found by this scrub.
+    pub(crate) fn count_repair(&mut self, kind: RepairKind) {
+        match kind {
+            RepairKind::PayloadBit(_) => self.ecc1_repairs += 1,
+            RepairKind::EccField => self.meta_repairs += 1,
+        }
+    }
+
     /// Whether the scrub repaired everything it detected.
     pub fn fully_repaired(&self) -> bool {
         self.unresolved.is_empty()

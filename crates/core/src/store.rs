@@ -79,6 +79,13 @@ pub trait LineStore {
     fn is_materialized(&self, _idx: u64) -> bool {
         true
     }
+
+    /// The materialized line indices in arbitrary order, or `None` when
+    /// every line counts as materialized. Lets a group scan over a sparse
+    /// store find its possibly non-zero members without visiting the rest.
+    fn materialized_lines(&self) -> Option<impl ExactSizeIterator<Item = u64> + '_> {
+        None::<std::iter::Empty<u64>>
+    }
 }
 
 /// Fully materialized storage.
@@ -174,6 +181,10 @@ impl LineStore for SparseStore {
 
     fn is_materialized(&self, idx: u64) -> bool {
         self.touched.contains_key(&idx)
+    }
+
+    fn materialized_lines(&self) -> Option<impl ExactSizeIterator<Item = u64> + '_> {
+        Some(self.touched.keys().copied())
     }
 }
 

@@ -895,6 +895,7 @@ pub fn run_group_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sudoku_core::CacheStats;
 
     /// A scaled-down cache keeps unit-test campaigns fast; statistical
     /// behaviour per group is unchanged.
@@ -1024,6 +1025,81 @@ mod tests {
         );
         // …while Z repairs them through Hash-2 essentially always.
         assert!(z.success_rate() > 0.99, "{z:?}");
+    }
+
+    #[test]
+    fn ladder_trial_counters_are_pinned() {
+        // Each scenario replays trials on one reused arena. The expected
+        // counters were recorded from the engine that still copied and
+        // XORed every group member; walking only the live members must
+        // not move any of them.
+        fn replay(scenario: &GroupScenario, seeds: &[u64]) -> (CacheStats, Vec<IntervalOutcome>) {
+            let mut cache = SudokuCache::new_sparse(scenario.sudoku_config()).unwrap();
+            let mut outcomes = Vec::new();
+            for &seed in seeds {
+                outcomes.push(run_group_trial_in(&mut cache, scenario, seed));
+                cache.reset_to_golden_zero();
+            }
+            (*cache.stats(), outcomes)
+        }
+        let seeds = [1, 2, 3, 4, 5, 6, 7, 8];
+
+        // Four 2-fault lines: eight mismatches exceed the SDR cap, so every
+        // line falls to RAID-4 in its Hash-2 group.
+        let ladder = GroupScenario {
+            scheme: Scheme::Z,
+            group: 512,
+            fault_counts: vec![2, 2, 2, 2],
+            pair_sdr: false,
+        };
+        let (stats, _) = replay(&ladder, &seeds);
+        assert_eq!(
+            stats,
+            CacheStats {
+                lines_scrubbed: 32,
+                multibit_detections: 32,
+                raid4_repairs: 32,
+                hash2_repairs: 32,
+                group_scans: 40,
+                crc_checks: 160,
+                ..CacheStats::default()
+            }
+        );
+
+        // Paper Figure 3(a): SDR resurrects one line, RAID-4 the other.
+        let (stats, _) = replay(&GroupScenario::two_by_two(Scheme::Y, 64), &seeds);
+        assert_eq!(
+            stats,
+            CacheStats {
+                lines_scrubbed: 16,
+                multibit_detections: 16,
+                raid4_repairs: 8,
+                sdr_repairs: 8,
+                sdr_trials: 12,
+                group_scans: 8,
+                crc_checks: 52,
+                ..CacheStats::default()
+            }
+        );
+
+        // Seed 29173 draws two 2-fault lines with identical fault
+        // positions: SDR sees no parity mismatch and only Hash-2 heals.
+        let (stats, outcomes) = replay(&GroupScenario::two_by_two(Scheme::Z, 64), &[29173]);
+        assert_eq!(
+            stats,
+            CacheStats {
+                lines_scrubbed: 2,
+                multibit_detections: 2,
+                raid4_repairs: 2,
+                hash2_repairs: 2,
+                group_scans: 3,
+                crc_checks: 10,
+                ..CacheStats::default()
+            }
+        );
+        assert_eq!((outcomes[0].hash2_repairs, outcomes[0].due_lines), (2, 0));
+        let (_, y_outcomes) = replay(&GroupScenario::two_by_two(Scheme::Y, 64), &[29173]);
+        assert_eq!(y_outcomes[0].due_lines, 2, "Y cannot fix full overlap");
     }
 
     #[test]

@@ -1405,6 +1405,24 @@ mod tests {
     }
 
     #[test]
+    fn coordinator_group_scan_repairs_count_into_the_scrub_report() {
+        // Lines 4 and 5 fully overlap, so only their Hash-2 groups heal
+        // them; line 20 shares line 4's Hash-2 group, and its unhinted
+        // single fault is found by the coordinator's group scan alone.
+        let cache = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 4).unwrap();
+        for line in [4, 5] {
+            cache.inject_fault(line, 100);
+            cache.inject_fault(line, 200);
+        }
+        cache.inject_fault(20, 40);
+        let report = cache.scrub_lines(&[4, 5]);
+        assert!(report.fully_repaired(), "{report:?}");
+        assert_eq!(report.hash2_repairs, 2, "{report:?}");
+        assert_eq!(cache.coordinator_stats().ecc1_repairs, 1);
+        assert_eq!(report.ecc1_repairs, 1, "{report:?}");
+    }
+
+    #[test]
     fn merge_reports_sums_and_sorts() {
         let a = ScrubReport {
             lines_checked: 3,
