@@ -30,7 +30,7 @@
 //! [`AtomicHist`]: crate::AtomicHist
 
 use crate::event::{Dim, Mechanism, Outcome, RecoveryEvent};
-use crate::json::{num, JsonObject};
+use crate::json::JsonObject;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default number of line-regions per grid row. Coarse enough that a
@@ -590,21 +590,6 @@ impl CorrelationDetector {
     /// The firing threshold on the max-cell z-score.
     pub fn z_threshold(&self) -> f64 {
         self.z_threshold
-    }
-
-    /// Debug-formats the last reading for alert messages.
-    pub fn describe_last(&self) -> String {
-        let s = &self.last;
-        format!(
-            "window: {} events, max cell (shard {}, region {}) = {} vs mean {} (z = {}, dispersion = {})",
-            s.total,
-            s.max_shard,
-            s.max_region,
-            s.max_cell,
-            num(s.mean),
-            num(s.z),
-            num(s.dispersion),
-        )
     }
 }
 

@@ -8,7 +8,7 @@
 //! trials use the all-zero golden state WLOG — any line that ends an
 //! interval non-zero yet CRC-valid is a silent data corruption.
 //!
-//! Two campaign shapes:
+//! Three campaign shapes:
 //!
 //! * [`run_interval_campaign`] — unconditional intervals at a given BER;
 //!   estimates the per-interval DUE probability (and hence MTTF/FIT) of
@@ -17,20 +17,24 @@
 //!   fault pattern (e.g. two lines × two faults) in one RAID-Group and
 //!   measure the engine's repair success, reproducing the SDR case
 //!   percentages of paper §IV-B/C and feeding the rare-event estimates of
-//!   SuDoku-Y/Z.
+//!   SuDoku-Y/Z;
+//! * [`run_lifetime_campaign`] — consecutive intervals until the first
+//!   DUE, a direct (censored) MTTF estimate.
 //!
-//! # Arena reuse
+//! # One driver
 //!
-//! Campaign workers do **not** build a fresh cache and injector per trial:
-//! each worker owns one arena for the whole campaign, runs a trial with
-//! [`run_interval_in`] / [`run_group_trial_in`], then returns the arena to
+//! All three run on one private work-stealing driver. Workers claim trials
+//! a chunk at a time from a shared atomic counter; each worker owns one
+//! arena for the whole campaign, runs a trial with [`run_interval_in`] /
+//! [`run_group_trial_in`] / [`run_lifetime_in`], then returns the arena to
 //! the golden-zero state with a sparse undo
 //! ([`SudokuCache::reset_to_golden_zero`] rezeroes only the touched lines
 //! and PLT entries; [`FaultInjector::reseed`] restores a fresh RNG stream).
-//! Because reset + reseed reproduces the freshly-constructed state exactly,
-//! results are bit-identical to the construct-per-trial implementation —
-//! the `*_timed` variants additionally account the amortization in a
-//! [`ThroughputReport`].
+//! Because reset + reseed reproduces the freshly-constructed state exactly
+//! and every summary is a sum over trials, results are bit-identical to
+//! the construct-per-trial implementation for any worker count. The driver
+//! also owns the telemetry harvest ([`Observe`]) and the amortization
+//! accounting the `*_timed` variants report in a [`ThroughputReport`].
 
 use crate::math::wilson_ci;
 use rand::rngs::StdRng;
@@ -294,7 +298,9 @@ impl CampaignSummary {
         self.sdr_repairs += o.sdr_repairs as u64;
         self.hash2_repairs += o.hash2_repairs as u64;
     }
+}
 
+impl Tally for CampaignSummary {
     fn merge(&mut self, r: &CampaignSummary) {
         self.trials += r.trials;
         self.due_intervals += r.due_intervals;
@@ -304,6 +310,10 @@ impl CampaignSummary {
         self.raid4_repairs += r.raid4_repairs;
         self.sdr_repairs += r.sdr_repairs;
         self.hash2_repairs += r.hash2_repairs;
+    }
+
+    fn trials(&self) -> u64 {
+        self.trials
     }
 }
 
@@ -317,6 +327,63 @@ fn count_sdc(cache: &SudokuCache<SparseStore>, report: &sudoku_core::ScrubReport
         }
     }
     sdc_lines
+}
+
+/// Adds the time since `start` to `phase`'s span; `start` is `None` when
+/// the trial is not observed.
+fn end_span(cache: &mut SudokuCache<SparseStore>, phase: Phase, start: Option<Instant>) {
+    if let Some(start) = start {
+        cache
+            .recorder_mut()
+            .phases
+            .add(phase, start.elapsed().as_secs_f64());
+    }
+}
+
+/// Draws one interval's fault plan from `injector` and flips its bits in
+/// `cache`. Returns the faulty lines (the scrub hints) and the number of
+/// bits flipped.
+fn inject_interval(
+    cache: &mut SudokuCache<SparseStore>,
+    injector: &mut FaultInjector,
+    lines: u64,
+) -> (Vec<u64>, u32) {
+    let plan = injector.cache_plan(lines);
+    // `observe_plan` records nothing unless the recorder is enabled, and
+    // never touches the RNG.
+    observe_plan(&plan, cache.recorder_mut());
+    let mut hints = Vec::with_capacity(plan.len());
+    let mut faulty_bits = 0u32;
+    for lf in &plan {
+        for pos in choose_distinct(injector.rng(), TOTAL_BITS as u64, lf.faults as u64) {
+            cache.inject_fault(lf.line, pos as usize);
+        }
+        faulty_bits += lf.faults;
+        hints.push(lf.line);
+    }
+    (hints, faulty_bits)
+}
+
+/// Scrubs the injected lines `hints` (timing the pass when observed) and
+/// measures the trial's outcome.
+fn scrub_and_measure(
+    cache: &mut SudokuCache<SparseStore>,
+    hints: &[u64],
+    faulty_bits: u32,
+) -> IntervalOutcome {
+    let scrub_start = cache.recorder().enabled().then(Instant::now);
+    let report = cache.scrub_lines(hints);
+    end_span(cache, Phase::Scrub, scrub_start);
+    IntervalOutcome {
+        faulty_lines: hints.len() as u32,
+        faulty_bits,
+        multibit_lines: report.multibit_lines as u32,
+        raid4_repairs: report.raid4_repairs as u32,
+        sdr_repairs: report.sdr_repairs as u32,
+        hash2_repairs: report.hash2_repairs as u32,
+        due_lines: report.unresolved.len() as u32,
+        sdc_lines: count_sdc(cache, &report),
+    }
 }
 
 /// Simulates one scrub interval in a caller-owned arena.
@@ -335,47 +402,11 @@ pub fn run_interval_in(
     // Telemetry is observational only: neither the span clocks nor
     // `observe_plan` touch the RNG, so observed and unobserved trials are
     // bit-identical.
-    let observing = cache.recorder().enabled();
-    let inject_start = observing.then(Instant::now);
+    let inject_start = cache.recorder().enabled().then(Instant::now);
     injector.reseed(trial_seed);
-    let plan = injector.cache_plan(cfg.lines);
-    if observing {
-        observe_plan(&plan, cache.recorder_mut());
-    }
-    let mut hints = Vec::with_capacity(plan.len());
-    let mut faulty_bits = 0u32;
-    for lf in &plan {
-        let positions = choose_distinct(injector.rng(), TOTAL_BITS as u64, lf.faults as u64);
-        for pos in positions {
-            cache.inject_fault(lf.line, pos as usize);
-        }
-        faulty_bits += lf.faults;
-        hints.push(lf.line);
-    }
-    if let Some(start) = inject_start {
-        cache
-            .recorder_mut()
-            .phases
-            .add(Phase::Inject, start.elapsed().as_secs_f64());
-    }
-    let scrub_start = observing.then(Instant::now);
-    let report = cache.scrub_lines(&hints);
-    if let Some(start) = scrub_start {
-        cache
-            .recorder_mut()
-            .phases
-            .add(Phase::Scrub, start.elapsed().as_secs_f64());
-    }
-    IntervalOutcome {
-        faulty_lines: plan.len() as u32,
-        faulty_bits,
-        multibit_lines: report.multibit_lines as u32,
-        raid4_repairs: report.raid4_repairs as u32,
-        sdr_repairs: report.sdr_repairs as u32,
-        hash2_repairs: report.hash2_repairs as u32,
-        due_lines: report.unresolved.len() as u32,
-        sdc_lines: count_sdc(cache, &report),
-    }
+    let (hints, faulty_bits) = inject_interval(cache, injector, cfg.lines);
+    end_span(cache, Phase::Inject, inject_start);
+    scrub_and_measure(cache, &hints, faulty_bits)
 }
 
 /// Simulates one scrub interval; deterministic in `(cfg, trial_seed)`.
@@ -384,6 +415,15 @@ pub fn run_interval(cfg: &McConfig, trial_seed: u64) -> IntervalOutcome {
         SudokuCache::new_sparse(cfg.sudoku_config()).expect("valid Monte-Carlo configuration");
     let mut injector = FaultInjector::new(cfg.ber, trial_seed);
     run_interval_in(&mut cache, &mut injector, cfg, trial_seed)
+}
+
+/// What a campaign worker accumulates over its trials and the driver sums
+/// over workers.
+trait Tally: Default + Send {
+    /// Adds another worker's tally to this one.
+    fn merge(&mut self, other: &Self);
+    /// Trials counted: the numerator of `trials_per_sec`.
+    fn trials(&self) -> u64;
 }
 
 fn worker_threads(requested: usize) -> usize {
@@ -396,47 +436,48 @@ fn worker_threads(requested: usize) -> usize {
     }
 }
 
-/// Runs `cfg.trials` independent intervals with per-worker reused arenas,
-/// collecting telemetry at the requested depth. The summary and throughput
-/// accounting are bit-identical across `observe` settings — telemetry
-/// never perturbs the trial RNG streams.
-pub fn run_interval_campaign_observed(
-    cfg: &McConfig,
+/// The one campaign driver. Runs trials `0..trials` on up to `threads`
+/// workers that claim them [`TRIAL_CHUNK`] at a time. Each worker owns one
+/// arena built from `config` and the extra state `worker()` builds (the
+/// fault injector, for kinds that draw from one); `trial(cache, state, i,
+/// tally)` runs trial `i` in that arena and folds its outcome into the
+/// worker's tally. After every trial the driver harvests the trial's
+/// events (at depth `observe`) and returns the arena to golden zero.
+/// Tallies are sums, so the merged result does not depend on which worker
+/// ran which trial.
+fn drive<T: Tally, W>(
+    config: SudokuConfig,
+    trials: u64,
+    threads: usize,
     observe: Observe,
-) -> (CampaignSummary, ThroughputReport, CampaignTelemetry) {
-    let threads = worker_threads(cfg.threads).min(cfg.trials.max(1) as usize);
+    worker: impl Fn() -> W + Sync,
+    trial: impl Fn(&mut SudokuCache<SparseStore>, &mut W, u64, &mut T) + Sync,
+) -> (T, ThroughputReport, CampaignTelemetry) {
+    let threads = worker_threads(threads).min(trials.max(1) as usize);
     let next = AtomicU64::new(0);
     let start = Instant::now();
-    type WorkerResult = (CampaignSummary, u64, u64, f64, CampaignTelemetry);
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
+    let parts: Vec<(T, ThroughputReport, CampaignTelemetry)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut cache = SudokuCache::new_sparse(cfg.sudoku_config())
-                        .expect("valid Monte-Carlo configuration");
+                scope.spawn(|| {
+                    let mut cache =
+                        SudokuCache::new_sparse(config).expect("valid Monte-Carlo configuration");
                     let _ = cache.set_recorder(observe.recorder());
                     let observing = observe.enabled();
-                    let mut injector = FaultInjector::new(cfg.ber, cfg.seed);
-                    let mut local = CampaignSummary::default();
+                    let mut state = worker();
+                    let mut tally = T::default();
+                    let mut report = ThroughputReport::default();
                     let mut events: Vec<RecoveryEvent> = Vec::new();
-                    let mut reset_cost = 0.0f64;
                     loop {
                         let chunk = next.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
-                        if chunk >= cfg.trials {
+                        if chunk >= trials {
                             break;
                         }
-                        for i in chunk..(chunk + TRIAL_CHUNK).min(cfg.trials) {
+                        for i in chunk..(chunk + TRIAL_CHUNK).min(trials) {
                             if observing {
                                 cache.recorder_mut().set_interval(i);
                             }
-                            let o = run_interval_in(
-                                &mut cache,
-                                &mut injector,
-                                cfg,
-                                cfg.seed.wrapping_add(i),
-                            );
-                            local.absorb(&o);
+                            trial(&mut cache, &mut state, i, &mut tally);
                             if observing {
                                 // Harvest before the reset clears the ring.
                                 events.extend(cache.drain_events());
@@ -444,26 +485,21 @@ pub fn run_interval_campaign_observed(
                             let t = Instant::now();
                             cache.reset_to_golden_zero();
                             let dt = t.elapsed().as_secs_f64();
-                            reset_cost += dt;
+                            report.reset_cost += dt;
                             if observing {
                                 cache.recorder_mut().phases.add(Phase::Reset, dt);
                             }
                         }
                     }
-                    let stats = *cache.stats();
+                    report.lines_scrubbed = cache.stats().lines_scrubbed;
+                    report.crc_checks = cache.stats().crc_checks;
                     let recorder = cache.set_recorder(Recorder::disabled());
                     let telemetry = CampaignTelemetry {
                         events,
                         hists: recorder.hists,
                         phases: recorder.phases,
                     };
-                    (
-                        local,
-                        stats.lines_scrubbed,
-                        stats.crc_checks,
-                        reset_cost,
-                        telemetry,
-                    )
+                    (tally, report, telemetry)
                 })
             })
             .collect();
@@ -473,23 +509,48 @@ pub fn run_interval_campaign_observed(
             .collect()
     });
     let elapsed = start.elapsed().as_secs_f64();
-    let mut total = CampaignSummary::default();
+    let mut total = T::default();
     let mut report = ThroughputReport::default();
     let mut telemetry = CampaignTelemetry::default();
-    for (local, lines_scrubbed, crc_checks, reset_cost, worker_telemetry) in results {
-        total.merge(&local);
-        report.lines_scrubbed += lines_scrubbed;
-        report.crc_checks += crc_checks;
-        report.reset_cost += reset_cost;
+    for (tally, part, worker_telemetry) in parts {
+        total.merge(&tally);
+        report.lines_scrubbed += part.lines_scrubbed;
+        report.crc_checks += part.crc_checks;
+        report.reset_cost += part.reset_cost;
         telemetry.merge(worker_telemetry);
     }
     telemetry.finish();
     report.trials_per_sec = if elapsed > 0.0 {
-        total.trials as f64 / elapsed
+        total.trials() as f64 / elapsed
     } else {
         f64::INFINITY
     };
     (total, report, telemetry)
+}
+
+/// Runs `cfg.trials` independent intervals with per-worker reused arenas,
+/// collecting telemetry at the requested depth. The summary and throughput
+/// accounting are bit-identical across `observe` settings — telemetry
+/// never perturbs the trial RNG streams.
+pub fn run_interval_campaign_observed(
+    cfg: &McConfig,
+    observe: Observe,
+) -> (CampaignSummary, ThroughputReport, CampaignTelemetry) {
+    drive(
+        cfg.sudoku_config(),
+        cfg.trials,
+        cfg.threads,
+        observe,
+        || FaultInjector::new(cfg.ber, cfg.seed),
+        |cache, injector, i, summary: &mut CampaignSummary| {
+            summary.absorb(&run_interval_in(
+                cache,
+                injector,
+                cfg,
+                cfg.seed.wrapping_add(i),
+            ));
+        },
+    )
 }
 
 /// Runs `cfg.trials` independent intervals with per-worker reused arenas
@@ -528,16 +589,8 @@ pub fn run_lifetime_in(
 ) -> LifetimeOutcome {
     injector.reseed(seed);
     for interval in 0..max_intervals {
-        let plan = injector.cache_plan(cfg.lines);
-        let mut hints = Vec::with_capacity(plan.len());
-        for lf in &plan {
-            for pos in choose_distinct(injector.rng(), TOTAL_BITS as u64, lf.faults as u64) {
-                cache.inject_fault(lf.line, pos as usize);
-            }
-            hints.push(lf.line);
-        }
-        let report = cache.scrub_lines(&hints);
-        if !report.fully_repaired() {
+        let (hints, _) = inject_interval(cache, injector, cfg.lines);
+        if !cache.scrub_lines(&hints).fully_repaired() {
             return LifetimeOutcome {
                 intervals_survived: interval,
                 failed: true,
@@ -558,54 +611,39 @@ pub fn run_lifetime(cfg: &McConfig, max_intervals: u64, seed: u64) -> LifetimeOu
     run_lifetime_in(&mut cache, &mut injector, cfg, max_intervals, seed)
 }
 
-/// Runs `runs` independent lifetimes in one reused arena and reports the
-/// censored-mean MTTF with throughput accounting (`trials_per_sec` counts
-/// simulated intervals, since runs vary in length).
+/// Runs `runs` independent lifetimes (run `r` seeded `seed + r·0x9E37`) on
+/// `cfg.threads` workers with reused arenas and reports the censored-mean
+/// MTTF with throughput accounting (`trials_per_sec` counts simulated
+/// intervals, since runs vary in length).
 pub fn run_lifetime_campaign_timed(
     cfg: &McConfig,
     runs: u64,
     max_intervals: u64,
     seed: u64,
 ) -> ((f64, u64), ThroughputReport) {
-    let mut cache =
-        SudokuCache::new_sparse(cfg.sudoku_config()).expect("valid Monte-Carlo configuration");
-    let mut injector = FaultInjector::new(cfg.ber, seed);
-    let start = Instant::now();
-    let mut reset_cost = 0.0f64;
-    let mut total_intervals = 0u64;
-    let mut failures = 0u64;
-    for r in 0..runs {
-        let o = run_lifetime_in(
-            &mut cache,
-            &mut injector,
-            cfg,
-            max_intervals,
-            seed.wrapping_add(r.wrapping_mul(0x9E37)),
-        );
-        // The failing interval itself counts toward the lifetime (a run
-        // that dies immediately lived one interval, not zero).
-        total_intervals += o.intervals_survived + o.failed as u64;
-        failures += o.failed as u64;
-        let t = Instant::now();
-        cache.reset_to_golden_zero();
-        reset_cost += t.elapsed().as_secs_f64();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
+    // A lifetime is a run of intervals: `trials` counts the intervals
+    // lived and `due_intervals` the failed runs, each of which ends in
+    // exactly one DUE interval.
+    let (lived, report, _) = drive(
+        cfg.sudoku_config(),
+        runs,
+        cfg.threads,
+        Observe::Off,
+        || FaultInjector::new(cfg.ber, seed),
+        |cache, injector, r, lived: &mut CampaignSummary| {
+            let run_seed = seed.wrapping_add(r.wrapping_mul(0x9E37));
+            let o = run_lifetime_in(cache, injector, cfg, max_intervals, run_seed);
+            // The failing interval itself counts toward the lifetime (a run
+            // that dies immediately lived one interval, not zero).
+            lived.trials += o.intervals_survived + o.failed as u64;
+            lived.due_intervals += o.failed as u64;
+        },
+    );
+    let failures = lived.due_intervals;
     let mttf_s = if failures == 0 {
         f64::INFINITY
     } else {
-        total_intervals as f64 / failures as f64 * cfg.scrub.interval_s()
-    };
-    let stats = *cache.stats();
-    let report = ThroughputReport {
-        trials_per_sec: if elapsed > 0.0 {
-            total_intervals as f64 / elapsed
-        } else {
-            f64::INFINITY
-        },
-        lines_scrubbed: stats.lines_scrubbed,
-        crc_checks: stats.crc_checks,
-        reset_cost,
+        lived.trials as f64 / failures as f64 * cfg.scrub.interval_s()
     };
     ((mttf_s, failures), report)
 }
@@ -704,6 +742,19 @@ impl GroupCampaignSummary {
     }
 }
 
+impl Tally for GroupCampaignSummary {
+    fn merge(&mut self, other: &GroupCampaignSummary) {
+        self.trials += other.trials;
+        self.repaired += other.repaired;
+        self.due += other.due;
+        self.sdc += other.sdc;
+    }
+
+    fn trials(&self) -> u64 {
+        self.trials
+    }
+}
+
 /// Runs one conditional group trial in a caller-owned arena. The cache
 /// must start golden-zero and is left dirty; the trial RNG is derived from
 /// `trial_seed` alone, so the result matches [`run_group_trial`] exactly.
@@ -740,31 +791,9 @@ pub fn run_group_trial_in(
             .map(|(&line, &faults)| LineFaults { line, faults })
             .collect();
         observe_plan(&plan, cache.recorder_mut());
-        if let Some(start) = inject_start {
-            cache
-                .recorder_mut()
-                .phases
-                .add(Phase::Inject, start.elapsed().as_secs_f64());
-        }
     }
-    let scrub_start = observing.then(Instant::now);
-    let report = cache.scrub_lines(&hints);
-    if let Some(start) = scrub_start {
-        cache
-            .recorder_mut()
-            .phases
-            .add(Phase::Scrub, start.elapsed().as_secs_f64());
-    }
-    IntervalOutcome {
-        faulty_lines: scenario.fault_counts.len() as u32,
-        faulty_bits,
-        multibit_lines: report.multibit_lines as u32,
-        raid4_repairs: report.raid4_repairs as u32,
-        sdr_repairs: report.sdr_repairs as u32,
-        hash2_repairs: report.hash2_repairs as u32,
-        due_lines: report.unresolved.len() as u32,
-        sdc_lines: count_sdc(cache, &report),
-    }
+    end_span(cache, Phase::Inject, inject_start);
+    scrub_and_measure(cache, &hints, faulty_bits)
 }
 
 /// Runs one conditional group trial. Returns the outcome of the interval.
@@ -784,89 +813,17 @@ pub fn run_group_campaign_observed(
     threads: usize,
     observe: Observe,
 ) -> (GroupCampaignSummary, ThroughputReport, CampaignTelemetry) {
-    let threads = worker_threads(threads).min(trials.max(1) as usize);
-    let next = AtomicU64::new(0);
-    let start = Instant::now();
-    type WorkerResult = (GroupCampaignSummary, u64, u64, f64, CampaignTelemetry);
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let scenario = scenario.clone();
-                scope.spawn(move || {
-                    let mut cache = SudokuCache::new_sparse(scenario.sudoku_config())
-                        .expect("valid scenario configuration");
-                    let _ = cache.set_recorder(observe.recorder());
-                    let observing = observe.enabled();
-                    let mut local = GroupCampaignSummary::default();
-                    let mut events: Vec<RecoveryEvent> = Vec::new();
-                    let mut reset_cost = 0.0f64;
-                    loop {
-                        let chunk = next.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
-                        if chunk >= trials {
-                            break;
-                        }
-                        for i in chunk..(chunk + TRIAL_CHUNK).min(trials) {
-                            if observing {
-                                cache.recorder_mut().set_interval(i);
-                            }
-                            let o = run_group_trial_in(&mut cache, &scenario, seed.wrapping_add(i));
-                            local.absorb(&o);
-                            if observing {
-                                events.extend(cache.drain_events());
-                            }
-                            let t = Instant::now();
-                            cache.reset_to_golden_zero();
-                            let dt = t.elapsed().as_secs_f64();
-                            reset_cost += dt;
-                            if observing {
-                                cache.recorder_mut().phases.add(Phase::Reset, dt);
-                            }
-                        }
-                    }
-                    let stats = *cache.stats();
-                    let recorder = cache.set_recorder(Recorder::disabled());
-                    let telemetry = CampaignTelemetry {
-                        events,
-                        hists: recorder.hists,
-                        phases: recorder.phases,
-                    };
-                    (
-                        local,
-                        stats.lines_scrubbed,
-                        stats.crc_checks,
-                        reset_cost,
-                        telemetry,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    let mut total = GroupCampaignSummary::default();
-    let mut report = ThroughputReport::default();
-    let mut telemetry = CampaignTelemetry::default();
-    for (local, lines_scrubbed, crc_checks, reset_cost, worker_telemetry) in results {
-        total.trials += local.trials;
-        total.repaired += local.repaired;
-        total.due += local.due;
-        total.sdc += local.sdc;
-        report.lines_scrubbed += lines_scrubbed;
-        report.crc_checks += crc_checks;
-        report.reset_cost += reset_cost;
-        telemetry.merge(worker_telemetry);
-    }
-    telemetry.finish();
-    report.trials_per_sec = if elapsed > 0.0 {
-        total.trials as f64 / elapsed
-    } else {
-        f64::INFINITY
-    };
-    (total, report, telemetry)
+    // Group trials draw from their own per-trial RNG: no injector.
+    drive(
+        scenario.sudoku_config(),
+        trials,
+        threads,
+        observe,
+        || (),
+        |cache, _, i, summary: &mut GroupCampaignSummary| {
+            summary.absorb(&run_group_trial_in(cache, scenario, seed.wrapping_add(i)));
+        },
+    )
 }
 
 /// Runs a conditional campaign over `trials` seeds with per-worker reused
@@ -1120,6 +1077,57 @@ mod tests {
             (0.4..2.5).contains(&ratio),
             "mttf {mttf_s} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn campaigns_do_not_depend_on_worker_count() {
+        let one = McConfig {
+            threads: 1,
+            ..small_cfg(Scheme::Y, 40)
+        };
+        let three = McConfig { threads: 3, ..one };
+        assert_eq!(run_interval_campaign(&one), run_interval_campaign(&three));
+        let scenario = GroupScenario::two_by_two(Scheme::Y, 64);
+        assert_eq!(
+            run_group_campaign(&scenario, 40, 11, 1),
+            run_group_campaign(&scenario, 40, 11, 3)
+        );
+        let x_one = McConfig {
+            scheme: Scheme::X,
+            ..one
+        };
+        let x_three = McConfig {
+            threads: 3,
+            ..x_one
+        };
+        let lifetimes = run_lifetime_campaign(&x_one, 20, 50, 99);
+        assert!(lifetimes.1 > 0, "premise: X lifetimes end in failure");
+        assert_eq!(lifetimes, run_lifetime_campaign(&x_three, 20, 50, 99));
+    }
+
+    #[test]
+    fn lifetime_campaign_matches_accumulated_fresh_runs() {
+        // Runs end both by failure and by reaching the cap, so the reused
+        // arenas are reset from both states.
+        let cfg = McConfig {
+            ber: 5e-5,
+            ..small_cfg(Scheme::X, 1)
+        };
+        let (runs, cap, seed) = (24u64, 6u64, 5u64);
+        let ((mttf_s, failures), report) = run_lifetime_campaign_timed(&cfg, runs, cap, seed);
+        let (mut lived, mut failed) = (0u64, 0u64);
+        for r in 0..runs {
+            let o = run_lifetime(&cfg, cap, seed.wrapping_add(r.wrapping_mul(0x9E37)));
+            lived += o.intervals_survived + o.failed as u64;
+            failed += o.failed as u64;
+        }
+        assert!(0 < failed && failed < runs, "premise: mixed ends, {failed}");
+        assert_eq!(failures, failed);
+        assert_eq!(
+            mttf_s,
+            lived as f64 / failed as f64 * cfg.scrub.interval_s()
+        );
+        assert!(report.trials_per_sec > 0.0 && report.lines_scrubbed > 0);
     }
 
     #[test]

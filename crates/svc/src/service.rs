@@ -428,11 +428,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// Uncorrected lines from any path (demand DUEs + scrub DUEs).
-    pub fn total_due(&self) -> u64 {
-        self.due_reads + self.unresolved_lines
-    }
-
     /// Whether the run ended with every shard up and no caught panics.
     pub fn fully_healthy(&self) -> bool {
         self.worker_panics.is_empty() && !self.daemon_panicked && self.quarantined.is_empty()

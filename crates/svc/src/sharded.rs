@@ -832,7 +832,7 @@ impl ShardedCache {
                 self.distribute_h2_touched(&mut work);
             }
         }
-        let coord_report = self.fixpoint(&mut work, all_up, true);
+        let coord_report = self.fixpoint(&mut work, all_up);
         for w in work.iter_mut().flatten() {
             w.st.report.unresolved = w.st.faulty.iter().copied().collect();
             let mut report = std::mem::take(&mut w.st.report);
@@ -991,7 +991,7 @@ impl ShardedCache {
             }
         }
         let had_faulty = work.iter().flatten().any(|w| !w.st.faulty.is_empty());
-        let coord_report = self.fixpoint(&mut work, all_up, true);
+        let coord_report = self.fixpoint(&mut work, all_up);
         if !all_up && had_faulty && self.config.scheme.second_hash_enabled() {
             self.skipped_h2.fetch_add(1, Ordering::Relaxed);
         }
@@ -1135,8 +1135,9 @@ impl ShardedCache {
     /// coordinator's sequential Hash-2 pass over gathered cross-shard
     /// groups, stopping when a round makes no progress — the exact
     /// schedule of the single-threaded ladder, which is what makes
-    /// recovery shard-count-invariant.
-    fn fixpoint(&self, work: &mut [Option<Working<'_>>], all_up: bool, fast: bool) -> ScrubReport {
+    /// recovery shard-count-invariant. Both passes take core's all-zero
+    /// fast path (`fast = true`).
+    fn fixpoint(&self, work: &mut [Option<Working<'_>>], all_up: bool) -> ScrubReport {
         let mut coord = self.lock_coord();
         let mut coord_report = ScrubReport::default();
         let use_h2 = all_up && self.config.scheme.second_hash_enabled();
@@ -1154,14 +1155,14 @@ impl ShardedCache {
                             &mut faulty,
                             &mut w.st.recovered,
                             &mut w.st.report,
-                            fast,
+                            true,
                         );
                         w.st.faulty = faulty;
                     });
                 }
             });
             if use_h2 && work.iter().flatten().any(|w| !w.st.faulty.is_empty()) {
-                self.h2_pass(&mut coord, work, &mut coord_report, fast);
+                self.h2_pass(&mut coord, work, &mut coord_report);
                 for w in work.iter_mut().flatten() {
                     let mut faulty = std::mem::take(&mut w.st.faulty);
                     let recovered = std::mem::take(&mut w.st.recovered);
@@ -1186,7 +1187,6 @@ impl ShardedCache {
         coord: &mut Coordinator,
         work: &mut [Option<Working<'_>>],
         report: &mut ScrubReport,
-        fast: bool,
     ) {
         let hashes = self.plan.hashes();
         let groups: BTreeSet<u64> = work
@@ -1219,7 +1219,7 @@ impl ShardedCache {
                 &mut view,
                 &mut coord.scratch,
                 report,
-                fast,
+                true,
             );
         }
     }

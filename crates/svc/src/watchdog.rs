@@ -27,6 +27,10 @@
 //! degradation-reason list, which the exporter serves in the `/healthz`
 //! *body*. The 200/503 status itself is untouched: probes keep flapping
 //! only on quarantine and daemon death, never on soft conditions.
+//!
+//! [`Alert`]: sudoku_obs::Alert
+//! [`AlertLog`]: sudoku_obs::AlertLog
+//! [`AuditConfig::scan_every`]: crate::audit::AuditConfig::scan_every
 
 use crate::audit::{AuditPlane, ReliabilityEstimator};
 use crate::sharded::ShardedCache;
