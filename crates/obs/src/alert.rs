@@ -13,6 +13,7 @@
 //! `/metrics` exposition, and an optional line-flushed JSONL file so a
 //! crash loses nothing (alerts are rare; one `flush` per alert is cheap).
 
+use crate::json::JsonObject;
 use crate::live::Counter;
 use std::collections::VecDeque;
 use std::fmt;
@@ -56,7 +57,8 @@ pub enum AlertClass {
 }
 
 impl AlertClass {
-    /// Every class with its wire name, in a fixed exposition order.
+    /// Every class with its wire name, in declaration order (so a class's
+    /// discriminant is its index here — the fixed exposition order).
     pub const ALL: &'static [(AlertClass, &'static str)] = &[
         (AlertClass::DeadlineMiss, "deadline_miss"),
         (AlertClass::TickLagBreach, "tick_lag_breach"),
@@ -71,23 +73,12 @@ impl AlertClass {
 
     /// The wire name (snake_case, stable across releases).
     pub fn name(self) -> &'static str {
-        Self::ALL
-            .iter()
-            .find(|&&(c, _)| c == self)
-            .map(|&(_, n)| n)
-            .unwrap_or("?")
+        Self::ALL[self as usize].1
     }
 
     /// Parses a wire name back to a class.
     pub fn parse(s: &str) -> Option<AlertClass> {
         Self::ALL.iter().find(|(_, n)| *n == s).map(|&(c, _)| c)
-    }
-
-    fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&(c, _)| c == self)
-            .unwrap_or(Self::ALL.len() - 1)
     }
 }
 
@@ -150,47 +141,20 @@ pub struct Alert {
 impl Alert {
     /// Serializes the alert as one flat JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let shard = match self.shard {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"seq\":{},\"unix_ms\":{},\"class\":\"{}\",\"severity\":\"{}\",\
-             \"shard\":{},\"value\":{},\"threshold\":{},\"message\":\"{}\"}}",
-            self.seq,
-            self.unix_ms,
-            self.class,
-            self.severity,
-            shard,
-            fmt_f64(self.value),
-            fmt_f64(self.threshold),
-            escape(&self.message),
-        )
+        let shard = self
+            .shard
+            .map_or_else(|| "null".to_string(), |s| s.to_string());
+        let mut obj = JsonObject::new();
+        obj.field_u64("seq", self.seq)
+            .field_u64("unix_ms", self.unix_ms)
+            .field_str("class", self.class.name())
+            .field_str("severity", self.severity.name())
+            .field_raw("shard", &shard)
+            .field_f64("value", self.value)
+            .field_f64("threshold", self.threshold)
+            .field_str("message", &self.message);
+        obj.finish()
     }
-}
-
-/// Finite floats as shortest-roundtrip decimal; non-finite as null (JSON
-/// has no NaN/Inf).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct LogInner {
@@ -270,7 +234,7 @@ impl AlertLog {
             threshold,
             message: message.into(),
         };
-        self.by_class[class.index()].inc();
+        self.by_class[class as usize].inc();
         if severity == Severity::Critical {
             self.criticals.inc();
         }
@@ -298,7 +262,7 @@ impl AlertLog {
 
     /// Alerts raised for one class (lock-free).
     pub fn count(&self, class: AlertClass) -> u64 {
-        self.by_class[class.index()].get()
+        self.by_class[class as usize].get()
     }
 
     /// Critical-severity alerts raised (lock-free).
@@ -328,31 +292,6 @@ impl AlertLog {
             .filter(|a| a.seq > after)
             .cloned()
             .collect()
-    }
-
-    /// The whole log as a JSON document: totals per class plus the
-    /// retained ring (most recent `limit`).
-    pub fn to_json(&self, limit: usize) -> String {
-        let mut out = String::from("{\"total\":");
-        out.push_str(&self.total().to_string());
-        out.push_str(",\"dropped\":");
-        out.push_str(&self.dropped().to_string());
-        out.push_str(",\"by_class\":{");
-        for (i, &(class, name)) in AlertClass::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", self.count(class)));
-        }
-        out.push_str("},\"alerts\":[");
-        for (i, alert) in self.recent(limit).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&alert.to_json());
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Flushes the JSONL file, if any.
@@ -420,13 +359,12 @@ mod tests {
             2e6,
             "tick started 5.5ms late \"quoted\"",
         );
-        let doc = log.to_json(8);
+        let alert = &log.recent(1)[0];
+        let doc = alert.to_json();
         assert!(doc.contains("\"class\":\"tick_lag_breach\""));
         assert!(doc.contains("\"severity\":\"warning\""));
         assert!(doc.contains("\"shard\":0"));
         assert!(doc.contains("\\\"quoted\\\""));
-        assert!(doc.contains("\"by_class\""));
-        let alert = &log.recent(1)[0];
         assert!(alert.to_json().starts_with("{\"seq\":1,"));
         // Non-finite values must stay valid JSON.
         let a = Alert {
@@ -434,6 +372,33 @@ mod tests {
             ..alert.clone()
         };
         assert!(a.to_json().contains("\"value\":null"));
+    }
+
+    #[test]
+    fn alert_json_is_exact() {
+        let alert = Alert {
+            seq: 7,
+            unix_ms: 1_700_000_000_000,
+            class: AlertClass::ScrubFloorBreach,
+            severity: Severity::Critical,
+            shard: None,
+            value: 2.0,
+            threshold: 0.0,
+            message: "floor (2 clamp(s)) — no backoff".to_string(),
+        };
+        assert_eq!(
+            alert.to_json(),
+            "{\"seq\":7,\"unix_ms\":1700000000000,\"class\":\"scrub_floor_breach\",\
+             \"severity\":\"critical\",\"shard\":null,\"value\":2,\"threshold\":0,\
+             \"message\":\"floor (2 clamp(s)) — no backoff\"}"
+        );
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (i, &(class, _)) in AlertClass::ALL.iter().enumerate() {
+            assert_eq!(class as usize, i);
+        }
     }
 
     #[test]

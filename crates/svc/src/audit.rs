@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use sudoku_core::ShardPlan;
-use sudoku_obs::json::JsonObject;
+use sudoku_obs::json::{esc, JsonObject};
 use sudoku_obs::{
     AlertClass, AlertLog, AtomicHist, CorrelationDetector, CorrelationStat, Counter, Gauge,
     Heatmaps, Histogram, RegionGeometry,
@@ -896,11 +896,6 @@ impl AuditSnapshot {
             .iter()
             .map(|(name, n)| format!("\"{name}\":{n}"))
             .collect();
-        let reasons: Vec<String> = self
-            .degraded_reasons
-            .iter()
-            .map(|r| format!("{:?}", r))
-            .collect();
         let mut obj = JsonObject::new();
         obj.field_u64("scrub_deadline_ns", self.scrub_deadline_ns)
             .field_u64("packet_lines", self.packet_lines)
@@ -932,9 +927,19 @@ impl AuditSnapshot {
             .field_u64("alerts_critical", self.alerts_critical)
             .field_u64("alerts_dropped", self.alerts_dropped)
             .field_raw("alerts_by_class", &format!("{{{}}}", by_class.join(",")))
-            .field_raw("degraded_reasons", &format!("[{}]", reasons.join(",")));
+            .field_raw(
+                "degraded_reasons",
+                &degraded_reasons_json(&self.degraded_reasons),
+            );
         obj.finish()
     }
+}
+
+/// The degradation reasons as a JSON array of strings: the one renderer
+/// behind the `/healthz` body and the snapshot's `"degraded_reasons"`.
+pub(crate) fn degraded_reasons_json(reasons: &[String]) -> String {
+    let quoted: Vec<String> = reasons.iter().map(|r| format!("\"{}\"", esc(r))).collect();
+    format!("[{}]", quoted.join(","))
 }
 
 #[cfg(test)]
@@ -1164,5 +1169,21 @@ mod tests {
         assert_eq!(plane.degraded_reasons().len(), 1);
         plane.burn_fast.set(2.5);
         assert_eq!(plane.burn_fast.get(), 2.5);
+    }
+
+    #[test]
+    fn snapshot_renders_reasons_as_json_strings() {
+        // Debug formatting would emit `\u{1}` and `\u{7f}`, which JSON
+        // rejects; JSON escapes the control character and passes DEL.
+        let plane = AuditPlane::new(&plan4(), AuditConfig::default()).unwrap();
+        plane.set_degraded_reasons(vec!["a\u{1}b\u{7f}\"c\"".into(), "d".into()]);
+        assert!(
+            plane
+                .snapshot()
+                .to_json()
+                .ends_with("\"degraded_reasons\":[\"a\\u0001b\u{7f}\\\"c\\\"\",\"d\"]}"),
+            "{}",
+            plane.snapshot().to_json()
+        );
     }
 }

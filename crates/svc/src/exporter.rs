@@ -33,7 +33,7 @@
 //!
 //! [`ShardHealth`]: crate::ShardHealth
 
-use crate::audit::AuditPlane;
+use crate::audit::{degraded_reasons_json, AuditPlane};
 use crate::sharded::ShardedCache;
 use crate::telemetry::{FlightRecorder, TelemetryRegistry, TelemetrySnapshot};
 use std::io::{Read, Write};
@@ -214,18 +214,16 @@ fn serve_connection(
             let quarantined = state.health().quarantined();
             let daemon_dead = registry.daemon_dead.get() != 0;
             let healthy = quarantined.is_empty() && !daemon_dead;
-            let reasons: Vec<String> = plane
-                .degraded_reasons()
-                .iter()
-                .map(|r| format!("{r:?}"))
-                .collect();
             let mut obj = JsonObject::new();
             obj.field_str("status", if healthy { "ok" } else { "degraded" })
                 .field_array_u64("quarantined", quarantined.iter().map(|&s| s as u64))
                 .field_u64("shards_up", state.health().n_up() as u64)
                 .field_u64("shards", state.n_shards() as u64)
                 .field_bool("daemon_dead", daemon_dead)
-                .field_raw("degraded_reasons", &format!("[{}]", reasons.join(",")))
+                .field_raw(
+                    "degraded_reasons",
+                    &degraded_reasons_json(&plane.degraded_reasons()),
+                )
                 .field_u64("alerts_total", plane.alerts.total())
                 .field_u64("alerts_critical", plane.alerts.criticals())
                 .field_u64("scrub_floor_clamps", registry.scrub_floor_clamps.get());
@@ -627,6 +625,17 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(
             body.contains("\"degraded_reasons\":[\"tick_lag_breach\"]"),
+            "{body}"
+        );
+    }
+
+    #[test]
+    fn healthz_renders_control_characters_as_json() {
+        let (exporter, _state, plane) = test_exporter_with_plane();
+        plane.set_degraded_reasons(vec!["bell\u{7}".into()]);
+        let (_, body) = get(exporter.addr(), "/healthz");
+        assert!(
+            body.contains("\"degraded_reasons\":[\"bell\\u0007\"]"),
             "{body}"
         );
     }

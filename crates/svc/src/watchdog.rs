@@ -2,9 +2,14 @@
 //! [`Alert`]s.
 //!
 //! A dedicated thread scans the live signals every
-//! [`AuditConfig::scan_every`] and raises **latched episodes** into the
-//! plane's [`AlertLog`]: one alert on entering a bad state, silence while
-//! it persists, re-arm when it clears. Nine alert classes:
+//! [`AuditConfig::scan_every`] and keeps one table of open **episodes**,
+//! keyed by reason and optional shard, under one rule: an episode raises
+//! one alert into the plane's [`AlertLog`] when its condition starts,
+//! stays silent while it holds, and re-arms when it clears (quarantine
+//! and daemon death are terminal and never re-arm). The open episodes are
+//! the plane's degradation reasons, served in the `/healthz` *body*; the
+//! 200/503 status flaps only on quarantine and daemon death. Nine alert
+//! classes:
 //!
 //! | class | trigger | severity |
 //! |---|---|---|
@@ -23,11 +28,6 @@
 //! cache each period; tests feed synthetic ones and assert on the alert
 //! stream deterministically.
 //!
-//! Latched conditions are also rendered into the plane's
-//! degradation-reason list, which the exporter serves in the `/healthz`
-//! *body*. The 200/503 status itself is untouched: probes keep flapping
-//! only on quarantine and daemon death, never on soft conditions.
-//!
 //! [`Alert`]: sudoku_obs::Alert
 //! [`AlertLog`]: sudoku_obs::AlertLog
 //! [`AuditConfig::scan_every`]: crate::audit::AuditConfig::scan_every
@@ -35,6 +35,7 @@
 use crate::audit::{AuditPlane, ReliabilityEstimator};
 use crate::sharded::ShardedCache;
 use crate::telemetry::TelemetryRegistry;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use sudoku_obs::{AlertClass, Severity};
@@ -77,17 +78,79 @@ pub struct ScanObs {
     pub region_totals: Option<Vec<u64>>,
 }
 
-/// Per-shard episode latches.
-#[derive(Clone, Copy, Debug, Default)]
-struct ShardLatch {
-    stale: bool,
-    sat_streak: u32,
-    saturated: bool,
-    quarantined: bool,
+/// Why an episode is open, in `/healthz` order: the global reasons first,
+/// then the per-shard ones.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Reason {
+    DaemonDead,
+    DaemonStuck,
+    TickLag,
+    BudgetBurn,
+    FloorBreach,
+    FastBlind,
+    Spatial,
+    Quarantined,
+    Stale,
+    Saturated,
 }
 
-/// The watchdog's mutable scan state: latches, streaks, and the
-/// reliability estimator's sample window.
+impl Reason {
+    const NAMES: [&'static str; 10] = [
+        "daemon_dead",
+        "daemon_stuck",
+        "tick_lag_breach",
+        "budget_burn",
+        "scrub_floor_breach",
+        "burn_fast_blind",
+        "spatial_correlation",
+        "shard_quarantined",
+        "scrub_deadline_stale",
+        "queue_saturation",
+    ];
+}
+
+/// The open episodes, keyed by (shard, reason) so that iteration yields
+/// the `/healthz` order: global (`None`) reasons first, then by shard.
+#[derive(Default)]
+struct Episodes(BTreeSet<(Option<usize>, Reason)>);
+
+impl Episodes {
+    /// The one edge detector: `raise` runs on the scan that opens the
+    /// episode; a scan without the condition closes it. Terminal
+    /// conditions are only ever stepped open.
+    fn step(&mut self, reason: Reason, shard: Option<usize>, bad: bool, raise: impl FnOnce()) {
+        if !bad {
+            self.0.remove(&(shard, reason));
+        } else if self.0.insert((shard, reason)) {
+            raise();
+        }
+    }
+
+    /// The `/healthz` reasons: each name, plus ` shard=N` if per-shard.
+    fn reasons(&self) -> Vec<String> {
+        self.0
+            .iter()
+            .map(|&(shard, reason)| {
+                let name = Reason::NAMES[reason as usize];
+                match shard {
+                    Some(s) => format!("{name} shard={s}"),
+                    None => name.to_string(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Advances a cumulative counter's watermark; returns how far it moved.
+fn delta(last: &mut u64, now: u64) -> u64 {
+    let moved = now.saturating_sub(*last);
+    *last = now;
+    moved
+}
+
+/// The watchdog's mutable scan state: the open episodes, the counter
+/// watermarks and streaks behind them, and the reliability estimator's
+/// sample window.
 pub struct Watchdog {
     plane: std::sync::Arc<AuditPlane>,
     estimator: Option<ReliabilityEstimator>,
@@ -95,13 +158,11 @@ pub struct Watchdog {
     queue_bound: u64,
     /// `daemon_stall_ticks` × scrub period; `None` disables stall checks.
     stall_budget: Option<Duration>,
-    shards: Vec<ShardLatch>,
+    episodes: Episodes,
+    /// Per-shard consecutive scans at the queue bound.
+    sat_streaks: Vec<u32>,
     /// Per-shard deadline misses seen as of the previous scan.
     last_misses: Vec<u64>,
-    lag_high: bool,
-    daemon_dead_raised: bool,
-    stall_raised: bool,
-    burning: bool,
     last_scrub_ticks: u64,
     ticks_advanced_at: Option<Instant>,
     last_floor_clamps: u64,
@@ -110,9 +171,6 @@ pub struct Watchdog {
     misses_fresh: u8,
     window_clamps: u64,
     window_misses: u64,
-    floor_breach_raised: bool,
-    fast_blind: bool,
-    spatial_raised: bool,
 }
 
 /// How many scans a fresh floor-clamp (or deadline-miss) observation
@@ -139,12 +197,9 @@ impl Watchdog {
             estimator,
             queue_bound,
             stall_budget,
-            shards: vec![ShardLatch::default(); n_shards],
+            episodes: Episodes::default(),
+            sat_streaks: vec![0; n_shards],
             last_misses: vec![0; n_shards],
-            lag_high: false,
-            daemon_dead_raised: false,
-            stall_raised: false,
-            burning: false,
             last_scrub_ticks: 0,
             ticks_advanced_at: None,
             last_floor_clamps: 0,
@@ -153,9 +208,6 @@ impl Watchdog {
             misses_fresh: 0,
             window_clamps: 0,
             window_misses: 0,
-            floor_breach_raised: false,
-            fast_blind: false,
-            spatial_raised: false,
         }
     }
 
@@ -166,16 +218,16 @@ impl Watchdog {
         let cfg_scans = self.plane.config.queue_saturation_scans.max(1);
         let plane = std::sync::Arc::clone(&self.plane);
         let deadline_ns = plane.tracker.deadline_ns();
+        let n_shards = self.last_misses.len();
+        let episodes = &mut self.episodes;
 
         // --- scrub-deadline accounting (only with a daemon to hold it) --
         if obs.daemon_expected {
-            for shard in 0..self.shards.len() {
+            for shard in 0..n_shards {
                 // Completed-sweep misses recorded by the tracker since the
-                // previous scan.
-                let misses = plane.tracker.misses(shard);
-                if misses > self.last_misses[shard] {
-                    let new = misses - self.last_misses[shard];
-                    self.last_misses[shard] = misses;
+                // previous scan: one alert per fresh batch, not a latch.
+                let new = delta(&mut self.last_misses[shard], plane.tracker.misses(shard));
+                if new > 0 {
                     plane.alerts.raise(
                         AlertClass::DeadlineMiss,
                         Severity::Critical,
@@ -195,51 +247,41 @@ impl Watchdog {
                 // the miss counter above only moves when a sweep finally
                 // completes.
                 let staleness = plane.tracker.worst_staleness_ns(shard);
-                let latch = &mut self.shards[shard];
-                if staleness > deadline_ns {
-                    if !latch.stale {
-                        latch.stale = true;
-                        plane.alerts.raise(
-                            AlertClass::DeadlineMiss,
-                            Severity::Critical,
-                            Some(shard),
-                            staleness as f64,
-                            deadline_ns as f64,
-                            format!(
-                                "shard {shard}: worst packet {:.2} ms \
-                                 stale, past the {:.0} ms scrub deadline",
-                                staleness as f64 / 1e6,
-                                deadline_ns as f64 / 1e6
-                            ),
-                        );
-                    }
-                } else {
-                    latch.stale = false;
-                }
+                episodes.step(Reason::Stale, Some(shard), staleness > deadline_ns, || {
+                    plane.alerts.raise(
+                        AlertClass::DeadlineMiss,
+                        Severity::Critical,
+                        Some(shard),
+                        staleness as f64,
+                        deadline_ns as f64,
+                        format!(
+                            "shard {shard}: worst packet {:.2} ms \
+                             stale, past the {:.0} ms scrub deadline",
+                            staleness as f64 / 1e6,
+                            deadline_ns as f64 / 1e6
+                        ),
+                    );
+                });
             }
 
             // --- daemon tick lag ---------------------------------------
             let budget_ns = self.plane.config.tick_lag_budget.as_nanos() as u64;
-            if obs.last_tick_lag_ns > budget_ns {
-                if !self.lag_high {
-                    self.lag_high = true;
-                    plane.alerts.raise(
-                        AlertClass::TickLagBreach,
-                        Severity::Warning,
-                        None,
-                        obs.last_tick_lag_ns as f64,
-                        budget_ns as f64,
-                        format!(
-                            "daemon tick started {:.2} ms late (budget \
-                             {:.2} ms)",
-                            obs.last_tick_lag_ns as f64 / 1e6,
-                            budget_ns as f64 / 1e6
-                        ),
-                    );
-                }
-            } else {
-                self.lag_high = false;
-            }
+            let lag_ns = obs.last_tick_lag_ns;
+            episodes.step(Reason::TickLag, None, lag_ns > budget_ns, || {
+                plane.alerts.raise(
+                    AlertClass::TickLagBreach,
+                    Severity::Warning,
+                    None,
+                    lag_ns as f64,
+                    budget_ns as f64,
+                    format!(
+                        "daemon tick started {:.2} ms late (budget \
+                         {:.2} ms)",
+                        lag_ns as f64 / 1e6,
+                        budget_ns as f64 / 1e6
+                    ),
+                );
+            });
 
             // --- adaptive floor breach ---------------------------------
             // The controller clamping at its floor is normal under demand
@@ -251,21 +293,21 @@ impl Watchdog {
             // clamp at decide time, the miss when the late sweep lands),
             // so "coinciding" is a short pairing window of scans, not one
             // scan — a scan boundary between them must not hide the
-            // breach.
-            let total_misses = plane.tracker.total_misses();
-            let clamps_up = obs.floor_clamps > self.last_floor_clamps;
-            let misses_up = total_misses > self.last_total_misses;
-            if clamps_up {
+            // breach. The episode holds while fresh misses remain in the
+            // window and closes once they run out.
+            let new_clamps = delta(&mut self.last_floor_clamps, obs.floor_clamps);
+            let new_misses = delta(&mut self.last_total_misses, plane.tracker.total_misses());
+            if new_clamps > 0 {
                 self.clamps_fresh = PAIRING_SCANS;
-                self.window_clamps = obs.floor_clamps - self.last_floor_clamps;
+                self.window_clamps = new_clamps;
             }
-            if misses_up {
+            if new_misses > 0 {
                 self.misses_fresh = PAIRING_SCANS;
-                self.window_misses = total_misses - self.last_total_misses;
+                self.window_misses = new_misses;
             }
-            if self.clamps_fresh > 0 && self.misses_fresh > 0 {
-                if !self.floor_breach_raised {
-                    self.floor_breach_raised = true;
+            let paired = self.clamps_fresh > 0 && self.misses_fresh > 0;
+            if paired || self.misses_fresh == 0 {
+                episodes.step(Reason::FloorBreach, None, paired, || {
                     plane.alerts.raise(
                         AlertClass::ScrubFloorBreach,
                         Severity::Critical,
@@ -279,22 +321,19 @@ impl Watchdog {
                             self.window_clamps, self.window_misses
                         ),
                     );
-                }
+                });
+            }
+            if paired {
                 // One coincidence fires once: consume the pair.
                 self.clamps_fresh = 0;
                 self.misses_fresh = 0;
-            } else if !misses_up && self.misses_fresh == 0 {
-                self.floor_breach_raised = false;
             }
             self.clamps_fresh = self.clamps_fresh.saturating_sub(1);
             self.misses_fresh = self.misses_fresh.saturating_sub(1);
-            self.last_floor_clamps = obs.floor_clamps;
-            self.last_total_misses = total_misses;
 
             // --- daemon death / stall ----------------------------------
             if obs.daemon_dead {
-                if !self.daemon_dead_raised {
-                    self.daemon_dead_raised = true;
+                episodes.step(Reason::DaemonDead, None, true, || {
                     plane.alerts.raise(
                         AlertClass::DaemonDead,
                         Severity::Critical,
@@ -305,78 +344,68 @@ impl Watchdog {
                          stopped"
                             .to_string(),
                     );
-                }
+                });
             } else if let Some(stall_budget) = self.stall_budget {
-                if obs.scrub_ticks != self.last_scrub_ticks || self.ticks_advanced_at.is_none() {
-                    self.last_scrub_ticks = obs.scrub_ticks;
+                if delta(&mut self.last_scrub_ticks, obs.scrub_ticks) > 0 {
                     self.ticks_advanced_at = Some(obs.now);
-                    self.stall_raised = false;
-                } else if let Some(at) = self.ticks_advanced_at {
-                    let stalled = obs.now.duration_since(at);
-                    if stalled > stall_budget && !self.stall_raised {
-                        self.stall_raised = true;
-                        plane.alerts.raise(
-                            AlertClass::DaemonStuck,
-                            Severity::Critical,
-                            None,
-                            stalled.as_secs_f64() * 1e3,
-                            stall_budget.as_secs_f64() * 1e3,
-                            format!(
-                                "scrub daemon alive but tick counter \
-                                 stalled at {} for {:.1} ms",
-                                obs.scrub_ticks,
-                                stalled.as_secs_f64() * 1e3
-                            ),
-                        );
-                    }
                 }
+                let stalled = obs
+                    .now
+                    .duration_since(*self.ticks_advanced_at.get_or_insert(obs.now));
+                episodes.step(Reason::DaemonStuck, None, stalled > stall_budget, || {
+                    plane.alerts.raise(
+                        AlertClass::DaemonStuck,
+                        Severity::Critical,
+                        None,
+                        stalled.as_secs_f64() * 1e3,
+                        stall_budget.as_secs_f64() * 1e3,
+                        format!(
+                            "scrub daemon alive but tick counter \
+                             stalled at {} for {:.1} ms",
+                            obs.scrub_ticks,
+                            stalled.as_secs_f64() * 1e3
+                        ),
+                    );
+                });
             }
         }
 
         // --- queue saturation ------------------------------------------
-        for (shard, &depth) in obs.queue_depths.iter().enumerate() {
-            if shard >= self.shards.len() {
-                break;
-            }
-            let latch = &mut self.shards[shard];
-            if self.queue_bound > 0 && depth >= self.queue_bound {
-                latch.sat_streak = latch.sat_streak.saturating_add(1);
-                if latch.sat_streak >= cfg_scans && !latch.saturated {
-                    latch.saturated = true;
-                    plane.alerts.raise(
-                        AlertClass::QueueSaturation,
-                        Severity::Warning,
-                        Some(shard),
-                        depth as f64,
-                        self.queue_bound as f64,
-                        format!(
-                            "shard {shard} queue pinned at bound {} for \
-                             {} consecutive scans",
-                            self.queue_bound, latch.sat_streak
-                        ),
-                    );
-                }
+        for (shard, &depth) in obs.queue_depths.iter().enumerate().take(n_shards) {
+            let streak = &mut self.sat_streaks[shard];
+            *streak = if self.queue_bound > 0 && depth >= self.queue_bound {
+                streak.saturating_add(1)
             } else {
-                latch.sat_streak = 0;
-                latch.saturated = false;
-            }
+                0
+            };
+            episodes.step(Reason::Saturated, Some(shard), *streak >= cfg_scans, || {
+                plane.alerts.raise(
+                    AlertClass::QueueSaturation,
+                    Severity::Warning,
+                    Some(shard),
+                    depth as f64,
+                    self.queue_bound as f64,
+                    format!(
+                        "shard {shard} queue pinned at bound {} for \
+                         {streak} consecutive scans",
+                        self.queue_bound
+                    ),
+                );
+            });
         }
 
         // --- quarantine ------------------------------------------------
-        for &shard in &obs.quarantined {
-            if let Some(latch) = self.shards.get_mut(shard) {
-                if !latch.quarantined {
-                    latch.quarantined = true;
-                    plane.alerts.raise(
-                        AlertClass::ShardQuarantined,
-                        Severity::Critical,
-                        Some(shard),
-                        1.0,
-                        0.0,
-                        format!("shard {shard} quarantined; serving N-1"),
-                    );
-                }
-            }
+        for &shard in obs.quarantined.iter().filter(|&&s| s < n_shards) {
+            episodes.step(Reason::Quarantined, Some(shard), true, || {
+                plane.alerts.raise(
+                    AlertClass::ShardQuarantined,
+                    Severity::Critical,
+                    Some(shard),
+                    1.0,
+                    0.0,
+                    format!("shard {shard} quarantined; serving N-1"),
+                );
+            });
         }
 
         // --- error-budget burn -----------------------------------------
@@ -386,7 +415,7 @@ impl Watchdog {
             // so the fast burn rate is structurally `None`. Surface the
             // blindness as a degraded reason instead of silently losing
             // the sharp-regression detector.
-            self.fast_blind = est.fast_window_blind();
+            episodes.step(Reason::FastBlind, None, est.fast_window_blind(), || {});
             let slow_window = plane.config.slow_window;
             if let Some(ber) = est.observed_ber(slow_window) {
                 plane.observed_ber.set(ber);
@@ -402,9 +431,14 @@ impl Watchdog {
                 plane.burn_slow.set(slow);
             }
             let threshold = plane.config.burn_threshold;
-            match (fast, slow) {
-                (Some(f), Some(s)) if f > threshold && s > threshold && !self.burning => {
-                    self.burning = true;
+            let verdict = match (fast, slow) {
+                (Some(f), Some(s)) if f > threshold && s > threshold => Some(true),
+                (_, Some(s)) if s <= threshold => Some(false),
+                _ => None,
+            };
+            if let Some(burning) = verdict {
+                episodes.step(Reason::BudgetBurn, None, burning, || {
+                    let s = slow.unwrap_or_default();
                     plane.alerts.raise(
                         AlertClass::BudgetBurn,
                         Severity::Critical,
@@ -419,44 +453,39 @@ impl Watchdog {
                             plane.config.due_fit_budget
                         ),
                     );
-                }
-                (_, Some(s)) if s <= threshold => self.burning = false,
-                _ => {}
+                });
             }
         }
 
         // --- spatial correlation ---------------------------------------
         // The detector windows cumulative cells itself, so each sampled
-        // scan is one step; between samples the latch simply holds.
-        if let Some(cells) = &obs.region_cells {
-            if let Some(stat) = plane.step_spatial_cells(cells) {
-                if stat.fired {
-                    if !self.spatial_raised {
-                        self.spatial_raised = true;
-                        plane.alerts.raise(
-                            AlertClass::SpatialCorrelation,
-                            Severity::Critical,
-                            Some(stat.max_shard),
-                            stat.z,
-                            plane.spatial_z_threshold().unwrap_or(0.0),
-                            format!(
-                                "spatially correlated failures: {} of {} \
-                                 window repairs landed in cell (shard {}, \
-                                 region {}) — z {:.1}, dispersion {:.1} \
-                                 reject the i.i.d. hypothesis",
-                                stat.max_cell,
-                                stat.total,
-                                stat.max_shard,
-                                stat.max_region,
-                                stat.z,
-                                stat.dispersion
-                            ),
-                        );
-                    }
-                } else {
-                    self.spatial_raised = false;
-                }
-            }
+        // scan is one step; between samples the episode simply holds.
+        if let Some(stat) = obs
+            .region_cells
+            .as_ref()
+            .and_then(|cells| plane.step_spatial_cells(cells))
+        {
+            episodes.step(Reason::Spatial, None, stat.fired, || {
+                plane.alerts.raise(
+                    AlertClass::SpatialCorrelation,
+                    Severity::Critical,
+                    Some(stat.max_shard),
+                    stat.z,
+                    plane.spatial_z_threshold().unwrap_or(0.0),
+                    format!(
+                        "spatially correlated failures: {} of {} \
+                         window repairs landed in cell (shard {}, \
+                         region {}) — z {:.1}, dispersion {:.1} \
+                         reject the i.i.d. hypothesis",
+                        stat.max_cell,
+                        stat.total,
+                        stat.max_shard,
+                        stat.max_region,
+                        stat.z,
+                        stat.dispersion
+                    ),
+                );
+            });
         }
 
         // --- per-region error budget -----------------------------------
@@ -472,41 +501,7 @@ impl Watchdog {
             }
         }
 
-        // --- /healthz degradation reasons ------------------------------
-        let mut reasons = Vec::new();
-        if self.daemon_dead_raised {
-            reasons.push("daemon_dead".to_string());
-        }
-        if self.stall_raised {
-            reasons.push("daemon_stuck".to_string());
-        }
-        if self.lag_high {
-            reasons.push("tick_lag_breach".to_string());
-        }
-        if self.burning {
-            reasons.push("budget_burn".to_string());
-        }
-        if self.floor_breach_raised {
-            reasons.push("scrub_floor_breach".to_string());
-        }
-        if self.fast_blind {
-            reasons.push("burn_fast_blind".to_string());
-        }
-        if self.spatial_raised {
-            reasons.push("spatial_correlation".to_string());
-        }
-        for (shard, latch) in self.shards.iter().enumerate() {
-            if latch.quarantined {
-                reasons.push(format!("shard_quarantined shard={shard}"));
-            }
-            if latch.stale {
-                reasons.push(format!("scrub_deadline_stale shard={shard}"));
-            }
-            if latch.saturated {
-                reasons.push(format!("queue_saturation shard={shard}"));
-            }
-        }
-        plane.set_degraded_reasons(reasons);
+        plane.set_degraded_reasons(episodes.reasons());
     }
 }
 
@@ -948,5 +943,375 @@ mod tests {
         let snap = plane.snapshot();
         assert_eq!(snap.worst_region, 3);
         assert!(snap.worst_region_burn > 0.0);
+    }
+
+    /// One alert as the characterization compares it: (class, severity,
+    /// shard, value, threshold, message).
+    type Want = (AlertClass, Severity, Option<usize>, f64, f64, String);
+
+    /// The blanked value of a staleness alert. Staleness is wall-clock
+    /// time, so its value is pinned by its bound and its rendering, then
+    /// blanked for the exact comparison.
+    const STALE: f64 = -1.0;
+
+    fn fresh_alerts(plane: &AuditPlane, seen: &mut u64) -> Vec<Want> {
+        let new = plane.alerts.since(*seen);
+        *seen = plane.alerts.total();
+        new.iter()
+            .map(|a| {
+                let mut want = (
+                    a.class,
+                    a.severity,
+                    a.shard,
+                    a.value,
+                    a.threshold,
+                    a.message.clone(),
+                );
+                if a.message.contains(" stale, past the ") {
+                    assert!(a.value > a.threshold, "{a:?}");
+                    assert_eq!(
+                        a.message,
+                        format!(
+                            "shard {}: worst packet {:.2} ms stale, past the {:.0} ms \
+                             scrub deadline",
+                            a.shard.unwrap(),
+                            a.value / 1e6,
+                            a.threshold / 1e6
+                        )
+                    );
+                    want.3 = STALE;
+                    want.5 = String::new();
+                }
+                want
+            })
+            .collect()
+    }
+
+    /// Scripts every alert class through enter, hold, clear and re-enter
+    /// (quarantine and daemon death: enter and hold) over two shards, and
+    /// pins the exact alert stream and `/healthz` reason list after every
+    /// scan.
+    #[test]
+    fn episode_stream_is_characterized() {
+        const DEADLINE_NS: f64 = 100e6;
+        let cache = SudokuConfig::small(Scheme::Z, 1024, 16);
+        let audit = AuditConfig {
+            scrub_deadline: Duration::from_millis(100),
+            packet_lines: 256,
+            tick_lag_budget: Duration::from_millis(2),
+            queue_saturation_scans: 2,
+            daemon_stall_ticks: 4,
+            due_fit_budget: 1.0,
+            burn_threshold: 1.0,
+            fast_window: Duration::from_secs(1),
+            slow_window: Duration::from_secs(4),
+            ..AuditConfig::default()
+        };
+        let plan = ShardPlan::new(&cache, 2).unwrap();
+        let plane = Arc::new(AuditPlane::new(&plan, audit.clone()).unwrap());
+        plane.arm_spatial(&RegionGeometry::new(2, 16, 1024, |l| plan.shard_of_line(l)));
+        assert_eq!(plane.tracker.n_packets(0), 2);
+        assert_eq!(plane.tracker.n_packets(1), 2);
+        let est = ReliabilityEstimator::new(&cache, &audit);
+        let mut dog = Watchdog::new(
+            Arc::clone(&plane),
+            2,
+            8,
+            Some(Duration::from_millis(2)),
+            Some(est),
+        );
+        let mut seen = 0u64;
+
+        let stale = |shard: usize| -> Want {
+            (
+                AlertClass::DeadlineMiss,
+                Severity::Critical,
+                Some(shard),
+                STALE,
+                DEADLINE_NS,
+                String::new(),
+            )
+        };
+        // The counted-miss alert reports the tracker's last missed
+        // interval, which the scan left in place.
+        let missed = |shard: usize, new: u64| -> Want {
+            let ns = plane.tracker.last_miss_ns(shard) as f64;
+            (
+                AlertClass::DeadlineMiss,
+                Severity::Critical,
+                Some(shard),
+                ns,
+                DEADLINE_NS,
+                format!(
+                    "shard {shard}: {new} packet(s) exceeded the scrub deadline \
+                     (worst achieved interval {:.2} ms)",
+                    ns / 1e6
+                ),
+            )
+        };
+        let floor = |clamps: u64, misses: u64| -> Want {
+            (
+                AlertClass::ScrubFloorBreach,
+                Severity::Critical,
+                None,
+                clamps as f64,
+                0.0,
+                format!(
+                    "scrub quota pinned at its floor ({clamps} fresh clamp(s)) while \
+                     {misses} packet(s) still missed the deadline — no backoff honors \
+                     the BER contract"
+                ),
+            )
+        };
+        let lag = || -> Want {
+            (
+                AlertClass::TickLagBreach,
+                Severity::Warning,
+                None,
+                5e6,
+                2e6,
+                "daemon tick started 5.00 ms late (budget 2.00 ms)".to_string(),
+            )
+        };
+        let saturated = |shard: usize| -> Want {
+            (
+                AlertClass::QueueSaturation,
+                Severity::Warning,
+                Some(shard),
+                8.0,
+                8.0,
+                format!("shard {shard} queue pinned at bound 8 for 2 consecutive scans"),
+            )
+        };
+        let stuck = |ticks: u64| -> Want {
+            (
+                AlertClass::DaemonStuck,
+                Severity::Critical,
+                None,
+                1000.0,
+                8.0,
+                format!("scrub daemon alive but tick counter stalled at {ticks} for 1000.0 ms"),
+            )
+        };
+        let quarantined = |shard: usize| -> Want {
+            (
+                AlertClass::ShardQuarantined,
+                Severity::Critical,
+                Some(shard),
+                1.0,
+                0.0,
+                format!("shard {shard} quarantined; serving N-1"),
+            )
+        };
+        // The burn alert reports the slow-window gauges the scan just set.
+        let burn = || -> Want {
+            let s = plane.burn_slow.get();
+            assert!(plane.burn_fast.get() > 1.0 && s > 1.0);
+            (
+                AlertClass::BudgetBurn,
+                Severity::Critical,
+                None,
+                s,
+                1.0,
+                format!(
+                    "error-budget burn {s:.2}x over both windows (projected DUE \
+                     {:.3e} FIT vs budget {:.3e})",
+                    plane.projected_fit.get(),
+                    1.0
+                ),
+            )
+        };
+        // 128 window repairs into cell 19 = (shard 1, region 3) of 32:
+        // mean 4, z = (128 - 4) / 2, dispersion (128²/32 - 4²) / 4.
+        let spatial = || -> Want {
+            (
+                AlertClass::SpatialCorrelation,
+                Severity::Critical,
+                Some(1),
+                62.0,
+                8.0,
+                "spatially correlated failures: 128 of 128 window repairs landed in \
+                 cell (shard 1, region 3) — z 62.0, dispersion 124.0 reject the \
+                 i.i.d. hypothesis"
+                    .to_string(),
+            )
+        };
+
+        let t0 = Instant::now();
+        macro_rules! scan {
+            ($obs:expr => [$($want:expr),*] ; [$($reason:expr),*]) => {{
+                dog.scan(&$obs);
+                let got = fresh_alerts(&plane, &mut seen);
+                let at = $obs.now.duration_since(t0).as_secs();
+                assert_eq!(got, vec![$($want),*] as Vec<Want>, "alerts at t={at}s");
+                assert_eq!(
+                    plane.degraded_reasons(),
+                    vec![$($reason),*] as Vec<&str>,
+                    "reasons at t={at}s"
+                );
+            }};
+        }
+        // Every scan advances the synthetic clock 1 s and, unless frozen,
+        // the daemon's tick counter.
+        fn tick(obs: &mut ScanObs) {
+            obs.now += Duration::from_secs(1);
+            obs.scrub_ticks += 1;
+        }
+        fn freeze(obs: &mut ScanObs) {
+            obs.now += Duration::from_secs(1);
+        }
+        let nap = || std::thread::sleep(Duration::from_millis(120));
+        let (st0, st1) = (
+            "scrub_deadline_stale shard=0",
+            "scrub_deadline_stale shard=1",
+        );
+        let (q0, q1) = ("shard_quarantined shard=0", "shard_quarantined shard=1");
+        let qs1 = "queue_saturation shard=1";
+
+        let mut obs = ScanObs {
+            queue_depths: vec![0; 2],
+            flips: Some(0),
+            ..quiet_obs(t0)
+        };
+        scan!(obs => []; []);
+
+        // Staleness enters on both shards and holds; sweeping shard 0
+        // clears it there and counts two misses, which pair with a fresh
+        // floor clamp into a floor breach.
+        nap();
+        tick(&mut obs);
+        scan!(obs => [stale(0), stale(1)]; [st0, st1]);
+        tick(&mut obs);
+        scan!(obs => []; [st0, st1]);
+        plane.tracker.note_packet(0, 0);
+        plane.tracker.note_packet(0, 1);
+        obs.floor_clamps = 1;
+        tick(&mut obs);
+        scan!(obs => [missed(0, 2), floor(1, 2)]; ["scrub_floor_breach", st1]);
+
+        // Shard 0 goes stale again; a fresh miss on shard 1 holds the
+        // breach, which clears once the misses' pairing window runs out.
+        nap();
+        plane.tracker.note_packet(1, 0);
+        tick(&mut obs);
+        scan!(obs => [stale(0), missed(1, 1)]; ["scrub_floor_breach", st0, st1]);
+        tick(&mut obs);
+        scan!(obs => []; ["scrub_floor_breach", st0, st1]);
+        tick(&mut obs);
+        scan!(obs => []; ["scrub_floor_breach", st0, st1]);
+        tick(&mut obs);
+        scan!(obs => []; [st0, st1]);
+        plane.tracker.note_packet(0, 0);
+        obs.floor_clamps = 2;
+        tick(&mut obs);
+        scan!(obs => [missed(0, 1), floor(1, 1)]; ["scrub_floor_breach", st0, st1]);
+
+        // Tick lag and shard 1's queue saturation, interleaved.
+        obs.last_tick_lag_ns = 5_000_000;
+        obs.queue_depths = vec![0, 8];
+        tick(&mut obs);
+        scan!(obs => [lag()]; ["tick_lag_breach", st0, st1]);
+        tick(&mut obs);
+        scan!(obs => [saturated(1)]; ["tick_lag_breach", st0, st1, qs1]);
+        obs.last_tick_lag_ns = 0;
+        tick(&mut obs);
+        scan!(obs => []; [st0, st1, qs1]);
+        obs.last_tick_lag_ns = 5_000_000;
+        obs.queue_depths = vec![0, 0];
+        tick(&mut obs);
+        scan!(obs => [lag()]; ["tick_lag_breach", st0, st1]);
+        obs.last_tick_lag_ns = 0;
+        obs.queue_depths = vec![0, 8];
+        tick(&mut obs);
+        scan!(obs => []; [st0, st1]);
+        obs.queue_depths = vec![8, 8];
+        tick(&mut obs);
+        scan!(obs => [saturated(1)]; [st0, st1, qs1]);
+        obs.queue_depths = vec![0, 0];
+        tick(&mut obs);
+        scan!(obs => []; [st0, st1]);
+
+        // A frozen tick counter past 4 × 2 ms is a stall.
+        freeze(&mut obs);
+        scan!(obs => [stuck(obs.scrub_ticks)]; ["daemon_stuck", st0, st1]);
+        freeze(&mut obs);
+        scan!(obs => []; ["daemon_stuck", st0, st1]);
+        tick(&mut obs);
+        scan!(obs => []; [st0, st1]);
+        freeze(&mut obs);
+        scan!(obs => [stuck(obs.scrub_ticks)]; ["daemon_stuck", st0, st1]);
+        tick(&mut obs);
+        scan!(obs => []; [st0, st1]);
+
+        // Quarantine never re-arms; the shards stay quarantined.
+        obs.quarantined = vec![1];
+        tick(&mut obs);
+        scan!(obs => [quarantined(1)]; [st0, q1, st1]);
+        obs.quarantined = vec![0, 1];
+        tick(&mut obs);
+        scan!(obs => [quarantined(0)]; [q0, st0, q1, st1]);
+
+        // A flip rate of BER 1e-3 per 100 ms interval burns both windows;
+        // spatial bursts ride along while the burn holds.
+        let rate = (1e-3 * 1024.0 * 553.0 / 0.1) as u64;
+        obs.flips = Some(rate);
+        tick(&mut obs);
+        scan!(obs => [burn()]; ["budget_burn", q0, st0, q1, st1]);
+        obs.flips = Some(2 * rate);
+        tick(&mut obs);
+        scan!(obs => []; ["budget_burn", q0, st0, q1, st1]);
+        let mut cells = vec![4u64; 32];
+        obs.region_cells = Some(cells.clone());
+        tick(&mut obs);
+        scan!(obs => []; ["budget_burn", q0, st0, q1, st1]);
+        cells[19] += 128;
+        obs.region_cells = Some(cells.clone());
+        tick(&mut obs);
+        scan!(obs => [spatial()]; ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
+        cells[19] += 128;
+        obs.region_cells = Some(cells.clone());
+        tick(&mut obs);
+        scan!(obs => []; ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
+        // The flat flips leave the slow window; between heatmap samples
+        // the spatial episode holds.
+        obs.region_cells = None;
+        tick(&mut obs);
+        scan!(obs => []; ["spatial_correlation", q0, st0, q1, st1]);
+        obs.region_cells = Some(cells.clone());
+        tick(&mut obs);
+        scan!(obs => []; [q0, st0, q1, st1]);
+        cells[19] += 128;
+        obs.region_cells = Some(cells.clone());
+        obs.flips = Some(3 * rate);
+        tick(&mut obs);
+        scan!(obs => [burn(), spatial()];
+            ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
+
+        // Flip samples 2 s apart blind the 1 s fast window.
+        obs.now += Duration::from_secs(1);
+        tick(&mut obs);
+        scan!(obs => []; ["budget_burn", "burn_fast_blind", q0, st0, q1, st1]);
+        tick(&mut obs);
+        scan!(obs => []; ["budget_burn", q0, st0, q1, st1]);
+        obs.now += Duration::from_secs(1);
+        tick(&mut obs);
+        scan!(obs => []; ["burn_fast_blind", q0, st0, q1, st1]);
+        tick(&mut obs);
+        scan!(obs => []; [q0, st0, q1, st1]);
+
+        // Daemon death is terminal, and silences the stall check.
+        obs.daemon_dead = true;
+        tick(&mut obs);
+        let dead: Want = (
+            AlertClass::DaemonDead,
+            Severity::Critical,
+            None,
+            1.0,
+            0.0,
+            "scrub daemon died to a panic; scrubbing has stopped".to_string(),
+        );
+        scan!(obs => [dead]; ["daemon_dead", q0, st0, q1, st1]);
+        freeze(&mut obs);
+        scan!(obs => []; ["daemon_dead", q0, st0, q1, st1]);
     }
 }
