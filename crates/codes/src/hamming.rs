@@ -151,13 +151,23 @@ impl HammingSec {
     /// Computes the syndrome of a received (payload, check) pair without
     /// modifying anything. Zero means consistent.
     pub fn syndrome(&self, payload: &BitBuf, check: u32) -> u32 {
-        let mut s = self.payload_signature(payload);
-        for j in 0..self.check_bits {
-            if (check >> j) & 1 == 1 {
-                s ^= 1 << j;
-            }
+        self.payload_signature(payload) ^ (check & ((1 << self.check_bits) - 1))
+    }
+
+    /// 1-based codeword position of payload bit `i`: the bit's column in
+    /// the parity-check matrix.
+    pub(crate) fn position(&self, i: usize) -> u32 {
+        self.payload_pos[i]
+    }
+
+    /// The payload bit a syndrome names, if any: `None` for a zero,
+    /// check-bit (power-of-two) or out-of-range syndrome.
+    pub(crate) fn payload_index(&self, syndrome: u32) -> Option<usize> {
+        let pos = syndrome as usize;
+        if pos == 0 || pos > self.n || syndrome.is_power_of_two() {
+            return None;
         }
-        s
+        Some(self.pos_to_payload[pos] as usize)
     }
 
     /// Attempts single-error correction in place.
@@ -177,19 +187,15 @@ impl HammingSec {
             "payload length must match the code"
         );
         let s = self.syndrome(payload, check);
-        if s == 0 {
-            return HammingOutcome::Clean;
+        match self.payload_index(s) {
+            Some(idx) => {
+                payload.flip(idx);
+                HammingOutcome::CorrectedPayload(idx)
+            }
+            None if s == 0 => HammingOutcome::Clean,
+            None if s as usize > self.n => HammingOutcome::Invalid,
+            None => HammingOutcome::CorrectedCheck(s.trailing_zeros()),
         }
-        let pos = s as usize;
-        if pos > self.n {
-            return HammingOutcome::Invalid;
-        }
-        if s.is_power_of_two() {
-            return HammingOutcome::CorrectedCheck(s.trailing_zeros());
-        }
-        let idx = self.pos_to_payload[pos] as usize;
-        payload.flip(idx);
-        HammingOutcome::CorrectedPayload(idx)
     }
 }
 

@@ -10,7 +10,8 @@
 //! * [`CrcEngine`] / [`crc31`] — the per-line CRC-31 strong detection code;
 //! * [`HammingSec`] — the per-line ECC-1 single-error corrector;
 //! * [`LineCodec`] / [`ProtectedLine`] — the composed 553-bit stored line
-//!   (512 data + 31 CRC + 10 ECC, paper §III-E);
+//!   (512 data + 31 CRC + 10 ECC, paper §III-E), every check of which goes
+//!   through one 41-bit CRC + ECC-1 syndrome;
 //! * [`group_parity`] / [`reconstruct`] — RAID-4 XOR parity lines;
 //! * [`GfTables`] and [`Bch`] — GF(2^m) arithmetic and the multi-bit BCH
 //!   codes used by the ECC-2…ECC-6 and Hi-ECC baselines.
