@@ -355,23 +355,6 @@ impl BitBuf {
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         iter_word_ones(&self.words)
     }
-
-    /// Copies `bits` bits from `src` starting at `src_off` into `self` at
-    /// `dst_off`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds.
-    pub fn copy_bits_from(&mut self, src: &BitBuf, src_off: usize, dst_off: usize, bits: usize) {
-        assert!(src_off + bits <= src.len, "source range out of bounds");
-        assert!(
-            dst_off + bits <= self.len,
-            "destination range out of bounds"
-        );
-        for i in 0..bits {
-            self.set(dst_off + i, src.get(src_off + i));
-        }
-    }
 }
 
 impl fmt::Debug for BitBuf {
@@ -475,16 +458,6 @@ mod tests {
         b.set(33, true);
         a.xor_assign(&b);
         assert_eq!(a.ones(), vec![10, 33]);
-    }
-
-    #[test]
-    fn bitbuf_copy_bits() {
-        let mut src = BitBuf::zeros(40);
-        src.set(3, true);
-        src.set(9, true);
-        let mut dst = BitBuf::zeros(100);
-        dst.copy_bits_from(&src, 0, 50, 40);
-        assert_eq!(dst.ones(), vec![53, 59]);
     }
 
     #[test]

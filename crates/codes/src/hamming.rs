@@ -199,106 +199,6 @@ impl HammingSec {
     }
 }
 
-/// Result of a SEC-DED decode attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SecDedOutcome {
-    /// No error detected.
-    Clean,
-    /// A single error was corrected at this payload index (or in the check
-    /// bits, reported as `None`).
-    Corrected(Option<usize>),
-    /// A double error was *detected* — uncorrectable but never
-    /// miscorrected, the property plain SEC lacks.
-    DoubleDetected,
-    /// An error pattern beyond the code's guarantees (≥3 errors with odd
-    /// parity may land here or miscorrect, as in real hardware).
-    Invalid,
-}
-
-/// Extended Hamming (SEC-DED): [`HammingSec`] plus an overall parity bit.
-///
-/// Not used by SuDoku itself — the per-line CRC-31 already provides far
-/// stronger detection — but included for completeness of the code library
-/// and for the detection-strength ablations: SEC-DED is what conventional
-/// caches deploy, and its inability to *locate* double errors is exactly
-/// why SuDoku pairs SEC with CRC + parity groups instead.
-///
-/// # Examples
-///
-/// ```
-/// use sudoku_codes::{BitBuf, HammingSecDed, SecDedOutcome};
-///
-/// let code = HammingSecDed::new(64);
-/// let mut payload = BitBuf::zeros(64);
-/// payload.set(3, true);
-/// let check = code.encode(&payload);
-/// payload.flip(10);
-/// payload.flip(20);
-/// // A double error is detected, not miscorrected.
-/// assert_eq!(code.decode(&mut payload, check), SecDedOutcome::DoubleDetected);
-/// ```
-#[derive(Clone, Debug)]
-pub struct HammingSecDed {
-    inner: HammingSec,
-}
-
-impl HammingSecDed {
-    /// Builds the extended code for a payload of `payload_bits` bits.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the panics of [`HammingSec::new`].
-    pub fn new(payload_bits: usize) -> Self {
-        HammingSecDed {
-            inner: HammingSec::new(payload_bits),
-        }
-    }
-
-    /// Check bits including the overall parity bit.
-    pub fn check_bits(&self) -> u32 {
-        self.inner.check_bits() + 1
-    }
-
-    fn overall_parity(&self, payload: &BitBuf, check_no_p: u32) -> u32 {
-        (payload.count_ones() + check_no_p.count_ones()) & 1
-    }
-
-    /// Computes the check word: the SEC check bits with the overall parity
-    /// packed into the top bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload length does not match the code.
-    pub fn encode(&self, payload: &BitBuf) -> u32 {
-        let check = self.inner.encode(payload);
-        let p = self.overall_parity(payload, check);
-        check | (p << self.inner.check_bits())
-    }
-
-    /// Decodes in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload length does not match the code.
-    pub fn decode(&self, payload: &mut BitBuf, check: u32) -> SecDedOutcome {
-        let r = self.inner.check_bits();
-        let stored_p = (check >> r) & 1;
-        let check_no_p = check & ((1 << r) - 1);
-        let syndrome = self.inner.syndrome(payload, check_no_p);
-        let parity_mismatch = self.overall_parity(payload, check_no_p) != stored_p;
-        match (syndrome == 0, parity_mismatch) {
-            (true, false) => SecDedOutcome::Clean,
-            (true, true) => SecDedOutcome::Corrected(None), // overall parity bit itself
-            (false, false) => SecDedOutcome::DoubleDetected,
-            (false, true) => match self.inner.decode(payload, check_no_p) {
-                HammingOutcome::CorrectedPayload(idx) => SecDedOutcome::Corrected(Some(idx)),
-                HammingOutcome::CorrectedCheck(_) => SecDedOutcome::Corrected(None),
-                HammingOutcome::Clean | HammingOutcome::Invalid => SecDedOutcome::Invalid,
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,64 +320,6 @@ mod tests {
         let code = HammingSec::new(100);
         let payload = BitBuf::zeros(99);
         code.encode(&payload);
-    }
-
-    #[test]
-    fn secded_corrects_singles_everywhere() {
-        let code = HammingSecDed::new(64);
-        let golden = filled_payload(64, 4);
-        let check = code.encode(&golden);
-        for i in 0..64 {
-            let mut payload = golden.clone();
-            payload.flip(i);
-            assert_eq!(
-                code.decode(&mut payload, check),
-                SecDedOutcome::Corrected(Some(i))
-            );
-            assert_eq!(payload, golden);
-        }
-    }
-
-    #[test]
-    fn secded_detects_every_double_without_miscorrection() {
-        let code = HammingSecDed::new(64);
-        let golden = filled_payload(64, 8);
-        let check = code.encode(&golden);
-        for a in 0..64 {
-            for b in (a + 1)..64 {
-                let mut payload = golden.clone();
-                payload.flip(a);
-                payload.flip(b);
-                let before = payload.clone();
-                assert_eq!(
-                    code.decode(&mut payload, check),
-                    SecDedOutcome::DoubleDetected,
-                    "({a},{b})"
-                );
-                assert_eq!(payload, before, "DED must not touch the payload");
-            }
-        }
-    }
-
-    #[test]
-    fn secded_check_bit_faults_handled() {
-        let code = HammingSecDed::new(64);
-        let golden = filled_payload(64, 12);
-        let check = code.encode(&golden);
-        for j in 0..code.check_bits() {
-            let mut payload = golden.clone();
-            let outcome = code.decode(&mut payload, check ^ (1 << j));
-            assert!(
-                matches!(outcome, SecDedOutcome::Corrected(None)),
-                "check bit {j}: {outcome:?}"
-            );
-            assert_eq!(payload, golden);
-        }
-    }
-
-    #[test]
-    fn secded_has_one_more_check_bit_than_sec() {
-        assert_eq!(HammingSecDed::new(543).check_bits(), 11);
     }
 
     #[test]

@@ -50,11 +50,11 @@ pub use bch::{line_ecc, Bch, BchError, BchOutcome};
 pub use bits::{BitBuf, LineData, LINE_BITS, LINE_WORDS};
 pub use crc::{crc31, CrcEngine, CrcSpec, CRC31};
 pub use gf::{GfError, GfTables};
-pub use hamming::{HammingOutcome, HammingSec, HammingSecDed, SecDedOutcome};
+pub use hamming::{HammingOutcome, HammingSec};
 pub use line::{
     LineCodec, ProtectedLine, ReadCheck, RepairKind, CRC_BITS, DATA_BITS, ECC_BITS, TOTAL_BITS,
 };
 pub use line2::{
     Line2Codec, ProtectedLine2, ReadCheck2, CRC2_BITS, DATA2_BITS, ECC2_BITS, TOTAL2_BITS,
 };
-pub use parity::{group_parity, mismatch_positions, reconstruct, xor_accumulate};
+pub use parity::{group_parity, mismatch_positions, reconstruct};

@@ -8,12 +8,6 @@
 
 use crate::line::ProtectedLine;
 
-/// XOR-accumulates `line` into `acc`.
-#[inline]
-pub fn xor_accumulate(acc: &mut ProtectedLine, line: &ProtectedLine) {
-    acc.xor_assign(line);
-}
-
 /// Computes the parity line of a group of stored lines.
 ///
 /// # Examples

@@ -14,7 +14,7 @@
 //!    line repaired in one dimension can unlock its group in the other
 //!    (SuDoku-Z).
 
-use crate::config::{ConfigError, Scheme, SudokuConfig};
+use crate::config::{ConfigError, SudokuConfig};
 use crate::hashing::{HashDim, SkewedHashes};
 use crate::plt::ParityTable;
 use crate::recovery::{self, GroupScratch, GroupView, MemberState, RepairEngine, RepairParams};
@@ -251,8 +251,8 @@ impl<S: LineStore> SudokuCache<S> {
         std::mem::replace(&mut self.recorder, recorder)
     }
 
-    /// Retained recovery events, oldest first (empty for streaming or
-    /// disabled recorders).
+    /// Retained recovery events, oldest first (empty for disabled or
+    /// zero-capacity recorders).
     pub fn events(&self) -> impl Iterator<Item = &RecoveryEvent> {
         self.recorder.events()
     }
@@ -713,14 +713,10 @@ impl<S: LineStore> fmt::Debug for SudokuCache<S> {
     }
 }
 
-/// Convenience: is this scheme/line-count combination usable?
-pub fn scheme_supported(scheme: Scheme, lines: u64, group: u32) -> bool {
-    SudokuConfig::small(scheme, lines, group).validate().is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Scheme;
     use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
     use sudoku_codes::TOTAL_BITS;

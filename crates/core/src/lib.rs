@@ -40,7 +40,7 @@ mod stats;
 mod store;
 mod vmin;
 
-pub use cache::{scheme_supported, SudokuCache, UncorrectableError};
+pub use cache::{SudokuCache, UncorrectableError};
 pub use config::{CacheGeometry, ConfigError, Scheme, SudokuConfig};
 pub use hashing::{HashDim, SkewedHashes};
 pub use plt::ParityTable;
@@ -53,6 +53,5 @@ pub use vmin::{reassert_stuck, VminCache};
 // The telemetry vocabulary is defined by the dependency-free `sudoku-obs`
 // crate; re-exported here so cache users need not name it directly.
 pub use sudoku_obs::{
-    Dim, EventSink, Mechanism, Outcome, Phase, PhaseTimes, Recorder, RecoveryEvent,
-    RecoveryHistograms,
+    Dim, Mechanism, Outcome, Phase, PhaseTimes, Recorder, RecoveryEvent, RecoveryHistograms,
 };

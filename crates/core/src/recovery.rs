@@ -49,7 +49,6 @@ pub fn emit_event(
 ) {
     recorder.emit(RecoveryEvent {
         interval: 0, // stamped by the recorder
-        trace: 0,    // stamped by the recorder
         line,
         group: group.map(|(_, g)| g),
         hash_dim: group.map(|(d, _)| obs_dim(d)),

@@ -165,7 +165,6 @@ pub fn observe_plan(plan: &[LineFaults], recorder: &mut sudoku_obs::Recorder) {
     for lf in plan {
         recorder.emit(sudoku_obs::RecoveryEvent {
             interval: 0, // stamped by the recorder
-            trace: 0,    // stamped by the recorder
             line: lf.line,
             group: None,
             hash_dim: None,
@@ -174,65 +173,6 @@ pub fn observe_plan(plan: &[LineFaults], recorder: &mut sudoku_obs::Recorder) {
             trials: lf.faults,
         });
         recorder.hists.faults_per_line.record(lf.faults as u64);
-    }
-}
-
-/// Spatial attribution of a fault plan: how many injected fault bits and
-/// faulty lines landed in each contiguous line-region.
-///
-/// Region `r` of a line is `line · n_regions / n_lines` — the same mapping
-/// the observability plane's heatmap grids use, so an attributed plan can
-/// be diffed cell-for-cell against the observed repair grids.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RegionAttribution {
-    /// Number of contiguous regions the line space was split into.
-    pub n_regions: usize,
-    /// Injected fault bits per region.
-    pub bits_per_region: Vec<u64>,
-    /// Faulty lines per region.
-    pub lines_per_region: Vec<u64>,
-}
-
-impl RegionAttribution {
-    /// Total injected fault bits across all regions.
-    pub fn total_bits(&self) -> u64 {
-        self.bits_per_region.iter().sum()
-    }
-
-    /// The region with the most injected bits (first on ties).
-    pub fn hottest_region(&self) -> usize {
-        self.bits_per_region
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, b)| (*b, std::cmp::Reverse(i)))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
-}
-
-/// Attributes a sampled fault plan to `n_regions` contiguous regions of a
-/// `n_lines`-line space. `to_global` maps the plan's line indices into
-/// that space (identity for whole-cache plans; `ShardPlan::owned_line_at`
-/// for a shard-local plan). Touches no RNG.
-pub fn attribute_plan(
-    plan: &[LineFaults],
-    n_regions: usize,
-    n_lines: u64,
-    to_global: impl Fn(u64) -> u64,
-) -> RegionAttribution {
-    assert!(n_regions > 0 && n_lines > 0);
-    let mut bits = vec![0u64; n_regions];
-    let mut lines = vec![0u64; n_regions];
-    for lf in plan {
-        let global = to_global(lf.line).min(n_lines - 1);
-        let region = ((global as u128 * n_regions as u128) / n_lines as u128) as usize;
-        bits[region] += lf.faults as u64;
-        lines[region] += 1;
-    }
-    RegionAttribution {
-        n_regions,
-        bits_per_region: bits,
-        lines_per_region: lines,
     }
 }
 
@@ -384,23 +324,6 @@ impl FaultInjector {
                 (lf.line, positions)
             })
             .collect()
-    }
-
-    /// A spatially *clustered* fault plan: the per-line statistics of
-    /// [`FaultInjector::cache_plan`], but confined to the contiguous line
-    /// range `[start, start + span)` — the row/bank-cluster signature of
-    /// the DDR field studies, as opposed to the i.i.d. whole-cache plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `span` is 0.
-    pub fn clustered_plan(&mut self, start: u64, span: u64) -> Vec<LineFaults> {
-        assert!(span > 0, "cluster span must be non-empty");
-        let mut plan = self.cache_plan(span);
-        for lf in &mut plan {
-            lf.line += start;
-        }
-        plan
     }
 
     /// An *exact-count* resolved plan: exactly `k` distinct faulty lines
@@ -667,42 +590,6 @@ mod tests {
                 .map(|p| p as usize)
                 .collect();
             assert_eq!(*positions, expect);
-        }
-    }
-
-    #[test]
-    fn attribute_plan_tallies_bits_and_lines_per_region() {
-        let plan = vec![
-            LineFaults { line: 0, faults: 2 },
-            LineFaults { line: 3, faults: 1 },
-            LineFaults { line: 8, faults: 1 },
-            LineFaults {
-                line: 15,
-                faults: 3,
-            },
-        ];
-        let attr = attribute_plan(&plan, 4, 16, |l| l);
-        assert_eq!(attr.bits_per_region, vec![3, 0, 1, 3]);
-        assert_eq!(attr.lines_per_region, vec![2, 0, 1, 1]);
-        assert_eq!(attr.total_bits(), 7);
-        assert_eq!(attr.hottest_region(), 0); // first on ties
-                                              // A shard-local plan mapped through its line table lands where the
-                                              // global lines live, not where the local indices would.
-        let shifted = attribute_plan(&plan, 4, 64, |l| l + 48);
-        assert_eq!(shifted.bits_per_region, vec![0, 0, 0, 7]);
-    }
-
-    #[test]
-    fn clustered_plan_confines_lines_and_preserves_statistics() {
-        let mut a = FaultInjector::new(5e-3, 11);
-        let mut b = FaultInjector::new(5e-3, 11);
-        let clustered = a.clustered_plan(1 << 16, 1 << 12);
-        let base = b.cache_plan(1 << 12);
-        assert_eq!(clustered.len(), base.len());
-        for (c, p) in clustered.iter().zip(base.iter()) {
-            assert_eq!(c.line, p.line + (1 << 16));
-            assert_eq!(c.faults, p.faults);
-            assert!(c.line >= 1 << 16 && c.line < (1 << 16) + (1 << 12));
         }
     }
 

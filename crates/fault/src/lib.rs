@@ -33,9 +33,9 @@ mod scrub;
 mod thermal;
 
 pub use injector::{
-    attribute_plan, choose_distinct, observe_plan, sample_binomial, sample_binomial_at_least_one,
-    FaultInjector, LineFaults, RegionAttribution,
+    choose_distinct, observe_plan, sample_binomial, sample_binomial_at_least_one, FaultInjector,
+    LineFaults,
 };
 pub use permanent::{StuckBit, StuckBitMap};
 pub use scrub::{ScrubSchedule, FIT_HOURS, SECONDS_PER_HOUR};
-pub use thermal::{SramVminModel, ThermalModel, ATTEMPT_FREQ_HZ, DEFAULT_SCRUB_INTERVAL_S};
+pub use thermal::{ThermalModel, ATTEMPT_FREQ_HZ};

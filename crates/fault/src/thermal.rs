@@ -12,9 +12,6 @@ use serde::{Deserialize, Serialize};
 /// Default thermal attempt frequency, 1 GHz (paper Eq. 1).
 pub const ATTEMPT_FREQ_HZ: f64 = 1.0e9;
 
-/// The paper's default scrub interval (20 ms, §II-D).
-pub const DEFAULT_SCRUB_INTERVAL_S: f64 = 20e-3;
-
 /// Gaussian-∆ thermal model of an STTRAM cell population.
 ///
 /// # Examples
@@ -153,21 +150,6 @@ impl ThermalModel {
 impl Default for ThermalModel {
     fn default() -> Self {
         Self::paper_default()
-    }
-}
-
-/// Low-voltage SRAM fault model for the paper's §VI / Table IV study:
-/// below V_min cells fail persistently with a fixed per-bit probability.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SramVminModel {
-    /// Per-bit failure probability at the chosen operating voltage.
-    pub ber: f64,
-}
-
-impl SramVminModel {
-    /// The paper's Table IV operating point: BER = 10⁻³ below 500 mV.
-    pub fn below_500mv() -> Self {
-        SramVminModel { ber: 1e-3 }
     }
 }
 

@@ -118,12 +118,6 @@ pub struct RecoveryEvent {
     /// Scrub interval (campaign trial) the event belongs to; stamped by the
     /// owning [`crate::Recorder`].
     pub interval: u64,
-    /// Causal trace ID of the demand request this repair ran under, stamped
-    /// by the owning [`crate::Recorder`] (0 = background work: scrub
-    /// sweeps, campaigns, and anything not attributable to one request).
-    /// A service's `/traces.json` sample and a shard's event ring share
-    /// this ID, so a sampled DUE can be reconstructed end to end.
-    pub trace: u64,
     /// The affected cache line.
     pub line: u64,
     /// RAID-Group id the mechanism operated on (`None` for per-line
@@ -152,16 +146,9 @@ impl RecoveryEvent {
             None => "null".to_string(),
         };
         format!(
-            "{{\"interval\":{},\"trace\":{},\"line\":{},\"group\":{},\"hash_dim\":{},\
+            "{{\"interval\":{},\"line\":{},\"group\":{},\"hash_dim\":{},\
              \"mechanism\":\"{}\",\"outcome\":\"{}\",\"trials\":{}}}",
-            self.interval,
-            self.trace,
-            self.line,
-            group,
-            dim,
-            self.mechanism,
-            self.outcome,
-            self.trials
+            self.interval, self.line, group, dim, self.mechanism, self.outcome, self.trials
         )
     }
 
@@ -169,7 +156,8 @@ impl RecoveryEvent {
     ///
     /// Returns `None` on any malformed or missing field. The parser is a
     /// deliberate subset of JSON (flat object, no escapes, no nesting) —
-    /// exactly the shape `to_jsonl` emits.
+    /// exactly the shape `to_jsonl` emits. Unknown keys are ignored, so
+    /// older logs that still carry a `"trace"` key parse unchanged.
     pub fn from_jsonl(line: &str) -> Option<RecoveryEvent> {
         let field = |key: &str| -> Option<&str> {
             let pat = format!("\"{key}\":");
@@ -197,8 +185,6 @@ impl RecoveryEvent {
         };
         Some(RecoveryEvent {
             interval: field("interval")?.parse().ok()?,
-            // Absent in pre-trace logs: default to "background work".
-            trace: field("trace").and_then(|v| v.parse().ok()).unwrap_or(0),
             line: field("line")?.parse().ok()?,
             group,
             hash_dim,
@@ -216,7 +202,6 @@ mod tests {
     fn sample() -> RecoveryEvent {
         RecoveryEvent {
             interval: 7,
-            trace: 42,
             line: 12345,
             group: Some(24),
             hash_dim: Some(Dim::H2),
@@ -248,12 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn missing_trace_defaults_to_background() {
-        // Pre-trace logs (PR ≤ 6) have no "trace" key; they must still parse.
-        let legacy = sample().to_jsonl().replace("\"trace\":42,", "");
-        let ev = RecoveryEvent::from_jsonl(&legacy).expect("legacy line parses");
-        assert_eq!(ev.trace, 0);
-        assert_eq!(ev.line, 12345);
+    fn legacy_trace_key_is_ignored() {
+        // Logs written before the trace stamp existed have no "trace" key;
+        // logs written while it existed carry one. Both parse to the event.
+        let line = sample().to_jsonl();
+        assert!(!line.contains("\"trace\""));
+        let traced = line.replace("\"line\":", "\"trace\":42,\"line\":");
+        assert_eq!(RecoveryEvent::from_jsonl(&line), Some(sample()));
+        assert_eq!(RecoveryEvent::from_jsonl(&traced), Some(sample()));
     }
 
     #[test]

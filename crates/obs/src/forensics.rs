@@ -198,7 +198,6 @@ mod tests {
     ) -> RecoveryEvent {
         RecoveryEvent {
             interval,
-            trace: 0,
             line,
             group: hash_dim.map(|_| 3),
             hash_dim,

@@ -667,7 +667,6 @@ mod tests {
         let maps = Heatmaps::new(geom(2, 4, 64));
         let ev = |line, mechanism, outcome, hash_dim| RecoveryEvent {
             interval: 0,
-            trace: 0,
             line,
             group: None,
             hash_dim,

@@ -11,9 +11,10 @@
 //! * [`RecoveryEvent`] — one structured record per repair attempt, with
 //!   interval, line, group, hash dimension, mechanism, trial count, and
 //!   outcome; serializable to/from JSONL without external dependencies;
-//! * [`EventSink`] / [`Recorder`] — emission is gated behind a sink
-//!   resolved at construction: the disabled recorder costs one branch per
-//!   emission site and nothing else (no event construction, no recording);
+//! * [`Recorder`] — the one event store: an in-memory ring (bounded or
+//!   unbounded) plus the histograms, phase spans and an optional heatmap
+//!   tap; the disabled recorder costs one branch per emission site and
+//!   nothing else (no event construction, no recording);
 //! * [`Histogram`] / [`RecoveryHistograms`] — fixed-bucket, allocation-free
 //!   on the hot path: SDR trials per resurrection, group-scan sizes, faults
 //!   per line, and estimated per-line recovery latency;
@@ -37,7 +38,7 @@ pub mod heatmap;
 mod hist;
 pub mod json;
 mod live;
-mod sink;
+mod recorder;
 mod span;
 
 pub use alert::{Alert, AlertClass, AlertLog, Severity};
@@ -48,5 +49,5 @@ pub use heatmap::{
 };
 pub use hist::{Histogram, RecoveryHistograms, ServiceHistograms};
 pub use live::{AtomicHist, Counter, Gauge};
-pub use sink::{EventSink, JsonlSink, MemorySink, NullSink, Recorder};
+pub use recorder::Recorder;
 pub use span::{Phase, PhaseTimes, PHASES};

@@ -32,7 +32,5 @@ pub use energy::{energy_of, EnergyBreakdown};
 pub use machine::{
     resolve_workload, CacheMode, Machine, Metrics, OverheadConfig, ResolvedAccess, ResolvedWorkload,
 };
-pub use runner::{
-    compare_workload, geo_mean, run_resolved, run_workload, Comparison, RunResult, RunnerConfig,
-};
+pub use runner::{compare_workload, geo_mean, run_resolved, Comparison, RunResult, RunnerConfig};
 pub use trace::{paper_workloads, Access, CoreSpec, TraceGen, Workload, ZipfGen};

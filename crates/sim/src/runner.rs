@@ -98,12 +98,6 @@ impl RunnerConfig {
     }
 }
 
-/// Runs one workload under one mode (resolving the trace first).
-pub fn run_workload(cfg: &RunnerConfig, workload: &Workload, mode: CacheMode) -> RunResult {
-    let resolved = resolve_workload(&cfg.system, workload, cfg.accesses_per_core, cfg.seed);
-    run_resolved(cfg, &resolved, mode)
-}
-
 /// Runs one already-resolved workload under one mode.
 pub fn run_resolved(cfg: &RunnerConfig, resolved: &ResolvedWorkload, mode: CacheMode) -> RunResult {
     let machine = Machine::new(cfg.system, mode, cfg.overhead);

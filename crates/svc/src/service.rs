@@ -107,7 +107,7 @@ use std::thread;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use sudoku_codes::LineData;
-use sudoku_core::{CacheStats, Recorder, ShardPlan, SudokuConfig};
+use sudoku_core::{CacheStats, ShardPlan, SudokuConfig};
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::{CorrelationStat, Heatmaps, RecoveryHistograms, ServiceHistograms};
 
@@ -1077,15 +1077,14 @@ impl Service {
         drop(self.exporter);
         // 4. Harvest telemetry and counters from the quiesced engine —
         //    including from quarantined shards (poison-tolerant locks).
-        let mut master = Recorder::unbounded();
-        self.state.harvest_recorders(&mut master);
+        let recovery_hists = self.state.harvest_recorders();
         let reg = &self.registry;
         ServiceReport {
             shards: self.state.n_shards(),
             stats: self.state.stats(),
             per_shard: self.state.shard_stats(),
             hists: reg.service_hists(),
-            recovery_hists: master.hists,
+            recovery_hists,
             reads: reg.reads.get(),
             writes: reg.writes.get(),
             failed_writes: reg.failed_writes.get(),
@@ -1330,7 +1329,6 @@ fn serve_read<'a>(
     state: &'a ShardedCache,
     shard: usize,
     line: u64,
-    trace: u64,
     session: &mut Option<ShardSession<'a>>,
     h2_ns: &mut u64,
     reg: &TelemetryRegistry,
@@ -1339,16 +1337,12 @@ fn serve_read<'a>(
         Some(live) => live,
         None => session.insert(state.session(shard)?),
     };
-    // Any recovery the ladder runs for this read is stamped with the
-    // request's trace ID — /traces.json ties a slow read to the exact
-    // RecoveryEvents it caused.
-    live.set_trace(trace);
     match live.read(line) {
         Err(ServiceError::Uncorrectable(_)) => {
             reg.escalated_reads.inc();
             *session = None;
             let h2_start = Instant::now();
-            let fetched = state.escalate_fetch(line, trace);
+            let fetched = state.escalate_fetch(line);
             *h2_ns = h2_start.elapsed().as_nanos() as u64;
             reg.h2_gather_ns.record(*h2_ns);
             fetched
@@ -1362,7 +1356,6 @@ fn serve_write<'a>(
     state: &'a ShardedCache,
     shard: usize,
     line: u64,
-    trace: u64,
     data: &LineData,
     session: &mut Option<ShardSession<'a>>,
 ) -> Result<(), ServiceError> {
@@ -1370,9 +1363,6 @@ fn serve_write<'a>(
         Some(live) => live,
         None => session.insert(state.session(shard)?),
     };
-    // Consistency-triggered group recovery under the write carries the
-    // write's trace, same as the read path.
-    live.set_trace(trace);
     live.write(line, data);
     Ok(())
 }
@@ -1409,8 +1399,8 @@ fn serve_and_account<'a>(
         .map_or(0, |at| service_start.duration_since(at).as_nanos() as u64);
     let mut h2_ns = 0u64;
     let outcome = catch_unwind(AssertUnwindSafe(|| match req.write {
-        None => serve_read(state, shard, req.line, req.trace, session, &mut h2_ns, reg),
-        Some(data) => serve_write(state, shard, req.line, req.trace, data, session).map(|()| *data),
+        None => serve_read(state, shard, req.line, session, &mut h2_ns, reg),
+        Some(data) => serve_write(state, shard, req.line, data, session).map(|()| *data),
     }));
     if req.enqueued.is_none() {
         // An inline op's session serves that op alone: release the shard

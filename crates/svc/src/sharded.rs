@@ -59,8 +59,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
     reassert_stuck, CacheStats, ConfigError, GroupScratch, GroupView, HashDim, LineStore,
-    MemberState, Recorder, RepairEngine, RepairParams, ScrubReport, ShardPlan, SparseStore,
-    SudokuCache, SudokuConfig, UncorrectableError,
+    MemberState, Recorder, RecoveryHistograms, RepairEngine, RepairParams, ScrubReport, ShardPlan,
+    SparseStore, SudokuCache, SudokuConfig, UncorrectableError,
 };
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::{Heatmaps, RegionGeometry, DEFAULT_REGIONS};
@@ -172,10 +172,10 @@ impl GroupView for GatherView<'_, '_> {
     }
 }
 
-/// A ring recorder carrying the heatmap tap: the coordinator's, and the
-/// replacements [`ShardedCache::harvest_recorders`] installs.
+/// The recorder of every shard and of the coordinator: it keeps no events
+/// (nothing reads them), only the histograms and the heatmap tap.
 fn tapped_recorder(maps: &Arc<Heatmaps>) -> Recorder {
-    let mut recorder = Recorder::ring(4096);
+    let mut recorder = Recorder::ring(0);
     recorder.set_tap(Arc::clone(maps));
     recorder
 }
@@ -293,7 +293,7 @@ impl ShardedCache {
         let shards = (0..n_shards)
             .map(|_| {
                 let mut cache = SudokuCache::new_sparse(shard_config)?;
-                cache.recorder_mut().set_tap(Arc::clone(&heatmaps));
+                let _ = cache.set_recorder(tapped_recorder(&heatmaps));
                 Ok(Mutex::new(cache))
             })
             .collect::<Result<Vec<_>, ConfigError>>()?;
@@ -588,7 +588,7 @@ impl ShardedCache {
         match self.read_local(line) {
             Err(ServiceError::Uncorrectable(_)) => {
                 // The owner gave up after Hash-1; gather the Hash-2 groups.
-                self.escalate_fetch(line, 0)
+                self.escalate_fetch(line)
             }
             other => other,
         }
@@ -597,15 +597,8 @@ impl ShardedCache {
     /// Escalates `line` and returns its post-escalation value, captured
     /// *before* stuck cells reassert — a repaired demand read must return
     /// the repaired data even when the array copy immediately re-corrupts.
-    ///
-    /// `trace` (0 = untraced) is stamped into every [`RecoveryEvent`] the
-    /// escalation emits — shard-local Hash-1 passes and the coordinator's
-    /// Hash-2 pass alike — so `/traces.json` can tie a slow demand read to
-    /// the exact recovery ladder it triggered.
-    ///
-    /// [`RecoveryEvent`]: sudoku_obs::RecoveryEvent
-    pub(crate) fn escalate_fetch(&self, line: u64, trace: u64) -> Result<LineData, ServiceError> {
-        self.escalate_inner(&[line], Some(line), trace)
+    pub(crate) fn escalate_fetch(&self, line: u64) -> Result<LineData, ServiceError> {
+        self.escalate_inner(&[line], Some(line))
             .1
             .expect("fetch result requested")
     }
@@ -757,19 +750,16 @@ impl ShardedCache {
         out
     }
 
-    /// Harvests every shard's telemetry recorder (and the coordinator's)
-    /// into `master`, leaving fresh ring recorders behind. Poisoned shards
-    /// are harvested too — telemetry survives the panic.
-    pub fn harvest_recorders(&self, master: &mut Recorder) {
+    /// Harvests the recovery histograms of every shard's recorder (and the
+    /// coordinator's), leaving empty ones behind. Poisoned shards are
+    /// harvested too — telemetry survives the panic.
+    pub fn harvest_recorders(&self) -> RecoveryHistograms {
+        let mut hists = std::mem::take(&mut self.lock_coord().recorder.hists);
         for shard in 0..self.n_shards() {
-            let old = self
-                .lock_shard_telemetry(shard)
-                .set_recorder(tapped_recorder(&self.heatmaps));
-            master.absorb(old);
+            let mut cache = self.lock_shard_telemetry(shard);
+            hists.merge(&std::mem::take(&mut cache.recorder_mut().hists));
         }
-        let mut coord = self.lock_coord();
-        let old = std::mem::replace(&mut coord.recorder, tapped_recorder(&self.heatmaps));
-        master.absorb(old);
+        hists
     }
 
     /// Chaos hook: panics on purpose — optionally while holding `shard`'s
@@ -932,29 +922,17 @@ impl ShardedCache {
     /// sparing strikes — repeatedly-DUE lines get remapped to the spare
     /// pool and stop consuming escalations.
     pub fn escalate(&self, lines: &[u64]) -> ScrubReport {
-        self.escalate_inner(lines, None, 0).0
+        self.escalate_inner(lines, None).0
     }
 
     fn escalate_inner(
         &self,
         lines: &[u64],
         fetch: Option<u64>,
-        trace: u64,
     ) -> (ScrubReport, Option<Result<LineData, ServiceError>>) {
         let mut guards = self.lock_up_shards();
         let all_up = guards.iter().all(Option::is_some);
         let mut work = Self::borrow_working(&mut guards);
-        // Stamp the demand trace into every recorder this escalation can
-        // emit through: each surviving shard's (Hash-1 passes) and the
-        // coordinator's (Hash-2 pass). All shard locks are held for the
-        // whole escalation, so no concurrent scrub can emit under the
-        // stamp; it is cleared again before the locks drop.
-        if trace != 0 {
-            for w in work.iter_mut().flatten() {
-                w.cache.recorder_mut().set_trace(trace);
-            }
-            self.lock_coord().recorder.set_trace(trace);
-        }
         let mut down_report = ScrubReport::default();
         let mirror = self.view.is_some();
         for &line in lines {
@@ -1037,12 +1015,6 @@ impl ShardedCache {
             }
         }
         self.finish_down_lines(&mut down_report);
-        if trace != 0 {
-            for w in work.iter_mut().flatten() {
-                w.cache.recorder_mut().set_trace(0);
-            }
-            self.lock_coord().recorder.set_trace(0);
-        }
         let report = merge_reports(
             work.iter()
                 .flatten()
@@ -1240,18 +1212,6 @@ pub struct ShardSession<'a> {
 }
 
 impl ShardSession<'_> {
-    /// Stamps `trace` (0 = untraced) into the shard recorder so that any
-    /// [`RecoveryEvent`] emitted while serving this session's ops — Hash-1
-    /// repairs under a demand read, consistency-triggered group recovery
-    /// under a write — carries the request's trace ID. The stamp is
-    /// cleared automatically when the session drops, so daemon scrubs on
-    /// the same shard are never mis-attributed to a finished request.
-    ///
-    /// [`RecoveryEvent`]: sudoku_obs::RecoveryEvent
-    pub fn set_trace(&mut self, trace: u64) {
-        self.cache.recorder_mut().set_trace(trace);
-    }
-
     /// Writes `data` to `line` (which must be owned by this shard),
     /// landing in the spare pool when the line has been remapped.
     pub fn write(&mut self, line: u64, data: &LineData) {
@@ -1298,14 +1258,6 @@ impl ShardSession<'_> {
             owner.publish_h1_group(&self.cache, line);
         }
         result
-    }
-}
-
-impl Drop for ShardSession<'_> {
-    fn drop(&mut self) {
-        // One relaxed store; keeps scrub events emitted after the session
-        // from inheriting a stale demand trace.
-        self.cache.recorder_mut().set_trace(0);
     }
 }
 
