@@ -144,18 +144,25 @@ impl ProtectedLine {
 
     /// Stored-bit positions at which two lines differ, ascending.
     pub fn diff_positions(&self, other: &ProtectedLine) -> Vec<usize> {
-        let mut out = self.data.diff_positions(&other.data);
-        let mut crc_diff = self.crc ^ other.crc;
-        while crc_diff != 0 {
-            out.push(DATA_BITS + crc_diff.trailing_zeros() as usize);
-            crc_diff &= crc_diff - 1;
-        }
-        let mut ecc_diff = self.ecc ^ other.ecc;
-        while ecc_diff != 0 {
-            out.push(DATA_BITS + CRC_BITS + ecc_diff.trailing_zeros() as usize);
-            ecc_diff &= ecc_diff - 1;
-        }
-        out
+        self.xor(other).iter_ones().collect()
+    }
+
+    /// Positions of the set stored bits, ascending (data, then CRC, then
+    /// ECC), without allocating.
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        let ones = |mut bits: u64, first: usize| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = first + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    i
+                })
+            })
+        };
+        self.data
+            .iter_ones()
+            .chain(ones(u64::from(self.crc), DATA_BITS))
+            .chain(ones(u64::from(self.ecc), DATA_BITS + CRC_BITS))
     }
 
     /// Whether every stored bit is zero.

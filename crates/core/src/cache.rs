@@ -17,10 +17,11 @@
 use crate::config::{ConfigError, SudokuConfig};
 use crate::hashing::{HashDim, SkewedHashes};
 use crate::plt::ParityTable;
-use crate::recovery::{self, GroupScratch, GroupView, MemberState, RepairEngine, RepairParams};
+use crate::recovery::{
+    self, Casualties, GroupScratch, GroupView, MemberState, Recovered, RepairEngine, RepairParams,
+};
 use crate::stats::{CacheStats, ScrubReport};
 use crate::store::{DenseStore, LineStore, SparseStore};
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use sudoku_codes::{LineCodec, LineData, ProtectedLine, ReadCheck, RepairKind};
 use sudoku_obs::{Mechanism, Outcome, Phase, Recorder, RecoveryEvent};
@@ -74,12 +75,15 @@ pub struct SudokuCache<S = DenseStore> {
 }
 
 /// Adapts one group of a cache's own store (plus the in-flight
-/// recovered-value map) to the [`GroupView`] the shared repair engine
+/// recovered lines) to the [`GroupView`] the shared repair engine
 /// drives. The parity is snapshotted by the caller — the PLT is only
 /// written by demand writes, never by recovery.
 struct CacheGroupView<'a, S> {
     store: &'a mut S,
-    recovered: &'a mut BTreeMap<u64, ProtectedLine>,
+    recovered: &'a mut Recovered,
+    /// The pass's casualties, whose unchanged stored copies are not
+    /// checked again; `None` on the reference path, which checks all.
+    casualties: Option<&'a Casualties>,
     hashes: SkewedHashes,
     dim: HashDim,
     group: u64,
@@ -105,7 +109,7 @@ impl<S: LineStore> GroupView for CacheGroupView<'_, S> {
                     (self.hashes.member(self.dim, self.group, i) == line).then_some(i as usize)
                 };
                 out.extend(lines.filter_map(in_group));
-                out.extend(self.recovered.keys().copied().filter_map(in_group));
+                out.extend(self.recovered.lines().filter_map(in_group));
                 out.sort_unstable();
                 out.dedup();
             }
@@ -119,12 +123,16 @@ impl<S: LineStore> GroupView for CacheGroupView<'_, S> {
 
     fn state(&self, i: usize) -> MemberState {
         let m = self.line_id(i);
-        if let Some(&r) = self.recovered.get(&m) {
-            MemberState::Recovered(r)
-        } else if !self.store.is_materialized(m) {
-            MemberState::Zero
-        } else {
-            MemberState::Stored(self.store.line(m))
+        if let Some(r) = self.recovered.get(m) {
+            return MemberState::Recovered(r);
+        }
+        if !self.store.is_materialized(m) {
+            return MemberState::Zero;
+        }
+        let raw = self.store.line(m);
+        match self.casualties.and_then(|c| c.classified(m)) {
+            Some(listed) if listed == raw => MemberState::Casualty(raw),
+            _ => MemberState::Stored(raw),
         }
     }
 
@@ -362,10 +370,8 @@ impl<S: LineStore> SudokuCache<S> {
         }
         // Multi-bit old value: run group recovery, then fall back to the
         // RAID-4 erasure estimate if the line is still bad.
-        let mut scratch = ScrubReport::default();
-        let recovered = self.group_recovery([idx].into_iter().collect(), &mut scratch);
-        if let Some(line) = recovered.get(&idx) {
-            return (*line, false);
+        if let Some(line) = self.recover_line(idx, stored) {
+            return (line, false);
         }
         let stored = self.store.line(idx);
         self.stats.crc_checks += 1;
@@ -410,9 +416,7 @@ impl<S: LineStore> SudokuCache<S> {
                 if self.recorder.enabled() {
                     self.emit(idx, None, Mechanism::CrcDetect, Outcome::Detected, 0);
                 }
-                let mut scratch = ScrubReport::default();
-                let recovered = self.group_recovery([idx].into_iter().collect(), &mut scratch);
-                if let Some(line) = recovered.get(&idx) {
+                if let Some(line) = self.recover_line(idx, stored) {
                     return Ok(line.data);
                 }
                 // The line may have been healed as a side effect (or the
@@ -447,7 +451,7 @@ impl<S: LineStore> SudokuCache<S> {
     /// repaired; group recovery handles multi-bit casualties.
     pub fn scrub(&mut self) -> ScrubReport {
         let n = self.store.n_lines();
-        self.scrub_lines_impl((0..n).collect(), true)
+        self.scrub_lines_impl(0..n, true)
     }
 
     /// Scrubs only the listed lines plus whatever group recovery pulls in.
@@ -456,55 +460,78 @@ impl<S: LineStore> SudokuCache<S> {
     /// covers every faulty line — the fast path for sparse Monte-Carlo
     /// campaigns that know exactly where they injected faults.
     pub fn scrub_lines(&mut self, hints: &[u64]) -> ScrubReport {
-        let set: BTreeSet<u64> = hints.iter().copied().collect();
-        self.scrub_lines_impl(set, true)
+        self.scrub_lines_impl(hints.iter().copied(), true)
     }
 
     /// Like [`SudokuCache::scrub_lines`] but with the all-zero-line fast
-    /// path disabled: every visited line goes through the full CRC + ECC
-    /// consistency check. Kept as a reference path so the optimization can
-    /// be property-tested to produce identical [`ScrubReport`]s and stored
-    /// lines (the `crc_checks` stat counter is the only observable
-    /// difference).
+    /// path and the casualty memo disabled: every visited line goes
+    /// through the full CRC + ECC consistency check. Kept as a reference
+    /// path so the optimizations can be property-tested to produce
+    /// identical [`ScrubReport`]s and stored lines (the `crc_checks` stat
+    /// counter is the only observable difference).
     pub fn scrub_lines_reference(&mut self, hints: &[u64]) -> ScrubReport {
-        let set: BTreeSet<u64> = hints.iter().copied().collect();
-        self.scrub_lines_impl(set, false)
+        self.scrub_lines_impl(hints.iter().copied(), false)
     }
 
-    fn scrub_lines_impl(&mut self, lines: BTreeSet<u64>, fast: bool) -> ScrubReport {
+    fn scrub_lines_impl(
+        &mut self,
+        lines: impl IntoIterator<Item = u64>,
+        fast: bool,
+    ) -> ScrubReport {
         let mut report = ScrubReport::default();
-        let multibit = self.scan_lines(lines, fast, &mut report);
-        report.multibit_lines = multibit.len() as u64;
-        self.group_recovery_impl(multibit, &mut report, fast);
+        self.with_working_set(|cache, faulty, recovered| {
+            cache.scrub_scan(lines, fast, &mut report, faulty);
+            cache.group_recovery(faulty, recovered, &mut report, fast);
+        });
         self.finish_scrub(&mut report);
         report
     }
 
+    /// Lends `f` the cache's reused recovery working set, emptied.
+    fn with_working_set<R>(
+        &mut self,
+        f: impl FnOnce(&mut Self, &mut Casualties, &mut Recovered) -> R,
+    ) -> R {
+        let mut faulty = std::mem::take(&mut self.scratch.casualties);
+        let mut recovered = std::mem::take(&mut self.scratch.recovered);
+        faulty.clear();
+        recovered.clear();
+        let out = f(self, &mut faulty, &mut recovered);
+        self.scratch.casualties = faulty;
+        self.scratch.recovered = recovered;
+        out
+    }
+
+    /// Group recovery of line `idx`, just classified multi-bit on
+    /// `stored`: its reconstructed value, if the ladder rebuilt it.
+    fn recover_line(&mut self, idx: u64, stored: ProtectedLine) -> Option<ProtectedLine> {
+        self.with_working_set(|cache, faulty, recovered| {
+            faulty.insert(idx, stored);
+            cache.group_recovery(faulty, recovered, &mut ScrubReport::default(), true);
+            recovered.get(idx)
+        })
+    }
+
     /// The per-line scan half of a scrub: check (and locally repair) every
-    /// listed line, returning the multi-bit casualties that need group
-    /// recovery. This is the shard-local phase of a sharded scrub — the
-    /// caller then drives [`SudokuCache::recovery_pass`] /
-    /// [`SudokuCache::finish_scrub`] explicitly.
+    /// listed line once, in ascending order, and list the multi-bit
+    /// casualties that need group recovery in `faulty`, each with the
+    /// codeword it was classified on. This is the shard-local phase of a
+    /// sharded scrub — the caller then drives
+    /// [`SudokuCache::recovery_pass`] / [`SudokuCache::finish_scrub`]
+    /// explicitly.
     pub fn scrub_scan(
         &mut self,
         lines: impl IntoIterator<Item = u64>,
         fast: bool,
         report: &mut ScrubReport,
-    ) -> BTreeSet<u64> {
-        let set: BTreeSet<u64> = lines.into_iter().collect();
-        let multibit = self.scan_lines(set, fast, report);
-        report.multibit_lines += multibit.len() as u64;
-        multibit
-    }
-
-    fn scan_lines(
-        &mut self,
-        lines: BTreeSet<u64>,
-        fast: bool,
-        report: &mut ScrubReport,
-    ) -> BTreeSet<u64> {
-        let mut multibit: BTreeSet<u64> = BTreeSet::new();
-        for idx in lines {
+        faulty: &mut Casualties,
+    ) {
+        let mut sorted = std::mem::take(&mut self.scratch.lines);
+        sorted.clear();
+        sorted.extend(lines);
+        sorted.sort_unstable();
+        sorted.dedup();
+        for &idx in &sorted {
             report.lines_checked += 1;
             self.stats.lines_scrubbed += 1;
             let stored = self.store.line(idx);
@@ -527,11 +554,12 @@ impl<S: LineStore> SudokuCache<S> {
                     if self.recorder.enabled() {
                         self.emit(idx, None, Mechanism::CrcDetect, Outcome::Detected, 0);
                     }
-                    multibit.insert(idx);
+                    report.multibit_lines += 1;
+                    faulty.insert(idx, stored);
                 }
             }
         }
-        multibit
+        self.scratch.lines = sorted;
     }
 
     /// Ends a scrub whose group recovery was driven externally: counts the
@@ -552,35 +580,21 @@ impl<S: LineStore> SudokuCache<S> {
         }
     }
 
-    /// Drives the X/Y/Z recovery ladder to a fixpoint over a set of
-    /// multi-bit-faulty lines.
-    ///
-    /// Returns the recovered value of every multi-bit casualty that was
-    /// reconstructed. (For transient faults the store holds the same value
-    /// after write-back; for *persistent* faults — stuck cells that corrupt
-    /// every write-back — the returned map is the only place the recovered
-    /// data exists, exactly like the controller's correction buffer in
-    /// hardware.)
+    /// Drives the X/Y/Z recovery ladder to a fixpoint over `faulty`,
+    /// collecting every reconstructed line in `recovered` and leaving the
+    /// survivors in `report.unresolved`.
     fn group_recovery(
         &mut self,
-        faulty: BTreeSet<u64>,
-        report: &mut ScrubReport,
-    ) -> BTreeMap<u64, ProtectedLine> {
-        self.group_recovery_impl(faulty, report, true)
-    }
-
-    fn group_recovery_impl(
-        &mut self,
-        mut faulty: BTreeSet<u64>,
+        faulty: &mut Casualties,
+        recovered: &mut Recovered,
         report: &mut ScrubReport,
         fast: bool,
-    ) -> BTreeMap<u64, ProtectedLine> {
+    ) {
         // Time the whole ladder as one `Recover` span (nested inside the
         // caller's `Scrub` span); the clock is only read when telemetry is
         // on and there is actual recovery work.
         let span_start =
             (self.recorder.enabled() && !faulty.is_empty()).then(std::time::Instant::now);
-        let mut recovered: BTreeMap<u64, ProtectedLine> = BTreeMap::new();
         loop {
             if faulty.is_empty() {
                 break;
@@ -590,19 +604,18 @@ impl<S: LineStore> SudokuCache<S> {
                 if faulty.is_empty() {
                     break;
                 }
-                self.recovery_pass(dim, &mut faulty, &mut recovered, report, fast);
+                self.recovery_pass(dim, faulty, recovered, report, fast);
             }
             if faulty.len() >= before {
                 break;
             }
         }
-        report.unresolved = faulty.into_iter().collect();
+        report.unresolved = faulty.lines().collect();
         if let Some(start) = span_start {
             self.recorder
                 .phases
                 .add(Phase::Recover, start.elapsed().as_secs_f64());
         }
-        recovered
     }
 
     /// One recovery pass over `faulty` in one hash dimension: repair every
@@ -611,79 +624,80 @@ impl<S: LineStore> SudokuCache<S> {
     /// reconstructed. One iteration of the SuDoku-Z fixpoint — exposed so a
     /// sharded driver can interleave shard-local Hash-1 passes with
     /// coordinator-run Hash-2 passes.
+    ///
+    /// With `fast`, a casualty whose stored copy still equals the codeword
+    /// it was listed with counts as multi-bit without a second check;
+    /// without it, every line is checked again.
     pub fn recovery_pass(
         &mut self,
         dim: HashDim,
-        faulty: &mut BTreeSet<u64>,
-        recovered: &mut BTreeMap<u64, ProtectedLine>,
+        faulty: &mut Casualties,
+        recovered: &mut Recovered,
         report: &mut ScrubReport,
         fast: bool,
     ) {
         if faulty.is_empty() {
             return;
         }
-        let groups: BTreeSet<u64> = faulty
-            .iter()
-            .map(|&l| self.hashes.group_of(dim, l))
-            .collect();
-        for group in groups {
-            self.repair_group(dim, group, report, recovered, fast);
+        // Borrow the scratch buffers out of `self` for the duration of the
+        // pass (restored below) so the per-group Vec allocations happen
+        // only once per cache.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.groups.clear();
+        scratch
+            .groups
+            .extend(faulty.lines().map(|l| self.hashes.group_of(dim, l)));
+        scratch.groups.sort_unstable();
+        scratch.groups.dedup();
+        let params = RepairParams::from_config(&self.config);
+        for k in 0..scratch.groups.len() {
+            let group = scratch.groups[k];
+            let parity = *self.plt(dim).parity(group);
+            let mut view = CacheGroupView {
+                store: &mut self.store,
+                recovered: &mut *recovered,
+                casualties: fast.then_some(&*faulty),
+                hashes: self.hashes,
+                dim,
+                group,
+                parity,
+            };
+            let mut engine = RepairEngine {
+                codec: self.codec,
+                params,
+                stats: &mut self.stats,
+                recorder: &mut self.recorder,
+            };
+            engine.repair_group(dim, group, &mut view, &mut scratch, report, fast);
         }
-        self.retain_multibit(faulty, recovered);
+        self.scratch = scratch;
+        self.retain_casualties(faulty, recovered, fast);
     }
 
     /// Drops every line from `faulty` that is reconstructed (present in
     /// `recovered`) or whose stored copy no longer scrubs as multi-bit —
     /// the post-pass filter of the recovery fixpoint, with the same
-    /// `crc_checks` accounting.
-    pub fn retain_multibit(
-        &mut self,
-        faulty: &mut BTreeSet<u64>,
-        recovered: &BTreeMap<u64, ProtectedLine>,
-    ) {
-        faulty.retain(|&l| {
-            if recovered.contains_key(&l) {
+    /// `crc_checks` accounting. A casualty whose stored copy still equals
+    /// its listed codeword stays without a second check; a seed with no
+    /// classification, or a line a write has changed since, is checked.
+    pub fn retain_multibit(&mut self, faulty: &mut Casualties, recovered: &Recovered) {
+        self.retain_casualties(faulty, recovered, true);
+    }
+
+    /// [`SudokuCache::retain_multibit`], with the memo only when `memo`.
+    fn retain_casualties(&mut self, faulty: &mut Casualties, recovered: &Recovered, memo: bool) {
+        faulty.retain(|c| {
+            if recovered.contains(c.line) {
                 return false;
             }
             self.stats.crc_checks += 1;
-            matches!(
-                self.codec.scrub_check(&self.store.line(l)),
-                ReadCheck::MultiBit
-            )
+            let stored = self.store.line(c.line);
+            if memo && c.raw == Some(stored) {
+                return true;
+            }
+            c.raw = Some(stored);
+            matches!(self.codec.scrub_check(&stored), ReadCheck::MultiBit)
         });
-    }
-
-    /// Repairs one RAID-Group by driving the shared [`RepairEngine`] over
-    /// this cache's store (paper §III-C.2 pass 1, then RAID-4 or SDR).
-    fn repair_group(
-        &mut self,
-        dim: HashDim,
-        group: u64,
-        report: &mut ScrubReport,
-        recovered: &mut BTreeMap<u64, ProtectedLine>,
-        fast: bool,
-    ) {
-        // Borrow the scratch buffers out of `self` for the duration of the
-        // scan (restored below) so the per-group Vec allocations happen
-        // only once per cache.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let parity = *self.plt(dim).parity(group);
-        let mut view = CacheGroupView {
-            store: &mut self.store,
-            recovered,
-            hashes: self.hashes,
-            dim,
-            group,
-            parity,
-        };
-        let mut engine = RepairEngine {
-            codec: self.codec,
-            params: RepairParams::from_config(&self.config),
-            stats: &mut self.stats,
-            recorder: &mut self.recorder,
-        };
-        engine.repair_group(dim, group, &mut view, &mut scratch, report, fast);
-        self.scratch = scratch;
     }
 
     /// Snapshot of a group's parity line (the PLT is only written by
@@ -719,6 +733,7 @@ mod tests {
     use crate::config::Scheme;
     use proptest::collection::{btree_set, vec};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
     use sudoku_codes::TOTAL_BITS;
 
     fn data_with(bits: &[usize]) -> LineData {
@@ -1009,6 +1024,109 @@ mod tests {
         assert!(fast.stats().crc_checks < reference.stats().crc_checks);
     }
 
+    /// Lines 0 and 1 share a Hash-1 group; line 1 carries two faults and
+    /// line 0 the given ones.
+    fn two_casualty_cache(line0_faults: &[usize]) -> (SudokuCache<DenseStore>, Vec<LineData>) {
+        let mut cache = small_cache(Scheme::Y);
+        let golden = populate(&mut cache);
+        for &bit in line0_faults {
+            cache.inject_fault(0, bit);
+        }
+        cache.inject_fault(1, 7);
+        cache.inject_fault(1, 8);
+        (cache, golden)
+    }
+
+    /// Scans lines 0 and 1 of [`two_casualty_cache`]: both multi-bit.
+    fn scan_both(cache: &mut SudokuCache<DenseStore>) -> (Casualties, ScrubReport) {
+        let mut report = ScrubReport::default();
+        let mut faulty = Casualties::default();
+        cache.scrub_scan([1, 0, 1], true, &mut report, &mut faulty);
+        assert_eq!(faulty.lines().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(report.multibit_lines, 2);
+        (faulty, report)
+    }
+
+    #[test]
+    fn casualty_changed_after_the_scan_is_checked_again() {
+        // Line 0 is rewritten between the scan and the pass to a codeword
+        // one flip from golden: pass 1 must check it again and repair it
+        // by ECC-1, leaving line 1 the lone casualty for RAID-4.
+        let (mut cache, golden) = two_casualty_cache(&[5, 6]);
+        let (mut faulty, mut report) = scan_both(&mut cache);
+        let mut single = cache.codec.encode(&golden[0]);
+        single.flip_bit(5);
+        cache.set_stored_line(0, single);
+        let before = *cache.stats();
+        let mut recovered = Recovered::default();
+        cache.recovery_pass(HashDim::H1, &mut faulty, &mut recovered, &mut report, true);
+        assert!(faulty.is_empty(), "{faulty:?}");
+        assert_eq!(cache.stats().ecc1_repairs - before.ecc1_repairs, 1);
+        assert_eq!(recovered.lines().collect::<Vec<_>>(), [1]);
+
+        let (mut fresh, _) = two_casualty_cache(&[5]);
+        let fresh_report = fresh.scrub_lines(&[0, 1]);
+        assert!(fresh_report.fully_repaired(), "{fresh_report:?}");
+        assert_eq!(report.raid4_repairs, fresh_report.raid4_repairs);
+        for i in 0..256 {
+            assert_eq!(cache.stored_line(i), fresh.stored_line(i), "line {i}");
+        }
+
+        // Rewritten to its clean codeword instead, line 0 leaves the list
+        // at the next retain, and recovery ends where a fresh scrub does.
+        let (mut cache, golden) = two_casualty_cache(&[5, 6]);
+        let (mut faulty, mut report) = scan_both(&mut cache);
+        cache.set_stored_line(0, cache.codec.encode(&golden[0]));
+        let checks = cache.stats().crc_checks;
+        let mut recovered = Recovered::default();
+        cache.retain_multibit(&mut faulty, &recovered);
+        assert_eq!(faulty.lines().collect::<Vec<_>>(), [1]);
+        assert_eq!(cache.stats().crc_checks - checks, 2);
+        cache.recovery_pass(HashDim::H1, &mut faulty, &mut recovered, &mut report, true);
+        assert!(faulty.is_empty(), "{faulty:?}");
+        let (mut fresh, _) = two_casualty_cache(&[]);
+        assert!(fresh.scrub_lines(&[0, 1]).fully_repaired());
+        for i in 0..256 {
+            assert_eq!(cache.stored_line(i), fresh.stored_line(i), "line {i}");
+        }
+    }
+
+    #[test]
+    fn unchanged_casualty_is_still_counted_as_a_check() {
+        // A retain over unchanged casualties keeps both and charges both.
+        let (mut cache, _) = two_casualty_cache(&[5, 6]);
+        let (mut faulty, _) = scan_both(&mut cache);
+        let checks = cache.stats().crc_checks;
+        cache.retain_multibit(&mut faulty, &Recovered::default());
+        assert_eq!(faulty.lines().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(cache.stats().crc_checks - checks, 2);
+
+        // Every line holds non-zero data, so the zero fast path skips
+        // nothing: the memo's hits must count exactly like the reference
+        // path's checks, through SDR, RAID-4 and Hash-2 alike.
+        let build = || {
+            let mut c = small_cache(Scheme::Z);
+            populate(&mut c);
+            for (line, bits) in [
+                (4, [100, 200]),
+                (5, [100, 200]),
+                (32, [11, 22]),
+                (33, [33, 44]),
+            ] {
+                for bit in bits {
+                    c.inject_fault(line, bit);
+                }
+            }
+            c
+        };
+        let (mut fast, mut reference) = (build(), build());
+        let r1 = fast.scrub_lines(&[4, 5, 32, 33]);
+        let r2 = reference.scrub_lines_reference(&[4, 5, 32, 33]);
+        assert!(r1.fully_repaired() && r1.hash2_repairs >= 1, "{r1:?}");
+        assert_eq!(r1, r2);
+        assert_eq!(fast.stats(), reference.stats());
+    }
+
     #[test]
     fn group_scan_repairs_count_into_the_scrub_report() {
         // Line 3's single fault is not in the hints: only the pass-1 scan
@@ -1031,7 +1149,7 @@ mod tests {
     fn live_members_cover_materialized_and_recovered_lines() {
         fn live<S: LineStore>(
             store: &mut S,
-            recovered: &mut BTreeMap<u64, ProtectedLine>,
+            recovered: &mut Recovered,
             dim: HashDim,
             group: u64,
         ) -> Vec<usize> {
@@ -1039,6 +1157,7 @@ mod tests {
             CacheGroupView {
                 store,
                 recovered,
+                casualties: None,
                 hashes: SkewedHashes::new(256, 16).unwrap(),
                 dim,
                 group,
@@ -1053,7 +1172,10 @@ mod tests {
         let mut store = SparseStore::new(256);
         store.set_line(37, nonzero);
         store.set_line(200, nonzero); // another group
-        let mut recovered = BTreeMap::from([(5, nonzero), (37, nonzero), (69, nonzero)]);
+        let mut recovered = Recovered::default();
+        for line in [5, 37, 69] {
+            recovered.insert(line, nonzero);
+        }
         assert_eq!(live(&mut store, &mut recovered, HashDim::H2, 5), [0, 2, 4]);
 
         // A dense store, or a sparse one with at least a group's worth of

@@ -44,7 +44,9 @@ pub use cache::{SudokuCache, UncorrectableError};
 pub use config::{CacheGeometry, ConfigError, Scheme, SudokuConfig};
 pub use hashing::{HashDim, SkewedHashes};
 pub use plt::ParityTable;
-pub use recovery::{GroupScratch, GroupView, MemberState, RepairEngine, RepairParams};
+pub use recovery::{
+    Casualties, GroupScratch, GroupView, MemberState, Recovered, RepairEngine, RepairParams,
+};
 pub use shard::ShardPlan;
 pub use stats::{CacheStats, ScrubReport, STT_READ_NS, STT_WRITE_NS, SYNDROME_CHECK_NS};
 pub use store::{DenseStore, LineStore, SparseStore};

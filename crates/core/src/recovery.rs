@@ -94,6 +94,153 @@ pub enum MemberState {
     Zero,
     /// The raw (possibly faulty) stored copy.
     Stored(ProtectedLine),
+    /// The raw stored copy of a listed casualty, unchanged since it was
+    /// classified multi-bit: the engine treats it as multi-bit without
+    /// checking it again.
+    Casualty(ProtectedLine),
+}
+
+/// One multi-bit casualty of a recovery.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Casualty {
+    pub(crate) line: u64,
+    /// The stored codeword the line was classified multi-bit on, or `None`
+    /// for a seed nobody has checked yet.
+    pub(crate) raw: Option<ProtectedLine>,
+}
+
+/// The multi-bit casualties of one recovery, ascending by line and
+/// without duplicates — the working set the SuDoku-Z fixpoint shrinks.
+///
+/// Each entry keeps the codeword it was classified on, so a recovery
+/// pass checks a casualty again only when its stored copy has changed
+/// since: the memo is keyed on the value, which keeps it exact even when
+/// writes land between passes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Casualties {
+    entries: Vec<Casualty>,
+}
+
+impl Casualties {
+    /// Number of listed casualties.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether no casualty is listed.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Empties the list, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The listed lines, ascending.
+    pub fn lines(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.entries.iter().map(|c| c.line)
+    }
+
+    /// The codeword `line` was classified multi-bit on, if it is listed
+    /// and classified.
+    pub(crate) fn classified(&self, line: u64) -> Option<ProtectedLine> {
+        self.find(line).ok().and_then(|i| self.entries[i].raw)
+    }
+
+    /// Lists `line` as classified multi-bit on `raw`, replacing any
+    /// earlier classification.
+    pub fn insert(&mut self, line: u64, raw: ProtectedLine) {
+        match self.find(line) {
+            Ok(i) => self.entries[i].raw = Some(raw),
+            Err(i) => self.entries.insert(
+                i,
+                Casualty {
+                    line,
+                    raw: Some(raw),
+                },
+            ),
+        }
+    }
+
+    /// Lists `line` as a seed with no classification: the next
+    /// [`SudokuCache::retain_multibit`] checks it. A line already listed
+    /// keeps its entry.
+    ///
+    /// [`SudokuCache::retain_multibit`]: crate::SudokuCache::retain_multibit
+    pub fn insert_seed(&mut self, line: u64) {
+        if let Err(i) = self.find(line) {
+            self.entries.insert(i, Casualty { line, raw: None });
+        }
+    }
+
+    /// Keeps the entries `keep` approves, in order; `keep` may update an
+    /// entry's classification.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&mut Casualty) -> bool) {
+        self.entries.retain_mut(keep);
+    }
+
+    fn find(&self, line: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&line, |c| c.line)
+    }
+}
+
+/// The lines one recovery reconstructed and their recovered values,
+/// ascending by line. (For transient faults the store holds the same
+/// value after write-back; for stuck cells that corrupt every write-back
+/// this is the only place the recovered data exists.)
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Recovered {
+    entries: Vec<(u64, ProtectedLine)>,
+}
+
+impl Recovered {
+    /// Number of recovered lines.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing was recovered.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Empties the set, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// The recovered `(line, value)` pairs, ascending by line.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &(u64, ProtectedLine)> + '_ {
+        self.entries.iter()
+    }
+
+    /// The recovered lines, ascending.
+    pub fn lines(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.entries.iter().map(|&(line, _)| line)
+    }
+
+    /// The recovered value of `line`, if it was reconstructed.
+    pub fn get(&self, line: u64) -> Option<ProtectedLine> {
+        self.find(line).ok().map(|i| self.entries[i].1)
+    }
+
+    /// Whether `line` was reconstructed.
+    pub fn contains(&self, line: u64) -> bool {
+        self.find(line).is_ok()
+    }
+
+    /// Records `value` as the recovered value of `line`.
+    pub fn insert(&mut self, line: u64, value: ProtectedLine) {
+        match self.find(line) {
+            Ok(i) => self.entries[i].1 = value,
+            Err(i) => self.entries.insert(i, (line, value)),
+        }
+    }
+
+    fn find(&self, line: u64) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&line, |&(l, _)| l)
+    }
 }
 
 /// One RAID-Group's members as seen by [`RepairEngine::repair_group`]:
@@ -136,10 +283,12 @@ pub trait GroupView {
     fn parity(&self) -> ProtectedLine;
 }
 
-/// Reusable buffers for [`RepairEngine::repair_group`]: one group scan
-/// needs the live-member list, the corrected view and the faulty list, and
-/// recovery visits many groups per scrub — reusing the allocations keeps
-/// the per-group cost at the actual line reads.
+/// Reusable buffers for recovery: one group scan needs the live-member
+/// list, the corrected view, the faulty list and SDR's mismatch
+/// positions; a scrub needs its sorted hints, each pass's group list and
+/// the fixpoint's casualties and recovered lines. Recovery visits many
+/// groups per scrub and a campaign runs many scrubs — reusing the
+/// allocations keeps the cost at the actual line reads.
 #[derive(Debug, Default)]
 pub struct GroupScratch {
     live: Vec<usize>,
@@ -149,6 +298,15 @@ pub struct GroupScratch {
     view: Vec<(usize, ProtectedLine)>,
     /// Positions in `view` of the multi-bit casualties.
     faulty: Vec<usize>,
+    /// SDR's parity-mismatch positions, ascending.
+    mismatches: Vec<usize>,
+    /// A scan's lines, sorted and deduplicated.
+    pub(crate) lines: Vec<u64>,
+    /// One pass's groups, sorted and deduplicated.
+    pub(crate) groups: Vec<u64>,
+    /// The working set of a cache's own recovery fixpoint.
+    pub(crate) casualties: Casualties,
+    pub(crate) recovered: Recovered,
 }
 
 /// The scheme knobs the repair ladder consults (paper §IV–§V).
@@ -230,6 +388,13 @@ impl RepairEngine<'_> {
             let line = match src.state(i) {
                 MemberState::Recovered(r) => r,
                 MemberState::Zero => continue,
+                MemberState::Casualty(raw) => {
+                    // Classified multi-bit on this very codeword; the
+                    // hardware still pays the check.
+                    self.stats.crc_checks += 1;
+                    scratch.faulty.push(scratch.view.len());
+                    raw
+                }
                 MemberState::Stored(raw) => {
                     if fast && raw.is_zero() {
                         // The all-zero codeword is valid by linearity.
@@ -376,13 +541,12 @@ impl RepairEngine<'_> {
             if scratch.faulty.len() < 2 {
                 return;
             }
-            let mut computed = ProtectedLine::zero();
+            let mut diff = src.parity();
             for (_, line) in scratch.view.iter() {
-                computed.xor_assign(line);
+                diff.xor_assign(line);
             }
-            let parity = src.parity();
-            let mismatches = computed.diff_positions(&parity);
-            if mismatches.is_empty() || mismatches.len() > self.params.max_sdr_mismatches as usize {
+            let n_mismatches = diff.count_ones();
+            if n_mismatches == 0 || n_mismatches > self.params.max_sdr_mismatches {
                 // Fully overlapping faults (no mismatch) or too many
                 // candidates (paper §IV-C caps SDR at six positions).
                 if self.recorder.enabled() {
@@ -393,11 +557,14 @@ impl RepairEngine<'_> {
                 }
                 return;
             }
+            scratch.mismatches.clear();
+            scratch.mismatches.extend(diff.iter_ones());
+            let mismatches = &scratch.mismatches;
             let round_start_trials = self.stats.sdr_trials;
             let mut fixed_victim: Option<(usize, ProtectedLine)> = None;
             'victims: for &vi in scratch.faulty.iter() {
                 let stored = scratch.view[vi].1;
-                for &pos in &mismatches {
+                for &pos in mismatches {
                     self.stats.sdr_trials += 1;
                     self.stats.crc_checks += 1;
                     let mut candidate = stored;

@@ -10,6 +10,7 @@
 //!   zero data everywhere — a full-size 64 MB cache interval then touches
 //!   only the ~1700 faulty lines, keeping Monte-Carlo at paper scale cheap.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use sudoku_codes::ProtectedLine;
@@ -176,6 +177,25 @@ impl LineStore for SparseStore {
             self.touched.remove(&idx);
         } else {
             self.touched.insert(idx, line);
+        }
+    }
+
+    /// One probe: the flip lands in place, and a line flipped back to
+    /// zero leaves the map.
+    fn flip_bit(&mut self, idx: u64, bit: usize) {
+        assert!(idx < self.n_lines, "line {idx} out of range");
+        match self.touched.entry(idx) {
+            Entry::Occupied(mut e) => {
+                e.get_mut().flip_bit(bit);
+                if e.get().is_zero() {
+                    e.remove();
+                }
+            }
+            Entry::Vacant(e) => {
+                let mut line = ProtectedLine::zero();
+                line.flip_bit(bit);
+                e.insert(line);
+            }
         }
     }
 

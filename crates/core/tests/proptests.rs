@@ -3,7 +3,7 @@
 use proptest::collection::{btree_set, vec};
 use proptest::prelude::*;
 use sudoku_codes::{LineData, TOTAL_BITS};
-use sudoku_core::{HashDim, Scheme, SkewedHashes, SudokuCache, SudokuConfig};
+use sudoku_core::{CacheStats, HashDim, Recorder, Scheme, SkewedHashes, SudokuCache, SudokuConfig};
 
 const LINES: u64 = 256;
 const GROUP: u32 = 16;
@@ -163,15 +163,18 @@ proptest! {
         }
     }
 
-    /// The all-zero-word scrub fast path is observation-equivalent: on a
-    /// golden-zero cache under any fault plan, the optimized scrub returns
-    /// a byte-identical `ScrubReport` and stored lines vs the reference
-    /// path that checks every line's CRC.
+    /// The scrub fast paths (the all-zero word and the casualty memo) are
+    /// observation-equivalent: on a golden-zero cache under any fault
+    /// plan, the optimized scrub returns a byte-identical `ScrubReport`,
+    /// stored lines, event log and counters (bar `crc_checks`, the
+    /// skipped zero words) vs the reference path that checks every line.
     #[test]
     fn zero_fast_path_reports_identical(faults in arb_faults(12, 7)) {
         let config = SudokuConfig::small(Scheme::Z, LINES, GROUP);
         let mut fast = SudokuCache::new(config).expect("valid config");
         let mut reference = SudokuCache::new(config).expect("valid config");
+        fast.set_recorder(Recorder::ring(4096));
+        reference.set_recorder(Recorder::ring(4096));
         let mut hints = Vec::new();
         for (line, bits) in &faults {
             for &b in bits {
@@ -186,5 +189,8 @@ proptest! {
         for i in 0..LINES {
             prop_assert_eq!(fast.stored_line(i), reference.stored_line(i), "line {}", i);
         }
+        prop_assert!(fast.events().eq(reference.events()));
+        let masked = |c: &SudokuCache| CacheStats { crc_checks: 0, ..*c.stats() };
+        prop_assert_eq!(masked(&fast), masked(&reference));
     }
 }

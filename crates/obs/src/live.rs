@@ -167,15 +167,21 @@ impl AtomicHist {
     }
 
     /// Records one sample, wait-free: one `fetch_add` on the calling
-    /// thread's stripe bucket, one on its stripe sum, and two relaxed
-    /// min/max updates.
+    /// thread's stripe bucket, one on its stripe sum, and a relaxed
+    /// min/max update only when a plain load shows the sample moves the
+    /// bound. Skipping is exact: min only falls and max only rises, so a
+    /// sample the load already covers is covered for good.
     #[inline]
     pub fn record(&self, v: u64) {
         let stripe = &self.stripes[MY_STRIPE.with(|s| *s)];
         stripe.counts[bucket_index(v, self.max_exp)].fetch_add(1, Ordering::Relaxed);
         stripe.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of buckets (`max_exp + 2`: `0..=1`, each power of two up to

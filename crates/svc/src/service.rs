@@ -558,7 +558,9 @@ impl ServiceHandle {
             },
         );
         self.registry.clean_read_lockfree_hits.inc();
-        self.registry.seqlock_retries.add(u64::from(retries));
+        if retries != 0 {
+            self.registry.seqlock_retries.add(u64::from(retries));
+        }
         Some(data)
     }
 

@@ -53,14 +53,14 @@
 use crate::degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 use crate::error::ServiceError;
 use crate::view::{LineView, ViewRead};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
-    reassert_stuck, CacheStats, ConfigError, GroupScratch, GroupView, HashDim, LineStore,
-    MemberState, Recorder, RecoveryHistograms, RepairEngine, RepairParams, ScrubReport, ShardPlan,
-    SparseStore, SudokuCache, SudokuConfig, UncorrectableError,
+    reassert_stuck, CacheStats, Casualties, ConfigError, GroupScratch, GroupView, HashDim,
+    LineStore, MemberState, Recorder, Recovered, RecoveryHistograms, RepairEngine, RepairParams,
+    ScrubReport, ShardPlan, SparseStore, SudokuCache, SudokuConfig, UncorrectableError,
 };
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::{Heatmaps, RegionGeometry, DEFAULT_REGIONS};
@@ -93,8 +93,8 @@ struct ShardExtra {
 #[derive(Default)]
 struct ScrubState {
     hints: Vec<u64>,
-    faulty: BTreeSet<u64>,
-    recovered: BTreeMap<u64, ProtectedLine>,
+    faulty: Casualties,
+    recovered: Recovered,
     report: ScrubReport,
     /// Every line this pass may have mutated — republished into the
     /// lock-free [`LineView`] before the shard locks drop.
@@ -141,7 +141,7 @@ impl GroupView for GatherView<'_, '_> {
     fn state(&self, i: usize) -> MemberState {
         let m = self.members[i];
         let w = self.slot(m);
-        if let Some(&r) = w.st.recovered.get(&m) {
+        if let Some(r) = w.st.recovered.get(m) {
             MemberState::Recovered(r)
         } else if !w.cache.store().is_materialized(m) {
             MemberState::Zero
@@ -492,14 +492,8 @@ impl ShardedCache {
     /// up — exactly when the Hash-2 pass itself runs.
     fn distribute_h2_touched(&self, work: &mut [Option<Working<'_>>]) {
         let hashes = self.plan.hashes();
-        let groups: BTreeSet<u64> = work
-            .iter()
-            .flatten()
-            .flat_map(|w| w.st.faulty.iter())
-            .map(|&l| hashes.group_of(HashDim::H2, l))
-            .collect();
         let mut members: Vec<u64> = Vec::new();
-        for group in groups {
+        for group in self.h2_groups(work) {
             members.extend(hashes.members(HashDim::H2, group));
         }
         for line in members {
@@ -507,6 +501,20 @@ impl ShardedCache {
                 w.st.touched.insert(line);
             }
         }
+    }
+
+    /// The Hash-2 groups of every shard's faulty lines, ascending.
+    fn h2_groups(&self, work: &[Option<Working<'_>>]) -> Vec<u64> {
+        let hashes = self.plan.hashes();
+        let mut groups: Vec<u64> = work
+            .iter()
+            .flatten()
+            .flat_map(|w| w.st.faulty.lines())
+            .map(|l| hashes.group_of(HashDim::H2, l))
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        groups
     }
 
     /// Marks a write for `line` as accepted-but-not-applied: lock-free
@@ -803,9 +811,12 @@ impl ShardedCache {
         std::thread::scope(|s| {
             for w in work.iter_mut().flatten() {
                 s.spawn(move || {
-                    w.st.faulty = w
-                        .cache
-                        .scrub_scan(w.st.hints.drain(..), true, &mut w.st.report);
+                    w.cache.scrub_scan(
+                        w.st.hints.drain(..),
+                        true,
+                        &mut w.st.report,
+                        &mut w.st.faulty,
+                    );
                 });
             }
         });
@@ -815,8 +826,7 @@ impl ShardedCache {
         // fixpoint, so capturing now over-approximates safely.
         if mirror {
             for w in work.iter_mut().flatten() {
-                let faulty: Vec<u64> = w.st.faulty.iter().copied().collect();
-                self.extend_touched_h1(&mut w.st.touched, faulty.into_iter());
+                self.extend_touched_h1(&mut w.st.touched, w.st.faulty.lines());
             }
             if all_up && self.config.scheme.second_hash_enabled() {
                 self.distribute_h2_touched(&mut work);
@@ -824,7 +834,7 @@ impl ShardedCache {
         }
         let coord_report = self.fixpoint(&mut work, all_up);
         for w in work.iter_mut().flatten() {
-            w.st.report.unresolved = w.st.faulty.iter().copied().collect();
+            w.st.report.unresolved = w.st.faulty.lines().collect();
             let mut report = std::mem::take(&mut w.st.report);
             w.cache.finish_scrub(&mut report);
             w.st.report = report;
@@ -872,12 +882,12 @@ impl ShardedCache {
         // single-bit repairs are per-line atomic, and a demand write that
         // slips between chunks just heals its line before the scan gets
         // there — the recovery fixpoint below re-verifies every survivor.
-        let mut faulty = BTreeSet::new();
+        let mut faulty = Casualties::default();
         for chunk in owned.chunks(DAEMON_LOCK_CHUNK) {
             let Ok(mut cache) = self.lock_shard(shard) else {
                 return (ScrubReport::default(), Vec::new());
             };
-            faulty.extend(cache.scrub_scan(chunk.iter().copied(), true, &mut report));
+            cache.scrub_scan(chunk.iter().copied(), true, &mut report, &mut faulty);
             // Repairs of scanned lines must reach the view before the next
             // chunk's lock gap, or lock-free reads keep missing on them.
             self.publish_touched(&cache, &chunk.iter().copied().collect());
@@ -887,8 +897,8 @@ impl ShardedCache {
         };
         // Group recovery may rewrite any Hash-1 sibling of a faulty line;
         // capture the groups now (the faulty set only shrinks from here).
-        self.extend_touched_h1(&mut touched, faulty.iter().copied());
-        let mut recovered = BTreeMap::new();
+        self.extend_touched_h1(&mut touched, faulty.lines());
+        let mut recovered = Recovered::default();
         loop {
             if faulty.is_empty() {
                 break;
@@ -906,7 +916,7 @@ impl ShardedCache {
         self.reassert_shard(&mut cache, shard);
         self.extend_touched_stuck(&mut touched, shard);
         self.publish_touched(&cache, &touched);
-        let leftover: Vec<u64> = faulty.into_iter().collect();
+        let leftover: Vec<u64> = faulty.lines().collect();
         report.unresolved = leftover.clone();
         (report, leftover)
     }
@@ -941,7 +951,7 @@ impl ShardedCache {
                 // A spared line is already remapped out of the array;
                 // reads hit the pool, so there is nothing to escalate.
                 Some(w) if !self.is_spared(shard, line) => {
-                    w.st.faulty.insert(line);
+                    w.st.faulty.insert_seed(line);
                     if mirror {
                         // The re-verify may repair the seed in place.
                         w.st.touched.insert(line);
@@ -952,17 +962,14 @@ impl ShardedCache {
             }
         }
         // Seeds may have been healed (or cleanly overwritten) since the
-        // caller saw them fail; keep only the still-multibit ones.
-        let empty = BTreeMap::new();
+        // caller saw them fail; keep only the still-multibit ones. Nothing
+        // is recovered yet, so this checks (and classifies) every seed.
         for w in work.iter_mut().flatten() {
-            let mut faulty = std::mem::take(&mut w.st.faulty);
-            w.cache.retain_multibit(&mut faulty, &empty);
-            w.st.faulty = faulty;
+            w.cache.retain_multibit(&mut w.st.faulty, &w.st.recovered);
         }
         if mirror {
             for w in work.iter_mut().flatten() {
-                let faulty: Vec<u64> = w.st.faulty.iter().copied().collect();
-                self.extend_touched_h1(&mut w.st.touched, faulty.into_iter());
+                self.extend_touched_h1(&mut w.st.touched, w.st.faulty.lines());
             }
             if all_up && self.config.scheme.second_hash_enabled() {
                 self.distribute_h2_touched(&mut work);
@@ -974,7 +981,7 @@ impl ShardedCache {
             self.skipped_h2.fetch_add(1, Ordering::Relaxed);
         }
         for w in work.iter_mut().flatten() {
-            w.st.report.unresolved = w.st.faulty.iter().copied().collect();
+            w.st.report.unresolved = w.st.faulty.lines().collect();
             let mut report = std::mem::take(&mut w.st.report);
             w.cache.finish_scrub(&mut report);
             w.st.report = report;
@@ -1032,12 +1039,12 @@ impl ShardedCache {
     /// to be undone by the stuck cells, so the reconstruction did not
     /// converge. The recovered data rides along into the spare slot when
     /// the strike threshold is reached.
-    fn note_undone_reconstructions(&self, shard: usize, recovered: &BTreeMap<u64, ProtectedLine>) {
+    fn note_undone_reconstructions(&self, shard: usize, recovered: &Recovered) {
         if self.stuck.is_empty() || recovered.is_empty() {
             return;
         }
         let mut extra = self.lock_extra(shard);
-        for (&line, value) in recovered {
+        for &(line, value) in recovered.iter() {
             if self.stuck.is_stuck(line) {
                 extra.undone_reconstructions += 1;
                 // When the threshold is reached the line is spared *with*
@@ -1121,26 +1128,20 @@ impl ShardedCache {
             std::thread::scope(|s| {
                 for w in work.iter_mut().flatten() {
                     s.spawn(move || {
-                        let mut faulty = std::mem::take(&mut w.st.faulty);
                         w.cache.recovery_pass(
                             HashDim::H1,
-                            &mut faulty,
+                            &mut w.st.faulty,
                             &mut w.st.recovered,
                             &mut w.st.report,
                             true,
                         );
-                        w.st.faulty = faulty;
                     });
                 }
             });
             if use_h2 && work.iter().flatten().any(|w| !w.st.faulty.is_empty()) {
                 self.h2_pass(&mut coord, work, &mut coord_report);
                 for w in work.iter_mut().flatten() {
-                    let mut faulty = std::mem::take(&mut w.st.faulty);
-                    let recovered = std::mem::take(&mut w.st.recovered);
-                    w.cache.retain_multibit(&mut faulty, &recovered);
-                    w.st.recovered = recovered;
-                    w.st.faulty = faulty;
+                    w.cache.retain_multibit(&mut w.st.faulty, &w.st.recovered);
                 }
             }
             let after: usize = work.iter().flatten().map(|w| w.st.faulty.len()).sum();
@@ -1161,13 +1162,7 @@ impl ShardedCache {
         report: &mut ScrubReport,
     ) {
         let hashes = self.plan.hashes();
-        let groups: BTreeSet<u64> = work
-            .iter()
-            .flatten()
-            .flat_map(|w| w.st.faulty.iter())
-            .map(|&l| hashes.group_of(HashDim::H2, l))
-            .collect();
-        for group in groups {
+        for group in self.h2_groups(work) {
             let members: Vec<u64> = hashes.members(HashDim::H2, group).collect();
             let mut parity = ProtectedLine::zero();
             for w in work.iter().flatten() {

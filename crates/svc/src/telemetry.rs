@@ -282,7 +282,13 @@ pub struct TelemetryRegistry {
 impl TelemetryRegistry {
     /// A zeroed registry for an `n_shards`-way service.
     pub fn new(n_shards: usize) -> Self {
+        let read_latency_ns = AtomicHist::pow2(40);
+        let write_latency_ns = AtomicHist::pow2(40);
+        let exemplars =
+            |hist: &AtomicHist| (0..hist.n_buckets()).map(|_| AtomicU64::new(0)).collect();
         TelemetryRegistry {
+            read_exemplars: exemplars(&read_latency_ns),
+            write_exemplars: exemplars(&write_latency_ns),
             reads: Counter::new(),
             writes: Counter::new(),
             failed_writes: Counter::new(),
@@ -303,8 +309,8 @@ impl TelemetryRegistry {
             scrub_packet_quota: Gauge::new(),
             scrub_floor_quota: Gauge::new(),
             scrub_floor_clamps: Counter::new(),
-            read_latency_ns: AtomicHist::pow2(40),
-            write_latency_ns: AtomicHist::pow2(40),
+            read_latency_ns,
+            write_latency_ns,
             queue_wait_ns: AtomicHist::pow2(40),
             shard_service_ns: AtomicHist::pow2(40),
             h2_gather_ns: AtomicHist::pow2(40),
@@ -320,12 +326,6 @@ impl TelemetryRegistry {
             depths: (0..n_shards).map(|_| Gauge::new()).collect(),
             next_trace: AtomicU64::new(0),
             traces: Mutex::new(VecDeque::with_capacity(TRACE_RING)),
-            read_exemplars: (0..AtomicHist::pow2(40).n_buckets())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            write_exemplars: (0..AtomicHist::pow2(40).n_buckets())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
         }
     }
 
