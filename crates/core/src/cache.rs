@@ -336,14 +336,11 @@ impl<S: LineStore> SudokuCache<S> {
     ///
     /// If the stored old value is faulty it is repaired (locally or via
     /// group recovery) before the parity delta is computed, so that faults
-    /// never leak into the parity tables. Returns whether the old stored
-    /// value was already consistent — `false` means the pre-check repaired
-    /// it, possibly rewriting other lines of the Hash-1 group (callers
-    /// mirroring the store must then refresh the whole group).
-    pub fn write(&mut self, idx: u64, data: &LineData) -> bool {
+    /// never leak into the parity tables.
+    pub fn write(&mut self, idx: u64, data: &LineData) {
         self.stats.writes += 1;
         let new = self.codec.encode(data);
-        let (old, old_clean) = self.consistent_old_value(idx);
+        let old = self.consistent_old_value(idx);
         let g1 = self.hashes.group_of(HashDim::H1, idx);
         self.plt1.apply_write(g1, &old, &new);
         if let Some(plt2) = self.plt2.as_mut() {
@@ -351,32 +348,30 @@ impl<S: LineStore> SudokuCache<S> {
             plt2.apply_write(g2, &old, &new);
         }
         self.store.set_line(idx, new);
-        old_clean
     }
 
     /// Best-effort recovery of the as-written value of `idx` for the write
-    /// path's parity delta, with whether the stored value was already
-    /// clean (no repair of any kind was needed).
-    fn consistent_old_value(&mut self, idx: u64) -> (ProtectedLine, bool) {
+    /// path's parity delta.
+    fn consistent_old_value(&mut self, idx: u64) -> ProtectedLine {
         let stored = self.store.line(idx);
         if stored.is_zero() {
-            return (stored, true); // the zero codeword is valid by linearity
+            return stored; // the zero codeword is valid by linearity
         }
         self.stats.crc_checks += 1;
         match self.codec.scrub_check(&stored) {
-            ReadCheck::Clean => return (stored, true),
-            ReadCheck::Corrected { repaired, .. } => return (repaired, false),
+            ReadCheck::Clean => return stored,
+            ReadCheck::Corrected { repaired, .. } => return repaired,
             ReadCheck::MultiBit => {}
         }
         // Multi-bit old value: run group recovery, then fall back to the
         // RAID-4 erasure estimate if the line is still bad.
         if let Some(line) = self.recover_line(idx, stored) {
-            return (line, false);
+            return line;
         }
         let stored = self.store.line(idx);
         self.stats.crc_checks += 1;
         if self.codec.validate(&stored) {
-            return (stored, false);
+            return stored;
         }
         self.stats.due_lines += 1;
         if self.recorder.enabled() {
@@ -389,7 +384,7 @@ impl<S: LineStore> SudokuCache<S> {
                 estimate.xor_assign(&self.store.line(m));
             }
         }
-        (estimate, false)
+        estimate
     }
 
     /// Reads line `idx`, repairing on demand (paper §III-B/C).

@@ -16,6 +16,7 @@
 
 use crate::config::{ConfigError, SudokuConfig};
 use crate::hashing::{HashDim, SkewedHashes};
+use std::ops::Range;
 
 /// An immutable, cheaply-copyable description of how lines are divided
 /// among `N` shards.
@@ -96,6 +97,24 @@ impl ShardPlan {
         group * gl + idx % gl
     }
 
+    /// The lines at positions `idx` of a shard's owned set, ascending —
+    /// [`ShardPlan::owned_line_at`] over a whole range, bounds-checked once
+    /// instead of once per line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx.end > owned_line_count(shard)`.
+    pub fn owned_lines_in(&self, shard: usize, idx: Range<u64>) -> impl Iterator<Item = u64> {
+        assert!(
+            idx.end <= self.owned_line_count(shard),
+            "range {idx:?} out of range for shard {shard}"
+        );
+        let gl = self.hashes.group_lines();
+        let bits = gl.trailing_zeros();
+        let (shard, n) = (shard as u64, self.n_shards as u64);
+        idx.map(move |i| ((shard + (i >> bits) * n) << bits) | (i & (gl - 1)))
+    }
+
     /// Number of lines a shard owns.
     pub fn owned_line_count(&self, shard: usize) -> u64 {
         assert!(shard < self.n_shards, "shard {shard} out of range");
@@ -145,12 +164,24 @@ mod tests {
                 for (idx, line) in p.owned_lines(s).enumerate() {
                     assert_eq!(p.owned_line_at(s, idx as u64), line);
                 }
+                let count = p.owned_line_count(s);
+                assert!(p.owned_lines_in(s, 0..count).eq(p.owned_lines(s)));
+                assert!(p
+                    .owned_lines_in(s, 5..count - 3)
+                    .eq(p.owned_lines(s).skip(5).take(count as usize - 8)));
             }
             for (line, &s) in owner.iter().enumerate() {
                 assert_eq!(s, p.shard_of_line(line as u64), "line {line}");
                 assert_ne!(s, usize::MAX);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for shard 1")]
+    fn owned_range_past_the_end_panics() {
+        let p = plan(4);
+        let _ = p.owned_lines_in(1, 0..p.owned_line_count(1) + 1);
     }
 
     #[test]

@@ -103,14 +103,17 @@ thread_local! {
     static MY_STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
 }
 
-/// One stripe: a private bucket array plus a private sum. Separate heap
-/// allocations per stripe keep concurrent writers off each other's cache
-/// lines.
+/// One stripe: a private bucket array plus a private sum. The stripe is
+/// padded to a 64-byte cache line, so no two stripes' `sum` words share
+/// one; each bucket array is its own heap allocation.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Stripe {
     counts: Box<[AtomicU64]>,
     sum: AtomicU64,
 }
+
+const _: () = assert!(std::mem::size_of::<Stripe>() == 64 && std::mem::align_of::<Stripe>() == 64);
 
 /// A lock-free, multi-writer histogram with the same power-of-two bucket
 /// layout as [`Histogram`] (`Histogram::pow2(max_exp)`).

@@ -54,6 +54,7 @@ pub mod promtext;
 mod service;
 mod sharded;
 mod slot;
+mod store;
 pub mod telemetry;
 mod view;
 pub mod watchdog;

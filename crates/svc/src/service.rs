@@ -699,7 +699,7 @@ impl ServiceHandle {
         // free claim drains whatever is FIFO-ahead (our line's pending
         // write included) and runs the locked ladder read right here. A
         // held claim's release re-check drains anything queued meanwhile,
-        // often republishing our line clean for the next round's probe.
+        // often publishing our line clean for the next round's probe.
         let (trace, served) = match self.admit(shard, |trace| {
             self.fast_read(line, shard, trace)
                 .map(Ok)
@@ -1523,9 +1523,9 @@ fn serve_packet(
         };
         let served = serve_and_account(state, demand, reg, shard, req, &mut session);
         if write.is_some() {
-            // Retire *after* the apply-and-republish (or on the way to the
-            // teardown below): only then is the view authoritative for the
-            // line again.
+            // Retire *after* the apply, which publishes the line (or on the
+            // way to the teardown below): only then is the view
+            // authoritative for the line again.
             state.retire_write(line);
         }
         let panicked = served.is_none();
@@ -1579,7 +1579,7 @@ fn daemon_tick(
         *cursor = (*cursor + 1) % n_packets;
         let start = packet as u64 * packet_lines;
         let end = (start + packet_lines).min(owned);
-        hints.extend((start..end).map(|idx| state.plan().owned_line_at(shard, idx)));
+        hints.extend(state.plan().owned_lines_in(shard, start..end));
         lines_swept += end.saturating_sub(start);
         if start < owned {
             swept.push((packet, state.plan().owned_line_at(shard, start)));

@@ -5,14 +5,15 @@
 //! shards, so every Hash-1 repair (ECC-1, CRC detect, RAID-4, SDR) touches
 //! exactly one shard, while every Hash-2 group spans several shards — the
 //! SuDoku-Z dimension is inherently a cross-shard protocol. Each shard is
-//! a full-geometry sparse [`SudokuCache`] with
-//! [`SudokuConfig::with_deferred_hash2`] set: the shard still maintains
-//! its slice of the Hash-2 PLT on writes (parity is linear, so the global
-//! Hash-2 parity of a group is the XOR of the per-shard slices), but its
-//! *own* recovery ladder stops after Hash-1. Whatever a shard cannot
-//! resolve locally escalates to the coordinator, which gathers the Hash-2
-//! group's members from their owning shards and drives the exact same
-//! [`RepairEngine`] the single-threaded cache uses.
+//! a full-geometry [`SudokuCache`] over a flat store of its own lines
+//! (`ShardStore`, which writes every change through to the lock-free
+//! view) with [`SudokuConfig::with_deferred_hash2`] set: the shard still
+//! maintains its slice of the Hash-2 PLT on writes (parity is linear, so
+//! the global Hash-2 parity of a group is the XOR of the per-shard
+//! slices), but its *own* recovery ladder stops after Hash-1. Whatever a
+//! shard cannot resolve locally escalates to the coordinator, which
+//! gathers the Hash-2 group's members from their owning shards and drives
+//! the exact same [`RepairEngine`] the single-threaded cache uses.
 //!
 //! The deterministic whole-cache scrub ([`ShardedCache::scrub_lines`])
 //! replicates the reference fixpoint schedule — alternating a parallel
@@ -52,15 +53,15 @@
 
 use crate::degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 use crate::error::ServiceError;
+use crate::store::ShardStore;
 use crate::view::{LineView, ViewRead};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
     reassert_stuck, CacheStats, Casualties, ConfigError, GroupScratch, GroupView, HashDim,
-    LineStore, MemberState, Recorder, Recovered, RecoveryHistograms, RepairEngine, RepairParams,
-    ScrubReport, ShardPlan, SparseStore, SudokuCache, SudokuConfig, UncorrectableError,
+    MemberState, Recorder, Recovered, RecoveryHistograms, RepairEngine, RepairParams, ScrubReport,
+    ShardPlan, SudokuCache, SudokuConfig, UncorrectableError,
 };
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::{Heatmaps, RegionGeometry, DEFAULT_REGIONS};
@@ -70,6 +71,9 @@ use sudoku_obs::{Heatmaps, RegionGeometry, DEFAULT_REGIONS};
 /// lock in chunks keeps the demand path's worst-case wait at one chunk
 /// instead of one whole tick.
 const DAEMON_LOCK_CHUNK: usize = 32;
+
+/// One shard's cache: every store write lands in the lock-free view too.
+type ShardCache = SudokuCache<ShardStore>;
 
 /// Cross-shard recovery state owned by the coordinator: its own counter
 /// pool, recorder, and scratch buffers, so Hash-2 accounting is attributed
@@ -96,15 +100,12 @@ struct ScrubState {
     faulty: Casualties,
     recovered: Recovered,
     report: ScrubReport,
-    /// Every line this pass may have mutated — republished into the
-    /// lock-free [`LineView`] before the shard locks drop.
-    touched: BTreeSet<u64>,
 }
 
 /// One shard's cache plus its in-flight recovery state, borrowed out of
 /// the shard mutexes for the duration of a scrub.
 struct Working<'a> {
-    cache: &'a mut SudokuCache<SparseStore>,
+    cache: &'a mut ShardCache,
     st: ScrubState,
 }
 
@@ -142,11 +143,11 @@ impl GroupView for GatherView<'_, '_> {
         let m = self.members[i];
         let w = self.slot(m);
         if let Some(r) = w.st.recovered.get(m) {
-            MemberState::Recovered(r)
-        } else if !w.cache.store().is_materialized(m) {
-            MemberState::Zero
-        } else {
-            MemberState::Stored(w.cache.stored_line(m))
+            return MemberState::Recovered(r);
+        }
+        match w.cache.stored_line(m) {
+            raw if raw.is_zero() => MemberState::Zero,
+            raw => MemberState::Stored(raw),
         }
     }
 
@@ -228,7 +229,7 @@ pub fn merge_reports<'a>(reports: impl IntoIterator<Item = &'a ScrubReport>) -> 
 pub struct ShardedCache {
     plan: ShardPlan,
     config: SudokuConfig,
-    shards: Vec<Mutex<SudokuCache<SparseStore>>>,
+    shards: Vec<Mutex<ShardCache>>,
     coord: Mutex<Coordinator>,
     health: ShardHealth,
     extras: Vec<Mutex<ShardExtra>>,
@@ -236,8 +237,9 @@ pub struct ShardedCache {
     rejects: AtomicU64,
     skipped_h2: AtomicU64,
     /// Seqlock-stamped mirror of every stored line for lock-free clean
-    /// reads; `None` when the geometry is too large to mirror.
-    view: Option<LineView>,
+    /// reads, written through by the shard stores; `None` when the
+    /// geometry is too large to mirror.
+    view: Option<Arc<LineView>>,
     /// The spatial reliability plane, built with the cache: every recorder
     /// emit taps into its per-(shard, region) grids, and the paths that
     /// emit nothing (fault injection, stuck-cell physics, sparing strikes,
@@ -290,9 +292,11 @@ impl ShardedCache {
             |line| plan.shard_of_line(line),
         )));
         let shard_config = config.with_deferred_hash2();
+        let view = LineView::new(config.geometry.lines(), n_shards).map(Arc::new);
         let shards = (0..n_shards)
-            .map(|_| {
-                let mut cache = SudokuCache::new_sparse(shard_config)?;
+            .map(|shard| {
+                let store = ShardStore::new(&plan, shard, view.clone());
+                let mut cache = SudokuCache::with_store(shard_config, store)?;
                 let _ = cache.set_recorder(tapped_recorder(&heatmaps));
                 Ok(Mutex::new(cache))
             })
@@ -305,7 +309,6 @@ impl ShardedCache {
                 })
             })
             .collect();
-        let view = LineView::new(config.geometry.lines(), n_shards);
         Ok(ShardedCache {
             plan,
             config,
@@ -365,10 +368,7 @@ impl ShardedCache {
     /// Acquires `shard`'s cache for a demand operation: fails fast when the
     /// shard is quarantined, and quarantines it on the spot when its mutex
     /// turns out to be poisoned (a thread panicked mid-operation).
-    fn lock_shard(
-        &self,
-        shard: usize,
-    ) -> Result<MutexGuard<'_, SudokuCache<SparseStore>>, ServiceError> {
+    fn lock_shard(&self, shard: usize) -> Result<MutexGuard<'_, ShardCache>, ServiceError> {
         if !self.health.is_up(shard) {
             self.note_reject();
             return Err(ServiceError::ShardDown(shard));
@@ -385,7 +385,7 @@ impl ShardedCache {
     /// Telemetry-path lock: counters and stored lines of a quarantined (or
     /// poison-locked) shard are still worth harvesting — plain `u64`s and
     /// line words cannot be torn by an unwinding panic.
-    fn lock_shard_telemetry(&self, shard: usize) -> MutexGuard<'_, SudokuCache<SparseStore>> {
+    fn lock_shard_telemetry(&self, shard: usize) -> MutexGuard<'_, ShardCache> {
         self.shards[shard]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -403,7 +403,7 @@ impl ShardedCache {
 
     /// Reasserts the stuck cells of `line` after a write or repair
     /// write-back, charging the flipped bits to the `stuck` grid.
-    fn reassert_line(&self, cache: &mut SudokuCache<SparseStore>, line: u64) {
+    fn reassert_line(&self, cache: &mut ShardCache, line: u64) {
         if self.stuck.is_stuck(line) {
             let changed = reassert_stuck(cache, &self.stuck, line) as u64;
             if changed > 0 {
@@ -414,31 +414,10 @@ impl ShardedCache {
 
     /// Reasserts every stuck line owned by `shard` (the post-scrub physics
     /// step).
-    fn reassert_shard(&self, cache: &mut SudokuCache<SparseStore>, shard: usize) {
+    fn reassert_shard(&self, cache: &mut ShardCache, shard: usize) {
         for line in self.stuck.lines() {
             if self.plan.shard_of_line(line) == shard {
                 self.reassert_line(cache, line);
-            }
-        }
-    }
-
-    /// Republishes `line`'s stored state into the lock-free view. Callers
-    /// must hold the owning shard's mutex (the `cache` guard proves it).
-    fn publish_line(&self, cache: &SudokuCache<SparseStore>, line: u64) {
-        if let Some(view) = &self.view {
-            view.publish(line, &cache.stored_line(line));
-        }
-    }
-
-    /// Republishes `line`'s whole Hash-1 group (the lines a shard-local
-    /// group recovery may have rewritten). Same lock requirement as
-    /// [`ShardedCache::publish_line`].
-    fn publish_h1_group(&self, cache: &SudokuCache<SparseStore>, line: u64) {
-        if let Some(view) = &self.view {
-            let hashes = self.plan.hashes();
-            let group = hashes.group_of(HashDim::H1, line);
-            for member in hashes.members(HashDim::H1, group) {
-                view.publish(member, &cache.stored_line(member));
             }
         }
     }
@@ -448,58 +427,6 @@ impl ShardedCache {
     fn invalidate_view(&self, line: u64) {
         if let Some(view) = &self.view {
             view.invalidate(line);
-        }
-    }
-
-    /// Adds every Hash-1 sibling of the given lines to the republish set
-    /// (group recovery may rewrite any of them). No-op without a view.
-    fn extend_touched_h1(&self, touched: &mut BTreeSet<u64>, lines: impl Iterator<Item = u64>) {
-        if self.view.is_none() {
-            return;
-        }
-        let hashes = self.plan.hashes();
-        for line in lines {
-            let group = hashes.group_of(HashDim::H1, line);
-            touched.extend(hashes.members(HashDim::H1, group));
-        }
-    }
-
-    /// Adds `shard`'s stuck lines to the republish set: the post-scrub
-    /// reassert rewrites them outside any recovery bookkeeping.
-    fn extend_touched_stuck(&self, touched: &mut BTreeSet<u64>, shard: usize) {
-        if self.view.is_none() || self.stuck.is_empty() {
-            return;
-        }
-        for line in self.stuck.lines() {
-            if self.plan.shard_of_line(line) == shard {
-                touched.insert(line);
-            }
-        }
-    }
-
-    /// Republishes every touched line while the shard guard is held.
-    fn publish_touched(&self, cache: &SudokuCache<SparseStore>, touched: &BTreeSet<u64>) {
-        if let Some(view) = &self.view {
-            for &line in touched {
-                view.publish(line, &cache.stored_line(line));
-            }
-        }
-    }
-
-    /// Adds every Hash-2 sibling of the currently-faulty lines to its
-    /// owning shard's republish set (the coordinator's Hash-2 pass may
-    /// commit repairs into any of them). Only meaningful with every shard
-    /// up — exactly when the Hash-2 pass itself runs.
-    fn distribute_h2_touched(&self, work: &mut [Option<Working<'_>>]) {
-        let hashes = self.plan.hashes();
-        let mut members: Vec<u64> = Vec::new();
-        for group in self.h2_groups(work) {
-            members.extend(hashes.members(HashDim::H2, group));
-        }
-        for line in members {
-            if let Some(w) = work[self.plan.shard_of_line(line)].as_mut() {
-                w.st.touched.insert(line);
-            }
         }
     }
 
@@ -529,8 +456,8 @@ impl ShardedCache {
     }
 
     /// Balances one [`ShardedCache::begin_write`] once the write has been
-    /// applied and republished — or consumed by a teardown path that will
-    /// never apply it. No-op without a view.
+    /// applied (which publishes it) — or consumed by a teardown path that
+    /// will never apply it. No-op without a view.
     pub(crate) fn retire_write(&self, line: u64) {
         if let Some(view) = &self.view {
             view.retire_write(line);
@@ -630,11 +557,10 @@ impl ShardedCache {
     /// Flips one stored bit of `line` — a transient fault. Works on
     /// quarantined shards too (faults are physics, not requests).
     pub fn inject_fault(&self, line: u64, bit: usize) {
-        let mut cache = self.lock_shard_telemetry(self.plan.shard_of_line(line));
-        cache.inject_fault(line, bit);
-        // Mirror the corruption into the view: the lock-free path must see
-        // the faulty bits (and miss on the CRC), never stale clean data.
-        self.publish_line(&cache, line);
+        // The store writes the flip through to the view: the lock-free path
+        // sees the faulty bits (and misses on the CRC), never stale data.
+        self.lock_shard_telemetry(self.plan.shard_of_line(line))
+            .inject_fault(line, bit);
         self.heatmaps.charge_injected(line, 1);
     }
 
@@ -646,7 +572,6 @@ impl ShardedCache {
             for &pos in positions {
                 shard.inject_fault(*line, pos);
             }
-            self.publish_line(&shard, *line);
             self.heatmaps.charge_injected(*line, positions.len() as u64);
         }
     }
@@ -672,7 +597,6 @@ impl ShardedCache {
                 for &pos in positions {
                     cache.inject_fault(line, pos);
                 }
-                self.publish_line(&cache, line);
                 self.heatmaps.charge_injected(line, positions.len() as u64);
                 lines.push(line);
             }
@@ -794,15 +718,9 @@ impl ShardedCache {
         let all_up = guards.iter().all(Option::is_some);
         let mut work = Self::borrow_working(&mut guards);
         let mut down_report = ScrubReport::default();
-        let mirror = self.view.is_some();
         for &line in hints {
             match work[self.plan.shard_of_line(line)].as_mut() {
-                Some(w) => {
-                    w.st.hints.push(line);
-                    if mirror {
-                        w.st.touched.insert(line);
-                    }
-                }
+                Some(w) => w.st.hints.push(line),
                 None => down_report.unresolved.push(line),
             }
         }
@@ -820,18 +738,6 @@ impl ShardedCache {
                 });
             }
         });
-        // Everything recovery can rewrite from here: Hash-1 siblings of
-        // the post-scan faulty lines, plus (when the cross-shard pass will
-        // run) their Hash-2 groups. The faulty sets only shrink during the
-        // fixpoint, so capturing now over-approximates safely.
-        if mirror {
-            for w in work.iter_mut().flatten() {
-                self.extend_touched_h1(&mut w.st.touched, w.st.faulty.lines());
-            }
-            if all_up && self.config.scheme.second_hash_enabled() {
-                self.distribute_h2_touched(&mut work);
-            }
-        }
         let coord_report = self.fixpoint(&mut work, all_up);
         for w in work.iter_mut().flatten() {
             w.st.report.unresolved = w.st.faulty.lines().collect();
@@ -843,8 +749,6 @@ impl ShardedCache {
         for (shard, w) in work.iter_mut().enumerate() {
             if let Some(w) = w {
                 self.reassert_shard(w.cache, shard);
-                self.extend_touched_stuck(&mut w.st.touched, shard);
-                self.publish_touched(w.cache, &w.st.touched);
             }
         }
         self.finish_down_lines(&mut down_report);
@@ -872,12 +776,14 @@ impl ShardedCache {
     /// quarantined shard returns an empty report and no leftovers.
     pub fn scrub_shard_local(&self, shard: usize, hints: &[u64]) -> (ScrubReport, Vec<u64>) {
         let mut report = ScrubReport::default();
-        let owned: Vec<u64> = hints
-            .iter()
-            .copied()
-            .filter(|&l| self.plan.shard_of_line(l) == shard && !self.is_spared(shard, l))
-            .collect();
-        let mut touched: BTreeSet<u64> = owned.iter().copied().collect();
+        let owned: Vec<u64> = {
+            let extra = self.lock_extra(shard);
+            hints
+                .iter()
+                .copied()
+                .filter(|&l| self.plan.shard_of_line(l) == shard && !extra.spares.is_spared(l))
+                .collect()
+        };
         // The bulk scan runs in chunked lock holds (like fault injection):
         // single-bit repairs are per-line atomic, and a demand write that
         // slips between chunks just heals its line before the scan gets
@@ -888,16 +794,10 @@ impl ShardedCache {
                 return (ScrubReport::default(), Vec::new());
             };
             cache.scrub_scan(chunk.iter().copied(), true, &mut report, &mut faulty);
-            // Repairs of scanned lines must reach the view before the next
-            // chunk's lock gap, or lock-free reads keep missing on them.
-            self.publish_touched(&cache, &chunk.iter().copied().collect());
         }
         let Ok(mut cache) = self.lock_shard(shard) else {
             return (ScrubReport::default(), Vec::new());
         };
-        // Group recovery may rewrite any Hash-1 sibling of a faulty line;
-        // capture the groups now (the faulty set only shrinks from here).
-        self.extend_touched_h1(&mut touched, faulty.lines());
         let mut recovered = Recovered::default();
         loop {
             if faulty.is_empty() {
@@ -914,8 +814,6 @@ impl ShardedCache {
         // strikes (with the recovered data!) instead of looping forever.
         self.note_undone_reconstructions(shard, &recovered);
         self.reassert_shard(&mut cache, shard);
-        self.extend_touched_stuck(&mut touched, shard);
-        self.publish_touched(&cache, &touched);
         let leftover: Vec<u64> = faulty.lines().collect();
         report.unresolved = leftover.clone();
         (report, leftover)
@@ -944,18 +842,13 @@ impl ShardedCache {
         let all_up = guards.iter().all(Option::is_some);
         let mut work = Self::borrow_working(&mut guards);
         let mut down_report = ScrubReport::default();
-        let mirror = self.view.is_some();
         for &line in lines {
             let shard = self.plan.shard_of_line(line);
             match work[shard].as_mut() {
                 // A spared line is already remapped out of the array;
                 // reads hit the pool, so there is nothing to escalate.
-                Some(w) if !self.is_spared(shard, line) => {
+                Some(w) if !self.lock_extra(shard).spares.is_spared(line) => {
                     w.st.faulty.insert_seed(line);
-                    if mirror {
-                        // The re-verify may repair the seed in place.
-                        w.st.touched.insert(line);
-                    }
                 }
                 Some(_) => {}
                 None => down_report.unresolved.push(line),
@@ -966,14 +859,6 @@ impl ShardedCache {
         // is recovered yet, so this checks (and classifies) every seed.
         for w in work.iter_mut().flatten() {
             w.cache.retain_multibit(&mut w.st.faulty, &w.st.recovered);
-        }
-        if mirror {
-            for w in work.iter_mut().flatten() {
-                self.extend_touched_h1(&mut w.st.touched, w.st.faulty.lines());
-            }
-            if all_up && self.config.scheme.second_hash_enabled() {
-                self.distribute_h2_touched(&mut work);
-            }
         }
         let had_faulty = work.iter().flatten().any(|w| !w.st.faulty.is_empty());
         let coord_report = self.fixpoint(&mut work, all_up);
@@ -1017,8 +902,6 @@ impl ShardedCache {
                         }
                     }
                 }
-                self.extend_touched_stuck(&mut w.st.touched, shard);
-                self.publish_touched(w.cache, &w.st.touched);
             }
         }
         self.finish_down_lines(&mut down_report);
@@ -1029,10 +912,6 @@ impl ShardedCache {
                 .chain([&coord_report, &down_report]),
         );
         (report, fetched)
-    }
-
-    fn is_spared(&self, shard: usize, line: u64) -> bool {
-        self.lock_extra(shard).spares.is_spared(line)
     }
 
     /// Strikes every reconstructed-but-stuck line: the write-back is about
@@ -1077,7 +956,7 @@ impl ShardedCache {
     /// global lock order, followed by the coordinator — see
     /// [`ShardedCache`]). A quarantined or poison-locked shard yields
     /// `None` (and is quarantined if it was not already).
-    fn lock_up_shards(&self) -> Vec<Option<MutexGuard<'_, SudokuCache<SparseStore>>>> {
+    fn lock_up_shards(&self) -> Vec<Option<MutexGuard<'_, ShardCache>>> {
         (0..self.n_shards())
             .map(|s| {
                 if !self.health.is_up(s) {
@@ -1095,7 +974,7 @@ impl ShardedCache {
     }
 
     fn borrow_working<'a, 'g>(
-        guards: &'a mut [Option<MutexGuard<'g, SudokuCache<SparseStore>>>],
+        guards: &'a mut [Option<MutexGuard<'g, ShardCache>>],
     ) -> Vec<Option<Working<'a>>> {
         guards
             .iter_mut()
@@ -1201,7 +1080,7 @@ impl ShardedCache {
 /// locks per op, and cross-shard escalation requires dropping the session
 /// first (it acquires every shard in ascending order).
 pub struct ShardSession<'a> {
-    cache: MutexGuard<'a, SudokuCache<SparseStore>>,
+    cache: MutexGuard<'a, ShardCache>,
     owner: &'a ShardedCache,
     shard: usize,
 }
@@ -1214,18 +1093,10 @@ impl ShardSession<'_> {
         if owner.lock_extra(self.shard).spares.write(line, data) {
             return;
         }
-        // A clean old value means the write's consistency pre-check could
-        // not have triggered group recovery: only `line` itself changed.
-        // Otherwise the whole Hash-1 group may have been rewritten under
-        // it. The write itself reports which case ran — no separate
-        // stored-line CRC probe needed.
-        let clean_old = self.cache.write(line, data);
+        // The store publishes every line the write (and any repair of a
+        // faulty old value) rewrites.
+        self.cache.write(line, data);
         owner.reassert_line(&mut self.cache, line);
-        if clean_old {
-            owner.publish_line(&self.cache, line);
-        } else {
-            owner.publish_h1_group(&self.cache, line);
-        }
     }
 
     /// Reads `line` through the shard-local (Hash-1) ladder, exactly like
@@ -1243,15 +1114,8 @@ impl ShardSession<'_> {
                 None => Err(ServiceError::Uncorrectable(UncorrectableError { line })),
             };
         }
-        // A clean stored line (the common case) is read without mutation,
-        // so the view is already in sync and nothing needs republishing.
-        let old = self.cache.stored_line(line);
-        let clean_old = old.is_zero() || LineCodec::shared().crc_ok(&old);
         let result = self.cache.read(line).map_err(ServiceError::from);
         owner.reassert_line(&mut self.cache, line);
-        if !clean_old {
-            owner.publish_h1_group(&self.cache, line);
-        }
         result
     }
 }
@@ -1606,5 +1470,211 @@ mod tests {
         // Spared reads keep returning the right data from the pool.
         assert_eq!(cache.read(4).unwrap(), data_with(&[4]));
         assert!(cache.degraded_stats().spare_reads >= 1);
+    }
+
+    /// Asserts the write-through invariant: with every shard held, each
+    /// non-spared line with no pending write has a view slot equal to its
+    /// owning store's line, and each spared line's slot is invalidated.
+    fn assert_view_coherent(cache: &ShardedCache, step: usize) {
+        let view = cache.view.as_ref().expect("small geometries have a view");
+        for shard in 0..cache.n_shards() {
+            let guard = cache.lock_shard_telemetry(shard);
+            let extra = cache.lock_extra(shard);
+            for line in cache.plan.owned_lines(shard) {
+                if extra.spares.is_spared(line) {
+                    assert_eq!(
+                        view.slot_line(line),
+                        None,
+                        "step {step}, spared line {line}"
+                    );
+                } else if !view.has_pending(line) {
+                    assert_eq!(
+                        view.slot_line(line),
+                        Some(guard.stored_line(line)),
+                        "step {step}, line {line}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Data that names its line (word 0) and version (word 1), so any
+    /// lock-free read can be checked without a golden copy.
+    fn versioned(line: u64, version: u64) -> LineData {
+        let mut words = [0u64; sudoku_codes::LINE_WORDS];
+        words[0] = line | 1 << 32;
+        words[1] = version;
+        LineData::from_words(words)
+    }
+
+    #[test]
+    fn view_stays_coherent_under_random_interleavings() {
+        // Lines 4 and 5 carry the stuck pair that defeats Hash-1 SDR, so
+        // reads and escalations keep striking them until they are spared.
+        let mut stuck = StuckBitMap::new();
+        for bit in [100u16, 200] {
+            stuck.insert(4, bit, true);
+            stuck.insert(5, bit, true);
+        }
+        let cache = ShardedCache::with_faults(
+            SudokuConfig::small(Scheme::Z, 256, 16),
+            4,
+            stuck,
+            DegradedConfig {
+                spare_cap_per_shard: 4,
+                strike_threshold: 2,
+            },
+        )
+        .unwrap();
+        let n_lines = 256u64;
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        // Stops the readers however the writer's loop ends, a failed
+        // assertion included, so the scope can join them.
+        struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        std::thread::scope(|s| {
+            // Lock-free readers race every store write below.
+            for reader in 0..2u64 {
+                let (cache, stop) = (&cache, &stop);
+                s.spawn(move || {
+                    let mut line = reader;
+                    while !stop.load(Ordering::Relaxed) {
+                        line = (line * 37 + 11) % n_lines;
+                        if let (Some(data), _) = cache.try_read_clean(line) {
+                            let owner = data.words()[0];
+                            assert!(
+                                data == LineData::zero() || owner == line | 1 << 32,
+                                "line {line} served another line's data"
+                            );
+                        }
+                    }
+                });
+            }
+            let _stop = StopOnDrop(&stop);
+            let mut rng = 0x5EED_0001_u64;
+            let mut next = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            let mut pending: Vec<u64> = Vec::new();
+            let mut version = 0u64;
+            for step in 0..600 {
+                let line = next(n_lines);
+                match next(9) {
+                    0 | 1 => {
+                        version += 1;
+                        cache.write(line, &versioned(line, version)).unwrap();
+                    }
+                    2 => {
+                        // A queued write: accepted now, applied later.
+                        cache.begin_write(line);
+                        pending.push(line);
+                    }
+                    3 => {
+                        for _ in 0..=next(2) {
+                            cache.inject_fault(line, next(553) as usize);
+                        }
+                    }
+                    4 => {
+                        let plan: Vec<(u64, Vec<usize>)> = (0..3)
+                            .map(|_| (next(n_lines), vec![next(553) as usize, next(553) as usize]))
+                            .collect();
+                        cache.apply_resolved_plan(&plan);
+                    }
+                    5 => {
+                        let shard = next(4) as usize;
+                        let hints: Vec<u64> = cache.plan().owned_lines(shard).collect();
+                        let (_, leftover) = cache.scrub_shard_local(shard, &hints);
+                        if !leftover.is_empty() {
+                            cache.escalate(&leftover);
+                        }
+                    }
+                    6 => {
+                        cache.escalate(&[line, 4, 5]);
+                    }
+                    7 => {
+                        let _ = cache.read(if next(2) == 0 { 4 } else { line });
+                    }
+                    _ => {
+                        if let Some(line) = pending.pop() {
+                            version += 1;
+                            cache.write(line, &versioned(line, version)).unwrap();
+                            cache.retire_write(line);
+                        }
+                    }
+                }
+                assert_view_coherent(&cache, step);
+            }
+            for line in pending.drain(..) {
+                cache.retire_write(line);
+            }
+            assert_view_coherent(&cache, 600);
+        });
+        assert!(
+            cache.degraded_stats().spared_lines >= 1,
+            "the interleaving must exercise sparing"
+        );
+    }
+
+    #[test]
+    fn sibling_rewritten_by_recovery_reads_back_lock_free() {
+        let cache = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 4).unwrap();
+        for line in 0..256u64 {
+            cache.write(line, &versioned(line, 0)).unwrap();
+        }
+        // Line 33 needs RAID-4 over its Hash-1 group; its sibling 34 has a
+        // single-bit fault the tick is never told about, and only the
+        // group scan of the recovery repairs it.
+        let (faulty, sibling) = (33u64, 34u64);
+        cache.inject_fault(faulty, 10);
+        cache.inject_fault(faulty, 20);
+        cache.inject_fault(sibling, 30);
+        assert_eq!(cache.try_read_clean(sibling).0, None);
+        let shard = cache.plan().shard_of_line(faulty);
+        let (report, leftover) = cache.scrub_shard_local(shard, &[faulty]);
+        assert!(leftover.is_empty(), "{report:?}");
+        assert_eq!(report.raid4_repairs, 1, "{report:?}");
+        assert_eq!(cache.try_read_clean(sibling).0, Some(versioned(sibling, 0)));
+        assert_eq!(cache.try_read_clean(faulty).0, Some(versioned(faulty, 0)));
+    }
+
+    #[test]
+    fn write_over_ecc1_dirty_old_value_publishes_one_line() {
+        let cache = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
+        for line in 0..256u64 {
+            cache.write(line, &versioned(line, 0)).unwrap();
+        }
+        let line = 70u64;
+        cache.inject_fault(line, 5);
+        let view = cache.view.as_ref().unwrap();
+        let before: Vec<u64> = (0..256).map(|l| view.epoch(l)).collect();
+        cache.write(line, &versioned(line, 1)).unwrap();
+        let moved: Vec<(u64, u64)> = (0..256u64)
+            .filter(|&l| view.epoch(l) != before[l as usize])
+            .map(|l| (l, view.epoch(l) - before[l as usize]))
+            .collect();
+        assert_eq!(moved, vec![(line, 2)], "one publish of the written line");
+        assert_eq!(cache.try_read_clean(line).0, Some(versioned(line, 1)));
+    }
+
+    #[test]
+    fn scrub_tick_over_clean_lines_publishes_nothing() {
+        let cache = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
+        for line in 0..256u64 {
+            cache.write(line, &versioned(line, 0)).unwrap();
+        }
+        let view = cache.view.as_ref().unwrap();
+        let before: Vec<u64> = (0..256).map(|l| view.epoch(l)).collect();
+        let hints: Vec<u64> = cache.plan().owned_lines(1).collect();
+        let (report, leftover) = cache.scrub_shard_local(1, &hints);
+        assert!(leftover.is_empty());
+        assert_eq!(report.lines_checked, 128);
+        assert!((0..256u64).all(|l| view.epoch(l) == before[l as usize]));
     }
 }

@@ -1,6 +1,7 @@
 //! The lock-free **line view**: a seqlock-stamped mirror of every stored
-//! line's `(data, crc, ecc)` triple, published by writers *inside* the
-//! shard lock and read by clients without taking any lock at all.
+//! line's `(data, crc, ecc)` triple, published by the shard stores on
+//! every write *inside* the shard lock and read by clients without taking
+//! any lock at all.
 //!
 //! This is what makes the demand hot path "a CRC check plus a few atomic
 //! loads": a clean read loads the line's slot under the seqlock, verifies
@@ -54,10 +55,11 @@ struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; LINE_WORDS],
     meta: AtomicU64,
-    /// Writes accepted into the shard queue but not yet applied and
-    /// republished. While nonzero, lock-free reads miss: they fall to the
-    /// shard queue, whose FIFO order puts them *behind* the write — that
-    /// is what makes fire-and-forget writes read-your-write consistent.
+    /// Writes accepted into the shard queue but not yet applied (which
+    /// publishes them). While nonzero, lock-free reads miss: they fall to
+    /// the shard queue, whose FIFO order puts them *behind* the write —
+    /// that is what makes fire-and-forget writes read-your-write
+    /// consistent.
     pending: AtomicU64,
 }
 
@@ -218,7 +220,7 @@ impl LineView {
     }
 
     /// Balances one [`LineView::begin_write`]: the write was applied and
-    /// republished (or consumed by a teardown path — either way it will
+    /// published (or consumed by a teardown path — either way it will
     /// never be applied later, so the view is authoritative again once
     /// the count drains).
     pub(crate) fn retire_write(&self, line: u64) {
@@ -251,6 +253,37 @@ impl std::fmt::Debug for LineView {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Slot inspection for the write-through tests of the sharded engine.
+    impl LineView {
+        /// The line `line`'s slot holds, or `None` once it is invalidated.
+        /// Only meaningful while no writer is in flight (tests hold the
+        /// owning shard's mutex).
+        pub(crate) fn slot_line(&self, line: u64) -> Option<ProtectedLine> {
+            let slot = &self.slots[line as usize];
+            if slot.seq.load(Ordering::Acquire) == SPARED {
+                return None;
+            }
+            let meta = slot.meta.load(Ordering::Relaxed);
+            Some(ProtectedLine {
+                data: LineData::from_words(std::array::from_fn(|i| {
+                    slot.words[i].load(Ordering::Relaxed)
+                })),
+                crc: (meta & 0xFFFF_FFFF) as u32,
+                ecc: (meta >> 32) as u16,
+            })
+        }
+
+        /// The seqlock epoch of `line`'s slot: each publish advances it by 2.
+        pub(crate) fn epoch(&self, line: u64) -> u64 {
+            self.slots[line as usize].seq.load(Ordering::Acquire)
+        }
+
+        /// Whether a write to `line` is accepted but not yet retired.
+        pub(crate) fn has_pending(&self, line: u64) -> bool {
+            self.slots[line as usize].pending.load(Ordering::Acquire) != 0
+        }
+    }
 
     fn encoded(bits: &[usize]) -> ProtectedLine {
         let mut d = LineData::zero();
