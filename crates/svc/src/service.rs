@@ -42,9 +42,10 @@
 //! inject (per-shard decorrelated [`FaultInjector::fork`] streams, so
 //! concurrent injection is reproducible regardless of thread
 //! interleaving), then a shard-local Hash-1 scrub, then cross-shard
-//! escalation of whatever the shard could not resolve alone. Its bulk
-//! passes take the shard mutex in small chunks, so a tick never convoys
-//! the demand path for more than a few µs at a time.
+//! escalation of whatever the shard could not resolve alone. The scrub
+//! sweeps its packets off the lock-free view and takes the shard mutex,
+//! in small chunks, only for the injected lines and the dirty ones it
+//! finds, so clean lines cost the demand path no lock hold at all.
 //!
 //! # Telemetry
 //!
@@ -542,7 +543,7 @@ impl ServiceHandle {
     /// means the caller must take the claimed path.
     fn fast_read(&self, line: u64, shard: usize, trace: u64) -> Option<LineData> {
         let service_start = Instant::now();
-        let (hit, retries) = self.state.try_read_clean(line);
+        let (hit, retries) = self.state.try_read_clean(line, shard);
         let data = hit?;
         account(
             &self.registry,
@@ -1555,7 +1556,7 @@ fn daemon_tick(
     packets_per_tick: usize,
 ) {
     let started = Instant::now();
-    let injected = if inject {
+    let mut injected = if inject {
         state.inject_shard(shard, injector)
     } else {
         Vec::new()
@@ -1563,35 +1564,42 @@ fn daemon_tick(
     reg.injected_lines.add(injected.len() as u64);
     // The bounded incremental sweep: advance this shard's packet cursor
     // far enough per tick that every owned line is revisited within the
-    // scrub deadline (the golden-zero fast path makes clean lines nearly
-    // free to rescan). Injection hints alone only cover lines the
-    // simulator *knows* it faulted — the sweep is what makes the 20 ms
-    // guarantee an audited property instead of an assumption.
+    // scrub deadline. Injection hints alone only cover lines the simulator
+    // *knows* it faulted — the sweep is what makes the 20 ms guarantee an
+    // audited property instead of an assumption. Swept lines are checked
+    // off the lock-free view, so a clean line costs the demand path no
+    // lock hold; dirty lines and the injected ones are scanned under it.
     let tracker = &plane.tracker;
+    let plan = state.plan();
     let n_packets = tracker.n_packets(shard);
     let packet_lines = tracker.packet_lines();
-    let owned = state.plan().owned_line_count(shard);
-    let mut hints = injected;
-    let mut swept = Vec::with_capacity(packets_per_tick);
-    let mut lines_swept = 0u64;
-    for _ in 0..packets_per_tick.min(n_packets) {
-        let packet = *cursor % n_packets;
-        *cursor = (*cursor + 1) % n_packets;
+    let owned = plan.owned_line_count(shard);
+    let count = packets_per_tick.min(n_packets);
+    let first = *cursor % n_packets;
+    *cursor = (first + count) % n_packets;
+    let pos = |packet: usize| (packet as u64 * packet_lines).min(owned);
+    // The tick's packets are one run of owned positions, or two when the
+    // cursor wraps.
+    let (head, tail) = if first + count <= n_packets {
+        (pos(first)..pos(first + count), 0..0)
+    } else {
+        (pos(first)..owned, 0..pos(first + count - n_packets))
+    };
+    reg.scrub_lines_swept
+        .add(head.end - head.start + tail.end - tail.start);
+    injected.sort_unstable();
+    let swept = [head, tail]
+        .into_iter()
+        .flat_map(|run| skip_sorted(plan.owned_lines_in(shard, run), &injected));
+    let (_report, leftover) = state.scrub_shard_sweep(shard, &injected, swept);
+    for packet in (first..first + count).map(|p| p % n_packets) {
         let start = packet as u64 * packet_lines;
-        let end = (start + packet_lines).min(owned);
-        hints.extend(state.plan().owned_lines_in(shard, start..end));
-        lines_swept += end.saturating_sub(start);
         if start < owned {
-            swept.push((packet, state.plan().owned_line_at(shard, start)));
+            let interval_ns = tracker.note_packet(shard, packet);
+            state
+                .heatmaps()
+                .note_staleness(plan.owned_line_at(shard, start), interval_ns);
         }
-    }
-    reg.scrub_lines_swept.add(lines_swept);
-    hints.sort_unstable();
-    hints.dedup();
-    let (_report, leftover) = state.scrub_shard_local(shard, &hints);
-    for (packet, first_line) in swept {
-        let interval_ns = tracker.note_packet(shard, packet);
-        state.heatmaps().note_staleness(first_line, interval_ns);
     }
     reg.scrub_tick_ns
         .record(started.elapsed().as_nanos() as u64);
@@ -1605,6 +1613,24 @@ fn daemon_tick(
         reg.unresolved_lines.add(report.unresolved.len() as u64);
     }
     reg.scrub_ticks.inc();
+}
+
+/// The lines of the ascending `run` that are not in the ascending
+/// `sorted`: one merge walk, no search per line.
+fn skip_sorted<'a>(
+    run: impl Iterator<Item = u64> + 'a,
+    sorted: &'a [u64],
+) -> impl Iterator<Item = u64> + 'a {
+    let mut rest = sorted;
+    run.filter(move |&line| {
+        while let [next, tail @ ..] = rest {
+            if *next >= line {
+                break;
+            }
+            rest = tail;
+        }
+        rest.first() != Some(&line)
+    })
 }
 
 /// Sleeps until `deadline` in slices of at most 1 ms, each cut to the
@@ -2008,5 +2034,15 @@ mod tests {
         // The view's accounting matches the reference: each lock-free read
         // is one cache read + one CRC check in aggregate stats.
         assert_eq!(report.stats.reads, 128);
+    }
+
+    #[test]
+    fn skip_sorted_drops_exactly_the_listed_lines() {
+        let kept = |run: std::ops::Range<u64>, sorted: &[u64]| {
+            skip_sorted(run, sorted).collect::<Vec<_>>()
+        };
+        assert_eq!(kept(3..9, &[1, 4, 5, 8, 20]), vec![3, 6, 7]);
+        assert_eq!(kept(0..4, &[]), vec![0, 1, 2, 3]);
+        assert_eq!(kept(5..7, &[5, 6]), Vec::<u64>::new());
     }
 }

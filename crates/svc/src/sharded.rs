@@ -5,15 +5,15 @@
 //! shards, so every Hash-1 repair (ECC-1, CRC detect, RAID-4, SDR) touches
 //! exactly one shard, while every Hash-2 group spans several shards — the
 //! SuDoku-Z dimension is inherently a cross-shard protocol. Each shard is
-//! a full-geometry [`SudokuCache`] over a flat store of its own lines
-//! (`ShardStore`, which writes every change through to the lock-free
-//! view) with [`SudokuConfig::with_deferred_hash2`] set: the shard still
-//! maintains its slice of the Hash-2 PLT on writes (parity is linear, so
-//! the global Hash-2 parity of a group is the XOR of the per-shard
-//! slices), but its *own* recovery ladder stops after Hash-1. Whatever a
-//! shard cannot resolve locally escalates to the coordinator, which
-//! gathers the Hash-2 group's members from their owning shards and drives
-//! the exact same [`RepairEngine`] the single-threaded cache uses.
+//! a full-geometry [`SudokuCache`] over a store of its own lines
+//! (`ShardStore`, kept in the slots of the lock-free line view, the only
+//! copy of each line) with [`SudokuConfig::with_deferred_hash2`] set: the
+//! shard still maintains its slice of the Hash-2 PLT on writes (parity is
+//! linear, so the global Hash-2 parity of a group is the XOR of the
+//! per-shard slices), but its *own* recovery ladder stops after Hash-1.
+//! Whatever a shard cannot resolve locally escalates to the coordinator,
+//! which gathers the Hash-2 group's members from their owning shards and
+//! drives the exact same [`RepairEngine`] the single-threaded cache uses.
 //!
 //! The deterministic whole-cache scrub ([`ShardedCache::scrub_lines`])
 //! replicates the reference fixpoint schedule — alternating a parallel
@@ -21,6 +21,11 @@
 //! no progress — so recovery outcomes, [`ScrubReport`]s, and `CacheStats`
 //! totals are invariant in the shard count (property-tested for
 //! N ∈ {1, 2, 4, 8}).
+//!
+//! The scrub daemon's shard-local pass ([`ShardedCache::scrub_shard_local`])
+//! checks clean lines off the view without the shard lock and locks only
+//! for the lines that need the ladder: dirty or torn slots, and the
+//! lines it was told are faulty.
 //!
 //! # Degraded mode
 //!
@@ -67,12 +72,11 @@ use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::{Heatmaps, RegionGeometry, DEFAULT_REGIONS};
 
 /// Lines per shard-mutex hold in the daemon's bulk passes (fault
-/// injection, scrub scan). A tick can touch hundreds of lines; taking the
-/// lock in chunks keeps the demand path's worst-case wait at one chunk
-/// instead of one whole tick.
+/// injection, the locked scan). A tick can fault hundreds of lines;
+/// taking the lock in chunks lets demand ops in between.
 const DAEMON_LOCK_CHUNK: usize = 32;
 
-/// One shard's cache: every store write lands in the lock-free view too.
+/// One shard's cache, stored in the lock-free view's slots.
 type ShardCache = SudokuCache<ShardStore>;
 
 /// Cross-shard recovery state owned by the coordinator: its own counter
@@ -236,10 +240,9 @@ pub struct ShardedCache {
     stuck: StuckBitMap,
     rejects: AtomicU64,
     skipped_h2: AtomicU64,
-    /// Seqlock-stamped mirror of every stored line for lock-free clean
-    /// reads, written through by the shard stores; `None` when the
-    /// geometry is too large to mirror.
-    view: Option<Arc<LineView>>,
+    /// The seqlock-stamped slot of every line: the shard stores keep their
+    /// lines here, and clean reads and sweeps load them without a lock.
+    view: Arc<LineView>,
     /// The spatial reliability plane, built with the cache: every recorder
     /// emit taps into its per-(shard, region) grids, and the paths that
     /// emit nothing (fault injection, stuck-cell physics, sparing strikes,
@@ -292,10 +295,10 @@ impl ShardedCache {
             |line| plan.shard_of_line(line),
         )));
         let shard_config = config.with_deferred_hash2();
-        let view = LineView::new(config.geometry.lines(), n_shards).map(Arc::new);
+        let view = Arc::new(LineView::new(config.geometry.lines(), n_shards));
         let shards = (0..n_shards)
             .map(|shard| {
-                let store = ShardStore::new(&plan, shard, view.clone());
+                let store = ShardStore::new(&plan, shard, Arc::clone(&view));
                 let mut cache = SudokuCache::with_store(shard_config, store)?;
                 let _ = cache.set_recorder(tapped_recorder(&heatmaps));
                 Ok(Mutex::new(cache))
@@ -422,14 +425,6 @@ impl ShardedCache {
         }
     }
 
-    /// Permanently removes `line` from the lock-free view (it was remapped
-    /// to a spare slot; the array copy is no longer authoritative).
-    fn invalidate_view(&self, line: u64) {
-        if let Some(view) = &self.view {
-            view.invalidate(line);
-        }
-    }
-
     /// The Hash-2 groups of every shard's faulty lines, ascending.
     fn h2_groups(&self, work: &[Option<Working<'_>>]) -> Vec<u64> {
         let hashes = self.plan.hashes();
@@ -448,36 +443,30 @@ impl ShardedCache {
     /// reads of the line miss until [`ShardedCache::retire_write`]
     /// balances this call, so a queued fire-and-forget write stays
     /// read-your-write consistent (the queue's FIFO order serves the read
-    /// after the write). No-op without a view.
+    /// after the write).
     pub(crate) fn begin_write(&self, line: u64) {
-        if let Some(view) = &self.view {
-            view.begin_write(line);
-        }
+        self.view.begin_write(line);
     }
 
     /// Balances one [`ShardedCache::begin_write`] once the write has been
     /// applied (which publishes it) — or consumed by a teardown path that
-    /// will never apply it. No-op without a view.
+    /// will never apply it.
     pub(crate) fn retire_write(&self, line: u64) {
-        if let Some(view) = &self.view {
-            view.retire_write(line);
-        }
+        self.view.retire_write(line);
     }
 
-    /// Attempts a lock-free clean read of `line` via the seqlock view:
-    /// `Some(data)` when the line is verifiably clean (CRC checked inline,
-    /// or golden zero), `None` when the caller must take the locked path.
-    /// The second element counts seqlock retries (for telemetry).
-    pub fn try_read_clean(&self, line: u64) -> (Option<LineData>, u32) {
-        let Some(view) = &self.view else {
-            return (None, 0);
-        };
-        let shard = self.plan.shard_of_line(line);
+    /// Attempts a lock-free clean read of `line`, owned by `shard`, via
+    /// the seqlock view: `Some(data)` when the line is verifiably clean
+    /// (CRC checked inline, or golden zero), `None` when the caller must
+    /// take the locked path. The second element counts seqlock retries
+    /// (for telemetry).
+    pub fn try_read_clean(&self, line: u64, shard: usize) -> (Option<LineData>, u32) {
+        debug_assert_eq!(shard, self.plan.shard_of_line(line), "line {line}");
         if !self.health.is_up(shard) {
             // Quarantine wins: the locked path owns the error reporting.
             return (None, 0);
         }
-        match view.try_read(line, shard) {
+        match self.view.try_read(line, shard) {
             (ViewRead::Clean(data), retries) => (Some(data), retries),
             (ViewRead::Zero, retries) => (Some(LineData::zero()), retries),
             (ViewRead::Miss, retries) => (None, retries),
@@ -617,7 +606,7 @@ impl ShardedCache {
         let mut total = CacheStats::default();
         for shard in 0..self.n_shards() {
             total.merge(self.lock_shard_telemetry(shard).stats());
-            self.fold_view_stats(shard, &mut total);
+            self.view.fold_stats(shard, &mut total);
         }
         total.merge(&self.lock_coord().stats);
         total
@@ -628,21 +617,10 @@ impl ShardedCache {
         (0..self.n_shards())
             .map(|s| {
                 let mut stats = *self.lock_shard_telemetry(s).stats();
-                self.fold_view_stats(s, &mut stats);
+                self.view.fold_stats(s, &mut stats);
                 stats
             })
             .collect()
-    }
-
-    /// Folds the lock-free view's read accounting for `shard` into
-    /// `stats`: every lock-free hit was one `reads` (plus one `crc_checks`
-    /// for non-zero lines) the reference would have counted under the
-    /// lock, so aggregates stay bit-identical to the reference path.
-    fn fold_view_stats(&self, shard: usize, stats: &mut CacheStats) {
-        if let Some(view) = &self.view {
-            stats.reads += view.reads(shard);
-            stats.crc_checks += view.crc_checks(shard);
-        }
     }
 
     /// The coordinator's own counters (cross-shard Hash-2 work).
@@ -771,32 +749,89 @@ impl ShardedCache {
     /// runs the Hash-1-only recovery fixpoint inside that shard, without
     /// touching any other shard. Returns the tick's report and the lines
     /// the shard could **not** resolve locally — the caller escalates
-    /// those via [`ShardedCache::escalate`]. No DUE accounting happens
-    /// here; a line is only a DUE once escalation also fails. A
-    /// quarantined shard returns an empty report and no leftovers.
+    /// those via [`ShardedCache::escalate`]. Hints owned by other shards,
+    /// repeated hints and spared lines are skipped. Clean lines are checked
+    /// off the lock-free view; only the others are scanned under the shard
+    /// lock, and the counters come out as if every line had been. No DUE
+    /// accounting happens here; a line is only a DUE once escalation also
+    /// fails. A quarantined shard returns an empty report and no leftovers.
     pub fn scrub_shard_local(&self, shard: usize, hints: &[u64]) -> (ScrubReport, Vec<u64>) {
+        let mut owned: Vec<u64> = hints
+            .iter()
+            .copied()
+            .filter(|&l| self.plan.shard_of_line(l) == shard)
+            .collect();
+        owned.sort_unstable();
+        owned.dedup();
+        self.scrub_shard_sweep(shard, &[], owned)
+    }
+
+    /// The one shard-local scan path. `forced` lines are scanned and
+    /// repaired under the lock first, so the faults a tick just injected
+    /// stay visible to demand ops no longer than that. `swept` lines are
+    /// then pre-checked off the view ([`LineView::sweep`]): clean and
+    /// golden-zero ones are counted there, and only dirty or torn ones are
+    /// scanned and repaired under the lock too. Spared lines are skipped.
+    /// Every line must be owned by `shard` and listed once across both
+    /// lists. A tick with nothing to lock for takes no lock at all.
+    pub(crate) fn scrub_shard_sweep(
+        &self,
+        shard: usize,
+        forced: &[u64],
+        swept: impl IntoIterator<Item = u64>,
+    ) -> (ScrubReport, Vec<u64>) {
         let mut report = ScrubReport::default();
-        let owned: Vec<u64> = {
-            let extra = self.lock_extra(shard);
-            hints
-                .iter()
-                .copied()
-                .filter(|&l| self.plan.shard_of_line(l) == shard && !extra.spares.is_spared(l))
-                .collect()
-        };
-        // The bulk scan runs in chunked lock holds (like fault injection):
-        // single-bit repairs are per-line atomic, and a demand write that
-        // slips between chunks just heals its line before the scan gets
-        // there — the recovery fixpoint below re-verifies every survivor.
+        let mut leftover = Vec::new();
+        let forced: Vec<u64> = forced
+            .iter()
+            .copied()
+            .filter(|&l| !self.view.is_spared(l))
+            .collect();
+        let down = || (ScrubReport::default(), Vec::new());
+        if !self.health.is_up(shard)
+            || !self.repair_locked(shard, &forced, &mut report, &mut leftover)
+        {
+            return down();
+        }
+        let mut dirty = Vec::new();
+        report.lines_checked += self.view.sweep(shard, swept, &mut dirty);
+        if !self.repair_locked(shard, &dirty, &mut report, &mut leftover) {
+            return down();
+        }
+        leftover.sort_unstable();
+        leftover.dedup();
+        report.unresolved = leftover.clone();
+        (report, leftover)
+    }
+
+    /// Scans `lines` of `shard` and runs the Hash-1-only recovery fixpoint
+    /// over the multi-bit ones, appending what stays unresolved to
+    /// `leftover`. The scan takes the shard mutex in [`DAEMON_LOCK_CHUNK`]-line
+    /// holds (like fault injection): single-bit repairs are per-line
+    /// atomic, and a demand write that slips between chunks just heals its
+    /// line before the scan gets there — the fixpoint, under one more hold,
+    /// re-verifies every survivor. Takes no lock for no lines (nothing was
+    /// repaired, so stuck cells have nothing to undo: a flipped stuck cell
+    /// leaves its line dirty). `false` when the shard is down.
+    fn repair_locked(
+        &self,
+        shard: usize,
+        lines: &[u64],
+        report: &mut ScrubReport,
+        leftover: &mut Vec<u64>,
+    ) -> bool {
+        if lines.is_empty() {
+            return true;
+        }
         let mut faulty = Casualties::default();
-        for chunk in owned.chunks(DAEMON_LOCK_CHUNK) {
+        for chunk in lines.chunks(DAEMON_LOCK_CHUNK) {
             let Ok(mut cache) = self.lock_shard(shard) else {
-                return (ScrubReport::default(), Vec::new());
+                return false;
             };
-            cache.scrub_scan(chunk.iter().copied(), true, &mut report, &mut faulty);
+            cache.scrub_scan(chunk.iter().copied(), true, report, &mut faulty);
         }
         let Ok(mut cache) = self.lock_shard(shard) else {
-            return (ScrubReport::default(), Vec::new());
+            return false;
         };
         let mut recovered = Recovered::default();
         loop {
@@ -804,7 +839,7 @@ impl ShardedCache {
                 break;
             }
             let before = faulty.len();
-            cache.recovery_pass(HashDim::H1, &mut faulty, &mut recovered, &mut report, true);
+            cache.recovery_pass(HashDim::H1, &mut faulty, &mut recovered, report, true);
             if faulty.len() >= before {
                 break;
             }
@@ -814,9 +849,8 @@ impl ShardedCache {
         // strikes (with the recovered data!) instead of looping forever.
         self.note_undone_reconstructions(shard, &recovered);
         self.reassert_shard(&mut cache, shard);
-        let leftover: Vec<u64> = faulty.lines().collect();
-        report.unresolved = leftover.clone();
-        (report, leftover)
+        leftover.extend(faulty.lines());
+        true
     }
 
     /// Cross-shard escalation: re-verifies the given lines and drives the
@@ -898,7 +932,7 @@ impl ShardedCache {
                     for &line in &w.st.report.unresolved {
                         if extra.spares.strike(line, None, &self.heatmaps) {
                             // Remapped: the array copy is dead to readers.
-                            self.invalidate_view(line);
+                            self.view.mark_spared(line);
                         }
                     }
                 }
@@ -929,7 +963,7 @@ impl ShardedCache {
                 // When the threshold is reached the line is spared *with*
                 // the reconstructed data — reads stop needing escalation.
                 if extra.spares.strike(line, Some(value.data), &self.heatmaps) {
-                    self.invalidate_view(line);
+                    self.view.mark_spared(line);
                 }
             }
         }
@@ -1474,9 +1508,9 @@ mod tests {
 
     /// Asserts the write-through invariant: with every shard held, each
     /// non-spared line with no pending write has a view slot equal to its
-    /// owning store's line, and each spared line's slot is invalidated.
+    /// owning store's line, and each spared line's slot is marked spared.
     fn assert_view_coherent(cache: &ShardedCache, step: usize) {
-        let view = cache.view.as_ref().expect("small geometries have a view");
+        let view = &cache.view;
         for shard in 0..cache.n_shards() {
             let guard = cache.lock_shard_telemetry(shard);
             let extra = cache.lock_extra(shard);
@@ -1544,7 +1578,9 @@ mod tests {
                     let mut line = reader;
                     while !stop.load(Ordering::Relaxed) {
                         line = (line * 37 + 11) % n_lines;
-                        if let (Some(data), _) = cache.try_read_clean(line) {
+                        if let (Some(data), _) =
+                            cache.try_read_clean(line, cache.plan().shard_of_line(line))
+                        {
                             let owner = data.words()[0];
                             assert!(
                                 data == LineData::zero() || owner == line | 1 << 32,
@@ -1635,13 +1671,19 @@ mod tests {
         cache.inject_fault(faulty, 10);
         cache.inject_fault(faulty, 20);
         cache.inject_fault(sibling, 30);
-        assert_eq!(cache.try_read_clean(sibling).0, None);
         let shard = cache.plan().shard_of_line(faulty);
+        assert_eq!(cache.try_read_clean(sibling, shard).0, None);
         let (report, leftover) = cache.scrub_shard_local(shard, &[faulty]);
         assert!(leftover.is_empty(), "{report:?}");
         assert_eq!(report.raid4_repairs, 1, "{report:?}");
-        assert_eq!(cache.try_read_clean(sibling).0, Some(versioned(sibling, 0)));
-        assert_eq!(cache.try_read_clean(faulty).0, Some(versioned(faulty, 0)));
+        assert_eq!(
+            cache.try_read_clean(sibling, shard).0,
+            Some(versioned(sibling, 0))
+        );
+        assert_eq!(
+            cache.try_read_clean(faulty, shard).0,
+            Some(versioned(faulty, 0))
+        );
     }
 
     #[test]
@@ -1652,7 +1694,7 @@ mod tests {
         }
         let line = 70u64;
         cache.inject_fault(line, 5);
-        let view = cache.view.as_ref().unwrap();
+        let view = &cache.view;
         let before: Vec<u64> = (0..256).map(|l| view.epoch(l)).collect();
         cache.write(line, &versioned(line, 1)).unwrap();
         let moved: Vec<(u64, u64)> = (0..256u64)
@@ -1660,7 +1702,12 @@ mod tests {
             .map(|l| (l, view.epoch(l) - before[l as usize]))
             .collect();
         assert_eq!(moved, vec![(line, 2)], "one publish of the written line");
-        assert_eq!(cache.try_read_clean(line).0, Some(versioned(line, 1)));
+        assert_eq!(
+            cache
+                .try_read_clean(line, cache.plan().shard_of_line(line))
+                .0,
+            Some(versioned(line, 1))
+        );
     }
 
     #[test]
@@ -1669,12 +1716,161 @@ mod tests {
         for line in 0..256u64 {
             cache.write(line, &versioned(line, 0)).unwrap();
         }
-        let view = cache.view.as_ref().unwrap();
+        let view = &cache.view;
         let before: Vec<u64> = (0..256).map(|l| view.epoch(l)).collect();
         let hints: Vec<u64> = cache.plan().owned_lines(1).collect();
         let (report, leftover) = cache.scrub_shard_local(1, &hints);
         assert!(leftover.is_empty());
         assert_eq!(report.lines_checked, 128);
         assert!((0..256u64).all(|l| view.epoch(l) == before[l as usize]));
+    }
+
+    /// Two shards over `Scheme::Z`, where shard 0 holds every kind of line
+    /// a sweep meets: golden zero (200..208 and 224..240 are never
+    /// written), clean, ECC-1 (33), ECC-field (34), multi-bit that RAID-4
+    /// repairs (66), an overlapping multi-bit pair Hash-1 cannot resolve
+    /// (38, 39), a spared stuck pair (4, 5) and a line with a stuck cell
+    /// the scan repairs and the physics undoes (8).
+    fn swept_state() -> ShardedCache {
+        let mut stuck = StuckBitMap::new();
+        for bit in [100u16, 200] {
+            stuck.insert(4, bit, true);
+            stuck.insert(5, bit, true);
+        }
+        stuck.insert(8, 300, true);
+        let cache = ShardedCache::with_faults(
+            SudokuConfig::small(Scheme::Z, 256, 16),
+            2,
+            stuck,
+            DegradedConfig {
+                spare_cap_per_shard: 4,
+                strike_threshold: 2,
+            },
+        )
+        .unwrap();
+        for line in 0..200u64 {
+            cache.write(line, &versioned(line, 0)).unwrap();
+        }
+        for _ in 0..3 {
+            for line in [4, 5] {
+                assert_eq!(cache.read(line).unwrap(), versioned(line, 0));
+            }
+        }
+        cache.inject_fault(33, 7);
+        cache.inject_fault(34, 545);
+        for (line, bits) in [(66, [10, 20]), (38, [100, 200]), (39, [100, 200])] {
+            for bit in bits {
+                cache.inject_fault(line, bit);
+            }
+        }
+        cache
+    }
+
+    #[test]
+    fn lock_free_sweep_equals_the_all_locked_scan() {
+        let (swept, locked) = (swept_state(), swept_state());
+        let hints: Vec<u64> = swept.plan().owned_lines(0).collect();
+        let spared = hints.iter().filter(|&&l| swept.view.is_spared(l)).count();
+        assert!(spared >= 1, "the state must hold a spared line");
+        let before = swept.stats();
+        assert_eq!(before, locked.stats());
+        let (report, leftover) = swept.scrub_shard_local(0, &hints);
+        let all_locked = locked.scrub_shard_sweep(0, &hints, std::iter::empty());
+        assert_eq!((report.clone(), leftover.clone()), all_locked);
+        assert_eq!(leftover, vec![38, 39]);
+        // Lines 33 and 8 (whose stuck cell the physics then restores).
+        assert_eq!(report.ecc1_repairs, 2, "{report:?}");
+        assert_eq!(report.meta_repairs, 1, "{report:?}");
+        assert_eq!(report.raid4_repairs, 1, "{report:?}");
+        let after = swept.stats();
+        assert_eq!(after, locked.stats());
+        // Spared lines are skipped, and every other line counted once.
+        assert_eq!(
+            after.lines_scrubbed - before.lines_scrubbed,
+            (hints.len() - spared) as u64
+        );
+        for line in 0..256 {
+            assert_eq!(
+                swept.stored_line(line),
+                locked.stored_line(line),
+                "line {line}"
+            );
+        }
+        assert_eq!(
+            swept.degraded_stats().stuck_reasserts,
+            locked.degraded_stats().stuck_reasserts
+        );
+        // The sweep did count clean lines off the view; the locked scan
+        // counted all of them under the lock.
+        let lock_free = |cache: &ShardedCache| {
+            let mut stats = CacheStats::default();
+            cache.view.fold_stats(0, &mut stats);
+            stats.lines_scrubbed
+        };
+        assert!(lock_free(&swept) > 100);
+        assert_eq!(lock_free(&locked), 0);
+    }
+
+    #[test]
+    fn lock_free_sweep_races_demand_writers() {
+        const ROUNDS: u64 = 200;
+        let cache = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
+        let shard = 0;
+        let lines: Vec<u64> = cache.plan().owned_lines(shard).collect();
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(3);
+        let sweeps = std::thread::scope(|s| {
+            // Two writers rewrite their own halves of the shard's lines
+            // `ROUNDS` times while the sweeps run.
+            for w in 0..2usize {
+                let (cache, lines, finished, start) = (&cache, &lines, &finished, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for version in 1..=ROUNDS {
+                        for &line in lines.iter().skip(w).step_by(2) {
+                            cache.write(line, &versioned(line, version)).unwrap();
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::Release);
+                });
+            }
+            start.wait();
+            let mut sweeps = 0u64;
+            while finished.load(Ordering::Acquire) < 2 {
+                let (report, leftover) = cache.scrub_shard_local(shard, &lines);
+                assert_eq!(report.lines_checked, lines.len() as u64);
+                assert!(leftover.is_empty(), "{report:?}");
+                sweeps += 1;
+            }
+            sweeps
+        });
+        // Every swept line was counted once, lock-free or under the lock.
+        assert_eq!(cache.stats().lines_scrubbed, sweeps * lines.len() as u64);
+        assert_view_coherent(&cache, 0);
+        for &line in &lines {
+            assert_eq!(
+                cache.read(line).unwrap(),
+                versioned(line, ROUNDS),
+                "line {line}"
+            );
+        }
+        // A writer stuck mid-publish (odd epoch) sends its line to the
+        // locked scan instead of being counted off the view.
+        let line = lines[5];
+        let epoch = cache.view.epoch(line);
+        cache.view.force_epoch(line, epoch + 1);
+        let locked_before = cache.lock_shard_telemetry(shard).stats().lines_scrubbed;
+        let total_before = cache.stats().lines_scrubbed;
+        let (report, _) = cache.scrub_shard_local(shard, &lines);
+        cache.view.force_epoch(line, epoch);
+        assert_eq!(report.lines_checked, lines.len() as u64);
+        assert_eq!(
+            cache.lock_shard_telemetry(shard).stats().lines_scrubbed - locked_before,
+            1
+        );
+        assert_eq!(
+            cache.stats().lines_scrubbed - total_before,
+            lines.len() as u64
+        );
     }
 }

@@ -1,15 +1,17 @@
-//! The lock-free **line view**: a seqlock-stamped mirror of every stored
-//! line's `(data, crc, ecc)` triple, published by the shard stores on
-//! every write *inside* the shard lock and read by clients without taking
+//! The **line view**: one seqlock-stamped slot per line holding its
+//! `(data, crc, ecc)` triple. The slots are the service's only copy of the
+//! array: each shard's store reads and writes its lines here under the
+//! shard mutex, and clients and the scrub daemon read them without taking
 //! any lock at all.
 //!
 //! This is what makes the demand hot path "a CRC check plus a few atomic
 //! loads": a clean read loads the line's slot under the seqlock, verifies
 //! the CRC-31 inline, and never touches a mutex. Anything else — a torn
 //! snapshot, an odd epoch (writer in flight), a CRC mismatch (the line is
-//! faulty and needs the ladder), or an invalidated slot (the line was
-//! remapped to a spare) — is a **miss**, and the caller falls back to the
-//! locked worker/repair path, which is bit-identical to the reference.
+//! faulty and needs the ladder), a pending write, or a spared line (the
+//! line was remapped to a spare) — is a **miss**, and the caller falls
+//! back to the locked worker/repair path, which is bit-identical to the
+//! reference.
 //!
 //! # Writer protocol (under the owning shard's mutex)
 //!
@@ -19,38 +21,37 @@
 //! data words + packed `crc|ecc` meta word (`Relaxed`), then store the
 //! even epoch with `Release`. A reader validates with the mirrored
 //! acquire-fence protocol; equal even epochs on both sides of the payload
-//! loads guarantee an untorn snapshot.
+//! loads guarantee an untorn snapshot. The store's own reads hold the
+//! mutex, so they see the last write without the seqlock.
 //!
 //! # Accounting
 //!
 //! The reference cache counts `reads` on every read and `crc_checks` on
 //! every non-zero read. The view replicates that exactly — per-shard
-//! atomic counters folded into [`CacheStats`] by the sharded engine — so
-//! aggregate stats stay bit-identical whether a read was served lock-free
-//! or under the lock. An all-zero slot (data, crc *and* ecc all zero) is
-//! the golden never-written line: served as zero with **no** CRC check,
-//! exactly like the reference's `is_zero` fast path.
-//!
-//! [`CacheStats`]: sudoku_core::CacheStats
+//! atomic counters folded into [`CacheStats`] by [`LineView::fold_stats`]
+//! — so aggregate stats stay bit-identical whether a read was served
+//! lock-free or under the lock. An all-zero slot (data, crc *and* ecc all
+//! zero) is the golden never-written line: served as zero with **no** CRC
+//! check, exactly like the reference's `is_zero` fast path. The daemon's
+//! lock-free sweep ([`LineView::sweep`]) counts `lines_scrubbed` and
+//! `crc_checks` the same way the locked `scrub_scan` would have, in
+//! counters of their own.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine, LINE_WORDS};
+use sudoku_core::CacheStats;
 
-/// Epoch sentinel: the line was remapped to a spare slot (or otherwise
-/// taken out of the view) — permanently invalid, reads always miss.
-const SPARED: u64 = u64::MAX;
+/// `pending` bit marking a line remapped to a spare slot: permanently out
+/// of the lock-free paths. The slot keeps storing the (faulty) array copy.
+const SPARED: u64 = 1 << 63;
 
 /// Bounded seqlock retries before giving up and taking the locked path.
 const MAX_RETRIES: u32 = 8;
 
-/// Views are only built for geometries up to this many lines (the slot
-/// array is ~80 B/line; 2^20 lines ≈ 84 MB). Larger geometries simply run
-/// without the lock-free path.
-pub(crate) const MAX_VIEW_LINES: u64 = 1 << 20;
-
-/// One line's published state: seqlock epoch, the eight data words, a
-/// packed meta word (`crc` in bits 0..32, `ecc` in bits 32..48), and the
-/// count of accepted-but-not-yet-applied writes (see [`LineView::begin_write`]).
+/// One line's state: seqlock epoch, the eight data words, a packed meta
+/// word (`crc` in bits 0..32, `ecc` in bits 32..48), and the count of
+/// accepted-but-not-yet-applied writes (see [`LineView::begin_write`]) with
+/// the [`SPARED`] mark in its top bit.
 struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; LINE_WORDS],
@@ -59,7 +60,7 @@ struct Slot {
     /// publishes them). While nonzero, lock-free reads miss: they fall to
     /// the shard queue, whose FIFO order puts them *behind* the write —
     /// that is what makes fire-and-forget writes read-your-write
-    /// consistent.
+    /// consistent. The [`SPARED`] bit keeps it nonzero forever.
     pending: AtomicU64,
 }
 
@@ -72,13 +73,61 @@ impl Slot {
             pending: AtomicU64::new(0),
         }
     }
+
+    /// The slot's words as a line. Untorn only while no writer is in
+    /// flight: under the owning shard's mutex, or between matching epochs.
+    fn load(&self) -> ProtectedLine {
+        let meta = self.meta.load(Ordering::Relaxed);
+        ProtectedLine {
+            data: LineData::from_words(std::array::from_fn(|i| {
+                self.words[i].load(Ordering::Relaxed)
+            })),
+            crc: (meta & 0xFFFF_FFFF) as u32,
+            ecc: (meta >> 32) as u16,
+        }
+    }
+
+    /// An untorn seqlock snapshot, or `None` when a writer stayed in
+    /// flight (or kept tearing the snapshot) for [`MAX_RETRIES`] tries.
+    /// The second element counts the retries taken.
+    fn snapshot(&self) -> (Option<ProtectedLine>, u32) {
+        let mut retries = 0u32;
+        loop {
+            let s1 = self.seq.load(Ordering::Acquire);
+            if s1 & 1 == 0 {
+                let line = self.load();
+                // Pairs with the writer's release fence: if any payload
+                // load above observed a post-fence store, this fence makes
+                // the writer's odd-epoch store visible to the re-load below.
+                fence(Ordering::Acquire);
+                if self.seq.load(Ordering::Relaxed) == s1 {
+                    return (Some(line), retries);
+                }
+            }
+            if retries >= MAX_RETRIES {
+                return (None, retries);
+            }
+            retries += 1;
+            std::hint::spin_loop();
+        }
+    }
 }
 
-/// Per-shard read accounting, cache-line padded so shards don't false-share.
+/// Per-shard lock-free read accounting, on its own cache line so shards
+/// (and the daemon's sweep counters) don't false-share.
 #[repr(align(64))]
 #[derive(Default)]
-struct ShardCounters {
+struct ReadCounters {
     reads: AtomicU64,
+    crc_checks: AtomicU64,
+}
+
+/// Per-shard lock-free sweep accounting: the lines the daemon found clean
+/// off the view, which the locked scan would have counted.
+#[repr(align(64))]
+#[derive(Default)]
+struct SweepCounters {
+    lines_scrubbed: AtomicU64,
     crc_checks: AtomicU64,
 }
 
@@ -89,30 +138,29 @@ pub(crate) enum ViewRead {
     /// Golden all-zero line (never written / zero slot): serve zero with
     /// no CRC check, mirroring the reference's `is_zero` fast path.
     Zero,
-    /// Torn snapshot, writer in flight, CRC mismatch, or invalidated slot:
-    /// fall back to the locked path (which does all the accounting).
+    /// Torn snapshot, writer in flight, CRC mismatch, pending write or
+    /// spared line: fall back to the locked path (which does all the
+    /// accounting).
     Miss,
 }
 
-/// The seqlock-stamped mirror of the whole line address space.
+/// The seqlock-stamped slots of the whole line address space.
 pub(crate) struct LineView {
     slots: Vec<Slot>,
-    counters: Vec<ShardCounters>,
+    reads: Vec<ReadCounters>,
+    sweeps: Vec<SweepCounters>,
     codec: &'static LineCodec,
 }
 
 impl LineView {
-    /// Builds a view for `n_lines` lines, or `None` when the geometry is
-    /// too large to mirror (the service then runs with locked reads only).
-    pub(crate) fn new(n_lines: u64, n_shards: usize) -> Option<LineView> {
-        if n_lines > MAX_VIEW_LINES {
-            return None;
-        }
-        Some(LineView {
+    /// An all-zero view of `n_lines` lines with accounting for `n_shards`.
+    pub(crate) fn new(n_lines: u64, n_shards: usize) -> LineView {
+        LineView {
             slots: (0..n_lines).map(|_| Slot::new()).collect(),
-            counters: (0..n_shards).map(|_| ShardCounters::default()).collect(),
+            reads: (0..n_shards).map(|_| ReadCounters::default()).collect(),
+            sweeps: (0..n_shards).map(|_| SweepCounters::default()).collect(),
             codec: LineCodec::shared(),
-        })
+        }
     }
 
     /// Lock-free read of `line`, charging accounting to `shard`. Returns
@@ -120,74 +168,76 @@ impl LineView {
     pub(crate) fn try_read(&self, line: u64, shard: usize) -> (ViewRead, u32) {
         let slot = &self.slots[line as usize];
         if slot.pending.load(Ordering::Acquire) != 0 {
-            // A write for this line is queued but not applied yet: the
-            // locked path's FIFO queue orders this read after it.
+            // A write for this line is queued but not applied yet (the
+            // locked path's FIFO queue orders this read after it), or the
+            // line is spared.
             return (ViewRead::Miss, 0);
         }
-        let mut retries = 0u32;
-        loop {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == SPARED {
-                return (ViewRead::Miss, retries);
-            }
-            if s1 & 1 == 1 {
-                // Writer in flight.
-                if retries >= MAX_RETRIES {
-                    return (ViewRead::Miss, retries);
-                }
-                retries += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut words = [0u64; LINE_WORDS];
-            for (w, src) in words.iter_mut().zip(slot.words.iter()) {
-                *w = src.load(Ordering::Relaxed);
-            }
-            let meta = slot.meta.load(Ordering::Relaxed);
-            // Pairs with the writer's release fence: if any payload load
-            // above observed a post-fence store, this fence makes the
-            // writer's odd-epoch store visible to the re-load below.
-            fence(Ordering::Acquire);
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s1 != s2 {
-                if retries >= MAX_RETRIES {
-                    return (ViewRead::Miss, retries);
-                }
-                retries += 1;
-                std::hint::spin_loop();
-                continue;
-            }
-            // Untorn snapshot.
-            let counters = &self.counters[shard];
-            if meta == 0 && words.iter().all(|&w| w == 0) {
-                counters.reads.fetch_add(1, Ordering::Relaxed);
-                return (ViewRead::Zero, retries);
-            }
-            let candidate = ProtectedLine {
-                data: LineData::from_words(words),
-                crc: (meta & 0xFFFF_FFFF) as u32,
-                ecc: (meta >> 32) as u16,
-            };
-            if self.codec.crc_ok(&candidate) {
-                counters.reads.fetch_add(1, Ordering::Relaxed);
-                counters.crc_checks.fetch_add(1, Ordering::Relaxed);
-                return (ViewRead::Clean(candidate.data), retries);
-            }
-            // Faulty line: the locked ladder owns it (and its accounting).
+        let (snapshot, retries) = slot.snapshot();
+        let Some(candidate) = snapshot else {
             return (ViewRead::Miss, retries);
+        };
+        let counters = &self.reads[shard];
+        if candidate.is_zero() {
+            counters.reads.fetch_add(1, Ordering::Relaxed);
+            return (ViewRead::Zero, retries);
         }
+        if self.codec.crc_ok(&candidate) {
+            counters.reads.fetch_add(1, Ordering::Relaxed);
+            counters.crc_checks.fetch_add(1, Ordering::Relaxed);
+            return (ViewRead::Clean(candidate.data), retries);
+        }
+        // Faulty line: the locked ladder owns it (and its accounting).
+        (ViewRead::Miss, retries)
     }
 
-    /// Publishes `stored` as `line`'s current state. Must be called while
+    /// The daemon's lock-free pre-check of `lines` (all owned by `shard`),
+    /// counted as the locked scan would count them: a golden-zero slot is
+    /// one `lines_scrubbed`, an untorn snapshot passing the full CRC+ECC-1
+    /// check ([`LineCodec::validate`]) one `lines_scrubbed` plus one
+    /// `crc_checks`. Spared lines are skipped uncounted. Every other line
+    /// — dirty, or torn by a writer in flight — is pushed to `locked` for
+    /// the locked scan, which counts it instead, so each line is counted
+    /// exactly once. Returns the number of lines counted here.
+    pub(crate) fn sweep(
+        &self,
+        shard: usize,
+        lines: impl IntoIterator<Item = u64>,
+        locked: &mut Vec<u64>,
+    ) -> u64 {
+        let (mut clean, mut zero) = (0u64, 0u64);
+        for line in lines {
+            if self.is_spared(line) {
+                continue;
+            }
+            match self.slots[line as usize].snapshot().0 {
+                Some(l) if l.is_zero() => zero += 1,
+                Some(l) if self.codec.validate(&l) => clean += 1,
+                _ => locked.push(line),
+            }
+        }
+        let counters = &self.sweeps[shard];
+        counters
+            .lines_scrubbed
+            .fetch_add(clean + zero, Ordering::Relaxed);
+        counters.crc_checks.fetch_add(clean, Ordering::Relaxed);
+        clean + zero
+    }
+
+    /// The line `line`'s slot holds. The caller holds the owning shard's
+    /// mutex, which every writer of the slot holds too.
+    pub(crate) fn line(&self, line: u64) -> ProtectedLine {
+        self.slots[line as usize].load()
+    }
+
+    /// Stores `stored` as `line`'s current state. Must be called while
     /// holding the owning shard's mutex (writers are serialized by it —
-    /// the seqlock has no writer-side CAS). A no-op on invalidated slots:
-    /// a spared line never re-enters the view.
+    /// the seqlock has no writer-side CAS). A spared line's slot keeps
+    /// storing: its array copy still exists, only no lock-free path reads
+    /// it.
     pub(crate) fn publish(&self, line: u64, stored: &ProtectedLine) {
         let slot = &self.slots[line as usize];
         let s = slot.seq.load(Ordering::Relaxed);
-        if s == SPARED {
-            return;
-        }
         slot.seq.store(s + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         for (dst, &w) in slot.words.iter().zip(stored.data.words().iter()) {
@@ -200,12 +250,17 @@ impl LineView {
         slot.seq.store(s + 2, Ordering::Release);
     }
 
-    /// Permanently takes `line` out of the view (it was remapped to a
-    /// spare slot): reads miss forever, later publishes are no-ops.
-    pub(crate) fn invalidate(&self, line: u64) {
+    /// Permanently takes `line` out of the lock-free paths (it was
+    /// remapped to a spare slot): reads miss and sweeps skip it forever.
+    pub(crate) fn mark_spared(&self, line: u64) {
         self.slots[line as usize]
-            .seq
-            .store(SPARED, Ordering::Release);
+            .pending
+            .fetch_or(SPARED, Ordering::Release);
+    }
+
+    /// Whether `line` was marked spared.
+    pub(crate) fn is_spared(&self, line: u64) -> bool {
+        self.slots[line as usize].pending.load(Ordering::Acquire) & SPARED != 0
     }
 
     /// Marks a write for `line` as accepted (queued, not yet applied):
@@ -229,15 +284,18 @@ impl LineView {
             .fetch_sub(1, Ordering::Release);
     }
 
-    /// Lock-free reads served for `shard` (each also counted one read in
-    /// the reference accounting).
-    pub(crate) fn reads(&self, shard: usize) -> u64 {
-        self.counters[shard].reads.load(Ordering::Relaxed)
-    }
-
-    /// Inline CRC checks performed for `shard`'s lock-free reads.
-    pub(crate) fn crc_checks(&self, shard: usize) -> u64 {
-        self.counters[shard].crc_checks.load(Ordering::Relaxed)
+    /// Folds `shard`'s lock-free accounting into `stats`: every lock-free
+    /// read hit was one `reads` (plus one `crc_checks` for a non-zero
+    /// line), and every lock-free swept line one `lines_scrubbed` (plus
+    /// one `crc_checks` for a non-zero line), that the reference would
+    /// have counted under the lock — so aggregates stay bit-identical to
+    /// the reference path.
+    pub(crate) fn fold_stats(&self, shard: usize, stats: &mut CacheStats) {
+        let (reads, sweeps) = (&self.reads[shard], &self.sweeps[shard]);
+        stats.reads += reads.reads.load(Ordering::Relaxed);
+        stats.lines_scrubbed += sweeps.lines_scrubbed.load(Ordering::Relaxed);
+        stats.crc_checks +=
+            reads.crc_checks.load(Ordering::Relaxed) + sweeps.crc_checks.load(Ordering::Relaxed);
     }
 }
 
@@ -245,7 +303,7 @@ impl std::fmt::Debug for LineView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LineView")
             .field("lines", &self.slots.len())
-            .field("shards", &self.counters.len())
+            .field("shards", &self.reads.len())
             .finish()
     }
 }
@@ -256,22 +314,11 @@ mod tests {
 
     /// Slot inspection for the write-through tests of the sharded engine.
     impl LineView {
-        /// The line `line`'s slot holds, or `None` once it is invalidated.
+        /// The line `line`'s slot holds, or `None` once it is spared.
         /// Only meaningful while no writer is in flight (tests hold the
         /// owning shard's mutex).
         pub(crate) fn slot_line(&self, line: u64) -> Option<ProtectedLine> {
-            let slot = &self.slots[line as usize];
-            if slot.seq.load(Ordering::Acquire) == SPARED {
-                return None;
-            }
-            let meta = slot.meta.load(Ordering::Relaxed);
-            Some(ProtectedLine {
-                data: LineData::from_words(std::array::from_fn(|i| {
-                    slot.words[i].load(Ordering::Relaxed)
-                })),
-                crc: (meta & 0xFFFF_FFFF) as u32,
-                ecc: (meta >> 32) as u16,
-            })
+            (!self.is_spared(line)).then(|| self.line(line))
         }
 
         /// The seqlock epoch of `line`'s slot: each publish advances it by 2.
@@ -279,9 +326,15 @@ mod tests {
             self.slots[line as usize].seq.load(Ordering::Acquire)
         }
 
+        /// Overwrites the seqlock epoch of `line`'s slot, as a writer
+        /// stuck mid-publish would leave it (an odd value).
+        pub(crate) fn force_epoch(&self, line: u64, seq: u64) {
+            self.slots[line as usize].seq.store(seq, Ordering::Release);
+        }
+
         /// Whether a write to `line` is accepted but not yet retired.
         pub(crate) fn has_pending(&self, line: u64) -> bool {
-            self.slots[line as usize].pending.load(Ordering::Acquire) != 0
+            self.slots[line as usize].pending.load(Ordering::Acquire) & !SPARED != 0
         }
     }
 
@@ -293,55 +346,67 @@ mod tests {
         LineCodec::shared().encode(&d)
     }
 
+    fn folded(view: &LineView, shard: usize) -> CacheStats {
+        let mut stats = CacheStats::default();
+        view.fold_stats(shard, &mut stats);
+        stats
+    }
+
     #[test]
     fn zero_slot_serves_zero_without_crc_check() {
-        let view = LineView::new(16, 2).unwrap();
+        let view = LineView::new(16, 2);
         let (out, retries) = view.try_read(3, 1);
         assert!(matches!(out, ViewRead::Zero));
         assert_eq!(retries, 0);
-        assert_eq!(view.reads(1), 1);
-        assert_eq!(view.crc_checks(1), 0);
+        assert_eq!(folded(&view, 1).reads, 1);
+        assert_eq!(folded(&view, 1).crc_checks, 0);
     }
 
     #[test]
     fn published_line_reads_back_clean_with_crc_check() {
-        let view = LineView::new(16, 2).unwrap();
+        let view = LineView::new(16, 2);
         let stored = encoded(&[5, 100]);
         view.publish(7, &stored);
         match view.try_read(7, 0) {
             (ViewRead::Clean(data), _) => assert_eq!(data, stored.data),
             _ => panic!("expected clean hit"),
         }
-        assert_eq!(view.reads(0), 1);
-        assert_eq!(view.crc_checks(0), 1);
+        assert_eq!(folded(&view, 0).reads, 1);
+        assert_eq!(folded(&view, 0).crc_checks, 1);
     }
 
     #[test]
     fn corrupt_line_misses_without_accounting() {
-        let view = LineView::new(16, 1).unwrap();
+        let view = LineView::new(16, 1);
         let mut stored = encoded(&[9]);
         // Flip a data bit without updating the CRC: the inline check fails.
         stored.data.set_bit(10, true);
         view.publish(2, &stored);
         assert!(matches!(view.try_read(2, 0), (ViewRead::Miss, _)));
-        assert_eq!(view.reads(0), 0);
-        assert_eq!(view.crc_checks(0), 0);
+        assert_eq!(folded(&view, 0), CacheStats::default());
     }
 
     #[test]
-    fn invalidated_slot_misses_forever() {
-        let view = LineView::new(16, 1).unwrap();
+    fn spared_slot_stores_but_misses_forever() {
+        let view = LineView::new(16, 1);
         view.publish(4, &encoded(&[1]));
-        view.invalidate(4);
+        view.mark_spared(4);
         assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
-        // Publishing after invalidation is a no-op: still a miss.
+        // The array copy keeps being stored; readers keep missing.
         view.publish(4, &encoded(&[2]));
+        assert_eq!(view.line(4), encoded(&[2]));
         assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
+        // Pending writes come and go without clearing the mark.
+        view.begin_write(4);
+        view.retire_write(4);
+        assert!(!view.has_pending(4));
+        assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
+        assert_eq!(view.slot_line(4), None);
     }
 
     #[test]
     fn pending_write_blocks_lock_free_reads_until_retired() {
-        let view = LineView::new(16, 1).unwrap();
+        let view = LineView::new(16, 1);
         let stored = encoded(&[3, 200]);
         view.publish(6, &stored);
         view.begin_write(6);
@@ -355,9 +420,29 @@ mod tests {
     }
 
     #[test]
-    fn oversized_geometry_gets_no_view() {
-        assert!(LineView::new(MAX_VIEW_LINES + 1, 4).is_none());
-        assert!(LineView::new(MAX_VIEW_LINES, 4).is_some());
+    fn sweep_counts_clean_lines_and_defers_the_rest() {
+        let view = LineView::new(16, 2);
+        view.publish(1, &encoded(&[7]));
+        let mut ecc_field = encoded(&[8]);
+        ecc_field.ecc ^= 1;
+        view.publish(2, &ecc_field);
+        let mut dirty = encoded(&[9]);
+        dirty.data.set_bit(10, true);
+        view.publish(3, &dirty);
+        view.publish(4, &encoded(&[11]));
+        view.mark_spared(4);
+        view.publish(5, &encoded(&[12]));
+        view.force_epoch(5, view.epoch(5) + 1);
+        view.begin_write(6);
+        let mut locked = Vec::new();
+        // 0 and 6 are golden zero (a pending write changes nothing stored),
+        // 1 is clean, 2 fails only its ECC field, 3 its CRC, 4 is spared
+        // and 5 has a writer stuck in flight.
+        assert_eq!(view.sweep(1, 0..7, &mut locked), 3);
+        assert_eq!(locked, vec![2, 3, 5]);
+        let stats = folded(&view, 1);
+        assert_eq!((stats.lines_scrubbed, stats.crc_checks), (3, 1));
+        assert_eq!(folded(&view, 0), CacheStats::default());
     }
 
     #[test]
@@ -366,7 +451,7 @@ mod tests {
         // hammer it: every Clean hit must be one of the two golden values
         // (the CRC would catch a mash of the two, so a torn-but-accepted
         // snapshot would surface as a wrong-data panic here).
-        let view = std::sync::Arc::new(LineView::new(4, 1).unwrap());
+        let view = std::sync::Arc::new(LineView::new(4, 1));
         let a = encoded(&[1, 64, 300]);
         let b = encoded(&[2, 65, 301]);
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
