@@ -6,7 +6,7 @@ use sudoku_bench::{flag, header, sci, write_bench_reports, Args};
 use sudoku_core::Scheme;
 use sudoku_fault::ThermalModel;
 use sudoku_reliability::analytic::{ecc_fit, z_fit_paper_style, Params};
-use sudoku_reliability::ecc2::{run_ecc2_campaign, Ecc2Scenario};
+use sudoku_reliability::ecc2::{run_ecc2_campaign_with_repairs, Ecc2Scenario};
 use sudoku_reliability::montecarlo::{run_group_campaign_timed, GroupScenario, ThroughputReport};
 
 fn main() {
@@ -14,12 +14,13 @@ fn main() {
     header("§VII-G — replacing ECC-1 with ECC-2 (functional + analytic)");
 
     println!(
-        "single-hash SDR success rates ({} trials per cell):\n",
-        args.trials
+        "single-hash SDR success rates ({} trials per cell, seed {}); the last\n\
+         column is the ECC-2 design's SDR and RAID-4 repairs per trial:\n",
+        args.trials, args.seed
     );
     println!(
-        "{:<26} {:>14} {:>14}",
-        "pattern (faults per line)", "ECC-1 design", "ECC-2 design"
+        "{:<26} {:>14} {:>14} {:>16}",
+        "pattern (faults per line)", "ECC-1 design", "ECC-2 design", "ECC-2 SDR/RAID-4"
     );
     let mut reports: Vec<(String, ThroughputReport)> = Vec::new();
     let patterns: Vec<(&str, Vec<u32>)> = vec![
@@ -42,19 +43,18 @@ fn main() {
             args.threads,
         );
         reports.push((label.to_string(), report));
-        let ecc2 = run_ecc2_campaign(
-            &Ecc2Scenario {
-                group: 64,
-                fault_counts: counts,
-                max_mismatches: 6,
-            },
-            args.trials,
-            args.seed,
-        );
+        let scenario = Ecc2Scenario {
+            group: 64,
+            fault_counts: counts,
+            max_mismatches: 6,
+        };
+        let (ecc2, sdr, raid4) = run_ecc2_campaign_with_repairs(&scenario, args.trials, args.seed);
         println!(
-            "{label:<26} {:>13.2}% {:>13.2}%",
+            "{label:<26} {:>13.2}% {:>13.2}% {:>7.2} / {:<6.2}",
             ecc1.success_rate() * 100.0,
-            ecc2.success_rate() * 100.0
+            ecc2.success_rate() * 100.0,
+            sdr as f64 / args.trials as f64,
+            raid4 as f64 / args.trials as f64
         );
     }
 

@@ -12,6 +12,9 @@
 //! * [`LineCodec`] / [`ProtectedLine`] — the composed 553-bit stored line
 //!   (512 data + 31 CRC + 10 ECC, paper §III-E), every check of which goes
 //!   through one 41-bit CRC + ECC-1 syndrome;
+//! * [`Line2Codec`] / [`ProtectedLine2`] — the §VII-G ECC-2 variant (BCH
+//!   t = 2 in place of ECC-1), and [`LineCode`], the trait both line
+//!   types implement for the group-repair ladder;
 //! * [`group_parity`] / [`reconstruct`] — RAID-4 XOR parity lines;
 //! * [`GfTables`] and [`Bch`] — GF(2^m) arithmetic and the multi-bit BCH
 //!   codes used by the ECC-2…ECC-6 and Hi-ECC baselines.
@@ -52,9 +55,8 @@ pub use crc::{crc31, CrcEngine, CrcSpec, CRC31};
 pub use gf::{GfError, GfTables};
 pub use hamming::{HammingOutcome, HammingSec};
 pub use line::{
-    LineCodec, ProtectedLine, ReadCheck, RepairKind, CRC_BITS, DATA_BITS, ECC_BITS, TOTAL_BITS,
+    LineCode, LineCodec, ProtectedLine, ReadCheck, RepairKind, CRC_BITS, DATA_BITS, ECC_BITS,
+    TOTAL_BITS,
 };
-pub use line2::{
-    Line2Codec, ProtectedLine2, ReadCheck2, CRC2_BITS, DATA2_BITS, ECC2_BITS, TOTAL2_BITS,
-};
-pub use parity::{group_parity, mismatch_positions, reconstruct};
+pub use line2::{Line2Codec, ProtectedLine2, CRC2_BITS, DATA2_BITS, ECC2_BITS, TOTAL2_BITS};
+pub use parity::{group_parity, reconstruct};

@@ -147,33 +147,22 @@ impl ProtectedLine {
         self.xor(other).iter_ones().collect()
     }
 
-    /// Positions of the set stored bits, ascending (data, then CRC, then
-    /// ECC), without allocating.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        let ones = |mut bits: u64, first: usize| {
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let i = first + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    i
-                })
-            })
-        };
-        self.data
-            .iter_ones()
-            .chain(ones(u64::from(self.crc), DATA_BITS))
-            .chain(ones(u64::from(self.ecc), DATA_BITS + CRC_BITS))
-    }
-
     /// Whether every stored bit is zero.
     pub fn is_zero(&self) -> bool {
         self.data.is_zero() && self.crc == 0 && self.ecc == 0
     }
+}
 
-    /// Number of set stored bits.
-    pub fn count_ones(&self) -> u32 {
-        self.data.count_ones() + self.crc.count_ones() + self.ecc.count_ones()
-    }
+/// Ascending positions of the set bits of a metadata field whose bit 0
+/// is stored bit `first`.
+pub(crate) fn field_ones(mut bits: u64, first: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = first + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            i
+        })
+    })
 }
 
 /// How a single-fault repair fixed a line.
@@ -187,19 +176,94 @@ pub enum RepairKind {
 
 /// Classification of a stored line by the read path (paper §III-B/C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReadCheck {
+pub enum ReadCheck<L = ProtectedLine> {
     /// CRC syndrome is zero: the line is served as-is.
     Clean,
-    /// ECC-1 repaired a single fault and the CRC re-check passed.
+    /// The line's ECC repaired the fault(s) it can correct and the CRC
+    /// re-check passed.
     Corrected {
         /// The repaired stored line (write it back).
-        repaired: ProtectedLine,
+        repaired: L,
         /// What was repaired.
         kind: RepairKind,
     },
-    /// ECC-1 could not produce a CRC-consistent line: multi-bit error,
+    /// The ECC could not produce a CRC-consistent line: multi-bit error,
     /// escalate to RAID-4 / SDR / skewed-hash recovery.
     MultiBit,
+}
+
+/// A stored line under a linear per-line code (XORs of codewords are
+/// codewords): what the group-repair ladder needs to run over it.
+/// Implemented by the ECC-1 [`ProtectedLine`] and the ECC-2
+/// [`ProtectedLine2`](crate::ProtectedLine2).
+pub trait LineCode: Copy {
+    /// The codec that checks this line.
+    type Codec: 'static;
+
+    /// The scrub-path check: clean, repaired by the line's own ECC with
+    /// the CRC re-checked, or multi-bit.
+    fn scrub_check(codec: &Self::Codec, line: &Self) -> ReadCheck<Self>;
+
+    /// Full consistency: CRC and ECC both match.
+    fn validate(codec: &Self::Codec, line: &Self) -> bool;
+
+    /// Whether every stored bit is zero.
+    fn is_zero(&self) -> bool;
+
+    /// XORs another stored line into this one.
+    fn xor_assign(&mut self, other: &Self);
+
+    /// Flips one stored bit.
+    fn flip_bit(&mut self, i: usize);
+
+    /// Number of set stored bits.
+    fn count_ones(&self) -> u32;
+
+    /// Positions of the set stored bits, ascending.
+    fn iter_ones(&self) -> impl Iterator<Item = usize> + '_;
+}
+
+impl LineCode for ProtectedLine {
+    type Codec = LineCodec;
+
+    #[inline]
+    fn scrub_check(codec: &LineCodec, line: &Self) -> ReadCheck {
+        codec.scrub_check(line)
+    }
+
+    #[inline]
+    fn validate(codec: &LineCodec, line: &Self) -> bool {
+        codec.validate(line)
+    }
+
+    #[inline]
+    fn is_zero(&self) -> bool {
+        ProtectedLine::is_zero(self)
+    }
+
+    #[inline]
+    fn xor_assign(&mut self, other: &Self) {
+        ProtectedLine::xor_assign(self, other)
+    }
+
+    #[inline]
+    fn flip_bit(&mut self, i: usize) {
+        ProtectedLine::flip_bit(self, i)
+    }
+
+    #[inline]
+    fn count_ones(&self) -> u32 {
+        self.data.count_ones() + self.crc.count_ones() + self.ecc.count_ones()
+    }
+
+    /// Data, then CRC, then ECC positions, without allocating.
+    #[inline]
+    fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.data
+            .iter_ones()
+            .chain(field_ones(u64::from(self.crc), DATA_BITS))
+            .chain(field_ones(u64::from(self.ecc), DATA_BITS + CRC_BITS))
+    }
 }
 
 /// The shared per-line encoder/decoder.

@@ -16,7 +16,7 @@
 use crate::bch::{Bch, BchOutcome};
 use crate::bits::{BitBuf, LineData};
 use crate::crc::{crc31, CrcEngine};
-use crate::line::RepairKind;
+use crate::line::{field_ones, LineCode, ReadCheck, RepairKind};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -64,13 +64,41 @@ impl ProtectedLine2 {
         }
     }
 
+    /// XORs another stored line into this one (all 563 bits; linearity of
+    /// CRC and BCH keeps XORs of codewords valid).
+    #[inline]
+    pub fn xor_assign(&mut self, other: &ProtectedLine2) {
+        self.data.xor_assign(&other.data);
+        self.crc ^= other.crc;
+        self.ecc ^= other.ecc;
+    }
+}
+
+impl LineCode for ProtectedLine2 {
+    type Codec = Line2Codec;
+
+    fn scrub_check(codec: &Line2Codec, line: &Self) -> ReadCheck<Self> {
+        codec.scrub_check(line)
+    }
+
+    fn validate(codec: &Line2Codec, line: &Self) -> bool {
+        codec.validate(line)
+    }
+
+    fn is_zero(&self) -> bool {
+        self.data.is_zero() && self.crc == 0 && self.ecc == 0
+    }
+
+    fn xor_assign(&mut self, other: &Self) {
+        ProtectedLine2::xor_assign(self, other)
+    }
+
     /// Flips stored bit `i` (0..563).
     ///
     /// # Panics
     ///
     /// Panics if `i >= 563`.
-    #[inline]
-    pub fn flip_bit(&mut self, i: usize) {
+    fn flip_bit(&mut self, i: usize) {
         if i < DATA2_BITS {
             self.data.flip_bit(i);
         } else if i < DATA2_BITS + CRC2_BITS {
@@ -82,34 +110,15 @@ impl ProtectedLine2 {
         }
     }
 
-    /// XORs another stored line into this one (all 563 bits; linearity of
-    /// CRC and BCH keeps XORs of codewords valid).
-    #[inline]
-    pub fn xor_assign(&mut self, other: &ProtectedLine2) {
-        self.data.xor_assign(&other.data);
-        self.crc ^= other.crc;
-        self.ecc ^= other.ecc;
+    fn count_ones(&self) -> u32 {
+        self.data.count_ones() + self.crc.count_ones() + self.ecc.count_ones()
     }
 
-    /// Stored-bit positions at which two lines differ, ascending.
-    pub fn diff_positions(&self, other: &ProtectedLine2) -> Vec<usize> {
-        let mut out = self.data.diff_positions(&other.data);
-        let mut crc_diff = self.crc ^ other.crc;
-        while crc_diff != 0 {
-            out.push(DATA2_BITS + crc_diff.trailing_zeros() as usize);
-            crc_diff &= crc_diff - 1;
-        }
-        let mut ecc_diff = self.ecc ^ other.ecc;
-        while ecc_diff != 0 {
-            out.push(DATA2_BITS + CRC2_BITS + ecc_diff.trailing_zeros() as usize);
-            ecc_diff &= ecc_diff - 1;
-        }
-        out
-    }
-
-    /// Whether every stored bit is zero.
-    pub fn is_zero(&self) -> bool {
-        self.data.is_zero() && self.crc == 0 && self.ecc == 0
+    fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+        self.data
+            .iter_ones()
+            .chain(field_ones(u64::from(self.crc), DATA2_BITS))
+            .chain(field_ones(u64::from(self.ecc), DATA2_BITS + CRC2_BITS))
     }
 }
 
@@ -230,12 +239,12 @@ impl Line2Codec {
 
     /// The scrub-path check: CRC, then ≤2-error BCH repair, then CRC
     /// re-check — the ECC-2 analogue of the ECC-1 codec's `scrub_check`.
-    pub fn scrub_check(&self, line: &ProtectedLine2) -> ReadCheck2 {
+    pub fn scrub_check(&self, line: &ProtectedLine2) -> ReadCheck<ProtectedLine2> {
         if self.crc_ok(line) {
             let mut payload = Self::payload_of(&line.data, line.crc);
             let mut parity = Self::parity_bits_of(line.ecc);
             return match self.bch.decode(&mut payload, &mut parity) {
-                BchOutcome::Clean => ReadCheck2::Clean,
+                BchOutcome::Clean => ReadCheck::Clean,
                 // Data+CRC are CRC-consistent; trust them and regenerate
                 // the parity field (it carried the fault(s)).
                 _ => {
@@ -246,7 +255,7 @@ impl Line2Codec {
                             &self.bch.encode(&Self::payload_of(&line.data, line.crc)),
                         ),
                     };
-                    ReadCheck2::Corrected {
+                    ReadCheck::Corrected {
                         repaired,
                         kind: RepairKind::EccField,
                     }
@@ -265,33 +274,17 @@ impl Line2Codec {
                 };
                 if self.crc_ok(&candidate) {
                     let first = positions.first().copied().unwrap_or_default();
-                    ReadCheck2::Corrected {
+                    ReadCheck::Corrected {
                         repaired: candidate,
                         kind: RepairKind::PayloadBit(first),
                     }
                 } else {
-                    ReadCheck2::MultiBit
+                    ReadCheck::MultiBit
                 }
             }
-            BchOutcome::Clean | BchOutcome::Uncorrectable => ReadCheck2::MultiBit,
+            BchOutcome::Clean | BchOutcome::Uncorrectable => ReadCheck::MultiBit,
         }
     }
-}
-
-/// Outcome of an ECC-2 line check (mirror of [`crate::ReadCheck`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReadCheck2 {
-    /// Fully consistent.
-    Clean,
-    /// ≤2 faults repaired and CRC re-validated.
-    Corrected {
-        /// The repaired line.
-        repaired: ProtectedLine2,
-        /// What was repaired.
-        kind: RepairKind,
-    },
-    /// More than two faults: escalate to group recovery.
-    MultiBit,
 }
 
 #[cfg(test)]
@@ -323,7 +316,7 @@ mod tests {
         let codec = Line2Codec::shared();
         let line = codec.encode(&sample_data(1));
         assert!(codec.validate(&line));
-        assert_eq!(codec.scrub_check(&line), ReadCheck2::Clean);
+        assert_eq!(codec.scrub_check(&line), ReadCheck::Clean);
     }
 
     #[test]
@@ -335,7 +328,7 @@ mod tests {
             let mut line = golden;
             line.flip_bit(i);
             match codec.scrub_check(&line) {
-                ReadCheck2::Corrected { repaired, .. } => assert_eq!(repaired, golden, "bit {i}"),
+                ReadCheck::Corrected { repaired, .. } => assert_eq!(repaired, golden, "bit {i}"),
                 other => panic!("bit {i}: {other:?}"),
             }
         }
@@ -351,7 +344,7 @@ mod tests {
             line.flip_bit(a);
             line.flip_bit(b);
             match codec.scrub_check(&line) {
-                ReadCheck2::Corrected { repaired, .. } => {
+                ReadCheck::Corrected { repaired, .. } => {
                     assert_eq!(repaired, golden, "bits {a},{b}")
                 }
                 other => panic!("bits {a},{b}: {other:?}"),
@@ -368,11 +361,7 @@ mod tests {
             line.flip_bit(base);
             line.flip_bit(base + 101);
             line.flip_bit(base + 222);
-            assert_eq!(
-                codec.scrub_check(&line),
-                ReadCheck2::MultiBit,
-                "base {base}"
-            );
+            assert_eq!(codec.scrub_check(&line), ReadCheck::MultiBit, "base {base}");
         }
     }
 
@@ -386,13 +375,18 @@ mod tests {
     }
 
     #[test]
-    fn diff_positions_cover_fields() {
+    fn iter_ones_cover_fields() {
         let codec = Line2Codec::shared();
         let golden = codec.encode(&sample_data(6));
-        let mut line = golden;
-        line.flip_bit(5);
-        line.flip_bit(520);
-        line.flip_bit(562);
-        assert_eq!(line.diff_positions(&golden), vec![5, 520, 562]);
+        let mut diff = golden;
+        diff.flip_bit(5);
+        diff.flip_bit(520);
+        diff.flip_bit(562);
+        diff.xor_assign(&golden);
+        assert_eq!(
+            LineCode::iter_ones(&diff).collect::<Vec<_>>(),
+            [5, 520, 562]
+        );
+        assert_eq!(LineCode::count_ones(&diff), 3);
     }
 }

@@ -221,7 +221,7 @@ impl<S: LineStore> SudokuCache<S> {
             plt2,
             codec: LineCodec::shared(),
             stats: CacheStats::default(),
-            recorder: Recorder::ring(4096),
+            recorder: Recorder::disabled(),
             scratch: GroupScratch::default(),
         })
     }
@@ -241,9 +241,10 @@ impl<S: LineStore> SudokuCache<S> {
         &self.stats
     }
 
-    /// The telemetry recorder attached to this cache. The default is a
-    /// bounded in-memory ring of the most recent 4096 recovery events;
-    /// install a different one with [`SudokuCache::set_recorder`].
+    /// The telemetry recorder attached to this cache. The default is
+    /// disabled: it records no events, histograms or spans. Install an
+    /// enabled one (say, a ring of the most recent 4096 recovery events,
+    /// `Recorder::ring(4096)`) with [`SudokuCache::set_recorder`].
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -1223,6 +1224,7 @@ mod tests {
     #[test]
     fn event_log_records_the_ladder() {
         let mut cache = small_cache(Scheme::Z);
+        let _ = cache.set_recorder(Recorder::ring(4096));
         let golden = populate(&mut cache);
         cache.inject_fault(7, 100); // single
         let _ = cache.read(7);
@@ -1260,6 +1262,7 @@ mod tests {
     #[test]
     fn event_log_records_due_with_line() {
         let mut cache = small_cache(Scheme::X);
+        let _ = cache.set_recorder(Recorder::ring(4096));
         let _ = populate(&mut cache);
         cache.inject_fault(0, 1);
         cache.inject_fault(0, 2);
@@ -1327,6 +1330,7 @@ mod tests {
     fn reset_to_golden_zero_equals_fresh_cache() {
         let config = SudokuConfig::small(Scheme::Z, 256, 16);
         let mut reused = SudokuCache::new_sparse(config).unwrap();
+        let _ = reused.set_recorder(Recorder::ring(4096));
         // Dirty everything: writes (PLT deltas), faults, a scrub, leftovers.
         reused.write(3, &data_with(&[1, 2, 3]));
         reused.inject_fault(9, 10);
@@ -1334,6 +1338,7 @@ mod tests {
         reused.inject_fault(10, 10);
         reused.inject_fault(10, 20);
         let _ = reused.scrub_lines(&[9, 10]);
+        assert!(reused.events().next().is_some());
         reused.reset_to_golden_zero();
         assert_eq!(reused.store().materialized(), 0);
         assert!(reused.events().next().is_none());
@@ -1406,6 +1411,7 @@ mod tests {
         Vec<RecoveryEvent>,
         Vec<ProtectedLine>,
     ) {
+        let _ = cache.set_recorder(Recorder::ring(4096));
         let line = |off: u64| ladder.group * 16 + off;
         for &off in &ladder.written {
             cache.write(

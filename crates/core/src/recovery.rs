@@ -2,29 +2,32 @@
 //! consumer drives *identical* correction logic.
 //!
 //! The engine implements the per-group half of the recovery ladder (paper
-//! §III-C–§V): build a corrected view of the group members (fixing
-//! ECC-1-correctable singles on the way), then RAID-4 when exactly one
-//! casualty remains, with Sequential Data Resurrection bridging the
-//! multi-casualty gap. What varies between consumers is *where the members
-//! live*:
+//! §III-C–§V): build a corrected view of the group members (fixing the
+//! faults each line's own ECC corrects on the way), then RAID-4 when
+//! exactly one casualty remains, with Sequential Data Resurrection
+//! bridging the multi-casualty gap. What varies between consumers is
+//! *where the members live* and *which line code protects them*:
 //!
 //! * [`SudokuCache`] repairs groups of its own store (the single-threaded
 //!   paper machine);
 //! * a sharded service repairs Hash-1 groups inside one shard and Hash-2
 //!   groups through a cross-shard coordinator that gathers members from
-//!   their owning shards.
+//!   their owning shards;
+//! * the §VII-G ECC-2 trials repair one group of ECC-2 lines.
 //!
-//! Both paths go through [`RepairEngine::repair_group`] over a
+//! All of them go through [`RepairEngine::repair_group`] over a
 //! [`GroupView`], so stats accounting, event emission, and the repair
 //! decisions themselves cannot diverge — the property the sharded
-//! determinism tests rely on.
+//! determinism tests rely on. The engine is generic over the
+//! [`LineCode`] of its lines, ECC-1 ([`ProtectedLine`]) by default; each
+//! code gets its own monomorphised copy.
 //!
 //! [`SudokuCache`]: crate::SudokuCache
 
 use crate::config::SudokuConfig;
 use crate::hashing::HashDim;
 use crate::stats::{CacheStats, ScrubReport, STT_READ_NS, STT_WRITE_NS, SYNDROME_CHECK_NS};
-use sudoku_codes::{LineCodec, ProtectedLine, ReadCheck, RepairKind};
+use sudoku_codes::{LineCode, ProtectedLine, ReadCheck, RepairKind};
 use sudoku_obs::{Dim, Mechanism, Outcome, Recorder, RecoveryEvent};
 
 /// Telemetry dimension tag for a hash dimension.
@@ -84,20 +87,20 @@ pub fn record_repair(stats: &mut CacheStats, recorder: &mut Recorder, line: u64,
 
 /// State of one group member as presented to the repair engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemberState {
+pub enum MemberState<L = ProtectedLine> {
     /// The member was reconstructed earlier in this recovery; the
     /// reconstructed value takes precedence over the (possibly
     /// re-corrupted) stored copy.
-    Recovered(ProtectedLine),
+    Recovered(L),
     /// The member is unmaterialized in a sparse store — the zero codeword,
     /// valid by construction.
     Zero,
     /// The raw (possibly faulty) stored copy.
-    Stored(ProtectedLine),
+    Stored(L),
     /// The raw stored copy of a listed casualty, unchanged since it was
     /// classified multi-bit: the engine treats it as multi-bit without
     /// checking it again.
-    Casualty(ProtectedLine),
+    Casualty(L),
 }
 
 /// One multi-bit casualty of a recovery.
@@ -246,9 +249,10 @@ impl Recovered {
 /// One RAID-Group's members as seen by [`RepairEngine::repair_group`]:
 /// where they live, how to read them, and how to write repairs back.
 ///
-/// Implementations exist over a cache's own store (shard-local groups) and
-/// over members gathered from peer shards (cross-shard Hash-2 groups).
-pub trait GroupView {
+/// Implementations exist over a cache's own store (shard-local groups),
+/// over members gathered from peer shards (cross-shard Hash-2 groups) and
+/// over the ECC-2 trials' groups.
+pub trait GroupView<L = ProtectedLine> {
     /// Number of members in the group.
     fn len(&self) -> usize;
 
@@ -270,17 +274,17 @@ pub trait GroupView {
     fn line_id(&self, i: usize) -> u64;
 
     /// Pre-repair state of member `i`.
-    fn state(&self, i: usize) -> MemberState;
+    fn state(&self, i: usize) -> MemberState<L>;
 
-    /// Write-back of a pass-1 single-bit repair: the store only.
-    fn commit_repair(&mut self, i: usize, line: ProtectedLine);
+    /// Write-back of a pass-1 local repair: the store only.
+    fn commit_repair(&mut self, i: usize, line: L);
 
     /// Write-back of a group reconstruction (RAID-4 or SDR): the store
     /// *and* the recovered-value map consulted by [`GroupView::state`].
-    fn commit_reconstruction(&mut self, i: usize, line: ProtectedLine);
+    fn commit_reconstruction(&mut self, i: usize, line: L);
 
     /// The group's parity line under the dimension being repaired.
-    fn parity(&self) -> ProtectedLine;
+    fn parity(&self) -> L;
 }
 
 /// Reusable buffers for recovery: one group scan needs the live-member
@@ -290,12 +294,12 @@ pub trait GroupView {
 /// groups per scrub and a campaign runs many scrubs — reusing the
 /// allocations keeps the cost at the actual line reads.
 #[derive(Debug, Default)]
-pub struct GroupScratch {
+pub struct GroupScratch<L = ProtectedLine> {
     live: Vec<usize>,
     /// `(member index, corrected line)` for every member that is non-zero
     /// or a multi-bit casualty, ascending by member index. The members
     /// left out are zero codewords, which no XOR over the group sees.
-    view: Vec<(usize, ProtectedLine)>,
+    view: Vec<(usize, L)>,
     /// Positions in `view` of the multi-bit casualties.
     faulty: Vec<usize>,
     /// SDR's parity-mismatch positions, ascending.
@@ -336,9 +340,9 @@ impl RepairParams {
 ///
 /// Short-lived by design — borrow the stats/recorder, repair one or more
 /// groups, drop.
-pub struct RepairEngine<'a> {
+pub struct RepairEngine<'a, L: LineCode = ProtectedLine> {
     /// The shared line codec.
-    pub codec: &'static LineCodec,
+    pub codec: &'static L::Codec,
     /// Scheme knobs.
     pub params: RepairParams,
     /// Counter set receiving the accounting for this repair work.
@@ -347,7 +351,7 @@ pub struct RepairEngine<'a> {
     pub recorder: &'a mut Recorder,
 }
 
-impl RepairEngine<'_> {
+impl<L: LineCode> RepairEngine<'_, L> {
     #[inline]
     fn emit(
         &mut self,
@@ -368,12 +372,12 @@ impl RepairEngine<'_> {
     /// The work is proportional to [`GroupView::live_members`], not to the
     /// group size; the telemetry that models a hardware group scan still
     /// charges every member.
-    pub fn repair_group<V: GroupView>(
+    pub fn repair_group<V: GroupView<L>>(
         &mut self,
         dim: HashDim,
         group: u64,
         src: &mut V,
-        scratch: &mut GroupScratch,
+        scratch: &mut GroupScratch<L>,
         report: &mut ScrubReport,
         fast: bool,
     ) {
@@ -401,7 +405,7 @@ impl RepairEngine<'_> {
                         continue;
                     }
                     self.stats.crc_checks += 1;
-                    match self.codec.scrub_check(&raw) {
+                    match L::scrub_check(self.codec, &raw) {
                         ReadCheck::Clean => raw,
                         ReadCheck::Corrected { repaired, kind } => {
                             record_repair(self.stats, self.recorder, src.line_id(i), kind);
@@ -465,13 +469,13 @@ impl RepairEngine<'_> {
     /// RAID-4 reconstruction of the member at view position `vi` from the
     /// group parity and the corrected view of the remaining members; the
     /// candidate must re-validate (CRC + ECC).
-    fn try_raid4<V: GroupView>(
+    fn try_raid4<V: GroupView<L>>(
         &mut self,
         dim: HashDim,
         group: u64,
         vi: usize,
         src: &mut V,
-        view: &[(usize, ProtectedLine)],
+        view: &[(usize, L)],
     ) -> bool {
         let mut candidate = src.parity();
         for (k, (_, line)) in view.iter().enumerate() {
@@ -482,7 +486,7 @@ impl RepairEngine<'_> {
         self.stats.crc_checks += 1;
         let member = view[vi].0;
         let line = src.line_id(member);
-        if self.codec.validate(&candidate) {
+        if L::validate(self.codec, &candidate) {
             src.commit_reconstruction(member, candidate);
             self.stats.raid4_repairs += 1;
             if self.recorder.enabled() {
@@ -514,10 +518,10 @@ impl RepairEngine<'_> {
         }
     }
 
-    /// Validates an SDR candidate: the flip must leave at most a single
-    /// ECC-1-correctable fault and pass the CRC re-check.
-    fn sdr_accept(&self, candidate: &ProtectedLine) -> Option<ProtectedLine> {
-        match self.codec.scrub_check(candidate) {
+    /// Validates an SDR candidate: the flip must leave only faults the
+    /// line's ECC corrects and pass the CRC re-check.
+    fn sdr_accept(&self, candidate: &L) -> Option<L> {
+        match L::scrub_check(self.codec, candidate) {
             ReadCheck::Clean => Some(*candidate),
             ReadCheck::Corrected { repaired, .. } => Some(repaired),
             ReadCheck::MultiBit => None,
@@ -526,15 +530,15 @@ impl RepairEngine<'_> {
 
     /// SDR (paper §IV): compute the parity-mismatch positions over the
     /// corrected view, then for each faulty line sequentially flip a
-    /// mismatched bit, apply ECC-1, and accept if the CRC validates.
-    /// Repairing one line shrinks the mismatch set and may unlock the
-    /// others; a final survivor goes to RAID-4 in the caller.
-    fn run_sdr<V: GroupView>(
+    /// mismatched bit, apply the line's ECC, and accept if the CRC
+    /// validates. Repairing one line shrinks the mismatch set and may
+    /// unlock the others; a final survivor goes to RAID-4 in the caller.
+    fn run_sdr<V: GroupView<L>>(
         &mut self,
         dim: HashDim,
         group: u64,
         src: &mut V,
-        scratch: &mut GroupScratch,
+        scratch: &mut GroupScratch<L>,
         report: &mut ScrubReport,
     ) {
         loop {
@@ -561,7 +565,7 @@ impl RepairEngine<'_> {
             scratch.mismatches.extend(diff.iter_ones());
             let mismatches = &scratch.mismatches;
             let round_start_trials = self.stats.sdr_trials;
-            let mut fixed_victim: Option<(usize, ProtectedLine)> = None;
+            let mut fixed_victim: Option<(usize, L)> = None;
             'victims: for &vi in scratch.faulty.iter() {
                 let stored = scratch.view[vi].1;
                 for &pos in mismatches {

@@ -732,7 +732,7 @@ impl GroupCampaignSummary {
         self.due as f64 / self.trials as f64
     }
 
-    fn absorb(&mut self, o: &IntervalOutcome) {
+    pub(crate) fn absorb(&mut self, o: &IntervalOutcome) {
         self.trials += 1;
         if o.due_lines == 0 && o.sdc_lines == 0 {
             self.repaired += 1;

@@ -4,7 +4,9 @@
 //! workspace facade.
 
 use sudoku_sttram::codes::{Line2Codec, LineData, ProtectedLine2};
-use sudoku_sttram::core::{Mechanism, Outcome, Scheme, SudokuCache, SudokuConfig, VminCache};
+use sudoku_sttram::core::{
+    Mechanism, Outcome, Recorder, Scheme, SudokuCache, SudokuConfig, VminCache,
+};
 use sudoku_sttram::fault::{FaultInjector, ScrubSchedule, StuckBitMap};
 use sudoku_sttram::reliability::ecc2::{run_ecc2_campaign, Ecc2Scenario};
 use sudoku_sttram::reliability::montecarlo::{run_lifetime_campaign, McConfig};
@@ -124,6 +126,7 @@ fn burst_plus_persistent_fault_mixed_recovery() {
 #[test]
 fn event_log_through_facade() {
     let mut cache = SudokuCache::new(SudokuConfig::small(Scheme::Z, 256, 16)).expect("valid");
+    let _ = cache.set_recorder(Recorder::ring(4096));
     for i in 0..256 {
         cache.write(i, &LineData::zero());
     }
