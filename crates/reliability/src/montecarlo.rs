@@ -116,18 +116,14 @@ pub struct ThroughputReport {
     /// CRC/ECC consistency checks actually performed (lines skipped by the
     /// all-zero fast path are not counted).
     pub crc_checks: u64,
-    /// Seconds spent resetting reused arenas to the golden-zero state
-    /// between trials — the amortized cost paid instead of reconstructing
-    /// cache + injector from scratch every trial.
-    pub reset_cost: f64,
 }
 
 impl ThroughputReport {
     /// One-line human-readable rendering, prefixed with `label`.
     pub fn println(&self, label: &str) {
         println!(
-            "[{label}] {:.2} trials/s | {} lines scrubbed | {} CRC checks | reset cost {:.4} s",
-            self.trials_per_sec, self.lines_scrubbed, self.crc_checks, self.reset_cost
+            "[{label}] {:.2} trials/s | {} lines scrubbed | {} CRC checks",
+            self.trials_per_sec, self.lines_scrubbed, self.crc_checks
         );
     }
 
@@ -137,7 +133,6 @@ impl ThroughputReport {
         obj.field_f64("trials_per_sec", self.trials_per_sec);
         obj.field_u64("lines_scrubbed", self.lines_scrubbed);
         obj.field_u64("crc_checks", self.crc_checks);
-        obj.field_f64("reset_cost_s", self.reset_cost);
         obj.finish()
     }
 }
@@ -482,11 +477,12 @@ fn drive<T: Tally, W>(
                                 // Harvest before the reset clears the ring.
                                 events.extend(cache.drain_events());
                             }
-                            let t = Instant::now();
+                            // Only an observed run times the reset: the
+                            // clock pair costs more than a sparse reset.
+                            let t = observing.then(Instant::now);
                             cache.reset_to_golden_zero();
-                            let dt = t.elapsed().as_secs_f64();
-                            report.reset_cost += dt;
-                            if observing {
+                            if let Some(t) = t {
+                                let dt = t.elapsed().as_secs_f64();
                                 cache.recorder_mut().phases.add(Phase::Reset, dt);
                             }
                         }
@@ -516,7 +512,6 @@ fn drive<T: Tally, W>(
         total.merge(&tally);
         report.lines_scrubbed += part.lines_scrubbed;
         report.crc_checks += part.crc_checks;
-        report.reset_cost += part.reset_cost;
         telemetry.merge(worker_telemetry);
     }
     telemetry.finish();

@@ -400,6 +400,35 @@ impl ShardedCache {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// The spare pool's copy of `line`, as [`SpareTable::lookup`] gives
+    /// it. Only a line the view marks spared takes the `extras` lock. The
+    /// mark is exact while the caller holds `line`'s shard mutex: it is
+    /// set under that mutex and the `extras` lock, right after the table
+    /// spares the line, and never cleared.
+    fn spared_lookup(&self, shard: usize, line: u64) -> Option<Option<LineData>> {
+        if !self.view.is_spared(line) {
+            return None;
+        }
+        let hit = self.lock_extra(shard).spares.lookup(line);
+        debug_assert!(
+            hit.is_some(),
+            "line {line} is marked spared in the view only"
+        );
+        hit
+    }
+
+    /// Lands a write to `line` in the spare pool when the line is spared,
+    /// as [`SpareTable::write`] does; the lock rule of
+    /// [`ShardedCache::spared_lookup`] applies.
+    fn spared_write(&self, shard: usize, line: u64, data: &LineData) -> bool {
+        if !self.view.is_spared(line) {
+            return false;
+        }
+        let absorbed = self.lock_extra(shard).spares.write(line, data);
+        debug_assert!(absorbed, "line {line} is marked spared in the view only");
+        absorbed
+    }
+
     fn lock_coord(&self) -> MutexGuard<'_, Coordinator> {
         self.coord.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -881,10 +910,13 @@ impl ShardedCache {
             match work[shard].as_mut() {
                 // A spared line is already remapped out of the array;
                 // reads hit the pool, so there is nothing to escalate.
-                Some(w) if !self.lock_extra(shard).spares.is_spared(line) => {
+                Some(w) if !self.view.is_spared(line) => {
                     w.st.faulty.insert_seed(line);
                 }
-                Some(_) => {}
+                Some(_) => debug_assert!(
+                    self.lock_extra(shard).spares.is_spared(line),
+                    "line {line} is marked spared in the view only"
+                ),
                 None => down_report.unresolved.push(line),
             }
         }
@@ -912,7 +944,7 @@ impl ShardedCache {
             let shard = self.plan.shard_of_line(line);
             match work[shard].as_mut() {
                 Some(w) => {
-                    let spared = self.lock_extra(shard).spares.lookup(line);
+                    let spared = self.spared_lookup(shard, line);
                     match spared {
                         Some(Some(data)) => Ok(data),
                         Some(None) => Err(ServiceError::Uncorrectable(UncorrectableError { line })),
@@ -1109,10 +1141,10 @@ impl ShardedCache {
 /// packet: `N` reads/writes pay for one lock acquire. Created by
 /// [`ShardedCache::session`]; dropping it releases the shard.
 ///
-/// The session holds **only** the shard cache guard — spare-table and
-/// stuck-cell bookkeeping take their own (transient, strictly-after)
-/// locks per op, and cross-shard escalation requires dropping the session
-/// first (it acquires every shard in ascending order).
+/// The session holds **only** the shard cache guard — the spare table
+/// takes its own (transient, strictly-after) lock, and only for a line
+/// the view marks spared; cross-shard escalation requires dropping the
+/// session first (it acquires every shard in ascending order).
 pub struct ShardSession<'a> {
     cache: MutexGuard<'a, ShardCache>,
     owner: &'a ShardedCache,
@@ -1124,7 +1156,7 @@ impl ShardSession<'_> {
     /// landing in the spare pool when the line has been remapped.
     pub fn write(&mut self, line: u64, data: &LineData) {
         let owner = self.owner;
-        if owner.lock_extra(self.shard).spares.write(line, data) {
+        if owner.spared_write(self.shard, line, data) {
             return;
         }
         // The store publishes every line the write (and any repair of a
@@ -1142,7 +1174,7 @@ impl ShardSession<'_> {
     /// caller escalates — after dropping this session).
     pub fn read(&mut self, line: u64) -> Result<LineData, ServiceError> {
         let owner = self.owner;
-        if let Some(spared) = owner.lock_extra(self.shard).spares.lookup(line) {
+        if let Some(spared) = owner.spared_lookup(self.shard, line) {
             return match spared {
                 Some(data) => Ok(data),
                 None => Err(ServiceError::Uncorrectable(UncorrectableError { line })),
@@ -1429,6 +1461,33 @@ mod tests {
         cache.write(0, &data_with(&[7])).unwrap();
         assert_eq!(cache.read(0).unwrap(), data_with(&[7]));
         assert!(cache.degraded_stats().spare_reads >= 1);
+    }
+
+    #[test]
+    fn non_spared_lines_never_touch_the_spare_pool() {
+        // Sparing enabled, but no line ever strikes: the session's reads
+        // and writes see no view mark and leave the spare pool alone.
+        let cache = ShardedCache::with_faults(
+            SudokuConfig::small(Scheme::Z, 256, 16),
+            2,
+            StuckBitMap::new(),
+            DegradedConfig {
+                spare_cap_per_shard: 4,
+                strike_threshold: 1,
+            },
+        )
+        .unwrap();
+        for round in 0..2 {
+            for line in 0..256u64 {
+                let data = data_with(&[(line as usize + round) % 512]);
+                cache.write(line, &data).unwrap();
+                assert_eq!(cache.read(line).unwrap(), data);
+            }
+        }
+        let degraded = cache.degraded_stats();
+        assert_eq!(degraded.spared_lines, 0, "{degraded:?}");
+        assert_eq!(degraded.spare_reads, 0, "{degraded:?}");
+        assert_eq!(degraded.spare_writes, 0, "{degraded:?}");
     }
 
     #[test]

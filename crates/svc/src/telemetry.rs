@@ -22,8 +22,11 @@
 //! [`ShardedCache`] builds them with itself.
 //!
 //! Cost model: the hot path touches only [`Counter`]s, [`Gauge`]s and
-//! striped [`AtomicHist`]s — relaxed atomics, no locks, no allocation.
-//! Snapshots are pulled by the sampler (or a scrape), which *does* briefly
+//! [`AtomicHist`]s — no locks, no allocation. A counter or histogram
+//! update is a plain relaxed load and store into a stripe only the
+//! calling thread writes (past 15 live writer threads, the rest share
+//! one stripe and pay a locked `fetch_add`); a gauge is one relaxed
+//! atomic read-modify-write. Snapshots are pulled by the sampler (or a scrape), which *does* briefly
 //! take the shard mutexes to read the recovery-ladder [`CacheStats`]; that
 //! cost rides on the sampler interval, never on a request.
 //!

@@ -28,7 +28,7 @@
 //!
 //! The reference cache counts `reads` on every read and `crc_checks` on
 //! every non-zero read. The view replicates that exactly — per-shard
-//! atomic counters folded into [`CacheStats`] by [`LineView::fold_stats`]
+//! striped counters folded into [`CacheStats`] by [`LineView::fold_stats`]
 //! — so aggregate stats stay bit-identical whether a read was served
 //! lock-free or under the lock. An all-zero slot (data, crc *and* ecc all
 //! zero) is the golden never-written line: served as zero with **no** CRC
@@ -40,6 +40,7 @@
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine, LINE_WORDS};
 use sudoku_core::CacheStats;
+use sudoku_obs::Counter;
 
 /// `pending` bit marking a line remapped to a spare slot: permanently out
 /// of the lock-free paths. The slot keeps storing the (faulty) array copy.
@@ -113,13 +114,12 @@ impl Slot {
     }
 }
 
-/// Per-shard lock-free read accounting, on its own cache line so shards
-/// (and the daemon's sweep counters) don't false-share.
-#[repr(align(64))]
+/// Per-shard lock-free read accounting. Every reader thread bumps its own
+/// stripe of each counter, so concurrent readers share no cache line.
 #[derive(Default)]
 struct ReadCounters {
-    reads: AtomicU64,
-    crc_checks: AtomicU64,
+    reads: Counter,
+    crc_checks: Counter,
 }
 
 /// Per-shard lock-free sweep accounting: the lines the daemon found clean
@@ -179,12 +179,12 @@ impl LineView {
         };
         let counters = &self.reads[shard];
         if candidate.is_zero() {
-            counters.reads.fetch_add(1, Ordering::Relaxed);
+            counters.reads.inc();
             return (ViewRead::Zero, retries);
         }
         if self.codec.crc_ok(&candidate) {
-            counters.reads.fetch_add(1, Ordering::Relaxed);
-            counters.crc_checks.fetch_add(1, Ordering::Relaxed);
+            counters.reads.inc();
+            counters.crc_checks.inc();
             return (ViewRead::Clean(candidate.data), retries);
         }
         // Faulty line: the locked ladder owns it (and its accounting).
@@ -292,10 +292,9 @@ impl LineView {
     /// the reference path.
     pub(crate) fn fold_stats(&self, shard: usize, stats: &mut CacheStats) {
         let (reads, sweeps) = (&self.reads[shard], &self.sweeps[shard]);
-        stats.reads += reads.reads.load(Ordering::Relaxed);
+        stats.reads += reads.reads.get();
         stats.lines_scrubbed += sweeps.lines_scrubbed.load(Ordering::Relaxed);
-        stats.crc_checks +=
-            reads.crc_checks.load(Ordering::Relaxed) + sweeps.crc_checks.load(Ordering::Relaxed);
+        stats.crc_checks += reads.crc_checks.get() + sweeps.crc_checks.load(Ordering::Relaxed);
     }
 }
 
