@@ -394,7 +394,7 @@ fn chaos_client(
         } else {
             // Slot-completed read: clean lines come straight off the seqlock
             // view; everything else queues a packet whose completion slot
-            // resolves (with an error) even when the shard worker dies.
+            // resolves (with an error) even when the shard dies.
             match handle.read(line) {
                 Ok(data) => {
                     result.reads += 1;

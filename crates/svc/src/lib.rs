@@ -2,7 +2,7 @@
 //!
 //! The concurrent, sharded SuDoku cache **service**: the single-threaded
 //! [`SudokuCache`] of `sudoku-core` partitioned by Hash-1 RAID-Group into
-//! `N` shards and put behind worker threads, a background scrub daemon,
+//! `N` shards and put behind per-shard claims, a background scrub daemon,
 //! and a load generator — recovery coexisting with demand traffic, the
 //! operating point the paper budgets for in §VII-B.
 //!
@@ -18,21 +18,21 @@
 //!   replicates the reference fixpoint schedule exactly — `N`-shard scrub
 //!   outcomes and `CacheStats` totals are invariant in `N`.
 //! * [`Service`] — the live front-end: per-shard bounded request queues
-//!   with backpressure, one worker thread per shard, a scrub daemon
-//!   ticking every shard with per-shard forked fault injectors, and
-//!   graceful drain/shutdown.
+//!   with backpressure, drained by the client threads that fill them, a
+//!   scrub daemon ticking every shard with per-shard forked fault
+//!   injectors, and graceful drain/shutdown.
 //! * [`loadgen`] — replay of `sim::trace` workload mixes (or a zipfian
 //!   stream) against a running service at a target request rate, with a
 //!   golden-copy oracle that counts silent data corruption.
 //! * [`telemetry`] / [`Exporter`] — the live telemetry plane: a lock-free
-//!   [`TelemetryRegistry`] every worker updates wait-free, a sampler
+//!   [`TelemetryRegistry`] every thread updates wait-free, a sampler
 //!   thread recording periodic [`TelemetrySnapshot`]s into a bounded
 //!   [`FlightRecorder`] ring (and optional JSONL time series), and a
 //!   std-only TCP endpoint serving `GET /metrics` (Prometheus text),
 //!   `/healthz`, and `/snapshot.json` while the service runs.
 //!
 //! The service is **degraded-mode tolerant**: nothing on the client path
-//! panics. Handle operations return [`ServiceError`]; a shard whose worker
+//! panics. Handle operations return [`ServiceError`]; a shard that
 //! panicked (or whose mutex was poisoned) is quarantined behind
 //! [`ShardHealth`] while the other N−1 shards keep serving; permanently
 //! faulty (stuck-at) cells reassert after every write and repair, and

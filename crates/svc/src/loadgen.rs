@@ -79,7 +79,7 @@ pub struct LoadReport {
     /// Reads that returned a detected uncorrectable error.
     pub due: u64,
     /// Requests shed for availability reasons: rejected at the door
-    /// (quarantined shard / shutdown) or stranded when a worker died.
+    /// (quarantined shard / shutdown) or stranded when a shard died.
     pub shed: u64,
     /// Wall-clock duration of the load phase.
     pub elapsed: Duration,

@@ -1,8 +1,8 @@
-//! The live service front-end: a work-stealing worker pool serving
-//! batched **work packets** off per-shard bounded queues, a lock-free
-//! clean-read fast path, preallocated completion slots, a background scrub
-//! daemon with per-shard forked fault injectors, a live telemetry plane,
-//! and graceful drain/shutdown.
+//! The live service front-end: client threads that serve their own ops
+//! and drain batched **work packets** off per-shard bounded queues (flat
+//! combining), a lock-free clean-read fast path, preallocated completion
+//! slots, a background scrub daemon with per-shard forked fault
+//! injectors, a live telemetry plane, and graceful drain/shutdown.
 //!
 //! # The demand path
 //!
@@ -24,12 +24,13 @@
 //! block when a shard's queue is at its bound, so a hot shard throttles
 //! its own clients), writes fire-and-forget behind a per-line pending
 //! gate that keeps lock-free readers honest, and reads ride preallocated
-//! per-thread [`CompletionSlot`]s: whoever drains the queue — the
-//! enqueuer itself via flat combining, the claim holder's release
-//! re-check, or a pool worker as the backstop — pops up to [`BATCH`] ops
-//! at once, serves the packet through one session, writes each result
-//! and flips one atomic flag; the client spins briefly then parks. The
-//! slot is the only completion mechanism.
+//! per-thread [`CompletionSlot`]s. The threads that enqueue are the only
+//! drainers: every enqueuer tries the claim right after its push, and a
+//! holder re-checks the queue after each release, so whoever drains — the
+//! enqueuer itself or the holder it lost to — pops up to [`BATCH`] ops at
+//! once, serves the packet through one session, writes each result and
+//! flips one atomic flag; the client spins briefly then parks. The slot is
+//! the only completion mechanism.
 //!
 //! Both demand ops share one admission prologue (health and acceptance
 //! checks, one trace ID, the claim-retry loop), and every served op is
@@ -49,7 +50,7 @@
 //!
 //! # Telemetry
 //!
-//! Every worker and the daemon publish into a shared lock-free
+//! Every drainer and the daemon publish into a shared lock-free
 //! [`TelemetryRegistry`] as they go — counters (including the lock-free
 //! hit/retry rate), queue-depth gauges, and per-phase latency histograms
 //! (queue wait → shard service → cross-shard H2 gather+repair), threaded
@@ -68,18 +69,18 @@
 //! everything queued behind it. Every handle operation returns
 //! `Result<_, `[`ServiceError`]`>`:
 //!
-//! * A worker panic (organic or injected via
+//! * A panic while serving a shard (organic or injected via
 //!   [`ServiceHandle::inject_worker_panic`]) is caught at the op boundary;
 //!   the shard is **quarantined**, its queued ops complete with
 //!   [`ServiceError::ShardDown`], and subsequent requests to it fail fast
 //!   while the other N−1 shards keep serving. The registry (shared, not
-//!   worker-local) keeps everything the packet recorded.
+//!   thread-local) keeps everything the packet recorded.
 //! * A scrub daemon panic is caught per tick; scrubbing stops but demand
 //!   traffic continues, and [`ServiceReport::daemon_panicked`] says so.
-//! * Shutdown never panics and never strands a client: workers exit only
-//!   after verifying every queue is empty with acceptance closed, so
-//!   every accepted op was served (live shards) or error-completed (dead
-//!   shards). Panicked shards land in [`ServiceReport::worker_panics`],
+//! * Shutdown never panics and never strands a client: it closes
+//!   acceptance and drains every shard itself until every queue is
+//!   verifiably empty, so every accepted op was served (live shards) or
+//!   error-completed (dead shards). Panicked shards land in [`ServiceReport::worker_panics`],
 //!   surviving telemetry is harvested (a poisoned shard mutex does not
 //!   block counter collection), and the degraded-mode counters land in
 //!   [`ServiceReport::degraded`].
@@ -128,7 +129,7 @@ pub struct ServiceConfig {
     /// The cache geometry and scheme (the service applies
     /// [`SudokuConfig::with_deferred_hash2`] internally per shard).
     pub cache: SudokuConfig,
-    /// Number of shards = number of pool workers.
+    /// Number of shards (each with its own claim and bounded queue).
     pub n_shards: usize,
     /// Bound of each shard's request queue (producers block when full).
     pub queue_depth: usize,
@@ -195,20 +196,20 @@ enum Op {
         data: LineData,
         enqueued: Instant,
     },
-    /// Chaos injection: the serving worker panics on purpose when it pops
-    /// this, optionally while holding the shard's state mutex (which
-    /// poisons it, like a real mid-repair panic would).
+    /// Chaos injection: the thread that drains this panics on purpose,
+    /// optionally while holding the shard's state mutex (which poisons
+    /// it, like a real mid-repair panic would).
     Panic { hold_lock: bool },
 }
 
-/// One shard's bounded op queue, claimable by one pool worker at a time.
+/// One shard's bounded op queue, drained by one claim holder at a time.
 struct ShardQueue {
     ops: Mutex<VecDeque<Op>>,
-    /// Lock-free mirror of `ops.len()`, so parking workers can test
-    /// "unclaimed shard with work" without touching the queue mutex.
+    /// Lock-free mirror of `ops.len()`: a releasing claim holder re-checks
+    /// it, and an empty-queue drain skips the mutex.
     len: AtomicUsize,
-    /// Set while a worker is serving this shard — the claim is what keeps
-    /// repairs serialized per shard even with a stealing pool.
+    /// Set while a thread is serving this shard — the claim is what keeps
+    /// repairs serialized per shard.
     claimed: AtomicBool,
     /// Signalled when ops are popped, releasing producers blocked on the
     /// queue bound.
@@ -226,34 +227,25 @@ impl ShardQueue {
     }
 }
 
-/// The shared demand plane: per-shard queues plus the pool's wake/idle
-/// machinery and shutdown state.
+/// The shared demand plane: per-shard queues plus shutdown state.
 struct Demand {
     queues: Vec<ShardQueue>,
-    /// Ops enqueued but not yet popped, across all shards (incremented
-    /// *after* the push, so a nonzero queue implies `pending` catches up).
-    pending: AtomicU64,
     /// Cleared by shutdown; checked by producers under the queue lock, so
-    /// the workers' verify-empty exit cannot race a late push.
+    /// shutdown's verify-empty drain cannot race a late push.
     accepting: AtomicBool,
-    idle: Mutex<()>,
-    wake: Condvar,
-    /// Workers currently inside the park protocol (between announcing the
-    /// park under the `idle` lock and leaving the wait). Producers skip
-    /// the notify entirely while this is zero — under load, enqueue costs
-    /// two atomics instead of a mutex + condvar signal per op.
-    parked: AtomicUsize,
-    /// Shards whose serving worker caught a panic (quarantined).
+    /// Shards whose serving thread caught a panic (quarantined).
     panicked: Mutex<BTreeSet<usize>>,
     queue_depth: usize,
 }
 
 impl Demand {
-    /// Enqueues `op` on `shard`'s queue, blocking (with periodic re-checks
-    /// of shutdown and shard health) while the queue is at its bound.
-    /// The depth gauge is incremented under the queue lock, so it can
-    /// never drift from the queue's true occupancy. `Panic` ops bypass the
-    /// bound and the gauge — chaos must land even on a saturated shard.
+    /// Enqueues `op` on `shard`'s queue. A producer that finds the queue
+    /// at its bound drains it itself when the claim is free, and waits for
+    /// a pop otherwise (the holder drains until the queue is empty);
+    /// shutdown and shard health are re-checked after every wait. The
+    /// depth gauge is incremented under the queue lock, so it can never
+    /// drift from the queue's true occupancy. `Panic` ops bypass the bound
+    /// and the gauge — chaos must land even on a saturated shard.
     fn enqueue(
         &self,
         shard: usize,
@@ -275,49 +267,24 @@ impl Demand {
             if !counted || ops.len() < self.queue_depth {
                 break;
             }
-            // Saturated: make sure a pool worker is coming to drain (the
-            // combining clients ahead of us may all be blocked right here
-            // too), then wait for the pop.
-            self.notify_parked();
-            let (guard, _) = q
-                .not_full
-                .wait_timeout(ops, Duration::from_millis(1))
-                .unwrap_or_else(|e| e.into_inner());
-            ops = guard;
+            // Saturated: the ops ahead of us were pushed by threads that
+            // then tried the claim, so either the claim is free and we
+            // drain, or its holder drains until the queue is empty and the
+            // pops signal `not_full` (under the lock we re-take before
+            // waiting, so the signal cannot be missed).
+            drop(ops);
+            let drained = claim_and_drain(state, self, shard, reg);
+            ops = q.ops.lock().unwrap_or_else(|e| e.into_inner());
+            if drained == 0 && ops.len() >= self.queue_depth {
+                ops = q.not_full.wait(ops).unwrap_or_else(|e| e.into_inner());
+            }
         }
         ops.push_back(op);
         q.len.fetch_add(1, Ordering::SeqCst);
         if counted {
             reg.depth(shard).inc();
         }
-        drop(ops);
-        self.pending.fetch_add(1, Ordering::Release);
         Ok(())
-    }
-
-    /// Wakes a parked pool worker if there is one. Callers that will NOT
-    /// combine (drain the queue themselves) after an enqueue must call
-    /// this, or their op waits out a worker park timeout. The SeqCst pair
-    /// with the park protocol closes the race: a worker announces the
-    /// park (`parked += 1`) *before* re-checking the queues, so either
-    /// this producer observes `parked > 0` and notifies (lock-then-notify,
-    /// so the signal cannot fall between the worker's re-check and its
-    /// wait), or the worker's re-check observes the producer's `len`
-    /// increment and never parks. Combining producers skip even these two
-    /// atomics' futex half: enqueue itself never signals.
-    fn notify_parked(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            drop(self.idle.lock().unwrap_or_else(|e| e.into_inner()));
-            self.wake.notify_one();
-        }
-    }
-
-    /// True when some shard has queued ops and no worker owns its claim —
-    /// i.e. a sweeping worker would find work right now.
-    fn claimable(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| q.len.load(Ordering::SeqCst) > 0 && !q.claimed.load(Ordering::SeqCst))
     }
 
     /// Pops up to [`BATCH`] ops from `shard`'s queue. `Panic` ops ride in
@@ -345,8 +312,6 @@ impl Demand {
         drop(ops);
         if !batch.is_empty() {
             q.len.fetch_sub(batch.len(), Ordering::SeqCst);
-            self.pending
-                .fetch_sub(batch.len() as u64, Ordering::Release);
             q.not_full.notify_all();
         }
         batch
@@ -355,7 +320,7 @@ impl Demand {
 
 std::thread_local! {
     /// Per-thread preallocated completion slot: a client blocks on its
-    /// own slot until the worker answers, so one reusable slot per thread
+    /// own slot until its drainer answers, so one reusable slot per thread
     /// replaces a per-request channel allocation. (Writes complete at
     /// acceptance and need no slot at all.)
     static READ_SLOT: Arc<CompletionSlot<Result<LineData, ServiceError>>> = CompletionSlot::new();
@@ -370,7 +335,7 @@ pub struct ServiceReport {
     pub stats: CacheStats,
     /// Per-shard cache counters.
     pub per_shard: Vec<CacheStats>,
-    /// Service-level latency/queue-depth histograms (workers + daemon).
+    /// Service-level latency/queue-depth histograms (demand path + daemon).
     pub hists: ServiceHistograms,
     /// Recovery-ladder histograms harvested from every shard recorder.
     pub recovery_hists: RecoveryHistograms,
@@ -398,11 +363,12 @@ pub struct ServiceReport {
     pub escalated_lines: u64,
     /// Lines still unresolved after escalation (scrub-detected DUEs).
     pub unresolved_lines: u64,
-    /// Shards whose serving worker panicked (caught; shard quarantined).
+    /// Shards that panicked while serving demand (caught; shard
+    /// quarantined).
     pub worker_panics: Vec<usize>,
     /// Whether the scrub daemon died to a caught panic.
     pub daemon_panicked: bool,
-    /// Shards quarantined at shutdown (worker panics + poisoned locks).
+    /// Shards quarantined at shutdown (serving panics + poisoned locks).
     pub quarantined: Vec<usize>,
     /// Degraded-mode counters: sparing, stuck-cell physics, fail-fasts.
     pub degraded: DegradedStats,
@@ -578,7 +544,8 @@ impl ServiceHandle {
         write: Option<&LineData>,
     ) -> Option<Result<LineData, ServiceError>> {
         let q = &self.demand.queues[shard];
-        if q.claimed.swap(true, Ordering::Acquire) {
+        // SeqCst, like every claim swap: see `release_claim`.
+        if q.claimed.swap(true, Ordering::SeqCst) {
             return None;
         }
         drain_claimed(&self.state, &self.demand, shard, &self.registry);
@@ -601,7 +568,7 @@ impl ServiceHandle {
     }
 
     /// Enqueues a write for `line`'s shard (blocking on a full queue) and
-    /// returns as soon as it is **accepted** — the worker applies it
+    /// returns as soon as it is **accepted** — the claim holder applies it
     /// asynchronously. Acceptance marks the line write-pending in the
     /// lock-free view, so every subsequent read of the line (from this or
     /// any other thread that learned of the write) takes the shard queue's
@@ -680,7 +647,7 @@ impl ServiceHandle {
     ///
     /// [`ServiceError::Uncorrectable`] when even cross-shard recovery
     /// failed (DUE), [`ServiceError::ShardDown`] when the owning shard is
-    /// quarantined (including mid-flight: a request stranded by a worker
+    /// quarantined (including mid-flight: a request stranded by a shard
     /// panic reports the shard, never a panic or a hang), and
     /// [`ServiceError::ShuttingDown`] when the service is gone.
     pub fn read(&self, line: u64) -> Result<LineData, ServiceError> {
@@ -735,9 +702,13 @@ impl ServiceHandle {
         (Some(trace), result)
     }
 
-    /// Chaos hook: the worker serving `shard` panics on purpose when it
-    /// pops this op — with `hold_lock`, while holding the shard's state
-    /// mutex, poisoning it exactly like an organic mid-repair panic.
+    /// Chaos hook: the thread that drains `shard` next panics on purpose
+    /// when it pops this op — with `hold_lock`, while holding the shard's
+    /// state mutex, poisoning it exactly like an organic mid-repair panic.
+    /// The caller drains it itself when the shard's claim is free, so an
+    /// uncontended injection has quarantined the shard by the time this
+    /// returns; otherwise the claim holder serves it. Either way the panic
+    /// is caught at the op boundary, never unwinding into a caller.
     ///
     /// # Errors
     ///
@@ -745,9 +716,7 @@ impl ServiceHandle {
     pub fn inject_worker_panic(&self, shard: usize, hold_lock: bool) -> Result<(), ServiceError> {
         self.demand
             .enqueue(shard, Op::Panic { hold_lock }, &self.state, &self.registry)?;
-        // No combining here — the chaos op should land on whichever pool
-        // worker (or combining client) claims the shard next, so wake one.
-        self.demand.notify_parked();
+        claim_and_drain(&self.state, &self.demand, shard, &self.registry);
         Ok(())
     }
 
@@ -814,7 +783,6 @@ pub struct Service {
     state: Arc<ShardedCache>,
     demand: Arc<Demand>,
     registry: Arc<TelemetryRegistry>,
-    workers: Vec<JoinHandle<()>>,
     daemon: Option<JoinHandle<bool>>,
     stop: Arc<AtomicBool>,
     daemon_panic: Arc<AtomicBool>,
@@ -823,13 +791,15 @@ pub struct Service {
     sampler_stop: Arc<AtomicBool>,
     exporter: Option<Exporter>,
     plane: Arc<AuditPlane>,
-    watchdog: Option<JoinHandle<()>>,
+    watchdog: JoinHandle<()>,
     watchdog_stop: Arc<AtomicBool>,
     daemon_stall_us: Arc<AtomicU64>,
 }
 
 impl Service {
-    /// Starts the worker pool (and the scrub daemon, when configured).
+    /// Starts the service: the scrub daemon (when configured), the
+    /// watchdog, and the optional telemetry sampler and exporter. Demand
+    /// ops are served by the client threads that issue them.
     ///
     /// # Errors
     ///
@@ -846,23 +816,10 @@ impl Service {
         let registry = Arc::new(TelemetryRegistry::new(config.n_shards));
         let demand = Arc::new(Demand {
             queues: (0..config.n_shards).map(|_| ShardQueue::new()).collect(),
-            pending: AtomicU64::new(0),
             accepting: AtomicBool::new(true),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-            parked: AtomicUsize::new(0),
             panicked: Mutex::new(BTreeSet::new()),
             queue_depth: config.queue_depth.max(1),
         });
-        let mut workers = Vec::with_capacity(config.n_shards);
-        for home in 0..config.n_shards {
-            let state = Arc::clone(&state);
-            let demand = Arc::clone(&demand);
-            let registry = Arc::clone(&registry);
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &demand, home, &registry);
-            }));
-        }
         let stop = Arc::new(AtomicBool::new(false));
         let daemon_panic = Arc::new(AtomicBool::new(false));
         let daemon_stall_us = Arc::new(AtomicU64::new(0));
@@ -904,9 +861,9 @@ impl Service {
             let stop = Arc::clone(&watchdog_stop);
             let scrub_every = config.scrub_every;
             let queue_bound = config.queue_depth.max(1) as u64;
-            Some(std::thread::spawn(move || {
+            std::thread::spawn(move || {
                 watchdog_loop(&state, &plane, &registry, scrub_every, queue_bound, &stop)
-            }))
+            })
         };
         // The optional plane: sampler + flight recorder + scrape endpoint.
         let sampler_stop = Arc::new(AtomicBool::new(false));
@@ -947,7 +904,6 @@ impl Service {
             state,
             demand,
             registry,
-            workers,
             daemon,
             stop,
             daemon_panic,
@@ -978,7 +934,7 @@ impl Service {
         &self.state
     }
 
-    /// The live metrics registry every worker and the daemon publish into.
+    /// The live metrics registry every drainer and the daemon publish into.
     pub fn registry(&self) -> &Arc<TelemetryRegistry> {
         &self.registry
     }
@@ -1017,10 +973,10 @@ impl Service {
     }
 
     /// Graceful drain and shutdown: stops the scrub daemon, closes
-    /// acceptance, joins the worker pool (workers exit only once every
-    /// queue is verifiably empty), then the telemetry plane (sampler last,
-    /// so the flight recorder's final snapshot sees the quiesced system),
-    /// and assembles the end-of-run report. Every op accepted before the
+    /// acceptance, drains every shard on the calling thread until every
+    /// queue is verifiably empty, then stops the telemetry plane (sampler
+    /// last, so the flight recorder's final snapshot sees the quiesced
+    /// system), and assembles the end-of-run report. Every op accepted before the
     /// call is fully served by live shards; ops stranded on dead shards
     /// produce error replies, never hangs.
     ///
@@ -1039,21 +995,31 @@ impl Service {
                 Err(_) => daemon_panicked = true,
             }
         }
-        // 2. Drain: close acceptance, wake every parked worker and blocked
-        //    producer, and join the pool. Workers only exit after seeing
-        //    every queue empty with acceptance closed (checked under each
-        //    queue's lock), so nothing accepted is left unserved.
+        // 2. Drain: close acceptance, wake every producer blocked on a
+        //    queue bound, then drain every shard here until each queue is
+        //    empty under its lock. `accepting` was cleared before each of
+        //    those locks, so a producer that takes a queue lock after our
+        //    empty check sees it cleared and bails: the empty sweep is
+        //    conclusive, and nothing accepted is left unserved. A queue a
+        //    client's claim still covers is drained by that client.
         self.demand.accepting.store(false, Ordering::SeqCst);
-        {
-            let _guard = self.demand.idle.lock().unwrap_or_else(|e| e.into_inner());
-            self.demand.wake.notify_all();
-        }
         for q in &self.demand.queues {
             let _guard = q.ops.lock().unwrap_or_else(|e| e.into_inner());
             q.not_full.notify_all();
         }
-        for worker in self.workers {
-            let _ = worker.join();
+        let demand = &self.demand;
+        loop {
+            for shard in 0..demand.queues.len() {
+                claim_and_drain(&self.state, demand, shard, &self.registry);
+            }
+            let all_empty = demand
+                .queues
+                .iter()
+                .all(|q| q.ops.lock().unwrap_or_else(|e| e.into_inner()).is_empty());
+            if all_empty {
+                break;
+            }
+            std::thread::yield_now();
         }
         let worker_panics: Vec<usize> = self
             .demand
@@ -1074,9 +1040,7 @@ impl Service {
         // The watchdog goes down with the sampler (it only observes; the
         // final alert-log flush happens on its way out).
         self.watchdog_stop.store(true, Ordering::Relaxed);
-        if let Some(watchdog) = self.watchdog {
-            let _ = watchdog.join();
-        }
+        let _ = self.watchdog.join();
         drop(self.exporter);
         // 4. Harvest telemetry and counters from the quiesced engine —
         //    including from quarantined shards (poison-tolerant locks).
@@ -1151,11 +1115,12 @@ fn sampler_loop(
 
 /// Claims `shard` and drains its queue in whole work packets on the
 /// *calling* thread, returning the number of ops served (0 when another
-/// thread already owns the claim). This is the single drain primitive
-/// shared by the pool workers and the flat-combining clients: whoever
-/// wins the claim serves — repairs stay serialized per shard either way,
-/// because the claim admits one drainer at a time and the shard session
-/// mutex covers the state itself.
+/// thread already owns the claim). This is the single drain primitive:
+/// every enqueuer calls it right after its push (flat combining), as do a
+/// producer blocked at the queue bound and the shutdown drain. Whoever
+/// wins the claim serves — repairs stay serialized per shard, because the
+/// claim admits one drainer at a time and the shard session mutex covers
+/// the state itself.
 ///
 /// After releasing the claim, the queue length is re-checked and the
 /// claim re-taken if a producer pushed in the release window — producers
@@ -1167,7 +1132,8 @@ fn claim_and_drain(
     reg: &TelemetryRegistry,
 ) -> u64 {
     let q = &demand.queues[shard];
-    if q.claimed.swap(true, Ordering::Acquire) {
+    // SeqCst, like every claim swap: see `release_claim`.
+    if q.claimed.swap(true, Ordering::SeqCst) {
         return 0; // another thread owns this shard right now
     }
     let served = drain_claimed(state, demand, shard, reg);
@@ -1205,6 +1171,19 @@ fn drain_claimed(
 /// the shard claimed and counts on the holder to serve it. Reclaim and
 /// drain again (or leave it to whoever beat us to the reclaim). Returns
 /// the number of ops served by the recheck drains.
+///
+/// Nothing else rescues such an op, so the two sides must not both miss
+/// each other. A producer does `len += 1` then swaps `claimed`; the
+/// holder stores `claimed = false` then loads `len` — the store-buffer
+/// pattern, which a `Release` store (a plain store on x86, free to pass
+/// the later load) does not close. With all four operations `SeqCst` they
+/// sit in one total order consistent with each side's program order and
+/// with `claimed`'s modification order. If the producer's swap reads
+/// `true`, it precedes the holder's store in `claimed`'s modification
+/// order, so the producer's `len` increment precedes the holder's load in
+/// the total order and the load sees it (or a later value; a decrement
+/// below it means the op was already popped). If the swap reads `false`,
+/// the producer holds the claim and drains itself.
 fn release_claim(
     state: &ShardedCache,
     demand: &Demand,
@@ -1214,83 +1193,16 @@ fn release_claim(
     let q = &demand.queues[shard];
     let mut served = 0u64;
     loop {
-        q.claimed.store(false, Ordering::Release);
-        if q.len.load(Ordering::SeqCst) == 0 || q.claimed.swap(true, Ordering::Acquire) {
+        q.claimed.store(false, Ordering::SeqCst);
+        if q.len.load(Ordering::SeqCst) == 0 || q.claimed.swap(true, Ordering::SeqCst) {
             return served;
         }
         served += drain_claimed(state, demand, shard, reg);
     }
 }
 
-/// One pool worker: sweeps the shard queues starting from its home shard,
-/// claims one shard at a time (keeping repairs serialized per shard), and
-/// serves whole work packets until the service stops accepting and every
-/// queue is verifiably empty. Under load the clients themselves drain the
-/// queues they enqueue on (see [`claim_and_drain`] callers in
-/// [`ServiceHandle`]); the pool is the backstop that guarantees progress
-/// for ops nobody combines — panic injections, ops stranded by a client
-/// that lost the claim race, and the shutdown drain.
-fn worker_loop(state: &ShardedCache, demand: &Demand, home: usize, reg: &TelemetryRegistry) {
-    let n = demand.queues.len();
-    loop {
-        let mut served_any = false;
-        for i in 0..n {
-            let shard = (home + i) % n;
-            served_any |= claim_and_drain(state, demand, shard, reg) > 0;
-        }
-        if served_any {
-            continue;
-        }
-        // Nothing anywhere: park until an enqueue lands on an *unclaimed*
-        // shard, or exit once the service stops accepting AND every queue
-        // is verifiably empty. The park is announced (`parked += 1`)
-        // before the re-check, pairing with the producers' SeqCst
-        // `len`-then-`parked` order: an op pushed before a producer saw
-        // `parked == 0` is visible to `claimable()` below, and an op
-        // pushed after it observes our announcement and notifies under
-        // the same `idle` lock we hold until the wait begins. Work owned
-        // by another worker's claim is deliberately NOT a wake condition:
-        // the claim holder drains it, and parking here instead of
-        // yield-spinning is what keeps surplus workers off the scheduler
-        // on small machines.
-        let guard = demand.idle.lock().unwrap_or_else(|e| e.into_inner());
-        demand.parked.fetch_add(1, Ordering::SeqCst);
-        if demand.claimable() {
-            // An op landed mid-sweep on a shard nobody owns: re-sweep.
-            demand.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-            continue;
-        }
-        if !demand.accepting.load(Ordering::Acquire) {
-            demand.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-            // `accepting` was observed false before taking each queue lock
-            // below, so any producer that locks a queue after this check
-            // must also observe it false and bail: an empty sweep here is
-            // conclusive — no op can arrive behind our back.
-            let all_empty = demand
-                .queues
-                .iter()
-                .all(|q| q.ops.lock().unwrap_or_else(|e| e.into_inner()).is_empty());
-            if all_empty {
-                return;
-            }
-            // Another worker's claim still covers the leftovers; give it
-            // the core rather than re-sweeping hot.
-            std::thread::yield_now();
-        } else {
-            let (guard, _) = demand
-                .wake
-                .wait_timeout(guard, Duration::from_millis(1))
-                .unwrap_or_else(|e| e.into_inner());
-            demand.parked.fetch_sub(1, Ordering::SeqCst);
-            drop(guard);
-        }
-    }
-}
-
-/// Quarantines `shard` after a caught worker panic and records it for the
-/// end-of-run report.
+/// Quarantines `shard` after a panic caught while serving it and records
+/// it for the end-of-run report.
 fn fail_shard(state: &ShardedCache, demand: &Demand, shard: usize) {
     state.health().quarantine(shard);
     demand
@@ -1937,6 +1849,29 @@ mod tests {
         assert!(report.hists.queue_depth.max() <= 64);
         assert_eq!(report.writes, 48);
         assert_eq!(report.quarantined, vec![victim]);
+    }
+
+    #[test]
+    fn uncontended_panic_injection_is_synchronous() {
+        // With no other client holding the claim, the injecting thread
+        // drains the chaos op itself: the quarantine has landed by the
+        // time the call returns, without any polling.
+        for hold_lock in [false, true] {
+            let mut config = ServiceConfig::small(256, 4, 0.0, 13);
+            config.scrub_every = None;
+            let service = Service::start(config).unwrap();
+            let handle = service.handle();
+            let victim = handle.shard_of(5);
+            handle.inject_worker_panic(victim, hold_lock).unwrap();
+            assert_eq!(handle.quarantined(), vec![victim], "hold_lock {hold_lock}");
+            assert_eq!(
+                handle.write(5, &data_with(&[5])),
+                Err(ServiceError::ShardDown(victim))
+            );
+            let report = service.shutdown();
+            assert_eq!(report.worker_panics, vec![victim], "hold_lock {hold_lock}");
+            assert_eq!(report.quarantined, vec![victim]);
+        }
     }
 
     #[test]

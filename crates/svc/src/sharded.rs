@@ -352,7 +352,7 @@ impl ShardedCache {
         &self.config
     }
 
-    /// Shard liveness, shared with workers, the scrub daemon, and handles.
+    /// Shard liveness, shared with the scrub daemon and handles.
     pub fn health(&self) -> &ShardHealth {
         &self.health
     }
@@ -557,7 +557,7 @@ impl ShardedCache {
     }
 
     /// Reads `line` using only the owning shard's (Hash-1) ladder, without
-    /// cross-shard escalation. The service worker uses this to count
+    /// cross-shard escalation. The service's demand path uses this to count
     /// escalations explicitly; most callers want [`ShardedCache::read`].
     /// A spared line is served from the spare pool without touching the
     /// faulty array at all.
@@ -703,7 +703,7 @@ impl ShardedCache {
 
     /// Chaos hook: panics on purpose — optionally while holding `shard`'s
     /// cache mutex, poisoning it the way a real mid-repair panic would.
-    /// Used by the worker's `Request::Panic` injection and the chaos bin;
+    /// Used by the service's `Op::Panic` injection and the chaos bin;
     /// never called on any production path.
     pub fn chaos_panic(&self, shard: usize, hold_lock: bool) -> ! {
         if hold_lock {

@@ -1,4 +1,4 @@
-//! The live telemetry plane: a lock-free metrics registry every worker
+//! The live telemetry plane: a lock-free metrics registry every thread
 //! updates wait-free, a sampler thread that snapshots the whole system
 //! into a bounded flight-recorder ring (and optional JSONL time series),
 //! and the [`TelemetrySnapshot`] both the `/metrics` Prometheus exposition
@@ -149,7 +149,7 @@ pub struct TraceRecord {
     pub path: TracePath,
     /// How it ended.
     pub outcome: TraceOutcome,
-    /// Time spent queued before a worker dequeued it, ns.
+    /// Time spent queued before a drainer dequeued it, ns.
     pub queue_wait_ns: u64,
     /// Shard-local service time (dequeue → reply), ns.
     pub service_ns: u64,
@@ -159,7 +159,7 @@ pub struct TraceRecord {
 
 impl TraceRecord {
     /// End-to-end latency: queue wait plus service (H2 time is inside the
-    /// service span — escalation happens while the worker owns the
+    /// service span — escalation happens while the drainer owns the
     /// request).
     pub fn total_ns(&self) -> u64 {
         self.queue_wait_ns + self.service_ns
@@ -188,7 +188,7 @@ pub const TRACE_SAMPLE: u64 = 64;
 
 const TRACE_RING: usize = 64;
 
-/// The lock-free metrics registry shared by every worker, the scrub
+/// The lock-free metrics registry shared by every drainer, the scrub
 /// daemon, the client handles, the sampler, and the scrape endpoint.
 ///
 /// Writers update counters/gauges/histograms wait-free; readers snapshot
@@ -245,7 +245,7 @@ pub struct TelemetryRegistry {
     pub read_latency_ns: AtomicHist,
     /// End-to-end demand-write latency, ns.
     pub write_latency_ns: AtomicHist,
-    /// Phase: time queued before a worker dequeued the request, ns.
+    /// Phase: time queued before a drainer dequeued the request, ns.
     pub queue_wait_ns: AtomicHist,
     /// Phase: shard-local service time (dequeue → reply), ns.
     pub shard_service_ns: AtomicHist,

@@ -11,6 +11,8 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 use sudoku_codes::LineData;
 use sudoku_fault::FaultInjector;
 use sudoku_svc::{Service, ServiceConfig, ShardedCache};
@@ -212,14 +214,41 @@ fn seqlock_view_never_serves_torn_lines() {
 /// contends for the same claim and reads that lose the claim race
 /// re-probe the lock-free view. Every trace ID the registry issues must
 /// reach exactly one caller, and every served request must record exactly
-/// one latency sample and one queue-wait sample.
+/// one latency sample and one queue-wait sample. It runs at the default
+/// queue bound and at a bound of 2, where producers that find the queue
+/// full drain it themselves; the clients are the only drainers, so an op
+/// no claim holder picks up hangs its client, and the run is cut short
+/// with a failure instead.
 #[test]
 fn trace_ids_are_conserved_under_contention() {
+    for queue_depth in [64, 2] {
+        within_hang_guard(move || conserve_traces(queue_depth));
+    }
+}
+
+/// Runs `body` on its own thread and fails with "demand op stranded" if
+/// it has not finished within 60 s; a panic in `body` is re-raised here.
+fn within_hang_guard(body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(60)) {
+        panic!("demand op stranded: the contention run did not finish within 60 s");
+    }
+    if let Err(panic) = runner.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+fn conserve_traces(queue_depth: usize) {
     const HOT: u64 = 8;
     const CLIENTS: u64 = 4;
     const OPS: u64 = 20_000;
     let mut config = ServiceConfig::small(LINES, 1, 0.0, 23);
     config.scrub_every = None;
+    config.queue_depth = queue_depth;
     let service = Service::start(config).unwrap();
     // Each hot line only ever holds one of two values, so a read can be
     // checked without knowing which write it raced.
