@@ -392,7 +392,9 @@ impl<S: LineStore> SudokuCache<S> {
     ///
     /// # Errors
     ///
-    /// [`UncorrectableError`] if every recovery level fails — a DUE.
+    /// [`UncorrectableError`] if every recovery level fails — a DUE. With
+    /// [`SudokuConfig::defer_hash2`] set, only the Hash-1 levels ran: the
+    /// read counts no DUE, and the caller's escalation decides.
     pub fn read(&mut self, idx: u64) -> Result<LineData, UncorrectableError> {
         self.stats.reads += 1;
         let stored = self.store.line(idx);
@@ -428,9 +430,14 @@ impl<S: LineStore> SudokuCache<S> {
                         Ok(repaired.data)
                     }
                     ReadCheck::MultiBit => {
-                        self.stats.due_lines += 1;
-                        if self.recorder.enabled() {
-                            self.emit(idx, None, Mechanism::Due, Outcome::Failed, 0);
+                        // With Hash-2 deferred this is only half the ladder:
+                        // the caller escalates, and the escalation's scrub
+                        // report counts the line once if it stays lost.
+                        if !self.config.defer_hash2 {
+                            self.stats.due_lines += 1;
+                            if self.recorder.enabled() {
+                                self.emit(idx, None, Mechanism::Due, Outcome::Failed, 0);
+                            }
                         }
                         Err(UncorrectableError { line: idx })
                     }

@@ -33,6 +33,7 @@
 //!
 //! [`Alert`]: sudoku_obs::Alert
 
+use crate::telemetry::{json_rows, Read};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -888,49 +889,26 @@ pub struct AuditSnapshot {
 }
 
 impl AuditSnapshot {
-    /// One JSON object (the `"audit"` section of `/snapshot.json` and of
-    /// the bench reports).
+    /// One JSON object (the `"audit"` section of `/snapshot.json`, of the
+    /// wire STATS body and of the bench reports): the audit rows of the
+    /// metric table, then the spatial verdict and the degradation reasons.
     pub fn to_json(&self) -> String {
-        let by_class: Vec<String> = self
-            .alerts_by_class
-            .iter()
-            .map(|(name, n)| format!("\"{name}\":{n}"))
-            .collect();
         let mut obj = JsonObject::new();
-        obj.field_u64("scrub_deadline_ns", self.scrub_deadline_ns)
-            .field_u64("packet_lines", self.packet_lines)
-            .field_u64("scrub_deadline_misses", self.scrub_deadline_misses)
-            .field_array_u64("per_shard_misses", self.per_shard_misses.iter().copied())
-            .field_array_u64(
-                "per_shard_worst_staleness_ns",
-                self.per_shard_worst_staleness_ns.iter().copied(),
-            )
-            .field_raw(
-                "achieved_scrub_interval_ns",
-                &self.achieved_scrub_interval_ns.to_json(),
-            )
-            .field_f64("observed_ber", self.observed_ber)
-            .field_f64("projected_fit", self.projected_fit)
-            .field_f64("burn_fast", self.burn_fast)
-            .field_f64("burn_slow", self.burn_slow)
-            .field_u64("worst_region", self.worst_region)
-            .field_f64("worst_region_ber", self.worst_region_ber)
-            .field_f64("worst_region_burn", self.worst_region_burn)
-            .field_raw(
-                "spatial",
-                &self
-                    .spatial
-                    .as_ref()
-                    .map_or_else(|| "null".to_string(), CorrelationStat::to_json),
-            )
-            .field_u64("alerts_total", self.alerts_total)
-            .field_u64("alerts_critical", self.alerts_critical)
-            .field_u64("alerts_dropped", self.alerts_dropped)
-            .field_raw("alerts_by_class", &format!("{{{}}}", by_class.join(",")))
-            .field_raw(
-                "degraded_reasons",
-                &degraded_reasons_json(&self.degraded_reasons),
-            );
+        json_rows(&mut obj, |_, read| match read {
+            Read::Audit(read) => Some(read(self)),
+            _ => None,
+        });
+        obj.field_raw(
+            "spatial",
+            &self
+                .spatial
+                .as_ref()
+                .map_or_else(|| "null".to_string(), CorrelationStat::to_json),
+        )
+        .field_raw(
+            "degraded_reasons",
+            &degraded_reasons_json(&self.degraded_reasons),
+        );
         obj.finish()
     }
 }

@@ -201,7 +201,7 @@ fn serve_connection(
     let (status, content_type, body) = match path {
         "/metrics" => {
             let seq = scrape_seq.fetch_add(1, Ordering::Relaxed);
-            let snap = TelemetrySnapshot::capture_with_audit(seq, state, registry, Some(plane));
+            let snap = TelemetrySnapshot::capture(seq, state, registry, plane);
             ("200 OK", "text/plain; version=0.0.4", snap.to_prometheus())
         }
         "/healthz" => {
@@ -237,7 +237,7 @@ fn serve_connection(
         "/snapshot.json" => {
             let snap = recorder.latest().unwrap_or_else(|| {
                 let seq = scrape_seq.fetch_add(1, Ordering::Relaxed);
-                TelemetrySnapshot::capture_with_audit(seq, state, registry, Some(plane))
+                TelemetrySnapshot::capture(seq, state, registry, plane)
             });
             ("200 OK", "application/json", snap.to_json())
         }

@@ -111,7 +111,7 @@ use std::time::{Duration, Instant};
 use sudoku_codes::LineData;
 use sudoku_core::{CacheStats, ShardPlan, SudokuConfig};
 use sudoku_fault::{FaultInjector, StuckBitMap};
-use sudoku_obs::{CorrelationStat, Heatmaps, RecoveryHistograms, ServiceHistograms};
+use sudoku_obs::{CorrelationStat, Heatmaps, ServiceHistograms};
 
 /// Ops per work packet: one shard-mutex acquire is amortized over up to
 /// this many demand operations.
@@ -337,8 +337,6 @@ pub struct ServiceReport {
     pub per_shard: Vec<CacheStats>,
     /// Service-level latency/queue-depth histograms (demand path + daemon).
     pub hists: ServiceHistograms,
-    /// Recovery-ladder histograms harvested from every shard recorder.
-    pub recovery_hists: RecoveryHistograms,
     /// Demand reads served.
     pub reads: u64,
     /// Demand writes served.
@@ -445,6 +443,7 @@ pub struct ServiceHandle {
     demand: Arc<Demand>,
     registry: Arc<TelemetryRegistry>,
     state: Arc<ShardedCache>,
+    plane: Arc<AuditPlane>,
 }
 
 impl ServiceHandle {
@@ -748,10 +747,10 @@ impl ServiceHandle {
     }
 
     /// A fresh [`TelemetrySnapshot`] rendered as JSON — the body of the
-    /// wire STATS opcode (same shape as the exporter's `/snapshot.json`,
-    /// always freshly captured).
+    /// wire STATS opcode: the exporter's `/snapshot.json` shape, audit
+    /// section included, always freshly captured.
     pub fn stats_json(&self) -> String {
-        TelemetrySnapshot::capture(0, &self.state, &self.registry).to_json()
+        TelemetrySnapshot::capture(0, &self.state, &self.registry, &self.plane).to_json()
     }
 
     /// The live metrics registry this handle feeds.
@@ -925,6 +924,7 @@ impl Service {
             demand: Arc::clone(&self.demand),
             registry: Arc::clone(&self.registry),
             state: Arc::clone(&self.state),
+            plane: Arc::clone(&self.plane),
         }
     }
 
@@ -1044,14 +1044,12 @@ impl Service {
         drop(self.exporter);
         // 4. Harvest telemetry and counters from the quiesced engine —
         //    including from quarantined shards (poison-tolerant locks).
-        let recovery_hists = self.state.harvest_recorders();
         let reg = &self.registry;
         ServiceReport {
             shards: self.state.n_shards(),
             stats: self.state.stats(),
             per_shard: self.state.shard_stats(),
             hists: reg.service_hists(),
-            recovery_hists,
             reads: reg.reads.get(),
             writes: reg.writes.get(),
             failed_writes: reg.failed_writes.get(),
@@ -1100,7 +1098,7 @@ fn sampler_loop(
         while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
             std::thread::sleep(every.min(Duration::from_millis(1)));
         }
-        let snap = TelemetrySnapshot::capture_with_audit(seq, state, registry, Some(plane));
+        let snap = TelemetrySnapshot::capture(seq, state, registry, plane);
         seq += 1;
         if let Some(w) = jsonl.as_mut() {
             let _ = writeln!(w, "{}", snap.to_json());

@@ -65,8 +65,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
     reassert_stuck, CacheStats, Casualties, ConfigError, GroupScratch, GroupView, HashDim,
-    MemberState, Recorder, Recovered, RecoveryHistograms, RepairEngine, RepairParams, ScrubReport,
-    ShardPlan, SudokuCache, SudokuConfig, UncorrectableError,
+    MemberState, Recorder, Recovered, RepairEngine, RepairParams, ScrubReport, ShardPlan,
+    SudokuCache, SudokuConfig, UncorrectableError,
 };
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::{Heatmaps, RegionGeometry, DEFAULT_REGIONS};
@@ -689,18 +689,6 @@ impl ShardedCache {
         out
     }
 
-    /// Harvests the recovery histograms of every shard's recorder (and the
-    /// coordinator's), leaving empty ones behind. Poisoned shards are
-    /// harvested too — telemetry survives the panic.
-    pub fn harvest_recorders(&self) -> RecoveryHistograms {
-        let mut hists = std::mem::take(&mut self.lock_coord().recorder.hists);
-        for shard in 0..self.n_shards() {
-            let mut cache = self.lock_shard_telemetry(shard);
-            hists.merge(&std::mem::take(&mut cache.recorder_mut().hists));
-        }
-        hists
-    }
-
     /// Chaos hook: panics on purpose — optionally while holding `shard`'s
     /// cache mutex, poisoning it the way a real mid-repair panic would.
     /// Used by the service's `Op::Panic` injection and the chaos bin;
@@ -1245,6 +1233,50 @@ mod tests {
         assert_eq!(cache.read(4).unwrap(), d4);
         assert_eq!(cache.read(5).unwrap(), d5);
         assert!(cache.coordinator_stats().raid4_repairs >= 1);
+        // Hash-2 repaired both reads: neither is a DUE.
+        assert_eq!(cache.stats().due_lines, 0);
+        assert_eq!(cache.heatmaps().due.total(), 0);
+    }
+
+    #[test]
+    fn demand_read_due_counts_once() {
+        // Scheme X has no Hash-2: the same pair is a true DUE. The sharded
+        // read (shard ladder, escalation, fetch) and a service handle each
+        // count it once, as the monolithic cache does.
+        let config = SudokuConfig::small(Scheme::X, 256, 16);
+        let faults = [(4u64, 100), (4, 200), (5, 100), (5, 200)];
+        let mut mono = SudokuCache::new(config).unwrap();
+        for (line, bit) in faults {
+            mono.inject_fault(line, bit);
+        }
+        assert!(mono.read(4).is_err());
+        assert_eq!(mono.stats().due_lines, 1);
+
+        let sharded = ShardedCache::new(config, 2).unwrap();
+        for (line, bit) in faults {
+            sharded.inject_fault(line, bit);
+        }
+        assert!(matches!(
+            sharded.read(4),
+            Err(ServiceError::Uncorrectable(_))
+        ));
+        assert_eq!(sharded.stats().due_lines, 1);
+        assert_eq!(sharded.heatmaps().due.total(), 1);
+
+        let service = crate::Service::start(crate::ServiceConfig {
+            cache: config,
+            scrub_every: None,
+            ..crate::ServiceConfig::small(256, 2, 0.0, 1)
+        })
+        .unwrap();
+        for (line, bit) in faults {
+            service.state().inject_fault(line, bit);
+        }
+        assert!(matches!(
+            service.handle().read(4),
+            Err(ServiceError::Uncorrectable(_))
+        ));
+        assert_eq!(service.shutdown().stats.due_lines, 1);
     }
 
     #[test]

@@ -12,14 +12,16 @@
 //! latency (queue wait → shard service → cross-shard H2 gather+repair)
 //! threaded by a per-request trace ID.
 //!
-//! Every exported scalar and histogram is declared once, as one row of
-//! the `SCALARS` or `HISTOGRAMS` table: its `to_json()` key, its Prometheus
-//! family, HELP text and type, and the function a capture reads it with.
-//! [`TelemetrySnapshot::capture`], [`TelemetrySnapshot::to_json`] and
-//! [`TelemetrySnapshot::to_prometheus`] walk the rows; only the labelled
-//! families (per shard, per heatmap cell) and the audit block are
-//! written out by hand. The spatial grids are always there: the
-//! [`ShardedCache`] builds them with itself.
+//! Every exported value is declared once, as one row of the `METRICS`
+//! table: its JSON key, its Prometheus family, HELP text and type, and
+//! the function that reads it — a scalar, a per-shard or per-class
+//! family, a `shard × region` grid or a histogram, from the registry (at
+//! capture), the snapshot, its audit section or its heatmap section.
+//! [`TelemetrySnapshot::capture`] builds every snapshot with its audit
+//! section; [`TelemetrySnapshot::to_prometheus`] and the three `to_json`
+//! renderers (the snapshot, [`AuditSnapshot`], [`HeatmapSnapshot`]) walk
+//! the rows. The spatial grids are always there: the [`ShardedCache`]
+//! builds them with itself.
 //!
 //! Cost model: the hot path touches only [`Counter`]s, [`Gauge`]s and
 //! [`AtomicHist`]s — no locks, no allocation. A counter or histogram
@@ -43,7 +45,9 @@ use std::sync::Mutex;
 use std::time::Duration;
 use sudoku_core::CacheStats;
 use sudoku_obs::json::JsonObject;
-use sudoku_obs::{AtomicHist, Counter, Gauge, Heatmaps, Histogram, ServiceHistograms};
+use sudoku_obs::{
+    AtomicHist, CorrelationStat, Counter, Gauge, Heatmaps, Histogram, ServiceHistograms,
+};
 
 /// Configuration of the optional live telemetry plane (sampler thread,
 /// flight recorder, scrape endpoint). The registry itself is always on —
@@ -467,22 +471,28 @@ impl HeatmapSnapshot {
     /// `/snapshot.json`).
     pub fn to_json(&self) -> String {
         let mut obj = JsonObject::new();
-        obj.field_u64("n_shards", self.n_shards as u64)
-            .field_u64("n_regions", self.n_regions as u64)
-            .field_array_u64("observed", self.observed.iter().copied())
-            .field_array_u64("due", self.due.iter().copied())
-            .field_array_u64("staleness_ns", self.staleness.iter().copied());
+        json_rows(&mut obj, |_, read| match read {
+            Read::Heatmap(read) => Some(read(self)),
+            _ => None,
+        });
         obj.finish()
+    }
+
+    /// A row-major grid of this snapshot's shape.
+    fn grid(&self, cells: &[u64]) -> Value {
+        Value::Grid(cells.to_vec(), self.n_regions.max(1))
     }
 }
 
-/// Prometheus type of a [`ScalarMetric`].
+/// Prometheus type of a [`Metric`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum MetricKind {
     /// Monotone count; the family name ends in `_total`.
     Counter,
     /// A level that can go down.
     Gauge,
+    /// `_bucket` / `_sum` / `_count` series.
+    Histogram,
 }
 
 impl MetricKind {
@@ -491,18 +501,56 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
         }
     }
 }
 
-/// One exported scalar, declared once: its `to_json()` key, its
-/// Prometheus family, HELP text and type, and how a capture reads it.
-/// [`TelemetrySnapshot`] keeps one value per row of [`SCALARS`].
+/// One row's value in one snapshot, in the shape both renderers share.
+#[derive(Clone, Debug)]
+pub(crate) enum Value {
+    /// One sample; a JSON number.
+    U64(u64),
+    /// One sample; a non-finite estimate (no data yet) renders as 0 in
+    /// the exposition and `null` in JSON.
+    F64(f64),
+    /// One sample per shard (`{shard}`); a JSON array.
+    Shards(Vec<u64>),
+    /// One sample per alert class (`{class}`); a JSON object.
+    Classes(Vec<(&'static str, u64)>),
+    /// Row-major `shard × region` cells, with the region count
+    /// (`{shard,region}`); a JSON array.
+    Grid(Vec<u64>, usize),
+    /// A histogram; a JSON object.
+    Hist(Histogram),
+    /// Nothing to export in this snapshot (a spatial gauge before the
+    /// detector's first verdict).
+    Absent,
+}
+
+/// Where a row's value comes from. The variant also names the row's JSON
+/// object: the snapshot's top level, `"audit"` or `"heatmap"`.
 #[derive(Clone, Copy, Debug)]
-struct ScalarMetric {
-    /// Top-level `to_json()` key; `None` for Prometheus-only rows (the
+pub(crate) enum Read {
+    /// A registry counter or gauge, copied at capture.
+    Reg(fn(&TelemetryRegistry) -> u64),
+    /// A registry histogram, copied at capture.
+    RegHist(fn(&TelemetryRegistry) -> &AtomicHist),
+    /// The rest of the snapshot (shard health, ladder counters, quantiles).
+    Snap(fn(&TelemetrySnapshot) -> Value),
+    /// The audit section.
+    Audit(fn(&AuditSnapshot) -> Value),
+    /// The heatmap section.
+    Heatmap(fn(&HeatmapSnapshot) -> Value),
+}
+
+/// One exported value, declared once: its JSON key, its Prometheus
+/// family, HELP text and type, and how a snapshot reads it.
+#[derive(Clone, Copy, Debug)]
+struct Metric {
+    /// JSON key in the row's object; `None` for Prometheus-only rows (the
     /// ladder and degraded rows sit in the nested `stats` / `degraded`
-    /// objects instead).
+    /// objects instead, the spatial gauges in the `spatial` verdict).
     json: Option<&'static str>,
     /// Prometheus family; `None` for JSON-only rows.
     prom: Option<&'static str>,
@@ -510,31 +558,16 @@ struct ScalarMetric {
     help: &'static str,
     /// Prometheus `# TYPE`.
     kind: MetricKind,
-    read: ScalarRead,
+    read: Read,
 }
-
-/// One exported histogram, declared once. [`TelemetrySnapshot`] keeps one
-/// [`Histogram`] per row of [`HISTOGRAMS`].
-#[derive(Clone, Copy, Debug)]
-struct HistMetric {
-    /// `to_json()` key.
-    json: &'static str,
-    /// Prometheus family (`_bucket` / `_sum` / `_count` series).
-    prom: &'static str,
-    /// Prometheus `# HELP` text.
-    help: &'static str,
-    read: fn(&TelemetryRegistry) -> &AtomicHist,
-}
-
-type ScalarRead = fn(&TelemetryRegistry, &TelemetrySnapshot) -> u64;
 
 const fn counter(
     json: Option<&'static str>,
     prom: Option<&'static str>,
     help: &'static str,
-    read: ScalarRead,
-) -> ScalarMetric {
-    ScalarMetric {
+    read: Read,
+) -> Metric {
+    Metric {
         json,
         prom,
         help,
@@ -547,154 +580,307 @@ const fn gauge(
     json: Option<&'static str>,
     prom: Option<&'static str>,
     help: &'static str,
-    read: ScalarRead,
-) -> ScalarMetric {
-    ScalarMetric {
+    read: Read,
+) -> Metric {
+    Metric {
         kind: MetricKind::Gauge,
         ..counter(json, prom, help, read)
     }
 }
 
-/// Every exported scalar. Rows read the registry, or the parts of the
-/// snapshot captured before them (shard health, ladder and degraded
-/// counters, histograms).
-#[rustfmt::skip]
-const SCALARS: &[ScalarMetric] = &[
-    gauge(Some("shards_up"), Some("sudoku_shards_up"),
-        "Shards currently serving", |_, s| (s.shards - s.quarantined.len()) as u64),
-    gauge(Some("shards"), Some("sudoku_shards"),
-        "Configured shard count", |_, s| s.shards as u64),
-    gauge(None, Some("sudoku_daemon_up"),
-        "1 while the scrub daemon is alive", |_, s| u64::from(!s.daemon_dead)),
-    // Demand path.
-    counter(Some("reads"), Some("sudoku_reads_total"),
-        "Demand reads served", |r, _| r.reads.get()),
-    counter(Some("writes"), Some("sudoku_writes_total"),
-        "Demand writes served", |r, _| r.writes.get()),
-    counter(Some("failed_writes"), Some("sudoku_failed_writes_total"),
-        "Demand writes rejected (shard down)", |r, _| r.failed_writes.get()),
-    counter(Some("escalated_reads"), Some("sudoku_escalated_reads_total"),
-        "Demand reads escalated cross-shard", |r, _| r.escalated_reads.get()),
-    counter(Some("due_reads"), Some("sudoku_due_reads_total"),
-        "Demand reads left uncorrectable", |r, _| r.due_reads.get()),
-    counter(Some("clean_read_lockfree_hits"), Some("sudoku_clean_read_lockfree_hits_total"),
-        "Demand reads served lock-free off the seqlock line view",
-        |r, _| r.clean_read_lockfree_hits.get()),
-    counter(Some("seqlock_retries"), Some("sudoku_seqlock_retries_total"),
-        "Seqlock retries taken by lock-free reads", |r, _| r.seqlock_retries.get()),
-    counter(Some("traces_issued"), Some("sudoku_traces_total"),
-        "Per-request trace IDs issued", |r, _| r.traces_issued()),
-    // Scrub daemon.
-    counter(Some("scrub_ticks"), Some("sudoku_scrub_ticks_total"),
-        "Scrub ticks completed", |r, _| r.scrub_ticks.get()),
-    counter(Some("skipped_ticks"), Some("sudoku_scrub_skipped_ticks_total"),
-        "Scrub ticks skipped (quarantined shard)", |r, _| r.skipped_ticks.get()),
-    counter(Some("injected_lines"), Some("sudoku_injected_lines_total"),
-        "Lines faulted by the injectors", |r, _| r.injected_lines.get()),
-    counter(Some("escalations"), Some("sudoku_scrub_escalations_total"),
-        "Cross-shard escalations from scrub leftovers", |r, _| r.escalations.get()),
-    counter(Some("escalated_lines"), None,
-        "Lines handed to scrub escalations", |r, _| r.escalated_lines.get()),
-    counter(Some("unresolved_lines"), Some("sudoku_scrub_unresolved_lines_total"),
-        "Scrub-detected DUE lines", |r, _| r.unresolved_lines.get()),
-    counter(Some("scrub_lines_swept"), Some("sudoku_scrub_lines_swept_total"),
-        "Lines actually swept by the scrub daemon", |r, _| r.scrub_lines_swept.get()),
-    counter(Some("scrub_floor_clamps"), Some("sudoku_scrub_floor_clamps_total"),
-        "Scrub visits where the quota floor was enforced against demand pressure",
-        |r, _| r.scrub_floor_clamps.get()),
-    gauge(Some("scrub_cursor"), Some("sudoku_scrub_cursor"),
-        "Next shard the daemon scrubs", |r, _| r.scrub_cursor.get()),
-    gauge(Some("last_tick_lag_ns"), Some("sudoku_scrub_tick_lag_ns"),
-        "Most recent tick's start lag behind deadline", |r, _| r.last_tick_lag_ns.get()),
-    gauge(Some("scrub_packet_quota"), Some("sudoku_scrub_packet_quota"),
-        "Most recent adaptive scrub quota (packets per visit)", |r, _| r.scrub_packet_quota.get()),
-    gauge(Some("scrub_floor_quota"), Some("sudoku_scrub_floor_quota"),
-        "Most recent adaptive scrub quota floor (packets)", |r, _| r.scrub_floor_quota.get()),
-    // Wire plane.
-    counter(Some("net_connections"), Some("sudoku_net_connections_total"),
-        "Wire connections accepted", |r, _| r.net_connections.get()),
-    gauge(Some("net_open_connections"), Some("sudoku_net_open_connections"),
-        "Wire connections open", |r, _| r.net_open_connections.get()),
-    counter(Some("net_frames"), Some("sudoku_net_frames_total"),
-        "Wire request frames decoded", |r, _| r.net_frames.get()),
-    counter(Some("net_sheds"), Some("sudoku_net_sheds_total"),
-        "Wire requests shed with RETRY", |r, _| r.net_sheds.get()),
-    counter(Some("net_malformed"), Some("sudoku_net_malformed_total"),
-        "Malformed wire frames", |r, _| r.net_malformed.get()),
-    // Recovery ladder (CacheStats).
-    counter(None, Some("sudoku_ecc1_repairs_total"),
-        "ECC-1 single-bit fixes", |_, s| s.stats.ecc1_repairs),
-    counter(None, Some("sudoku_meta_repairs_total"),
-        "ECC-metadata regenerations", |_, s| s.stats.meta_repairs),
-    counter(None, Some("sudoku_multibit_detections_total"),
-        "Lines flagged multibit by CRC", |_, s| s.stats.multibit_detections),
-    counter(None, Some("sudoku_raid4_repairs_total"),
-        "RAID-4 reconstructions", |_, s| s.stats.raid4_repairs),
-    counter(None, Some("sudoku_sdr_repairs_total"),
-        "SDR resurrections", |_, s| s.stats.sdr_repairs),
-    counter(None, Some("sudoku_sdr_trials_total"),
-        "SDR flip-and-check trials", |_, s| s.stats.sdr_trials),
-    counter(None, Some("sudoku_hash2_repairs_total"),
-        "Repairs only the Hash-2 dimension delivered", |_, s| s.stats.hash2_repairs),
-    counter(None, Some("sudoku_due_lines_total"),
-        "Lines left uncorrectable", |_, s| s.stats.due_lines),
-    counter(None, Some("sudoku_group_scans_total"),
-        "Whole-group recovery reads", |_, s| s.stats.group_scans),
-    // Degraded mode.
-    counter(None, Some("sudoku_skipped_h2_escalations_total"),
-        "H2 escalations refused (shard down)", |_, s| s.degraded.skipped_h2_escalations),
-    counter(None, Some("sudoku_shard_down_rejects_total"),
-        "Requests rejected fast on quarantined shards", |_, s| s.degraded.shard_down_rejects),
-    counter(None, Some("sudoku_stuck_reasserts_total"),
-        "Bits re-corrupted by stuck cells", |_, s| s.degraded.stuck_reasserts),
-    counter(None, Some("sudoku_spare_strikes_total"),
-        "Sparing strikes recorded", |_, s| s.degraded.strikes),
-    gauge(None, Some("sudoku_spared_lines"),
-        "Lines remapped to spare pools", |_, s| s.degraded.spared_lines),
-    // Latency quantiles.
-    gauge(None, Some("sudoku_read_latency_ns_p99"),
-        "Demand-read latency p99 (histogram upper bound)",
-        |_, s| s.hist("read_latency_ns").quantile(0.99)),
-    gauge(None, Some("sudoku_read_latency_ns_p999"),
-        "Demand-read latency p999 (histogram upper bound)",
-        |_, s| s.hist("read_latency_ns").quantile(0.999)),
-];
-
-const fn hist(
-    json: &'static str,
-    prom: &'static str,
-    help: &'static str,
-    read: fn(&TelemetryRegistry) -> &AtomicHist,
-) -> HistMetric {
-    HistMetric {
-        json,
-        prom,
-        help,
-        read,
+const fn hist(json: &'static str, prom: &'static str, help: &'static str, read: Read) -> Metric {
+    Metric {
+        kind: MetricKind::Histogram,
+        ..counter(Some(json), Some(prom), help, read)
     }
 }
 
-/// Every exported histogram.
+/// A spatial gauge's value in the detector's verdict; [`Value::Absent`]
+/// before the first one.
+fn spatial(audit: &AuditSnapshot, read: fn(&CorrelationStat) -> Value) -> Value {
+    audit.spatial.as_ref().map_or(Value::Absent, read)
+}
+
+/// Every exported value. Each renderer walks the rows in this order.
 #[rustfmt::skip]
-const HISTOGRAMS: &[HistMetric] = &[
+const METRICS: &[Metric] = &[
+    // Shards.
+    gauge(Some("queue_depths"), Some("sudoku_queue_depth"),
+        "Live request-queue depth per shard",
+        Read::Snap(|s| Value::Shards(s.queue_depths.clone()))),
+    gauge(Some("spare_occupancy"), Some("sudoku_spare_occupancy"),
+        "Spare-pool occupancy per shard", Read::Snap(|s| Value::Shards(s.spare_occupancy.clone()))),
+    gauge(None, Some("sudoku_shard_up"), "Liveness per shard", Read::Snap(|s| Value::Shards(
+        (0..s.shards).map(|shard| u64::from(!s.quarantined.contains(&shard))).collect()))),
+    gauge(Some("shards_up"), Some("sudoku_shards_up"), "Shards currently serving",
+        Read::Snap(|s| Value::U64((s.shards - s.quarantined.len()) as u64))),
+    gauge(Some("shards"), Some("sudoku_shards"),
+        "Configured shard count", Read::Snap(|s| Value::U64(s.shards as u64))),
+    gauge(None, Some("sudoku_daemon_up"),
+        "1 while the scrub daemon is alive", Read::Snap(|s| Value::U64(u64::from(!s.daemon_dead)))),
+    // Demand path.
+    counter(Some("reads"), Some("sudoku_reads_total"),
+        "Demand reads served", Read::Reg(|r| r.reads.get())),
+    counter(Some("writes"), Some("sudoku_writes_total"),
+        "Demand writes served", Read::Reg(|r| r.writes.get())),
+    counter(Some("failed_writes"), Some("sudoku_failed_writes_total"),
+        "Demand writes rejected (shard down)", Read::Reg(|r| r.failed_writes.get())),
+    counter(Some("escalated_reads"), Some("sudoku_escalated_reads_total"),
+        "Demand reads escalated cross-shard", Read::Reg(|r| r.escalated_reads.get())),
+    counter(Some("due_reads"), Some("sudoku_due_reads_total"),
+        "Demand reads left uncorrectable", Read::Reg(|r| r.due_reads.get())),
+    counter(Some("clean_read_lockfree_hits"), Some("sudoku_clean_read_lockfree_hits_total"),
+        "Demand reads served lock-free off the seqlock line view",
+        Read::Reg(|r| r.clean_read_lockfree_hits.get())),
+    counter(Some("seqlock_retries"), Some("sudoku_seqlock_retries_total"),
+        "Seqlock retries taken by lock-free reads", Read::Reg(|r| r.seqlock_retries.get())),
+    counter(Some("traces_issued"), Some("sudoku_traces_total"),
+        "Per-request trace IDs issued", Read::Reg(TelemetryRegistry::traces_issued)),
+    // Scrub daemon.
+    counter(Some("scrub_ticks"), Some("sudoku_scrub_ticks_total"),
+        "Scrub ticks completed", Read::Reg(|r| r.scrub_ticks.get())),
+    counter(Some("skipped_ticks"), Some("sudoku_scrub_skipped_ticks_total"),
+        "Scrub ticks skipped (quarantined shard)", Read::Reg(|r| r.skipped_ticks.get())),
+    counter(Some("injected_lines"), Some("sudoku_injected_lines_total"),
+        "Lines faulted by the injectors", Read::Reg(|r| r.injected_lines.get())),
+    counter(Some("escalations"), Some("sudoku_scrub_escalations_total"),
+        "Cross-shard escalations from scrub leftovers", Read::Reg(|r| r.escalations.get())),
+    counter(Some("escalated_lines"), None,
+        "Lines handed to scrub escalations", Read::Reg(|r| r.escalated_lines.get())),
+    counter(Some("unresolved_lines"), Some("sudoku_scrub_unresolved_lines_total"),
+        "Scrub-detected DUE lines", Read::Reg(|r| r.unresolved_lines.get())),
+    counter(Some("scrub_lines_swept"), Some("sudoku_scrub_lines_swept_total"),
+        "Lines actually swept by the scrub daemon", Read::Reg(|r| r.scrub_lines_swept.get())),
+    counter(Some("scrub_floor_clamps"), Some("sudoku_scrub_floor_clamps_total"),
+        "Scrub visits where the quota floor was enforced against demand pressure",
+        Read::Reg(|r| r.scrub_floor_clamps.get())),
+    gauge(Some("scrub_cursor"), Some("sudoku_scrub_cursor"),
+        "Next shard the daemon scrubs", Read::Reg(|r| r.scrub_cursor.get())),
+    gauge(Some("last_tick_lag_ns"), Some("sudoku_scrub_tick_lag_ns"),
+        "Most recent tick's start lag behind deadline", Read::Reg(|r| r.last_tick_lag_ns.get())),
+    gauge(Some("scrub_packet_quota"), Some("sudoku_scrub_packet_quota"),
+        "Most recent adaptive scrub quota (packets per visit)",
+        Read::Reg(|r| r.scrub_packet_quota.get())),
+    gauge(Some("scrub_floor_quota"), Some("sudoku_scrub_floor_quota"),
+        "Most recent adaptive scrub quota floor (packets)",
+        Read::Reg(|r| r.scrub_floor_quota.get())),
+    // Wire plane.
+    counter(Some("net_connections"), Some("sudoku_net_connections_total"),
+        "Wire connections accepted", Read::Reg(|r| r.net_connections.get())),
+    gauge(Some("net_open_connections"), Some("sudoku_net_open_connections"),
+        "Wire connections open", Read::Reg(|r| r.net_open_connections.get())),
+    counter(Some("net_frames"), Some("sudoku_net_frames_total"),
+        "Wire request frames decoded", Read::Reg(|r| r.net_frames.get())),
+    counter(Some("net_sheds"), Some("sudoku_net_sheds_total"),
+        "Wire requests shed with RETRY", Read::Reg(|r| r.net_sheds.get())),
+    counter(Some("net_malformed"), Some("sudoku_net_malformed_total"),
+        "Malformed wire frames", Read::Reg(|r| r.net_malformed.get())),
+    // Recovery ladder (CacheStats).
+    counter(None, Some("sudoku_ecc1_repairs_total"),
+        "ECC-1 single-bit fixes", Read::Snap(|s| Value::U64(s.stats.ecc1_repairs))),
+    counter(None, Some("sudoku_meta_repairs_total"),
+        "ECC-metadata regenerations", Read::Snap(|s| Value::U64(s.stats.meta_repairs))),
+    counter(None, Some("sudoku_multibit_detections_total"),
+        "Lines flagged multibit by CRC", Read::Snap(|s| Value::U64(s.stats.multibit_detections))),
+    counter(None, Some("sudoku_raid4_repairs_total"),
+        "RAID-4 reconstructions", Read::Snap(|s| Value::U64(s.stats.raid4_repairs))),
+    counter(None, Some("sudoku_sdr_repairs_total"),
+        "SDR resurrections", Read::Snap(|s| Value::U64(s.stats.sdr_repairs))),
+    counter(None, Some("sudoku_sdr_trials_total"),
+        "SDR flip-and-check trials", Read::Snap(|s| Value::U64(s.stats.sdr_trials))),
+    counter(None, Some("sudoku_hash2_repairs_total"),
+        "Repairs only the Hash-2 dimension delivered",
+        Read::Snap(|s| Value::U64(s.stats.hash2_repairs))),
+    counter(None, Some("sudoku_due_lines_total"),
+        "Lines left uncorrectable", Read::Snap(|s| Value::U64(s.stats.due_lines))),
+    counter(None, Some("sudoku_group_scans_total"),
+        "Whole-group recovery reads", Read::Snap(|s| Value::U64(s.stats.group_scans))),
+    // Degraded mode.
+    counter(None, Some("sudoku_skipped_h2_escalations_total"),
+        "H2 escalations refused (shard down)",
+        Read::Snap(|s| Value::U64(s.degraded.skipped_h2_escalations))),
+    counter(None, Some("sudoku_shard_down_rejects_total"),
+        "Requests rejected fast on quarantined shards",
+        Read::Snap(|s| Value::U64(s.degraded.shard_down_rejects))),
+    counter(None, Some("sudoku_stuck_reasserts_total"),
+        "Bits re-corrupted by stuck cells", Read::Snap(|s| Value::U64(s.degraded.stuck_reasserts))),
+    counter(None, Some("sudoku_spare_strikes_total"),
+        "Sparing strikes recorded", Read::Snap(|s| Value::U64(s.degraded.strikes))),
+    gauge(None, Some("sudoku_spared_lines"),
+        "Lines remapped to spare pools", Read::Snap(|s| Value::U64(s.degraded.spared_lines))),
+    // Latency and scrub histograms.
     hist("read_latency_ns", "sudoku_read_latency_ns",
-        "Demand-read latency", |r| &r.read_latency_ns),
+        "Demand-read latency", Read::RegHist(|r| &r.read_latency_ns)),
     hist("write_latency_ns", "sudoku_write_latency_ns",
-        "Demand-write latency", |r| &r.write_latency_ns),
-    hist("queue_wait_ns", "sudoku_queue_wait_ns", "Queue-wait phase", |r| &r.queue_wait_ns),
+        "Demand-write latency", Read::RegHist(|r| &r.write_latency_ns)),
+    hist("queue_wait_ns", "sudoku_queue_wait_ns",
+        "Queue-wait phase", Read::RegHist(|r| &r.queue_wait_ns)),
     hist("shard_service_ns", "sudoku_shard_service_ns",
-        "Shard-service phase", |r| &r.shard_service_ns),
+        "Shard-service phase", Read::RegHist(|r| &r.shard_service_ns)),
     hist("h2_gather_ns", "sudoku_h2_gather_ns",
-        "Cross-shard H2 gather+repair phase", |r| &r.h2_gather_ns),
-    hist("scrub_tick_ns", "sudoku_scrub_tick_ns", "Scrub-tick duration", |r| &r.scrub_tick_ns),
-    hist("tick_lag_ns", "sudoku_tick_lag_ns", "Scrub-tick lag", |r| &r.tick_lag_ns),
+        "Cross-shard H2 gather+repair phase", Read::RegHist(|r| &r.h2_gather_ns)),
+    hist("scrub_tick_ns", "sudoku_scrub_tick_ns",
+        "Scrub-tick duration", Read::RegHist(|r| &r.scrub_tick_ns)),
+    hist("tick_lag_ns", "sudoku_tick_lag_ns", "Scrub-tick lag", Read::RegHist(|r| &r.tick_lag_ns)),
     hist("scrub_quota", "sudoku_scrub_quota_packets",
-        "Adaptive scrub quota per daemon visit", |r| &r.scrub_quota_hist),
+        "Adaptive scrub quota per daemon visit", Read::RegHist(|r| &r.scrub_quota_hist)),
+    gauge(None, Some("sudoku_read_latency_ns_p99"),
+        "Demand-read latency p99 (histogram upper bound)",
+        Read::Snap(|s| Value::U64(s.hist("read_latency_ns").quantile(0.99)))),
+    gauge(None, Some("sudoku_read_latency_ns_p999"),
+        "Demand-read latency p999 (histogram upper bound)",
+        Read::Snap(|s| Value::U64(s.hist("read_latency_ns").quantile(0.999)))),
+    // Audit: scrub deadlines.
+    gauge(Some("scrub_deadline_ns"), Some("sudoku_scrub_deadline_ns"),
+        "Configured hard scrub deadline", Read::Audit(|a| Value::U64(a.scrub_deadline_ns))),
+    gauge(Some("packet_lines"), None,
+        "Lines per deadline-tracking packet", Read::Audit(|a| Value::U64(a.packet_lines))),
+    counter(Some("scrub_deadline_misses"), Some("sudoku_scrub_deadline_misses_total"),
+        "Packet sweeps whose achieved interval exceeded the hard deadline",
+        Read::Audit(|a| Value::U64(a.scrub_deadline_misses))),
+    counter(Some("per_shard_misses"), Some("sudoku_shard_scrub_deadline_misses_total"),
+        "Deadline misses per shard", Read::Audit(|a| Value::Shards(a.per_shard_misses.clone()))),
+    gauge(Some("per_shard_worst_staleness_ns"), Some("sudoku_scrub_staleness_ns"),
+        "Worst live packet staleness per shard",
+        Read::Audit(|a| Value::Shards(a.per_shard_worst_staleness_ns.clone()))),
+    hist("achieved_scrub_interval_ns", "sudoku_achieved_scrub_interval_ns",
+        "Achieved per-packet scrub interval",
+        Read::Audit(|a| Value::Hist(a.achieved_scrub_interval_ns.clone()))),
+    // Audit: error budget.
+    gauge(Some("observed_ber"), Some("sudoku_observed_ber"),
+        "Observed per-interval raw bit-error rate (slow window)",
+        Read::Audit(|a| Value::F64(a.observed_ber))),
+    gauge(Some("projected_fit"), Some("sudoku_projected_due_fit"),
+        "Projected DUE FIT at the observed BER", Read::Audit(|a| Value::F64(a.projected_fit))),
+    gauge(Some("burn_fast"), Some("sudoku_error_budget_burn_fast"),
+        "Fast-window error-budget burn rate", Read::Audit(|a| Value::F64(a.burn_fast))),
+    gauge(Some("burn_slow"), Some("sudoku_error_budget_burn_slow"),
+        "Slow-window error-budget burn rate", Read::Audit(|a| Value::F64(a.burn_slow))),
+    gauge(Some("worst_region"), Some("sudoku_worst_region"),
+        "Index of the region behind the worst-region gauges",
+        Read::Audit(|a| Value::U64(a.worst_region))),
+    gauge(Some("worst_region_ber"), Some("sudoku_worst_region_ber"),
+        "Worst-region observed per-interval raw bit-error rate (slow window)",
+        Read::Audit(|a| Value::F64(a.worst_region_ber))),
+    gauge(Some("worst_region_burn"), Some("sudoku_worst_region_burn"),
+        "Error-budget burn rate were every region at the worst region's BER",
+        Read::Audit(|a| Value::F64(a.worst_region_burn))),
+    // Audit: the spatial detector's verdict (the `spatial` object in JSON).
+    gauge(None, Some("sudoku_spatial_z"),
+        "Max-cell z-score of the latest spatial-correlation window",
+        Read::Audit(|a| spatial(a, |s| Value::F64(s.z)))),
+    gauge(None, Some("sudoku_spatial_dispersion"),
+        "Index of dispersion (variance/mean) of the latest window's cell deltas",
+        Read::Audit(|a| spatial(a, |s| Value::F64(s.dispersion)))),
+    gauge(None, Some("sudoku_spatial_skew"),
+        "Hottest cell over the i.i.d.-expected per-cell mean, latest window",
+        Read::Audit(|a| spatial(a, |s| Value::F64(s.skew())))),
+    gauge(None, Some("sudoku_spatial_fired"),
+        "1 while the latest window rejected the i.i.d. failure hypothesis",
+        Read::Audit(|a| spatial(a, |s| Value::U64(u64::from(s.fired))))),
+    // Audit: alerts.
+    counter(Some("alerts_total"), None,
+        "Alerts raised", Read::Audit(|a| Value::U64(a.alerts_total))),
+    counter(Some("alerts_critical"), Some("sudoku_alerts_critical_total"),
+        "Critical alerts raised", Read::Audit(|a| Value::U64(a.alerts_critical))),
+    counter(Some("alerts_dropped"), Some("sudoku_alerts_dropped_total"),
+        "Alerts evicted from the ring before scrape",
+        Read::Audit(|a| Value::U64(a.alerts_dropped))),
+    counter(Some("alerts_by_class"), Some("sudoku_alerts_total"),
+        "Alerts raised, by class", Read::Audit(|a| Value::Classes(a.alerts_by_class.clone()))),
+    // Heatmap grids.
+    gauge(Some("n_shards"), None,
+        "Shard rows in each grid", Read::Heatmap(|h| Value::U64(h.n_shards as u64))),
+    gauge(Some("n_regions"), None,
+        "Region columns in each grid", Read::Heatmap(|h| Value::U64(h.n_regions as u64))),
+    counter(Some("observed"), Some("sudoku_region_observed_flips_total"),
+        "Observed repair events (ECC-1 + RAID-4 + SDR + DUE) per (shard, region) cell",
+        Read::Heatmap(|h| h.grid(&h.observed))),
+    counter(Some("due"), Some("sudoku_region_due_total"),
+        "Uncorrectable lines per (shard, region) cell", Read::Heatmap(|h| h.grid(&h.due))),
+    gauge(Some("staleness_ns"), Some("sudoku_region_scrub_staleness_ns"),
+        "Last achieved scrub interval per (shard, region) cell",
+        Read::Heatmap(|h| h.grid(&h.staleness))),
 ];
 
+/// Writes the JSON field of every keyed row `value` reads; `value` gets a
+/// row's index and reader and answers `None` for rows of other objects.
+pub(crate) fn json_rows(obj: &mut JsonObject, value: impl Fn(usize, Read) -> Option<Value>) {
+    for (i, row) in METRICS.iter().enumerate() {
+        let (Some(key), Some(v)) = (row.json, value(i, row.read)) else {
+            continue;
+        };
+        match v {
+            Value::U64(v) => obj.field_u64(key, v),
+            Value::F64(v) => obj.field_f64(key, v),
+            Value::Shards(v) | Value::Grid(v, _) => obj.field_array_u64(key, v),
+            Value::Classes(classes) => {
+                let mut inner = JsonObject::new();
+                for (class, n) in classes {
+                    inner.field_u64(class, n);
+                }
+                obj.field_raw(key, &inner.finish())
+            }
+            Value::Hist(h) => obj.field_raw(key, &h.to_json()),
+            Value::Absent => &mut *obj,
+        };
+    }
+}
+
+/// Renders one family: HELP and TYPE, then its samples (nothing at all
+/// for [`Value::Absent`]). Histograms get cumulative `le` buckets (sparse —
+/// only buckets that change the cumulative count, plus `+Inf`), then
+/// `_sum` and `_count`.
+fn prometheus_family(out: &mut String, name: &str, row: &Metric, value: Value) {
+    use std::fmt::Write;
+    if let Value::Absent = value {
+        return;
+    }
+    let _ = writeln!(
+        out,
+        "# HELP {name} {}\n# TYPE {name} {}",
+        row.help,
+        row.kind.name()
+    );
+    let _ = match value {
+        Value::U64(v) => writeln!(out, "{name} {v}"),
+        Value::F64(v) => writeln!(out, "{name} {}", if v.is_finite() { v } else { 0.0 }),
+        Value::Shards(vs) => vs
+            .iter()
+            .enumerate()
+            .try_for_each(|(shard, v)| writeln!(out, "{name}{{shard=\"{shard}\"}} {v}")),
+        Value::Classes(classes) => classes
+            .iter()
+            .try_for_each(|(class, n)| writeln!(out, "{name}{{class=\"{class}\"}} {n}")),
+        Value::Grid(cells, n_regions) => cells.iter().enumerate().try_for_each(|(i, v)| {
+            let (shard, region) = (i / n_regions, i % n_regions);
+            writeln!(out, "{name}{{shard=\"{shard}\",region=\"{region}\"}} {v}")
+        }),
+        Value::Hist(h) => {
+            let mut cumulative = 0u64;
+            for (bound, count) in h.all_buckets() {
+                cumulative += count;
+                // Empty buckets add nothing; the top one folds into +Inf.
+                if count > 0 && bound != u64::MAX {
+                    let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
+                }
+            }
+            writeln!(
+                out,
+                "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}",
+                h.count(),
+                h.sum(),
+                h.count()
+            )
+        }
+        Value::Absent => Ok(()),
+    };
+}
+
 /// One coherent picture of the whole service at a sampling instant: the
-/// registry's lock-free metrics, plus the recovery-ladder and degraded
-/// counters pulled (briefly, under the shard mutexes) from the engine.
+/// registry's lock-free metrics, the recovery-ladder and degraded
+/// counters pulled (briefly, under the shard mutexes) from the engine,
+/// and the audit plane's view.
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
     /// Monotone snapshot sequence number (per sampler/scraper).
@@ -716,15 +902,13 @@ pub struct TelemetrySnapshot {
     pub stats: CacheStats,
     /// Degraded-mode counters (sparing, stuck physics, skipped H2, …).
     pub degraded: DegradedStats,
-    /// One histogram per [`HISTOGRAMS`] row, in table order.
-    hists: Vec<Histogram>,
-    /// One value per [`SCALARS`] row, in table order.
-    scalars: Vec<u64>,
+    /// One value per [`METRICS`] row: the registry copy for the rows that
+    /// read the registry, [`Value::Absent`] for the rest.
+    registry: Vec<Value>,
     /// Sampled per-request traces, oldest first.
     pub recent_traces: Vec<TraceRecord>,
-    /// The audit plane's view (scrub deadlines, burn rates, alerts) when
-    /// the capture was given one.
-    pub audit: Option<AuditSnapshot>,
+    /// The audit plane's view (scrub deadlines, burn rates, alerts).
+    pub audit: AuditSnapshot,
     /// The spatial reliability plane's dashboard grids.
     pub heatmap: HeatmapSnapshot,
 }
@@ -737,23 +921,17 @@ fn unix_ms_now() -> u64 {
 }
 
 impl TelemetrySnapshot {
-    /// Captures the system state: lock-free reads of the registry, plus a
+    /// Captures the system state: lock-free reads of the registry, a
     /// brief pass under the shard mutexes for [`CacheStats`] and
     /// [`DegradedStats`] (poison-tolerant — quarantined shards are still
-    /// read).
-    pub fn capture(seq: u64, state: &ShardedCache, reg: &TelemetryRegistry) -> TelemetrySnapshot {
-        Self::capture_with_audit(seq, state, reg, None)
-    }
-
-    /// [`TelemetrySnapshot::capture`], additionally folding in the audit
-    /// plane's deadline/burn/alert view when one is running.
-    pub fn capture_with_audit(
+    /// read), and the audit plane's deadline/burn/alert view.
+    pub fn capture(
         seq: u64,
         state: &ShardedCache,
         reg: &TelemetryRegistry,
-        audit: Option<&AuditPlane>,
+        plane: &AuditPlane,
     ) -> TelemetrySnapshot {
-        let mut snap = TelemetrySnapshot {
+        TelemetrySnapshot {
             seq,
             unix_ms: unix_ms_now(),
             quarantined: state.health().quarantined(),
@@ -763,17 +941,18 @@ impl TelemetrySnapshot {
             spare_occupancy: state.spare_occupancy(),
             stats: state.stats(),
             degraded: state.degraded_stats(),
-            hists: HISTOGRAMS
+            registry: METRICS
                 .iter()
-                .map(|h| (h.read)(reg).snapshot())
+                .map(|row| match row.read {
+                    Read::Reg(read) => Value::U64(read(reg)),
+                    Read::RegHist(read) => Value::Hist(read(reg).snapshot()),
+                    _ => Value::Absent,
+                })
                 .collect(),
-            scalars: Vec::with_capacity(SCALARS.len()),
             recent_traces: reg.recent_traces(),
-            audit: audit.map(AuditPlane::snapshot),
+            audit: plane.snapshot(),
             heatmap: HeatmapSnapshot::capture(state.heatmaps()),
-        };
-        snap.scalars = SCALARS.iter().map(|m| (m.read)(reg, &snap)).collect();
-        snap
+        }
     }
 
     /// Whether every shard is up and the daemon (if it ever ran) is alive.
@@ -781,19 +960,34 @@ impl TelemetrySnapshot {
         self.quarantined.is_empty() && !self.daemon_dead
     }
 
-    /// The captured histogram of the [`HISTOGRAMS`] row with JSON key
-    /// `json`.
+    /// Row `i`'s value in this snapshot.
+    fn value(&self, i: usize) -> Value {
+        match METRICS[i].read {
+            Read::Reg(_) | Read::RegHist(_) => self.registry[i].clone(),
+            Read::Snap(read) => read(self),
+            Read::Audit(read) => read(&self.audit),
+            Read::Heatmap(read) => read(&self.heatmap),
+        }
+    }
+
+    /// The captured histogram of the registry row with JSON key `json`.
     ///
     /// # Panics
     ///
-    /// If no row has that key (a typo in a table reader).
+    /// If no registry histogram row has that key (a typo in a table
+    /// reader).
     fn hist(&self, json: &str) -> &Histogram {
-        let row = HISTOGRAMS.iter().position(|h| h.json == json);
-        &self.hists[row.expect("histogram row")]
+        let row = METRICS
+            .iter()
+            .position(|m| m.json == Some(json) && matches!(m.read, Read::RegHist(_)));
+        match &self.registry[row.expect("histogram row")] {
+            Value::Hist(h) => h,
+            other => unreachable!("histogram row captured {other:?}"),
+        }
     }
 
-    /// One JSON object per snapshot — the flight-recorder JSONL line and
-    /// the `/snapshot.json` body.
+    /// One JSON object per snapshot — the flight-recorder JSONL line, the
+    /// `/snapshot.json` body and the wire STATS body.
     pub fn to_json(&self) -> String {
         let traces: Vec<String> = self.recent_traces.iter().map(|t| t.to_json()).collect();
         let mut obj = JsonObject::new();
@@ -801,268 +995,29 @@ impl TelemetrySnapshot {
             .field_u64("unix_ms", self.unix_ms)
             .field_bool("healthy", self.healthy())
             .field_array_u64("quarantined", self.quarantined.iter().map(|&s| s as u64))
-            .field_bool("daemon_dead", self.daemon_dead)
-            .field_array_u64("queue_depths", self.queue_depths.iter().copied())
-            .field_array_u64("spare_occupancy", self.spare_occupancy.iter().copied());
-        for (row, &v) in SCALARS.iter().zip(&self.scalars) {
-            if let Some(key) = row.json {
-                obj.field_u64(key, v);
-            }
-        }
+            .field_bool("daemon_dead", self.daemon_dead);
+        json_rows(&mut obj, |i, read| match read {
+            Read::Audit(_) | Read::Heatmap(_) => None,
+            _ => Some(self.value(i)),
+        });
         obj.field_raw("stats", &self.stats.to_json())
-            .field_raw("degraded", &self.degraded.to_json());
-        for (row, h) in HISTOGRAMS.iter().zip(&self.hists) {
-            obj.field_raw(row.json, &h.to_json());
-        }
-        obj.field_raw("recent_traces", &format!("[{}]", traces.join(",")));
-        if let Some(audit) = &self.audit {
-            obj.field_raw("audit", &audit.to_json());
-        }
-        obj.field_raw("heatmap", &self.heatmap.to_json());
+            .field_raw("degraded", &self.degraded.to_json())
+            .field_raw("recent_traces", &format!("[{}]", traces.join(",")))
+            .field_raw("audit", &self.audit.to_json())
+            .field_raw("heatmap", &self.heatmap.to_json());
         obj.finish()
     }
 
     /// Prometheus text exposition (version 0.0.4) of the snapshot.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        for (row, v) in SCALARS.iter().zip(&self.scalars) {
+        let mut out = String::with_capacity(16384);
+        for (i, row) in METRICS.iter().enumerate() {
             if let Some(name) = row.prom {
-                prometheus_scalar(&mut out, name, row.help, row.kind, v);
+                prometheus_family(&mut out, name, row, self.value(i));
             }
         }
-        // Per-shard labelled gauges.
-        out.push_str("# HELP sudoku_shard_up Liveness per shard\n# TYPE sudoku_shard_up gauge\n");
-        for shard in 0..self.shards {
-            let up = u64::from(!self.quarantined.contains(&shard));
-            out.push_str(&format!("sudoku_shard_up{{shard=\"{shard}\"}} {up}\n"));
-        }
-        out.push_str(
-            "# HELP sudoku_queue_depth Live request-queue depth per shard\n# TYPE sudoku_queue_depth gauge\n",
-        );
-        for (shard, depth) in self.queue_depths.iter().enumerate() {
-            out.push_str(&format!(
-                "sudoku_queue_depth{{shard=\"{shard}\"}} {depth}\n"
-            ));
-        }
-        out.push_str(
-            "# HELP sudoku_spare_occupancy Spare-pool occupancy per shard\n# TYPE sudoku_spare_occupancy gauge\n",
-        );
-        for (shard, n) in self.spare_occupancy.iter().enumerate() {
-            out.push_str(&format!(
-                "sudoku_spare_occupancy{{shard=\"{shard}\"}} {n}\n"
-            ));
-        }
-        for (row, h) in HISTOGRAMS.iter().zip(&self.hists) {
-            prometheus_hist(&mut out, row.prom, row.help, h);
-        }
-        if let Some(audit) = &self.audit {
-            // Non-finite estimates (no data yet) render as 0.
-            let fgauge = |out: &mut String, name: &str, help: &str, v: f64| {
-                let v = if v.is_finite() { v } else { 0.0 };
-                prometheus_scalar(out, name, help, MetricKind::Gauge, v);
-            };
-            let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-                prometheus_scalar(out, name, help, MetricKind::Counter, v);
-            };
-            let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-                prometheus_scalar(out, name, help, MetricKind::Gauge, v);
-            };
-            counter(
-                &mut out,
-                "sudoku_scrub_deadline_misses_total",
-                "Packet sweeps whose achieved interval exceeded the hard deadline",
-                audit.scrub_deadline_misses,
-            );
-            gauge(
-                &mut out,
-                "sudoku_scrub_deadline_ns",
-                "Configured hard scrub deadline",
-                audit.scrub_deadline_ns,
-            );
-            out.push_str(
-                "# HELP sudoku_scrub_deadline_misses Deadline misses per shard\n\
-                 # TYPE sudoku_scrub_deadline_misses counter\n",
-            );
-            for (shard, misses) in audit.per_shard_misses.iter().enumerate() {
-                out.push_str(&format!(
-                    "sudoku_scrub_deadline_misses{{shard=\"{shard}\"}} {misses}\n"
-                ));
-            }
-            out.push_str(
-                "# HELP sudoku_scrub_staleness_ns Worst live packet staleness per shard\n\
-                 # TYPE sudoku_scrub_staleness_ns gauge\n",
-            );
-            for (shard, ns) in audit.per_shard_worst_staleness_ns.iter().enumerate() {
-                out.push_str(&format!(
-                    "sudoku_scrub_staleness_ns{{shard=\"{shard}\"}} {ns}\n"
-                ));
-            }
-            prometheus_hist(
-                &mut out,
-                "sudoku_achieved_scrub_interval_ns",
-                "Achieved per-packet scrub interval",
-                &audit.achieved_scrub_interval_ns,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_observed_ber",
-                "Observed per-interval raw bit-error rate (slow window)",
-                audit.observed_ber,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_projected_due_fit",
-                "Projected DUE FIT at the observed BER",
-                audit.projected_fit,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_error_budget_burn_fast",
-                "Fast-window error-budget burn rate",
-                audit.burn_fast,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_error_budget_burn_slow",
-                "Slow-window error-budget burn rate",
-                audit.burn_slow,
-            );
-            counter(
-                &mut out,
-                "sudoku_alerts_critical_total",
-                "Critical alerts raised",
-                audit.alerts_critical,
-            );
-            counter(
-                &mut out,
-                "sudoku_alerts_dropped_total",
-                "Alerts evicted from the ring before scrape",
-                audit.alerts_dropped,
-            );
-            out.push_str(
-                "# HELP sudoku_alerts_total Alerts raised, by class\n\
-                 # TYPE sudoku_alerts_total counter\n",
-            );
-            for (class, n) in &audit.alerts_by_class {
-                out.push_str(&format!("sudoku_alerts_total{{class=\"{class}\"}} {n}\n"));
-            }
-            gauge(
-                &mut out,
-                "sudoku_worst_region",
-                "Index of the region behind the worst-region gauges",
-                audit.worst_region,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_worst_region_ber",
-                "Worst-region observed per-interval raw bit-error rate (slow window)",
-                audit.worst_region_ber,
-            );
-            fgauge(
-                &mut out,
-                "sudoku_worst_region_burn",
-                "Error-budget burn rate were every region at the worst region's BER",
-                audit.worst_region_burn,
-            );
-            if let Some(spatial) = &audit.spatial {
-                fgauge(
-                    &mut out,
-                    "sudoku_spatial_z",
-                    "Max-cell z-score of the latest spatial-correlation window",
-                    spatial.z,
-                );
-                fgauge(
-                    &mut out,
-                    "sudoku_spatial_dispersion",
-                    "Index of dispersion (variance/mean) of the latest window's cell deltas",
-                    spatial.dispersion,
-                );
-                fgauge(
-                    &mut out,
-                    "sudoku_spatial_skew",
-                    "Hottest cell over the i.i.d.-expected per-cell mean, latest window",
-                    spatial.skew(),
-                );
-                gauge(
-                    &mut out,
-                    "sudoku_spatial_fired",
-                    "1 while the latest window rejected the i.i.d. failure hypothesis",
-                    u64::from(spatial.fired),
-                );
-            }
-        }
-        let hm = &self.heatmap;
-        let n_regions = hm.n_regions.max(1);
-        let grid = |out: &mut String, name: &str, help: &str, kind: MetricKind, cells: &[u64]| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} {}\n",
-                kind.name()
-            ));
-            for (i, v) in cells.iter().enumerate() {
-                let (shard, region) = (i / n_regions, i % n_regions);
-                out.push_str(&format!(
-                    "{name}{{shard=\"{shard}\",region=\"{region}\"}} {v}\n"
-                ));
-            }
-        };
-        grid(
-            &mut out,
-            "sudoku_region_observed_flips_total",
-            "Observed repair events (ECC-1 + RAID-4 + SDR + DUE) per (shard, region) cell",
-            MetricKind::Counter,
-            &hm.observed,
-        );
-        grid(
-            &mut out,
-            "sudoku_region_due_total",
-            "Uncorrectable lines per (shard, region) cell",
-            MetricKind::Counter,
-            &hm.due,
-        );
-        grid(
-            &mut out,
-            "sudoku_region_scrub_staleness_ns",
-            "Last achieved scrub interval per (shard, region) cell",
-            MetricKind::Gauge,
-            &hm.staleness,
-        );
         out
     }
-}
-
-/// Renders one unlabelled sample with its HELP and TYPE lines.
-fn prometheus_scalar(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: MetricKind,
-    v: impl std::fmt::Display,
-) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} {}\n{name} {v}\n",
-        kind.name()
-    ));
-}
-
-/// Renders one histogram in Prometheus exposition shape: cumulative `le`
-/// buckets (sparse — only buckets that change the cumulative count, plus
-/// `+Inf`), then `_sum` and `_count`.
-fn prometheus_hist(out: &mut String, name: &str, help: &str, h: &Histogram) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-    let mut cumulative = 0u64;
-    for (bound, count) in h.all_buckets() {
-        if count == 0 {
-            continue;
-        }
-        cumulative += count;
-        if bound == u64::MAX {
-            continue; // folded into +Inf below
-        }
-        out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-    }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-    out.push_str(&format!("{name}_sum {}\n", h.sum()));
-    out.push_str(&format!("{name}_count {}\n", h.count()));
 }
 
 /// Bounded ring of the most recent [`TelemetrySnapshot`]s — the in-memory
@@ -1132,10 +1087,14 @@ mod tests {
     use crate::sharded::ShardedCache;
     use sudoku_core::{Scheme, SudokuConfig};
 
+    fn plane(state: &ShardedCache) -> AuditPlane {
+        AuditPlane::new(state.plan(), crate::AuditConfig::default()).unwrap()
+    }
+
     fn snap(seq: u64) -> TelemetrySnapshot {
         let state = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
         let reg = TelemetryRegistry::new(2);
-        TelemetrySnapshot::capture(seq, &state, &reg)
+        TelemetrySnapshot::capture(seq, &state, &reg, &plane(&state))
     }
 
     #[test]
@@ -1191,7 +1150,7 @@ mod tests {
             service_ns: 200,
             h2_ns: 0,
         });
-        let snap = TelemetrySnapshot::capture(7, &state, &reg);
+        let snap = TelemetrySnapshot::capture(7, &state, &reg, &plane(&state));
         assert!(snap.healthy());
         let json = snap.to_json();
         assert!(json.contains("\"seq\":7"), "{json}");
@@ -1217,7 +1176,7 @@ mod tests {
         let state = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
         let reg = TelemetryRegistry::new(2);
         state.health().quarantine(1);
-        let snap = TelemetrySnapshot::capture(0, &state, &reg);
+        let snap = TelemetrySnapshot::capture(0, &state, &reg, &plane(&state));
         assert!(!snap.healthy());
         assert_eq!(snap.quarantined, vec![1]);
         let prom = snap.to_prometheus();
@@ -1229,13 +1188,19 @@ mod tests {
     fn every_metric_is_declared_once() {
         let mut keys = std::collections::BTreeSet::new();
         let mut families = std::collections::BTreeSet::new();
-        for row in SCALARS {
+        for row in METRICS {
             assert!(
                 row.json.is_some() || row.prom.is_some(),
                 "{row:?} exports nothing"
             );
             if let Some(key) = row.json {
-                assert!(keys.insert(key), "JSON key {key} declared twice");
+                // Keys are unique within their JSON object.
+                let object = match row.read {
+                    Read::Audit(_) => "audit",
+                    Read::Heatmap(_) => "heatmap",
+                    _ => "",
+                };
+                assert!(keys.insert((object, key)), "JSON key {key} declared twice");
             }
             if let Some(name) = row.prom {
                 assert!(families.insert(name), "family {name} declared twice");
@@ -1246,21 +1211,17 @@ mod tests {
                 );
             }
         }
-        for row in HISTOGRAMS {
-            assert!(
-                keys.insert(row.json),
-                "JSON key {} declared twice",
-                row.json
-            );
-            assert!(
-                families.insert(row.prom),
-                "family {} declared twice",
-                row.prom
-            );
-        }
-        // Every row renders, with its declared HELP and TYPE.
-        let parsed = crate::promtext::parse(&snap(0).to_prometheus()).expect("valid exposition");
-        for row in SCALARS {
+        // Every row renders, with its declared HELP and TYPE; the spatial
+        // rows need a detector verdict.
+        let state = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
+        let plane = plane(&state);
+        plane.arm_spatial(state.heatmaps().geometry());
+        let cells = state.heatmaps().observed_cells();
+        plane.step_spatial_cells(&cells);
+        let snap = TelemetrySnapshot::capture(0, &state, &TelemetryRegistry::new(2), &plane);
+        let parsed = crate::promtext::parse(&snap.to_prometheus()).expect("valid exposition");
+        let json = snap.to_json();
+        for row in METRICS {
             if let Some(name) = row.prom {
                 assert_eq!(parsed.helps.get(name).map(String::as_str), Some(row.help));
                 assert_eq!(
@@ -1268,12 +1229,12 @@ mod tests {
                     Some(row.kind.name())
                 );
             }
-        }
-        for row in HISTOGRAMS {
-            assert_eq!(
-                parsed.types.get(row.prom).map(String::as_str),
-                Some("histogram")
-            );
+            if let Some(key) = row.json {
+                assert!(
+                    json.contains(&format!("\"{key}\":")),
+                    "{key} missing: {json}"
+                );
+            }
         }
     }
 
