@@ -96,9 +96,10 @@ use crate::sharded::{ShardSession, ShardedCache};
 use crate::slot::{CompletionSlot, SlotSender};
 use crate::telemetry::{
     FlightRecorder, TelemetryConfig, TelemetryRegistry, TelemetrySnapshot, TraceOutcome, TracePath,
-    TraceRecord,
+    TraceRecord, LOCKFREE_TIME_EVERY,
 };
 use crate::watchdog::watchdog_loop;
+use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 use std::io::Write as _;
 use std::net::SocketAddr;
@@ -324,6 +325,10 @@ std::thread_local! {
     /// replaces a per-request channel allocation. (Writes complete at
     /// acceptance and need no slot at all.)
     static READ_SLOT: Arc<CompletionSlot<Result<LineData, ServiceError>>> = CompletionSlot::new();
+
+    /// This thread's last timed lock-free read latency, ns (at least 1;
+    /// 0 = none yet): what its untimed lock-free reads are charged.
+    static LOCKFREE_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// End-of-run summary assembled by [`Service::shutdown`].
@@ -504,25 +509,38 @@ impl ServiceHandle {
     }
 
     /// Serves `line` lock-free off the seqlock view when it is verifiably
-    /// clean, accounted under `trace` like any other served read. `None`
-    /// means the caller must take the claimed path.
+    /// clean. `None` means the caller must take the claimed path.
+    ///
+    /// A hit is timed and [`account`]ed under `trace` like any other
+    /// served read when `trace` is a multiple of [`LOCKFREE_TIME_EVERY`]
+    /// or the thread has no timed lock-free read yet. Any other hit skips
+    /// the clock: it counts one read and records its thread's last timed
+    /// latency into the same histograms, with no exemplar or trace record.
     fn fast_read(&self, line: u64, shard: usize, trace: u64) -> Option<LineData> {
-        let service_start = Instant::now();
+        let carried = LOCKFREE_NS.with(Cell::get);
+        let timed = (carried == 0 || trace.is_multiple_of(LOCKFREE_TIME_EVERY)).then(Instant::now);
         let (hit, retries) = self.state.try_read_clean(line, shard);
         let data = hit?;
-        account(
-            &self.registry,
-            TraceRecord {
-                trace,
-                shard: shard as u32,
-                write: false,
-                path: TracePath::Lockfree,
-                outcome: TraceOutcome::Ok,
-                queue_wait_ns: 0,
-                service_ns: service_start.elapsed().as_nanos() as u64,
-                h2_ns: 0,
-            },
-        );
+        if let Some(service_start) = timed {
+            let service_ns = (service_start.elapsed().as_nanos() as u64).max(1);
+            LOCKFREE_NS.with(|ns| ns.set(service_ns));
+            account(
+                &self.registry,
+                TraceRecord {
+                    trace,
+                    shard: shard as u32,
+                    write: false,
+                    path: TracePath::Lockfree,
+                    outcome: TraceOutcome::Ok,
+                    queue_wait_ns: 0,
+                    service_ns,
+                    h2_ns: 0,
+                },
+            );
+        } else {
+            self.registry.reads.inc();
+            self.registry.note_carried_read(carried);
+        }
         self.registry.clean_read_lockfree_hits.inc();
         if retries != 0 {
             self.registry.seqlock_retries.add(u64::from(retries));
@@ -1256,8 +1274,9 @@ fn serve_read<'a>(
             *session = None;
             let h2_start = Instant::now();
             let fetched = state.escalate_fetch(line);
-            *h2_ns = h2_start.elapsed().as_nanos() as u64;
-            reg.h2_gather_ns.record(*h2_ns);
+            // At least 1 ns: `note_request` records the phase sample only
+            // when it is non-zero.
+            *h2_ns = h2_start.elapsed().as_nanos().max(1) as u64;
             fetched
         }
         other => other,

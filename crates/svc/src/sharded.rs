@@ -927,18 +927,21 @@ impl ShardedCache {
         }
         // Capture the demand read's value now: the store holds whatever the
         // escalation repaired, and the stuck-cell reassert below is about
-        // to undo that in the array (never in the returned data).
+        // to undo that in the array (never in the returned data). The
+        // escalation's outcome is the answer: the demand read was already
+        // counted by the shard ladder that gave up on it, so only a line
+        // left neither lost nor valid (a single-bit fault) is read again.
         let fetched = fetch.map(|line| {
             let shard = self.plan.shard_of_line(line);
+            let lost = Err(ServiceError::Uncorrectable(UncorrectableError { line }));
             match work[shard].as_mut() {
-                Some(w) => {
-                    let spared = self.spared_lookup(shard, line);
-                    match spared {
-                        Some(Some(data)) => Ok(data),
-                        Some(None) => Err(ServiceError::Uncorrectable(UncorrectableError { line })),
-                        None => w.cache.read(line).map_err(ServiceError::from),
-                    }
-                }
+                Some(w) => match self.spared_lookup(shard, line) {
+                    Some(Some(data)) => Ok(data),
+                    Some(None) => lost,
+                    None if w.st.report.unresolved.binary_search(&line).is_ok() => lost,
+                    None if w.cache.is_line_valid(line) => Ok(w.cache.stored_line(line).data),
+                    None => w.cache.read(line).map_err(ServiceError::from),
+                },
                 None => Err(ServiceError::ShardDown(shard)),
             }
         });
@@ -1221,21 +1224,36 @@ mod tests {
         // Fig. 3(c) pattern: two lines of one Hash-1 group with identical
         // fault positions — zero parity mismatch defeats shard-local SDR,
         // and with defer_hash2 the shard's own read ladder stops there.
-        let cache = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
+        let config = SudokuConfig::small(Scheme::Z, 256, 16);
+        let cache = ShardedCache::new(config, 2).unwrap();
+        let mut mono = SudokuCache::new(config).unwrap();
         let d4 = data_with(&[40, 41]);
         let d5 = data_with(&[50, 51]);
         cache.write(4, &d4).unwrap();
         cache.write(5, &d5).unwrap();
+        mono.write(4, &d4);
+        mono.write(5, &d5);
         for line in [4u64, 5] {
             cache.inject_fault(line, 100);
             cache.inject_fault(line, 200);
+            mono.inject_fault(line, 100);
+            mono.inject_fault(line, 200);
         }
         assert_eq!(cache.read(4).unwrap(), d4);
         assert_eq!(cache.read(5).unwrap(), d5);
+        assert_eq!(mono.read(4).unwrap(), d4);
+        assert_eq!(mono.read(5).unwrap(), d5);
         assert!(cache.coordinator_stats().raid4_repairs >= 1);
         // Hash-2 repaired both reads: neither is a DUE.
         assert_eq!(cache.stats().due_lines, 0);
         assert_eq!(cache.heatmaps().due.total(), 0);
+        // The escalation answers the read it escalated: one read each,
+        // and one multi-bit detection, as the monolithic cache counts.
+        assert_eq!(cache.stats().reads, mono.stats().reads);
+        assert_eq!(
+            cache.stats().multibit_detections,
+            mono.stats().multibit_detections
+        );
     }
 
     #[test]
@@ -1258,10 +1276,15 @@ mod tests {
         }
         assert!(matches!(
             sharded.read(4),
-            Err(ServiceError::Uncorrectable(_))
+            Err(ServiceError::Uncorrectable(UncorrectableError { line: 4 }))
         ));
         assert_eq!(sharded.stats().due_lines, 1);
         assert_eq!(sharded.heatmaps().due.total(), 1);
+        assert_eq!(sharded.stats().reads, mono.stats().reads);
+        assert_eq!(
+            sharded.stats().multibit_detections,
+            mono.stats().multibit_detections
+        );
 
         let service = crate::Service::start(crate::ServiceConfig {
             cache: config,
@@ -1274,9 +1297,18 @@ mod tests {
         }
         assert!(matches!(
             service.handle().read(4),
-            Err(ServiceError::Uncorrectable(_))
+            Err(ServiceError::Uncorrectable(UncorrectableError { line: 4 }))
         ));
-        assert_eq!(service.shutdown().stats.due_lines, 1);
+        let report = service.shutdown();
+        assert_eq!(report.stats.due_lines, 1);
+        assert_eq!(report.stats.reads, mono.stats().reads);
+        assert_eq!(
+            report.stats.multibit_detections,
+            mono.stats().multibit_detections
+        );
+        assert_eq!((report.reads, report.due_reads), (1, 1));
+        // One escalated read, one Hash-2 phase sample.
+        assert_eq!(report.hists.escalation_ns.count(), 1);
     }
 
     #[test]
