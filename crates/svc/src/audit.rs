@@ -12,12 +12,15 @@
 //!   BER math actually depends on — when each *line* was last swept, not
 //!   when the daemon last ticked), a hard-floor violation counter for the
 //!   deadline, and worst-packet staleness gauges.
-//! * [`ReliabilityEstimator`] — sliding-window observed raw-flip rate fed
-//!   through the paper's analytic BER→FIT model
+//! * [`ReliabilityEstimator`] — one sliding window of per-region observed
+//!   raw flips, read lock-free off the heatmap's repair-tier grids
+//!   ([`GridSample`]), fed through the paper's analytic BER→FIT model
 //!   ([`sudoku_reliability::analytic`]) to produce a live projected DUE
 //!   FIT and an **error-budget burn rate** (projected FIT over the
 //!   configured envelope), on a fast and a slow window so a transient
-//!   spike does not page but a sustained burn does.
+//!   spike does not page but a sustained burn does. The cache-wide BER
+//!   is the sum of the regions' flips, so the worst region can never
+//!   read below it.
 //! * [`ScrubController`] — the closed-loop quota law of the adaptive
 //!   scrub daemon: per-shard packet quotas scaled between a hard floor
 //!   (the rate that keeps the achieved re-scrub interval inside the
@@ -42,8 +45,8 @@ use std::time::{Duration, Instant};
 use sudoku_core::ShardPlan;
 use sudoku_obs::json::{esc, JsonObject};
 use sudoku_obs::{
-    AlertClass, AlertLog, AtomicHist, CorrelationDetector, CorrelationStat, Counter, Gauge,
-    Heatmaps, Histogram, RegionGeometry,
+    AlertClass, AlertLog, AtomicHist, CorrelationStat, Counter, Gauge, Heatmaps, Histogram,
+    RegionGeometry,
 };
 use sudoku_reliability::analytic::{total_fit, Params};
 
@@ -480,21 +483,62 @@ impl ScrubController {
     }
 }
 
-/// One flip-count sample in the estimator's sliding window.
-#[derive(Clone, Copy, Debug)]
-struct FlipSample {
+/// One lock-free read of the heatmap's observed-failure grids, cell by
+/// cell in the grids' row-major `shard × region` layout: the audit
+/// plane's one input for both the error budget and the spatial detector.
+#[derive(Clone, Debug)]
+pub struct GridSample {
+    /// The ECC-1 grid: single-bit payload and metadata repairs.
+    pub ecc1: Vec<u64>,
+    /// The RAID-4, SDR and DUE grids summed: multi-bit lines. The Hash-2
+    /// grid is left out, because its repairs are a subset of RAID-4's
+    /// and SDR's.
+    pub multibit: Vec<u64>,
+}
+
+impl GridSample {
+    /// Reads the four grids once each, relaxed, taking no lock.
+    pub(crate) fn read(maps: &Heatmaps) -> Self {
+        let mut multibit = maps.raid4.snapshot();
+        for grid in [&maps.sdr, &maps.due] {
+            for (cell, n) in multibit.iter_mut().zip(grid.snapshot()) {
+                *cell += n;
+            }
+        }
+        GridSample {
+            ecc1: maps.ecc1.snapshot(),
+            multibit,
+        }
+    }
+
+    /// Failure events per cell, one per repair or DUE (the counts of
+    /// [`Heatmaps::observed_cells`]): the spatial detector's input, whose
+    /// Poisson test is over events, not flips.
+    pub(crate) fn events(&self) -> Vec<u64> {
+        self.ecc1
+            .iter()
+            .zip(&self.multibit)
+            .map(|(one, multi)| one + multi)
+            .collect()
+    }
+}
+
+/// One cumulative sample in the estimator's sliding window: observed
+/// flips per region, folded across shards.
+#[derive(Debug)]
+struct Sample {
     at: Instant,
-    flips: u64,
+    flips: Vec<u64>,
 }
 
 /// Projects live DUE FIT from the *observed* raw-flip rate, through the
 /// same analytic model the paper uses offline
 /// ([`sudoku_reliability::analytic::total_fit`]).
 ///
-/// Feed it cumulative observed-flip counts (see
-/// [`ReliabilityEstimator::observed_flips`] for the accounting); it keeps
-/// a sliding window of samples, converts the windowed flip rate to a
-/// per-interval BER, and evaluates the model at that BER. The output is a
+/// Feed it cumulative [`GridSample`]s; it keeps one sliding window of
+/// per-region flip counts, converts a window's flips to a per-interval
+/// BER (the whole cache's from the sum over regions, each region's from
+/// its own bits), and evaluates the model at that BER. The output is a
 /// burn rate: projected FIT over the configured budget. Values above 1.0
 /// mean the error budget is being consumed faster than provisioned.
 #[derive(Debug)]
@@ -502,74 +546,81 @@ pub struct ReliabilityEstimator {
     params: Params,
     scheme: sudoku_core::Scheme,
     budget_fit: f64,
+    /// Bits per region: its line count times the line's data + metadata
+    /// bits. The cache's bits are their sum.
+    region_bits: Vec<f64>,
     total_bits: f64,
     interval_s: f64,
     fast: Duration,
     slow: Duration,
-    samples: VecDeque<FlipSample>,
-    /// Sliding window of cumulative per-region observed-repair counts
-    /// (folded across shards), for the worst-region BER/burn estimates.
-    region_samples: VecDeque<RegionSample>,
-}
-
-/// One cumulative per-region observed-repair sample.
-#[derive(Clone, Debug)]
-struct RegionSample {
-    at: Instant,
-    per_region: Vec<u64>,
+    samples: VecDeque<Sample>,
 }
 
 impl ReliabilityEstimator {
     /// An estimator for a cache of `config`'s geometry and scheme, with
-    /// the audit deadline as the scrub interval of the model.
-    pub fn new(config: &sudoku_core::SudokuConfig, audit: &AuditConfig) -> Self {
-        let lines = config.geometry.lines();
+    /// the audit deadline as the scrub interval of the model and `geom`'s
+    /// regions as the per-region budgets.
+    pub fn new(
+        config: &sudoku_core::SudokuConfig,
+        audit: &AuditConfig,
+        geom: &RegionGeometry,
+    ) -> Self {
         let interval_s = audit.scrub_deadline.as_secs_f64();
         let params = Params {
-            lines,
+            lines: config.geometry.lines(),
             group: config.group_lines,
             scrub: sudoku_fault::ScrubSchedule::new(interval_s),
             ..Params::paper_default()
         };
-        let total_bits = lines as f64 * f64::from(params.data_bits + params.meta_bits);
+        let line_bits = f64::from(params.data_bits + params.meta_bits);
+        let region_bits: Vec<f64> = (0..geom.n_regions())
+            .map(|region| {
+                // At least one line, so a cache smaller than the grid
+                // leaves no region of zero bits to divide by.
+                let (start, end) = geom.region_bounds(region);
+                (end - start).max(1) as f64 * line_bits
+            })
+            .collect();
         ReliabilityEstimator {
             params,
             scheme: config.scheme,
             budget_fit: audit.due_fit_budget.max(f64::MIN_POSITIVE),
-            total_bits,
+            total_bits: region_bits.iter().sum(),
+            region_bits,
             interval_s,
             fast: audit.fast_window,
             slow: audit.slow_window,
             samples: VecDeque::new(),
-            region_samples: VecDeque::new(),
         }
     }
 
-    /// The observed-flip accounting convention: every per-line single-bit
-    /// repair (payload or metadata) is one raw flip; every CRC multibit
-    /// detection is at least two. This undercounts ≥3-fault lines — the
-    /// estimate is a *floor*, which is the right bias for an alert that
-    /// fires on exceeding a budget.
-    pub fn observed_flips(stats: &sudoku_core::CacheStats) -> u64 {
-        stats.ecc1_repairs + stats.meta_repairs + 2 * stats.multibit_detections
-    }
-
-    /// Records a cumulative flip count at `now` and drops samples older
-    /// than the slow window.
-    pub fn push_sample(&mut self, now: Instant, flips: u64) {
-        self.samples.push_back(FlipSample { at: now, flips });
-        let horizon = self.slow;
+    /// Records `grids` at `now` as cumulative flips per region, and drops
+    /// samples older than the slow window.
+    ///
+    /// The flip rule: every ECC-1 repair (payload or metadata) is one raw
+    /// flip, and every multi-bit line (a RAID-4 or SDR repair, or a DUE)
+    /// is two. This undercounts ≥3-fault lines — the estimate is a
+    /// *floor*, which is the right bias for an alert that fires on
+    /// exceeding a budget.
+    pub fn push(&mut self, now: Instant, grids: &GridSample) {
+        let n_regions = self.region_bits.len();
+        let mut flips = vec![0u64; n_regions];
+        for (cell, (one, multi)) in grids.ecc1.iter().zip(&grids.multibit).enumerate() {
+            flips[cell % n_regions] += one + 2 * multi;
+        }
+        self.samples.push_back(Sample { at: now, flips });
         // Keep one sample beyond the horizon so the slow window always has
         // a left edge to difference against. The deque makes eviction O(1)
         // per sample instead of shifting the whole window.
-        while self.samples.len() > 2 && now.duration_since(self.samples[1].at) >= horizon {
+        while self.samples.len() > 2 && now.duration_since(self.samples[1].at) >= self.slow {
             self.samples.pop_front();
         }
     }
 
-    /// Observed BER per scrub interval over the trailing `window`, or
-    /// `None` before two samples span any time.
-    pub fn observed_ber(&self, window: Duration) -> Option<f64> {
+    /// Each region's flips over the trailing `window`, and the window's
+    /// length in scrub intervals; `None` before two samples span any time
+    /// inside it.
+    fn window(&self, window: Duration) -> Option<(Vec<u64>, f64)> {
         let newest = self.samples.back()?;
         // The oldest sample still inside (or at the edge of) the window.
         let left = self
@@ -580,23 +631,36 @@ impl ReliabilityEstimator {
         if dt <= 0.0 {
             return None;
         }
-        let flips = newest.flips.saturating_sub(left.flips) as f64;
-        // flips per interval per bit = observed per-interval BER.
-        let intervals = dt / self.interval_s;
-        Some(flips / (self.total_bits * intervals))
+        let flips = newest
+            .flips
+            .iter()
+            .zip(&left.flips)
+            .map(|(n, l)| n.saturating_sub(*l))
+            .collect();
+        Some((flips, dt / self.interval_s))
     }
 
-    /// Projected DUE FIT at the BER observed over `window`. The model
-    /// input is clamped to 0.1 per bit per interval: anything above that
-    /// is not a BER estimate, it is an outage, and the clamped projection
-    /// is already astronomically over any sane budget.
-    pub fn projected_fit(&self, window: Duration) -> Option<f64> {
-        let ber = self.observed_ber(window)?;
+    /// Observed BER per scrub interval over the trailing `window` (flips
+    /// per interval per bit, all regions), or `None` before two samples
+    /// span any time.
+    pub fn observed_ber(&self, window: Duration) -> Option<f64> {
+        let (flips, intervals) = self.window(window)?;
+        Some(flips.iter().sum::<u64>() as f64 / (self.total_bits * intervals))
+    }
+
+    /// The model at `ber`, clamped to 0.1 per bit per interval: anything
+    /// above that is not a BER estimate, it is an outage, and the clamped
+    /// projection is already astronomically over any sane budget.
+    fn fit(&self, ber: f64) -> f64 {
         if ber <= 0.0 {
-            return Some(0.0);
+            return 0.0;
         }
-        let params = self.params.with_ber(ber.min(0.1));
-        Some(total_fit(&params, self.scheme))
+        total_fit(&self.params.with_ber(ber.min(0.1)), self.scheme)
+    }
+
+    /// Projected DUE FIT at the BER observed over `window`.
+    pub fn projected_fit(&self, window: Duration) -> Option<f64> {
+        self.observed_ber(window).map(|ber| self.fit(ber))
     }
 
     /// Burn rates over the (fast, slow) windows: projected FIT over the
@@ -608,44 +672,17 @@ impl ReliabilityEstimator {
         )
     }
 
-    /// Records a cumulative per-region observed-repair vector (the
-    /// heatmap's observed cells folded across shards) at `now`, with the
-    /// same slow-window eviction as [`ReliabilityEstimator::push_sample`].
-    pub fn push_region_sample(&mut self, now: Instant, per_region: Vec<u64>) {
-        self.region_samples.push_back(RegionSample {
-            at: now,
-            per_region,
-        });
-        let horizon = self.slow;
-        while self.region_samples.len() > 2
-            && now.duration_since(self.region_samples[1].at) >= horizon
-        {
-            self.region_samples.pop_front();
-        }
-    }
-
     /// The region with the highest observed per-interval BER over the
-    /// trailing `window`, normalized by that region's share of the bits
-    /// (regions split the line space ~evenly). `None` before two samples
-    /// span any time inside the window.
+    /// trailing `window`, each region's flips over its own bits. The
+    /// cache-wide [`ReliabilityEstimator::observed_ber`] is the
+    /// bit-weighted mean of these, so the worst region never reads below
+    /// it. `None` before two samples span any time inside the window.
     pub fn worst_region_ber(&self, window: Duration) -> Option<(usize, f64)> {
-        let newest = self.region_samples.back()?;
-        let left = self
-            .region_samples
+        let (flips, intervals) = self.window(window)?;
+        flips
             .iter()
-            .find(|s| newest.at.duration_since(s.at) <= window)?;
-        let dt = newest.at.duration_since(left.at).as_secs_f64();
-        if dt <= 0.0 || newest.per_region.is_empty() {
-            return None;
-        }
-        let n_regions = newest.per_region.len();
-        let region_bits = self.total_bits / n_regions as f64;
-        let intervals = dt / self.interval_s;
-        newest
-            .per_region
-            .iter()
-            .zip(left.per_region.iter())
-            .map(|(n, l)| n.saturating_sub(*l) as f64 / (region_bits * intervals))
+            .zip(&self.region_bits)
+            .map(|(&n, bits)| n as f64 / (bits * intervals))
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
@@ -656,11 +693,7 @@ impl ReliabilityEstimator {
     /// region burns this number long before the cache-wide average moves).
     pub fn worst_region_burn(&self, window: Duration) -> Option<(usize, f64)> {
         let (region, ber) = self.worst_region_ber(window)?;
-        if ber <= 0.0 {
-            return Some((region, 0.0));
-        }
-        let params = self.params.with_ber(ber.min(0.1));
-        Some((region, total_fit(&params, self.scheme) / self.budget_fit))
+        Some((region, self.fit(ber) / self.budget_fit))
     }
 
     /// Whether the fast window is *blind*: the estimator holds enough
@@ -709,10 +742,8 @@ pub struct AuditPlane {
     /// 200/503 status itself stays a pure function of quarantine +
     /// daemon death — probes must not flap on soft conditions).
     degraded_reasons: Mutex<Vec<String>>,
-    /// The online spatial-correlation detector over the heatmap's
-    /// observed-repair grid, armed once the heatmaps are attached.
-    spatial: Mutex<Option<CorrelationDetector>>,
-    /// The detector's most recent verdict.
+    /// The spatial detector's most recent verdict (the watchdog owns and
+    /// steps the detector).
     latest_spatial: Mutex<Option<CorrelationStat>>,
 }
 
@@ -741,50 +772,15 @@ impl AuditPlane {
             worst_region_burn: F64Gauge::new(),
             worst_region: Gauge::new(),
             degraded_reasons: Mutex::new(Vec::new()),
-            spatial: Mutex::new(None),
             latest_spatial: Mutex::new(None),
         })
     }
 
-    /// Arms the spatial-correlation detector for `geom`'s cell layout.
-    /// Idempotent; called by the service once the heatmaps exist.
-    pub fn arm_spatial(&self, geom: &RegionGeometry) {
-        if let Ok(mut slot) = self.spatial.lock() {
-            if slot.is_none() {
-                *slot = Some(CorrelationDetector::new(geom));
-            }
-        }
-    }
-
-    /// Steps the spatial detector over the current cumulative
-    /// observed-repair cells of `maps`, storing and returning the fresh
-    /// verdict. `None` when the detector was never armed.
-    pub fn step_spatial(&self, maps: &Heatmaps) -> Option<CorrelationStat> {
-        self.step_spatial_cells(&maps.observed_cells())
-    }
-
-    /// Steps the spatial detector over an already-sampled cumulative cell
-    /// vector (same layout as [`Heatmaps::observed_cells`]), storing and
-    /// returning the fresh verdict. `None` when the detector was never
-    /// armed. This is the pure-data entry the watchdog's scan uses.
-    pub fn step_spatial_cells(&self, cells: &[u64]) -> Option<CorrelationStat> {
-        let stat = {
-            let mut slot = self.spatial.lock().ok()?;
-            slot.as_mut()?.step(cells)
-        };
+    /// Stores the spatial detector's latest verdict (watchdog only).
+    pub(crate) fn set_latest_spatial(&self, stat: CorrelationStat) {
         if let Ok(mut latest) = self.latest_spatial.lock() {
-            *latest = Some(stat.clone());
+            *latest = Some(stat);
         }
-        Some(stat)
-    }
-
-    /// The armed detector's firing threshold on the max-cell z-score;
-    /// `None` before [`AuditPlane::arm_spatial`].
-    pub fn spatial_z_threshold(&self) -> Option<f64> {
-        self.spatial
-            .lock()
-            .ok()
-            .and_then(|s| s.as_ref().map(CorrelationDetector::z_threshold))
     }
 
     /// The detector's most recent verdict, if it has stepped at least once.
@@ -874,7 +870,8 @@ pub struct AuditSnapshot {
     pub worst_region_ber: f64,
     /// Burn rate at the worst region's BER (cache-wide, conservative).
     pub worst_region_burn: f64,
-    /// The spatial-correlation detector's latest verdict, when armed.
+    /// The spatial-correlation detector's latest verdict, once it has
+    /// stepped.
     pub spatial: Option<CorrelationStat>,
     /// Alerts ever raised.
     pub alerts_total: u64,
@@ -963,6 +960,21 @@ mod tests {
         assert_eq!(tracker.last_miss_ns(1), interval);
     }
 
+    /// A one-shard geometry of 16 regions over `lines` lines.
+    fn geom(lines: u64) -> RegionGeometry {
+        RegionGeometry::new(1, 16, lines, |_| 0)
+    }
+
+    /// A grid sample of `n` ECC-1 repairs, all in the first cell.
+    fn flips(n: u64) -> GridSample {
+        let mut ecc1 = vec![0; 16];
+        ecc1[0] = n;
+        GridSample {
+            ecc1,
+            multibit: vec![0; 16],
+        }
+    }
+
     #[test]
     fn estimator_burns_budget_at_elevated_ber() {
         let config = SudokuConfig::small(Scheme::Z, 65536, 512);
@@ -970,15 +982,15 @@ mod tests {
             due_fit_budget: 1.0,
             ..AuditConfig::default()
         };
-        let mut est = ReliabilityEstimator::new(&config, &audit);
+        let mut est = ReliabilityEstimator::new(&config, &audit, &geom(65536));
         let t0 = Instant::now();
-        est.push_sample(t0, 0);
+        est.push(t0, &flips(0));
         // One slow window later, a flip count implying a catastophic BER
         // (~1e-3/interval: far beyond the paper's 5.3e-6 design point).
         let bits = 65536.0 * 553.0;
         let intervals = audit.slow_window.as_secs_f64() / 20e-3;
-        let flips = (1e-3 * bits * intervals) as u64;
-        est.push_sample(t0 + audit.slow_window, flips);
+        let n = (1e-3 * bits * intervals) as u64;
+        est.push(t0 + audit.slow_window, &flips(n));
         let ber = est.observed_ber(audit.slow_window).unwrap();
         assert!((5e-4..2e-3).contains(&ber), "observed {ber}");
         let (fast, slow) = est.burn_rates();
@@ -995,10 +1007,10 @@ mod tests {
     fn estimator_quiet_system_burns_nothing() {
         let config = SudokuConfig::small(Scheme::Z, 4096, 16);
         let audit = AuditConfig::default();
-        let mut est = ReliabilityEstimator::new(&config, &audit);
+        let mut est = ReliabilityEstimator::new(&config, &audit, &geom(4096));
         let t0 = Instant::now();
-        est.push_sample(t0, 10);
-        est.push_sample(t0 + Duration::from_secs(1), 10);
+        est.push(t0, &flips(10));
+        est.push(t0 + Duration::from_secs(1), &flips(10));
         assert_eq!(est.projected_fit(Duration::from_secs(2)), Some(0.0));
         let (_, slow) = est.burn_rates();
         // Slow window spans one second of data: observed BER 0.
@@ -1007,13 +1019,103 @@ mod tests {
 
     #[test]
     fn observed_flip_accounting() {
-        let stats = sudoku_core::CacheStats {
-            ecc1_repairs: 3,
-            meta_repairs: 2,
-            multibit_detections: 4,
-            ..Default::default()
+        // Two shards: cell = shard × 16 + region, folded onto the region.
+        let config = SudokuConfig::small(Scheme::Z, 4096, 16);
+        let geom = RegionGeometry::new(2, 16, 4096, |l| (l % 2) as usize);
+        let mut est = ReliabilityEstimator::new(&config, &AuditConfig::default(), &geom);
+        let t0 = Instant::now();
+        est.push(
+            t0,
+            &GridSample {
+                ecc1: vec![0; 32],
+                multibit: vec![0; 32],
+            },
+        );
+        // ECC-1 repairs (3 payload + 2 metadata, on both shards of region
+        // 3) are one flip each; the 4 multi-bit lines of region 5 are two.
+        let mut sample = GridSample {
+            ecc1: vec![0; 32],
+            multibit: vec![0; 32],
         };
-        assert_eq!(ReliabilityEstimator::observed_flips(&stats), 13);
+        sample.ecc1[3] = 3;
+        sample.ecc1[16 + 3] = 2;
+        sample.multibit[16 + 5] = 4;
+        assert_eq!(sample.events()[16 + 5], 4, "the detector counts events");
+        est.push(t0 + Duration::from_secs(1), &sample);
+        let (flips, _) = est.window(Duration::from_secs(1)).unwrap();
+        assert_eq!(flips.iter().sum::<u64>(), 13);
+        assert_eq!((flips[3], flips[5]), (5, 8));
+    }
+
+    /// One window, consistent numbers: over both windows the cache-wide
+    /// BER is the bit-weighted mean of the region BERs, so the worst
+    /// region's BER and burn never read below the cache-wide ones.
+    #[test]
+    fn estimator_regions_and_cache_share_one_window() {
+        let config = SudokuConfig::small(Scheme::Z, 4100, 16);
+        let audit = AuditConfig {
+            fast_window: Duration::from_secs(1),
+            slow_window: Duration::from_secs(4),
+            ..AuditConfig::default()
+        };
+        // 4100 lines over 16 regions: regions of 256 and 257 lines.
+        let geom = RegionGeometry::new(2, 16, 4100, |l| (l % 2) as usize);
+        let mut est = ReliabilityEstimator::new(&config, &audit, &geom);
+        let line_bits = f64::from(est.params().data_bits + est.params().meta_bits);
+        let region_bits: Vec<f64> = (0..16)
+            .map(|r| {
+                let (start, end) = geom.region_bounds(r);
+                (end - start) as f64 * line_bits
+            })
+            .collect();
+        let t0 = Instant::now();
+        let mut checked = 0;
+        for step in 0..12u64 {
+            // Every cell grows at its own rate, single- and multi-bit.
+            let sample = GridSample {
+                ecc1: (0..32).map(|c| step * (1 + c * 37 % 11) * 40).collect(),
+                multibit: (0..32).map(|c| step * step * (c % 3) * 5).collect(),
+            };
+            est.push(t0 + Duration::from_millis(500 * step), &sample);
+            let (burn_fast, burn_slow) = est.burn_rates();
+            for (window, burn) in [
+                (audit.fast_window, burn_fast),
+                (audit.slow_window, burn_slow),
+            ] {
+                let Some(ber) = est.observed_ber(window) else {
+                    continue;
+                };
+                let (flips, intervals) = est.window(window).unwrap();
+                let region_ber: Vec<f64> = flips
+                    .iter()
+                    .zip(&region_bits)
+                    .map(|(&n, bits)| n as f64 / (bits * intervals))
+                    .collect();
+                let weighted = region_ber
+                    .iter()
+                    .zip(&region_bits)
+                    .map(|(ber, bits)| ber * bits)
+                    .sum::<f64>()
+                    / region_bits.iter().sum::<f64>();
+                assert!((weighted - ber).abs() <= 1e-12 * ber, "{weighted} vs {ber}");
+                let (region, worst) = est.worst_region_ber(window).unwrap();
+                assert_eq!(worst, region_ber[region]);
+                assert!(worst >= ber, "worst region {worst} below cache {ber}");
+                let (_, worst_burn) = est.worst_region_burn(window).unwrap();
+                let burn = burn.unwrap();
+                assert!(burn > 0.0);
+                assert!(
+                    worst_burn >= burn,
+                    "worst-region burn {worst_burn} below {burn}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(
+            checked,
+            2 * 11,
+            "both windows read from the second sample on"
+        );
     }
 
     #[test]
@@ -1023,20 +1125,23 @@ mod tests {
             fast_window: Duration::from_millis(50),
             ..AuditConfig::default()
         };
-        let mut est = ReliabilityEstimator::new(&config, &audit);
+        let mut est = ReliabilityEstimator::new(&config, &audit, &geom(4096));
         let t0 = Instant::now();
         assert!(!est.fast_window_blind(), "no samples yet is not blind");
-        est.push_sample(t0, 0);
+        est.push(t0, &flips(0));
         assert!(!est.fast_window_blind(), "one sample cannot be blind");
         // Sampler period (1 s) exceeds the fast window (50 ms): the fast
         // burn rate is None even though the estimator *is* being fed.
-        est.push_sample(t0 + Duration::from_secs(1), 7);
+        est.push(t0 + Duration::from_secs(1), &flips(7));
         let (fast, slow) = est.burn_rates();
         assert!(fast.is_none());
         assert!(slow.is_some());
         assert!(est.fast_window_blind(), "sparse sampling must be surfaced");
         // A sample inside the fast window restores sight.
-        est.push_sample(t0 + Duration::from_secs(1) + Duration::from_millis(10), 7);
+        est.push(
+            t0 + Duration::from_secs(1) + Duration::from_millis(10),
+            &flips(7),
+        );
         assert!(!est.fast_window_blind());
     }
 
@@ -1047,10 +1152,10 @@ mod tests {
             slow_window: Duration::from_millis(100),
             ..AuditConfig::default()
         };
-        let mut est = ReliabilityEstimator::new(&config, &audit);
+        let mut est = ReliabilityEstimator::new(&config, &audit, &geom(4096));
         let t0 = Instant::now();
         for i in 0..50u64 {
-            est.push_sample(t0 + Duration::from_millis(10 * i), i);
+            est.push(t0 + Duration::from_millis(10 * i), &flips(i));
         }
         // Eviction keeps one sample beyond the horizon so the slow window
         // always has a left edge to difference against.

@@ -561,9 +561,9 @@ mod tests {
         // The grids are built with the cache: the endpoint serves from
         // the first request on.
         let maps = state.heatmaps();
-        plane.arm_spatial(maps.geometry());
         maps.charge_injected(3, 2);
-        plane.step_spatial(maps);
+        let mut detector = sudoku_obs::CorrelationDetector::new(maps.geometry());
+        plane.set_latest_spatial(detector.step(&maps.observed_cells()));
         let (head, body) = get(exporter.addr(), "/heatmap.json");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(body.contains("\"n_regions\":16"), "{body}");

@@ -60,8 +60,8 @@ mod view;
 pub mod watchdog;
 
 pub use audit::{
-    AuditConfig, AuditPlane, AuditSnapshot, F64Gauge, QuotaDecision, ReliabilityEstimator,
-    ScrubController, ScrubDeadlineTracker,
+    AuditConfig, AuditPlane, AuditSnapshot, F64Gauge, GridSample, QuotaDecision,
+    ReliabilityEstimator, ScrubController, ScrubDeadlineTracker,
 };
 pub use degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 pub use error::{ServiceError, StartError};

@@ -844,7 +844,6 @@ impl Service {
         // accounting and alerting are part of the reliability story, not
         // an optional extra.
         let plane = Arc::new(AuditPlane::new(state.plan(), config.audit.clone())?);
-        plane.arm_spatial(state.heatmaps().geometry());
         let daemon = config.scrub_every.map(|tick| {
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);

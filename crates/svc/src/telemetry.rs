@@ -779,7 +779,8 @@ const METRICS: &[Metric] = &[
         Read::Audit(|a| Value::Hist(a.achieved_scrub_interval_ns.clone()))),
     // Audit: error budget.
     gauge(Some("observed_ber"), Some("sudoku_observed_ber"),
-        "Observed per-interval raw bit-error rate (slow window)",
+        "Observed per-interval raw bit-error rate (slow window): one flip per ECC-1 repair, \
+         two per RAID-4/SDR repair or DUE, from the heatmap grids",
         Read::Audit(|a| Value::F64(a.observed_ber))),
     gauge(Some("projected_fit"), Some("sudoku_projected_due_fit"),
         "Projected DUE FIT at the observed BER", Read::Audit(|a| Value::F64(a.projected_fit))),
@@ -791,7 +792,8 @@ const METRICS: &[Metric] = &[
         "Index of the region behind the worst-region gauges",
         Read::Audit(|a| Value::U64(a.worst_region))),
     gauge(Some("worst_region_ber"), Some("sudoku_worst_region_ber"),
-        "Worst-region observed per-interval raw bit-error rate (slow window)",
+        "Worst region's observed per-interval raw bit-error rate over its own bits (slow \
+         window): one flip per ECC-1 repair, two per RAID-4/SDR repair or DUE",
         Read::Audit(|a| Value::F64(a.worst_region_ber))),
     gauge(Some("worst_region_burn"), Some("sudoku_worst_region_burn"),
         "Error-budget burn rate were every region at the worst region's BER",
@@ -1117,6 +1119,7 @@ mod tests {
     use super::*;
     use crate::sharded::ShardedCache;
     use sudoku_core::{Scheme, SudokuConfig};
+    use sudoku_obs::CorrelationDetector;
 
     fn plane(state: &ShardedCache) -> AuditPlane {
         AuditPlane::new(state.plan(), crate::AuditConfig::default()).unwrap()
@@ -1246,9 +1249,8 @@ mod tests {
         // rows need a detector verdict.
         let state = ShardedCache::new(SudokuConfig::small(Scheme::Z, 256, 16), 2).unwrap();
         let plane = plane(&state);
-        plane.arm_spatial(state.heatmaps().geometry());
-        let cells = state.heatmaps().observed_cells();
-        plane.step_spatial_cells(&cells);
+        let mut detector = CorrelationDetector::new(state.heatmaps().geometry());
+        plane.set_latest_spatial(detector.step(&state.heatmaps().observed_cells()));
         let snap = TelemetrySnapshot::capture(0, &state, &TelemetryRegistry::new(2), &plane);
         let parsed = crate::promtext::parse(&snap.to_prometheus()).expect("valid exposition");
         let json = snap.to_json();

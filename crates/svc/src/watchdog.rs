@@ -24,25 +24,37 @@
 //! | `spatial_correlation` | the heatmap's windowed max-cell z-score rejected the i.i.d. failure hypothesis — repairs are clustering in one (shard, region) cell | critical |
 //!
 //! The scan logic is a pure step function over a [`ScanObs`] record —
-//! the live loop ([`watchdog_loop`]) builds one from the registry and
-//! cache each period; tests feed synthetic ones and assert on the alert
-//! stream deterministically.
+//! the live loop ([`watchdog_loop`]) builds one from the registry, the
+//! shard health bits and the heatmap grids each period; tests feed
+//! synthetic ones and assert on the alert stream deterministically.
+//! Every input is a relaxed atomic read: the watchdog takes no shard,
+//! coordinator or spare-pool mutex, so a long-held shard lock cannot
+//! silence it.
+//!
+//! The error budget, the worst-region gauges and the spatial detector
+//! share one observed-failure stream: each sampled scan reads the
+//! repair-tier grids once ([`GridSample`]). The [`ReliabilityEstimator`]
+//! windows them as flips, and the [`CorrelationDetector`] steps on them
+//! as events; the watchdog builds and owns both, from the grids'
+//! geometry.
 //!
 //! [`Alert`]: sudoku_obs::Alert
+//! [`CorrelationDetector`]: sudoku_obs::CorrelationDetector
 //! [`AlertLog`]: sudoku_obs::AlertLog
 //! [`AuditConfig::scan_every`]: crate::audit::AuditConfig::scan_every
 
-use crate::audit::{AuditPlane, ReliabilityEstimator};
+use crate::audit::{AuditPlane, GridSample, ReliabilityEstimator};
 use crate::sharded::ShardedCache;
 use crate::telemetry::TelemetryRegistry;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use sudoku_obs::{AlertClass, Severity};
+use sudoku_core::SudokuConfig;
+use sudoku_obs::{AlertClass, CorrelationDetector, RegionGeometry, Severity};
 
 /// One scan's worth of observations, as plain data. The live loop fills
-/// this from the telemetry registry and the cache; tests construct it
-/// directly.
+/// this from the telemetry registry, the shard health bits and the
+/// heatmap grids; tests construct it directly.
 #[derive(Clone, Debug)]
 pub struct ScanObs {
     /// Scan time (monotonic).
@@ -61,21 +73,14 @@ pub struct ScanObs {
     pub queue_depths: Vec<u64>,
     /// Quarantined shards, ascending.
     pub quarantined: Vec<usize>,
-    /// Cumulative observed raw flips ([`ReliabilityEstimator::observed_flips`])
-    /// when this scan sampled them; `None` on scans between samples.
-    pub flips: Option<u64>,
     /// Cumulative adaptive-scrub floor clamps (visits where demand
     /// pressure asked for less than the quota floor).
     pub floor_clamps: u64,
-    /// Cumulative observed-repair heatmap cells
-    /// ([`sudoku_obs::Heatmaps::observed_cells`]) when this scan sampled
-    /// them; `None` on scans between samples (sampled at the flip
-    /// cadence — grid reads are cheap, but the counters only move as
-    /// fast as repairs happen).
-    pub region_cells: Option<Vec<u64>>,
-    /// The same sample folded across shards into cumulative per-region
-    /// totals, feeding the per-region error-budget window.
-    pub region_totals: Option<Vec<u64>>,
+    /// The cumulative repair-tier grids when this scan sampled them;
+    /// `None` on scans between samples, across which every episode the
+    /// grids drive (budget burn, fast-window blindness, spatial
+    /// correlation) holds.
+    pub grids: Option<GridSample>,
 }
 
 /// Why an episode is open, in `/healthz` order: the global reasons first,
@@ -149,11 +154,13 @@ fn delta(last: &mut u64, now: u64) -> u64 {
 }
 
 /// The watchdog's mutable scan state: the open episodes, the counter
-/// watermarks and streaks behind them, and the reliability estimator's
-/// sample window.
+/// watermarks and streaks behind them, and the two consumers of the grid
+/// stream.
 pub struct Watchdog {
     plane: std::sync::Arc<AuditPlane>,
-    estimator: Option<ReliabilityEstimator>,
+    /// The error-budget window and the spatial detector, both over the
+    /// heatmap geometry; `None` when the watchdog runs without grids.
+    stream: Option<(ReliabilityEstimator, CorrelationDetector)>,
     /// Queue bound (a depth at this value is saturated).
     queue_bound: u64,
     /// `daemon_stall_ticks` × scrub period; `None` disables stall checks.
@@ -182,19 +189,27 @@ const PAIRING_SCANS: u8 = 3;
 impl Watchdog {
     /// A watchdog over `plane` for `n_shards` shards with the given queue
     /// bound. `scrub_every` sizes the daemon-stall budget (`None` = no
-    /// daemon, stall checks off). `estimator` enables the budget-burn
-    /// class.
+    /// daemon, stall checks off). `grids` — the cache's configuration and
+    /// its heatmap geometry — builds the estimator and the spatial
+    /// detector, which enables the budget-burn, worst-region and
+    /// spatial-correlation classes.
     pub fn new(
         plane: std::sync::Arc<AuditPlane>,
         n_shards: usize,
         queue_bound: u64,
         scrub_every: Option<Duration>,
-        estimator: Option<ReliabilityEstimator>,
+        grids: Option<(&SudokuConfig, &RegionGeometry)>,
     ) -> Self {
         let stall_budget = scrub_every.map(|t| t * plane.config.daemon_stall_ticks.max(1));
+        let stream = grids.map(|(config, geom)| {
+            (
+                ReliabilityEstimator::new(config, &plane.config, geom),
+                CorrelationDetector::new(geom),
+            )
+        });
         Watchdog {
             plane,
-            estimator,
+            stream,
             queue_bound,
             stall_budget,
             episodes: Episodes::default(),
@@ -408,9 +423,9 @@ impl Watchdog {
             });
         }
 
-        // --- error-budget burn -----------------------------------------
-        if let (Some(est), Some(flips)) = (self.estimator.as_mut(), obs.flips) {
-            est.push_sample(obs.now, flips);
+        // --- the grid stream: error budget, spatial correlation --------
+        if let (Some((est, detector)), Some(grids)) = (self.stream.as_mut(), &obs.grids) {
+            est.push(obs.now, grids);
             // Sparse sampling: the sampler period exceeds the fast window,
             // so the fast burn rate is structurally `None`. Surface the
             // blindness as a degraded reason instead of silently losing
@@ -455,23 +470,18 @@ impl Watchdog {
                     );
                 });
             }
-        }
 
-        // --- spatial correlation ---------------------------------------
-        // The detector windows cumulative cells itself, so each sampled
-        // scan is one step; between samples the episode simply holds.
-        if let Some(stat) = obs
-            .region_cells
-            .as_ref()
-            .and_then(|cells| plane.step_spatial_cells(cells))
-        {
+            // The detector windows cumulative events itself, so each
+            // sampled scan is one step.
+            let stat = detector.step(&grids.events());
+            plane.set_latest_spatial(stat.clone());
             episodes.step(Reason::Spatial, None, stat.fired, || {
                 plane.alerts.raise(
                     AlertClass::SpatialCorrelation,
                     Severity::Critical,
                     Some(stat.max_shard),
                     stat.z,
-                    plane.spatial_z_threshold().unwrap_or(0.0),
+                    detector.z_threshold(),
                     format!(
                         "spatially correlated failures: {} of {} \
                          window repairs landed in cell (shard {}, \
@@ -486,12 +496,8 @@ impl Watchdog {
                     ),
                 );
             });
-        }
 
-        // --- per-region error budget -----------------------------------
-        if let (Some(est), Some(totals)) = (self.estimator.as_mut(), &obs.region_totals) {
-            est.push_region_sample(obs.now, totals.clone());
-            let slow_window = plane.config.slow_window;
+            // Per-region error budget, on the same window.
             if let Some((region, ber)) = est.worst_region_ber(slow_window) {
                 plane.worst_region.set(region as u64);
                 plane.worst_region_ber.set(ber);
@@ -506,9 +512,9 @@ impl Watchdog {
 }
 
 /// The live watchdog thread body: scans every
-/// [`AuditConfig::scan_every`], sampling cumulative observed flips at a
-/// coarser cadence (shard locks are touched only on flip samples, never
-/// on plain scans).
+/// [`AuditConfig::scan_every`], and reads the heatmap grids on a coarser
+/// cadence, `max(fast_window / 4, 100 ms)`: four samples per fast window
+/// keep it sighted, and the slow window then holds at most ~100 samples.
 ///
 /// [`AuditConfig::scan_every`]: crate::audit::AuditConfig::scan_every
 pub fn watchdog_loop(
@@ -519,42 +525,25 @@ pub fn watchdog_loop(
     queue_bound: u64,
     stop: &AtomicBool,
 ) {
-    let estimator = ReliabilityEstimator::new(state.config(), &plane.config);
+    let maps = state.heatmaps();
     let mut dog = Watchdog::new(
         std::sync::Arc::clone(plane),
         state.n_shards(),
         queue_bound,
         scrub_every,
-        Some(estimator),
+        Some((state.config(), maps.geometry())),
     );
     let scan_every = plane.config.scan_every.max(Duration::from_millis(1));
-    // Flip sampling aggregates CacheStats under shard locks — keep it to
-    // a few Hz so the watchdog never becomes demand-path contention.
-    let flip_every = (plane.config.fast_window / 4).max(Duration::from_millis(100));
-    let mut last_flip_sample: Option<Instant> = None;
+    let sample_every = (plane.config.fast_window / 4).max(Duration::from_millis(100));
+    let mut last_sample: Option<Instant> = None;
     while !stop.load(Ordering::Relaxed) {
         let now = Instant::now();
-        let sample_flips = last_flip_sample.is_none_or(|at| now.duration_since(at) >= flip_every);
-        let flips = if sample_flips {
-            last_flip_sample = Some(now);
-            Some(ReliabilityEstimator::observed_flips(&state.stats()))
-        } else {
-            None
-        };
-        // Heatmap samples ride the same coarse cadence: plain relaxed grid
-        // reads, folded across shards for the per-region budget window.
-        let (region_cells, region_totals) = if sample_flips {
-            let maps = state.heatmaps();
-            let cells = maps.observed_cells();
-            let n_regions = maps.geometry().n_regions();
-            let mut totals = vec![0u64; n_regions];
-            for (i, &c) in cells.iter().enumerate() {
-                totals[i % n_regions] += c;
-            }
-            (Some(cells), Some(totals))
-        } else {
-            (None, None)
-        };
+        let grids = last_sample
+            .is_none_or(|at| now.duration_since(at) >= sample_every)
+            .then(|| {
+                last_sample = Some(now);
+                GridSample::read(maps)
+            });
         let obs = ScanObs {
             now,
             daemon_expected: scrub_every.is_some(),
@@ -563,10 +552,8 @@ pub fn watchdog_loop(
             scrub_ticks: reg.scrub_ticks.get(),
             queue_depths: reg.queue_depths(),
             quarantined: state.health().quarantined(),
-            flips,
             floor_clamps: reg.scrub_floor_clamps.get(),
-            region_cells,
-            region_totals,
+            grids,
         };
         dog.scan(&obs);
         std::thread::sleep(scan_every);
@@ -579,8 +566,7 @@ mod tests {
     use super::*;
     use crate::audit::AuditConfig;
     use std::sync::Arc;
-    use sudoku_core::{Scheme, ShardPlan, SudokuConfig};
-    use sudoku_obs::RegionGeometry;
+    use sudoku_core::{Scheme, ShardPlan};
 
     fn plane(config: AuditConfig) -> Arc<AuditPlane> {
         let cache = SudokuConfig::small(Scheme::Z, 1024, 16);
@@ -597,11 +583,23 @@ mod tests {
             scrub_ticks: 0,
             queue_depths: vec![0; 4],
             quarantined: Vec::new(),
-            flips: None,
             floor_clamps: 0,
-            region_cells: None,
-            region_totals: None,
+            grids: None,
         }
+    }
+
+    /// A grid sample of ECC-1 repairs only: each cell's count is both its
+    /// events and its flips.
+    fn ecc1(cells: Vec<u64>) -> Option<GridSample> {
+        Some(GridSample {
+            multibit: vec![0; cells.len()],
+            ecc1: cells,
+        })
+    }
+
+    /// The 4-shard, 16-region heatmap geometry over 1024 lines.
+    fn geom4(plan: &ShardPlan) -> RegionGeometry {
+        RegionGeometry::new(4, 16, 1024, |l| plan.shard_of_line(l))
     }
 
     #[test]
@@ -803,16 +801,21 @@ mod tests {
             ..AuditConfig::default()
         };
         let plan = ShardPlan::new(&cache, 4).unwrap();
-        let plane = Arc::new(AuditPlane::new(&plan, audit.clone()).unwrap());
-        let est = ReliabilityEstimator::new(&cache, &audit);
-        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, Some(est));
+        let plane = Arc::new(AuditPlane::new(&plan, audit).unwrap());
+        let geom = geom4(&plan);
+        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, Some((&cache, &geom)));
         let t0 = Instant::now();
+        let sample = |flips: u64| {
+            let mut cells = vec![0; 64];
+            cells[0] = flips;
+            ecc1(cells)
+        };
         // Samples arriving 1 s apart against a 50 ms fast window: the
         // fast burn detector is structurally blind.
         for step in 0..2u64 {
             let mut obs = quiet_obs(t0 + Duration::from_secs(step));
             obs.daemon_expected = false;
-            obs.flips = Some(step);
+            obs.grids = sample(step);
             dog.scan(&obs);
         }
         assert!(plane
@@ -821,7 +824,7 @@ mod tests {
         // A sample inside the fast window restores sight.
         let mut obs = quiet_obs(t0 + Duration::from_secs(1) + Duration::from_millis(10));
         obs.daemon_expected = false;
-        obs.flips = Some(2);
+        obs.grids = sample(2);
         dog.scan(&obs);
         assert!(!plane
             .degraded_reasons()
@@ -840,17 +843,18 @@ mod tests {
             ..AuditConfig::default()
         };
         let plan = ShardPlan::new(&cache, 4).unwrap();
-        let plane = Arc::new(AuditPlane::new(&plan, audit.clone()).unwrap());
-        let est = ReliabilityEstimator::new(&cache, &audit);
-        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, Some(est));
+        let plane = Arc::new(AuditPlane::new(&plan, audit).unwrap());
+        let geom = geom4(&plan);
+        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, Some((&cache, &geom)));
         let t0 = Instant::now();
-        // A flip rate implying BER ~1e-3 per interval — catastrophic.
+        // A flip rate implying BER ~1e-3 per interval — catastrophic —
+        // spread evenly over the 64 cells.
         let bits = 1024.0 * 553.0;
         let per_sec = 1e-3 * bits / 20e-3;
         for step in 0..6u64 {
             let mut obs = quiet_obs(t0 + Duration::from_secs(step));
             obs.daemon_expected = false;
-            obs.flips = Some((per_sec * step as f64) as u64);
+            obs.grids = ecc1(vec![(per_sec * step as f64 / 64.0) as u64; 64]);
             dog.scan(&obs);
         }
         assert_eq!(plane.alerts.count(AlertClass::BudgetBurn), 1, "latched");
@@ -875,18 +879,17 @@ mod tests {
             )
             .unwrap(),
         );
-        let geom = RegionGeometry::new(4, 16, 1024, |l| plan.shard_of_line(l));
-        plane.arm_spatial(&geom);
-        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, None);
+        let geom = geom4(&plan);
+        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, Some((&cache, &geom)));
         let mut obs = quiet_obs(Instant::now());
         // i.i.d.: 128 events spread evenly over the 64 cells — quiet.
-        obs.region_cells = Some(vec![2u64; 64]);
+        obs.grids = ecc1(vec![2u64; 64]);
         dog.scan(&obs);
         assert_eq!(plane.alerts.count(AlertClass::SpatialCorrelation), 0);
         // Clustered: 128 more events, all into one cell.
         let mut cells = vec![2u64; 64];
         cells[10] += 128;
-        obs.region_cells = Some(cells.clone());
+        obs.grids = ecc1(cells.clone());
         dog.scan(&obs);
         assert_eq!(plane.alerts.count(AlertClass::SpatialCorrelation), 1);
         let alert = &plane.alerts.recent(1)[0];
@@ -896,12 +899,12 @@ mod tests {
             .contains(&"spatial_correlation".to_string()));
         // Latched while it persists (cumulative cells unchanged → an
         // empty window that cannot fire → the latch re-arms)…
-        obs.region_cells = Some(cells.clone());
+        obs.grids = ecc1(cells.clone());
         dog.scan(&obs);
         assert_eq!(plane.alerts.count(AlertClass::SpatialCorrelation), 1);
         // …so a second burst raises a second episode.
         cells[10] += 128;
-        obs.region_cells = Some(cells);
+        obs.grids = ecc1(cells);
         dog.scan(&obs);
         assert_eq!(plane.alerts.count(AlertClass::SpatialCorrelation), 2);
         let stat = plane.latest_spatial().expect("detector stepped");
@@ -921,20 +924,19 @@ mod tests {
             ..AuditConfig::default()
         };
         let plan = ShardPlan::new(&cache, 4).unwrap();
-        let plane = Arc::new(AuditPlane::new(&plan, audit.clone()).unwrap());
-        let est = ReliabilityEstimator::new(&cache, &audit);
-        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, Some(est));
+        let plane = Arc::new(AuditPlane::new(&plan, audit).unwrap());
+        let geom = geom4(&plan);
+        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, Some((&cache, &geom)));
         let t0 = Instant::now();
-        // Every observed repair lands in region 3: its gauge BER runs 16×
-        // the cache-wide average, and the projected whole-cache-at-that-
-        // BER burn dominates the cache-wide one.
+        // Every observed repair lands in region 3 (on shard 0): its gauge
+        // BER runs 16× the cache-wide average, and the projected
+        // whole-cache-at-that-BER burn dominates the cache-wide one.
         for step in 0..4u64 {
             let mut obs = quiet_obs(t0 + Duration::from_secs(step));
             obs.daemon_expected = false;
-            obs.flips = Some(step * 4000);
-            let mut totals = vec![0u64; 16];
-            totals[3] = step * 4000;
-            obs.region_totals = Some(totals);
+            let mut cells = vec![0u64; 64];
+            cells[3] = step * 4000;
+            obs.grids = ecc1(cells);
             dog.scan(&obs);
         }
         assert_eq!(plane.worst_region.get(), 3);
@@ -1008,17 +1010,16 @@ mod tests {
             ..AuditConfig::default()
         };
         let plan = ShardPlan::new(&cache, 2).unwrap();
-        let plane = Arc::new(AuditPlane::new(&plan, audit.clone()).unwrap());
-        plane.arm_spatial(&RegionGeometry::new(2, 16, 1024, |l| plan.shard_of_line(l)));
+        let plane = Arc::new(AuditPlane::new(&plan, audit).unwrap());
+        let geom = RegionGeometry::new(2, 16, 1024, |l| plan.shard_of_line(l));
         assert_eq!(plane.tracker.n_packets(0), 2);
         assert_eq!(plane.tracker.n_packets(1), 2);
-        let est = ReliabilityEstimator::new(&cache, &audit);
         let mut dog = Watchdog::new(
             Arc::clone(&plane),
             2,
             8,
             Some(Duration::from_millis(2)),
-            Some(est),
+            Some((&cache, &geom)),
         );
         let mut seen = 0u64;
 
@@ -1121,19 +1122,25 @@ mod tests {
                 ),
             )
         };
-        // 128 window repairs into cell 19 = (shard 1, region 3) of 32:
-        // mean 4, z = (128 - 4) / 2, dispersion (128²/32 - 4²) / 4.
-        let spatial = || -> Want {
+        // `n` window repairs, all into cell 19 = (shard 1, region 3) of
+        // 32: mean n/32, z = (n - mean) / √mean, dispersion
+        // (n²/32 - mean²) / mean. For n = 128: z 62, dispersion 124.
+        let spatial = |n: u64| -> Want {
+            let n = n as f64;
+            let mean = n / 32.0;
+            let z = (n - mean) / mean.sqrt();
+            let dispersion = (n * n / 32.0 - mean * mean) / mean;
             (
                 AlertClass::SpatialCorrelation,
                 Severity::Critical,
                 Some(1),
-                62.0,
+                z,
                 8.0,
-                "spatially correlated failures: 128 of 128 window repairs landed in \
-                 cell (shard 1, region 3) — z 62.0, dispersion 124.0 reject the \
-                 i.i.d. hypothesis"
-                    .to_string(),
+                format!(
+                    "spatially correlated failures: {n} of {n} window repairs landed in \
+                     cell (shard 1, region 3) — z {z:.1}, dispersion {dispersion:.1} \
+                     reject the i.i.d. hypothesis"
+                ),
             )
         };
 
@@ -1168,9 +1175,12 @@ mod tests {
         let (q0, q1) = ("shard_quarantined shard=0", "shard_quarantined shard=1");
         let qs1 = "queue_saturation shard=1";
 
+        // Every scan samples the grids unless told otherwise; the repairs
+        // are ECC-1 ones, so a cell's events and flips are one count.
+        let mut cells = vec![0u64; 32];
         let mut obs = ScanObs {
             queue_depths: vec![0; 2],
-            flips: Some(0),
+            grids: ecc1(cells.clone()),
             ..quiet_obs(t0)
         };
         scan!(obs => []; []);
@@ -1251,44 +1261,50 @@ mod tests {
         tick(&mut obs);
         scan!(obs => [quarantined(0)]; [q0, st0, q1, st1]);
 
-        // A flip rate of BER 1e-3 per 100 ms interval burns both windows;
-        // spatial bursts ride along while the burn holds.
+        // A flip rate of BER 1e-3 per 100 ms interval, spread evenly over
+        // the 32 cells, burns both windows without clustering; spatial
+        // bursts ride along while the burn holds.
         let rate = (1e-3 * 1024.0 * 553.0 / 0.1) as u64;
-        obs.flips = Some(rate);
+        let spread = |cells: &mut Vec<u64>| cells.iter_mut().for_each(|c| *c += rate / 32);
+        spread(&mut cells);
+        obs.grids = ecc1(cells.clone());
         tick(&mut obs);
         scan!(obs => [burn()]; ["budget_burn", q0, st0, q1, st1]);
-        obs.flips = Some(2 * rate);
+        spread(&mut cells);
+        obs.grids = ecc1(cells.clone());
         tick(&mut obs);
         scan!(obs => []; ["budget_burn", q0, st0, q1, st1]);
-        let mut cells = vec![4u64; 32];
-        obs.region_cells = Some(cells.clone());
         tick(&mut obs);
         scan!(obs => []; ["budget_burn", q0, st0, q1, st1]);
         cells[19] += 128;
-        obs.region_cells = Some(cells.clone());
+        obs.grids = ecc1(cells.clone());
         tick(&mut obs);
-        scan!(obs => [spatial()]; ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
+        scan!(obs => [spatial(128)]; ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
         cells[19] += 128;
-        obs.region_cells = Some(cells.clone());
+        obs.grids = ecc1(cells.clone());
         tick(&mut obs);
         scan!(obs => []; ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
-        // The flat flips leave the slow window; between heatmap samples
-        // the spatial episode holds.
-        obs.region_cells = None;
+        // The burn's flips leave the slow window while the cluster
+        // persists; once it stops, the spatial episode clears too.
+        cells[19] += 128;
+        obs.grids = ecc1(cells.clone());
         tick(&mut obs);
         scan!(obs => []; ["spatial_correlation", q0, st0, q1, st1]);
-        obs.region_cells = Some(cells.clone());
         tick(&mut obs);
         scan!(obs => []; [q0, st0, q1, st1]);
-        cells[19] += 128;
-        obs.region_cells = Some(cells.clone());
-        obs.flips = Some(3 * rate);
+        // A hot cell at the burn rate re-enters both at once.
+        cells[19] += rate;
+        obs.grids = ecc1(cells.clone());
         tick(&mut obs);
-        scan!(obs => [burn(), spatial()];
+        scan!(obs => [burn(), spatial(rate)];
             ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
 
-        // Flip samples 2 s apart blind the 1 s fast window.
-        obs.now += Duration::from_secs(1);
+        // Between grid samples every episode the grids drive holds; the
+        // next sample, 2 s after the last, blinds the 1 s fast window.
+        obs.grids = None;
+        tick(&mut obs);
+        scan!(obs => []; ["budget_burn", "spatial_correlation", q0, st0, q1, st1]);
+        obs.grids = ecc1(cells.clone());
         tick(&mut obs);
         scan!(obs => []; ["budget_burn", "burn_fast_blind", q0, st0, q1, st1]);
         tick(&mut obs);
