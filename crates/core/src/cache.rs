@@ -594,10 +594,10 @@ impl<S: LineStore> SudokuCache<S> {
         fast: bool,
     ) {
         // Time the whole ladder as one `Recover` span (nested inside the
-        // caller's `Scrub` span); the clock is only read when telemetry is
-        // on and there is actual recovery work.
+        // caller's `Scrub` span); the clock is only read when the recorder
+        // measures and there is actual recovery work.
         let span_start =
-            (self.recorder.enabled() && !faulty.is_empty()).then(std::time::Instant::now);
+            (self.recorder.measures() && !faulty.is_empty()).then(std::time::Instant::now);
         loop {
             if faulty.is_empty() {
                 break;
@@ -714,7 +714,8 @@ impl<S: LineStore> SudokuCache<S> {
     /// Raw store write-back of a recovered line, deliberately skipping the
     /// parity update (recovery restores the as-written value; the PLT
     /// already reflects it). Used by cross-shard coordinators to commit
-    /// reconstructions into the owning shard.
+    /// reconstructions into the owning shard. `line` must be a codeword,
+    /// as [`LineStore::set_line`] requires.
     pub fn set_stored_line(&mut self, idx: u64, line: ProtectedLine) {
         self.store.set_line(idx, line);
     }
@@ -1305,6 +1306,66 @@ mod tests {
         assert_eq!(off.events().count(), 0);
         assert!(off.recorder().hists.is_empty());
         assert!(off.recorder().phases.is_empty());
+    }
+
+    /// A tap-only recorder charges the grids exactly what the full event
+    /// log of an unbounded recorder folds to, over a seeded mix of single-
+    /// and multi-bit faults, scrubs, reads and writes, and keeps no events,
+    /// histograms or phase spans.
+    #[test]
+    fn tap_only_recorder_grids_match_the_full_event_log() {
+        use std::sync::Arc;
+        use sudoku_obs::{Heatmaps, RegionGeometry};
+        let maps = || Arc::new(Heatmaps::new(RegionGeometry::new(1, 16, 256, |_| 0)));
+        let run = |recorder: Recorder| {
+            let mut cache = small_cache(Scheme::Z);
+            let _ = cache.set_recorder(recorder);
+            let golden = populate(&mut cache);
+            let mut rng = 0x7A90_0001_u64;
+            let mut next = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            for _ in 0..60 {
+                let line = next(256);
+                match next(4) {
+                    0 | 1 => {
+                        for _ in 0..=next(3) {
+                            cache.inject_fault(line, next(TOTAL_BITS as u64) as usize);
+                        }
+                    }
+                    2 => {
+                        let _ = cache.read(line);
+                    }
+                    _ => {
+                        let _ = cache.scrub();
+                    }
+                }
+            }
+            cache.write(3, &golden[4]);
+            let _ = cache.scrub();
+            cache
+        };
+        let tap = maps();
+        let tapped = run(Recorder::tap_only(Arc::clone(&tap)));
+        let full = run(Recorder::unbounded());
+        let folded = maps();
+        for event in full.events() {
+            folded.record_event(event);
+        }
+        assert_eq!(tapped.stats(), full.stats());
+        assert!(tap.observed_cells().iter().sum::<u64>() > 20);
+        assert!(full.stats().raid4_repairs + full.stats().sdr_repairs > 0);
+        for ((name, got), (_, want)) in tap.named_grids().iter().zip(folded.named_grids()) {
+            assert_eq!(got.snapshot(), want.snapshot(), "grid {name}");
+        }
+        assert_eq!(tapped.events().count(), 0);
+        assert!(tapped.recorder().hists.is_empty());
+        assert!(tapped.recorder().phases.is_empty());
+        assert!(!full.recorder().hists.is_empty());
+        assert!(!full.recorder().phases.is_empty());
     }
 
     #[test]

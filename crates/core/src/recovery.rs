@@ -62,9 +62,9 @@ pub fn emit_event(
 }
 
 /// Counts one per-line repair (ECC-1 payload fix or ECC-field regeneration)
-/// into the stats and, when telemetry is on, the event log and latency
-/// histogram — the §VII-B accounting of one line read, a syndrome check,
-/// and one write-back.
+/// into the stats and, when telemetry is on, the event log and (when the
+/// recorder measures) the latency histogram — the §VII-B accounting of
+/// one line read, a syndrome check, and one write-back.
 pub fn record_repair(stats: &mut CacheStats, recorder: &mut Recorder, line: u64, kind: RepairKind) {
     let mechanism = match kind {
         RepairKind::PayloadBit(_) => {
@@ -78,6 +78,8 @@ pub fn record_repair(stats: &mut CacheStats, recorder: &mut Recorder, line: u64,
     };
     if recorder.enabled() {
         emit_event(recorder, line, None, mechanism, Outcome::Repaired, 0);
+    }
+    if recorder.measures() {
         recorder
             .hists
             .line_recovery_ns
@@ -425,7 +427,7 @@ impl<L: LineCode> RepairEngine<'_, L> {
                 scratch.view.push((i, line));
             }
         }
-        if self.recorder.enabled() {
+        if self.recorder.measures() {
             self.recorder
                 .hists
                 .group_scan_lines
@@ -497,6 +499,8 @@ impl<L: LineCode> RepairEngine<'_, L> {
                     Outcome::Repaired,
                     0,
                 );
+            }
+            if self.recorder.measures() {
                 // §VII-B: read every group member, write the victim back.
                 self.recorder
                     .hists
@@ -620,8 +624,8 @@ impl<L: LineCode> RepairEngine<'_, L> {
             scratch.view[vi].1 = fixed;
             scratch.faulty.retain(|&f| f != vi);
             self.stats.sdr_repairs += 1;
+            let round_trials = self.stats.sdr_trials - round_start_trials;
             if self.recorder.enabled() {
-                let round_trials = self.stats.sdr_trials - round_start_trials;
                 let line = src.line_id(member);
                 self.emit(
                     line,
@@ -630,6 +634,8 @@ impl<L: LineCode> RepairEngine<'_, L> {
                     Outcome::Repaired,
                     round_trials as u32,
                 );
+            }
+            if self.recorder.measures() {
                 self.recorder
                     .hists
                     .sdr_trials_per_resurrection

@@ -60,12 +60,22 @@ pub trait LineStore {
 
     /// Overwrites the stored line at `idx`.
     ///
+    /// [`SudokuCache`](crate::SudokuCache) stores only codewords here: an
+    /// encoded write, a line its ECC corrected, or a reconstruction that
+    /// passed the full CRC+ECC check. Faults reach a store only through
+    /// [`LineStore::flip_bit`]. A store may therefore remember that a line
+    /// it was given here is a codeword until the line is next flipped.
+    ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     fn set_line(&mut self, idx: u64, line: ProtectedLine);
 
     /// Flips one stored bit in place (fault injection — no parity update).
+    /// The only way a fault enters a store; the result need not be a
+    /// codeword. The default reads, flips and calls
+    /// [`LineStore::set_line`], so a store that remembers codewords must
+    /// override it.
     fn flip_bit(&mut self, idx: u64, bit: usize) {
         let mut l = self.line(idx);
         l.flip_bit(bit);

@@ -155,9 +155,9 @@ pub struct LineFaults {
 }
 
 /// Records a sampled fault plan into `recorder`: one `Inject` event per
-/// faulty line (`trials` = injected fault bits) plus the faults-per-line
-/// histogram. Touches no RNG, so observing a plan never perturbs the
-/// deterministic trial stream.
+/// faulty line (`trials` = injected fault bits) plus, when the recorder
+/// measures, the faults-per-line histogram. Touches no RNG, so observing
+/// a plan never perturbs the deterministic trial stream.
 pub fn observe_plan(plan: &[LineFaults], recorder: &mut sudoku_obs::Recorder) {
     if !recorder.enabled() {
         return;
@@ -172,7 +172,9 @@ pub fn observe_plan(plan: &[LineFaults], recorder: &mut sudoku_obs::Recorder) {
             outcome: sudoku_obs::Outcome::Injected,
             trials: lf.faults,
         });
-        recorder.hists.faults_per_line.record(lf.faults as u64);
+        if recorder.measures() {
+            recorder.hists.faults_per_line.record(lf.faults as u64);
+        }
     }
 }
 

@@ -9,24 +9,33 @@ use std::sync::Arc;
 
 /// The telemetry attachment a cache (or campaign worker) owns: an
 /// in-memory event log (a bounded ring or unbounded), the recovery
-/// histograms, the phase-span accumulator, the current interval stamp,
-/// and an optional heatmap tap.
+/// histograms, the phase-span accumulator and the current interval stamp
+/// — or, built with [`Recorder::tap_only`], a heatmap tap and nothing
+/// else.
 ///
 /// The whole recorder is gated on [`Recorder::enabled`]: every emission
 /// site checks it first, so a disabled recorder costs one predictable
 /// branch — no event is constructed, no histogram touched, no clock read.
-/// A zero-capacity ring is enabled but keeps no events: histograms and
-/// the tap still see every emission.
+/// Histogram records and clock reads are further gated on
+/// [`Recorder::measures`], which a tap-only recorder answers `false`: its
+/// emissions reach the tap and nothing else. A zero-capacity ring is
+/// enabled but keeps no events: its histograms still see every emission.
 #[derive(Debug, Default)]
 pub struct Recorder {
     enabled: bool,
+    /// Whether histograms and phase spans are kept (every enabled
+    /// recorder but a tap-only one).
+    measures: bool,
     interval: u64,
-    /// Optional spatial tap: every emitted event is also charged against
-    /// the heatmap grids (wait-free; see [`Heatmaps::record_event`]).
+    /// The spatial tap of a tap-only recorder: every emitted event is
+    /// charged against the heatmap grids (wait-free; see
+    /// [`Heatmaps::record_event`]).
     tap: Option<Arc<Heatmaps>>,
-    /// Histograms populated by the recovery paths.
+    /// Histograms populated by the recovery paths (empty unless
+    /// [`Recorder::measures`]).
     pub hists: RecoveryHistograms,
-    /// Phase spans populated by campaigns (and the in-cache recover span).
+    /// Phase spans populated by campaigns and the in-cache recover span
+    /// (empty unless [`Recorder::measures`]).
     pub phases: PhaseTimes,
     events: VecDeque<RecoveryEvent>,
     /// Most events kept (the oldest are evicted first); `None` keeps all.
@@ -37,6 +46,7 @@ impl Recorder {
     fn collecting(capacity: Option<usize>) -> Self {
         Recorder {
             enabled: true,
+            measures: true,
             capacity,
             ..Recorder::default()
         }
@@ -57,23 +67,34 @@ impl Recorder {
         Self::collecting(None)
     }
 
+    /// Charges every emission to `tap`'s grids and keeps nothing: no
+    /// events, no histograms, no phase spans, no clock reads. The grids
+    /// count exactly what the events of an [`Recorder::unbounded`] log
+    /// would, folded through [`Heatmaps::record_event`].
+    pub fn tap_only(tap: Arc<Heatmaps>) -> Self {
+        Recorder {
+            enabled: true,
+            tap: Some(tap),
+            capacity: Some(0),
+            ..Recorder::default()
+        }
+    }
+
     /// Whether emission sites should do any work at all.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
     }
 
+    /// Whether emission sites should record histograms and time phases.
+    #[inline]
+    pub fn measures(&self) -> bool {
+        self.measures
+    }
+
     /// Stamps subsequent events with `interval` (campaign trial index).
     pub fn set_interval(&mut self, interval: u64) {
         self.interval = interval;
-    }
-
-    /// Attaches the spatial heatmap tap: every subsequent emission also
-    /// charges the matching grid cell, so the grids stay count-exact with
-    /// the `CacheStats` counters incremented alongside each emission —
-    /// regardless of the ring's capacity.
-    pub fn set_tap(&mut self, tap: Arc<Heatmaps>) {
-        self.tap = Some(tap);
     }
 
     /// Emits one event, stamping it with the current interval. Call only
@@ -151,6 +172,23 @@ mod tests {
         assert!(r.enabled());
         r.emit(ev(1));
         assert_eq!(r.events().count(), 0);
+    }
+
+    #[test]
+    fn tap_only_recorder_charges_the_grids_and_keeps_nothing() {
+        use crate::heatmap::RegionGeometry;
+        let maps = Arc::new(Heatmaps::new(RegionGeometry::new(1, 4, 64, |_| 0)));
+        let mut r = Recorder::tap_only(Arc::clone(&maps));
+        assert!(r.enabled());
+        assert!(!r.measures());
+        r.emit(ev(1));
+        r.emit(ev(40));
+        assert_eq!(maps.named_grids()[1].1.total(), 2);
+        assert_eq!(r.events().count(), 0);
+        assert!(r.hists.is_empty());
+        assert!(r.phases.is_empty());
+        assert!(Recorder::ring(0).measures());
+        assert!(!Recorder::disabled().measures());
     }
 
     #[test]

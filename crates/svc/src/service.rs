@@ -8,8 +8,9 @@
 //!
 //! A read first tries the seqlock **line view** ([`ShardedCache::try_read_clean`]):
 //! load the line's published `(data, crc)` under the seqlock, verify the
-//! CRC-31 inline, and serve without touching any mutex — the overwhelming
-//! common case in the paper's BER regime. Only a miss (faulty line, torn
+//! CRC-31 inline unless the shard published it as a codeword, and serve
+//! without touching any mutex — the overwhelming common case in the
+//! paper's BER regime. Only a miss (faulty line, torn
 //! snapshot, writer in flight, spared line, quarantined shard) falls
 //! through to the claimed path.
 //!
@@ -1653,12 +1654,12 @@ fn daemon_loop(
             break 'daemon;
         }
         // How late the tick started: scheduling + the previous tick's
-        // overrun. The gauge holds the latest value; the histogram the
-        // whole distribution.
+        // overrun. The gauge holds the latest value, the histogram the
+        // whole distribution, and the peak the worst since the
+        // watchdog's last scan.
         let now = Instant::now();
         let lag_ns = now.duration_since(next_deadline).as_nanos() as u64;
-        reg.tick_lag_ns.record(lag_ns);
-        reg.last_tick_lag_ns.set(lag_ns);
+        reg.record_tick_lag(lag_ns);
         next_deadline += tick;
         if next_deadline < now {
             // Behind schedule (a stall, a scheduler hole, or work that

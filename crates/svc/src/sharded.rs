@@ -177,14 +177,6 @@ impl GroupView for GatherView<'_, '_> {
     }
 }
 
-/// The recorder of every shard and of the coordinator: it keeps no events
-/// (nothing reads them), only the histograms and the heatmap tap.
-fn tapped_recorder(maps: &Arc<Heatmaps>) -> Recorder {
-    let mut recorder = Recorder::ring(0);
-    recorder.set_tap(Arc::clone(maps));
-    recorder
-}
-
 /// Merges per-shard and coordinator [`ScrubReport`]s into the global view
 /// a single-threaded scrub would have produced: counters sum, unresolved
 /// lines concatenate and sort ascending.
@@ -300,7 +292,7 @@ impl ShardedCache {
             .map(|shard| {
                 let store = ShardStore::new(&plan, shard, Arc::clone(&view));
                 let mut cache = SudokuCache::with_store(shard_config, store)?;
-                let _ = cache.set_recorder(tapped_recorder(&heatmaps));
+                let _ = cache.set_recorder(Recorder::tap_only(Arc::clone(&heatmaps)));
                 Ok(Mutex::new(cache))
             })
             .collect::<Result<Vec<_>, ConfigError>>()?;
@@ -318,7 +310,7 @@ impl ShardedCache {
             shards,
             coord: Mutex::new(Coordinator {
                 stats: CacheStats::default(),
-                recorder: tapped_recorder(&heatmaps),
+                recorder: Recorder::tap_only(Arc::clone(&heatmaps)),
                 scratch: GroupScratch::default(),
             }),
             health: ShardHealth::new(n_shards),
@@ -486,9 +478,9 @@ impl ShardedCache {
 
     /// Attempts a lock-free clean read of `line`, owned by `shard`, via
     /// the seqlock view: `Some(data)` when the line is verifiably clean
-    /// (CRC checked inline, or golden zero), `None` when the caller must
-    /// take the locked path. The second element counts seqlock retries
-    /// (for telemetry).
+    /// (CRC checked inline or published as a codeword, or golden zero),
+    /// `None` when the caller must take the locked path. The second
+    /// element counts seqlock retries (for telemetry).
     pub fn try_read_clean(&self, line: u64, shard: usize) -> (Option<LineData>, u32) {
         debug_assert_eq!(shard, self.plan.shard_of_line(line), "line {line}");
         if !self.health.is_up(shard) {
@@ -1778,6 +1770,137 @@ mod tests {
         assert!(
             cache.degraded_stats().spared_lines >= 1,
             "the interleaving must exercise sparing"
+        );
+    }
+
+    /// What [`LineView::try_read`] of `line` returns, and the `reads` and
+    /// `crc_checks` it counts, with the codeword mark ignored: every
+    /// non-zero snapshot goes through the CRC, as before the mark.
+    fn unmarked_read(cache: &ShardedCache, line: u64) -> (ViewRead, u64, u64) {
+        let view = &cache.view;
+        if view.is_spared(line) || view.has_pending(line) {
+            return (ViewRead::Miss, 0, 0);
+        }
+        let stored = view.line(line);
+        if stored.is_zero() {
+            (ViewRead::Zero, 1, 0)
+        } else if LineCodec::shared().crc_ok(&stored) {
+            (ViewRead::Clean(stored.data), 1, 1)
+        } else {
+            (ViewRead::Miss, 0, 0)
+        }
+    }
+
+    /// After every step of a seeded mix of writes, queued writes, fault
+    /// injections, stuck-cell reasserts, scrub ticks, escalations and
+    /// demand reads, every marked slot holds a codeword, and a lock-free
+    /// read of every line returns and counts exactly what it would with
+    /// the mark ignored.
+    #[test]
+    fn codeword_marks_are_exact_under_random_steps() {
+        let (mut marked_hits, mut unmarked_hits) = (0u64, 0u64);
+        for seed in 1..=4u64 {
+            let mut rng = 0x9E37_79B9_7F4A_7C15_u64 ^ seed;
+            let mut next = move |bound: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % bound
+            };
+            let n_lines = 256u64;
+            let mut stuck = StuckBitMap::new();
+            for _ in 0..6 {
+                stuck.insert(next(n_lines), next(553) as u16, next(2) == 0);
+            }
+            let cache = ShardedCache::with_faults(
+                SudokuConfig::small(Scheme::Z, n_lines, 16),
+                4,
+                stuck,
+                DegradedConfig {
+                    spare_cap_per_shard: 2,
+                    strike_threshold: 3,
+                },
+            )
+            .unwrap();
+            let mut pending: Vec<u64> = Vec::new();
+            for step in 0..300u64 {
+                let line = next(n_lines);
+                match next(10) {
+                    0..=2 => cache.write(line, &versioned(line, step)).unwrap(),
+                    3 => {
+                        cache.begin_write(line);
+                        pending.push(line);
+                    }
+                    4 => {
+                        for _ in 0..=next(2) {
+                            cache.inject_fault(line, next(553) as usize);
+                        }
+                    }
+                    5 => {
+                        let plan: Vec<(u64, Vec<usize>)> = (0..3)
+                            .map(|_| (next(n_lines), vec![next(553) as usize]))
+                            .collect();
+                        cache.apply_resolved_plan(&plan);
+                    }
+                    6 => {
+                        let shard = next(4) as usize;
+                        let hints: Vec<u64> = cache.plan().owned_lines(shard).collect();
+                        let (_, leftover) = cache.scrub_shard_local(shard, &hints);
+                        if !leftover.is_empty() {
+                            cache.escalate(&leftover);
+                        }
+                    }
+                    7 => {
+                        cache.escalate(&[line]);
+                    }
+                    8 => {
+                        let _ = cache.read(line);
+                    }
+                    _ => {
+                        if let Some(line) = pending.pop() {
+                            cache.write(line, &versioned(line, step)).unwrap();
+                            cache.retire_write(line);
+                        }
+                    }
+                }
+                for line in 0..n_lines {
+                    let shard = cache.plan().shard_of_line(line);
+                    let view = &cache.view;
+                    let marked = view.is_marked(line);
+                    assert!(
+                        !marked || LineCodec::shared().validate(&view.line(line)),
+                        "seed {seed}, step {step}: line {line} is marked but no codeword"
+                    );
+                    let (want, want_reads, want_crc) = unmarked_read(&cache, line);
+                    let mut before = CacheStats::default();
+                    view.fold_stats(shard, &mut before);
+                    let (got, retries) = view.try_read(line, shard);
+                    let mut after = CacheStats::default();
+                    view.fold_stats(shard, &mut after);
+                    assert_eq!(retries, 0);
+                    assert_eq!(got, want, "seed {seed}, step {step}, line {line}");
+                    assert_eq!(
+                        (
+                            after.reads - before.reads,
+                            after.crc_checks - before.crc_checks
+                        ),
+                        (want_reads, want_crc),
+                        "seed {seed}, step {step}, line {line}"
+                    );
+                    if matches!(got, ViewRead::Clean(_)) {
+                        *if marked {
+                            &mut marked_hits
+                        } else {
+                            &mut unmarked_hits
+                        } += 1;
+                    }
+                }
+            }
+        }
+        // Both read kinds must have been exercised.
+        assert!(
+            marked_hits > 0 && unmarked_hits > 0,
+            "{marked_hits} {unmarked_hits}"
         );
     }
 

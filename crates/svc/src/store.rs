@@ -3,8 +3,11 @@
 //! A shard owns every `N`-th Hash-1 group ([`ShardPlan`]), so its lines
 //! are a fixed, known set. [`ShardStore`] keeps no table of its own: each
 //! owned line lives in its [`LineView`] slot, the service's only copy of
-//! it (88 bytes per line, seqlock included). `line` loads the slot and
-//! `set_line` (which `flip_bit` goes through too) publishes into it. All
+//! it (88 bytes per line, seqlock included). `line` loads the slot;
+//! `set_line` publishes into it marked a codeword, and `flip_bit` (fault
+//! injection, stuck-cell reasserts) publishes the flipped line unmarked.
+//! The mark is sound because of [`LineStore::set_line`]'s contract: the
+//! cache stores only codewords there, which debug builds assert. All
 //! store reads and writes happen under the shard mutex the cache sits
 //! behind, which is the seqlock's writer serialization. Lock-free readers
 //! therefore see exactly the store, line for line, and the sharded engine
@@ -12,7 +15,7 @@
 
 use crate::view::LineView;
 use std::sync::Arc;
-use sudoku_codes::ProtectedLine;
+use sudoku_codes::{LineCodec, ProtectedLine};
 use sudoku_core::{LineStore, ShardPlan};
 
 /// One shard's owned lines, stored in their view slots.
@@ -43,10 +46,17 @@ impl ShardStore {
         assert!(line < self.n_lines, "line {line} out of range");
         (line >> self.group_bits) % self.n_shards == self.shard
     }
+
+    /// Panics unless this shard owns `idx`.
+    fn assert_owned(&self, idx: u64) {
+        assert!(
+            self.owns(idx),
+            "line {idx} is not owned by shard {}",
+            self.shard
+        );
+    }
 }
 
-/// Fault injection (`flip_bit`) keeps the trait's default: read, flip,
-/// `set_line`.
 impl LineStore for ShardStore {
     fn n_lines(&self) -> u64 {
         self.n_lines
@@ -61,14 +71,24 @@ impl LineStore for ShardStore {
         }
     }
 
-    /// Publishes `line` into its slot. Panics if another shard owns `idx`.
+    /// Publishes `line` into its slot marked a codeword, which the
+    /// trait's contract makes it. Panics if another shard owns `idx`.
     fn set_line(&mut self, idx: u64, line: ProtectedLine) {
-        assert!(
-            self.owns(idx),
-            "line {idx} is not owned by shard {}",
-            self.shard
+        self.assert_owned(idx);
+        debug_assert!(
+            LineCodec::shared().validate(&line),
+            "line {idx}: set_line stores only codewords"
         );
-        self.view.publish(idx, &line);
+        self.view.publish(idx, &line, true);
+    }
+
+    /// Publishes the flipped line unmarked: lock-free reads and sweeps
+    /// check it again. Panics if another shard owns `idx`.
+    fn flip_bit(&mut self, idx: u64, bit: usize) {
+        self.assert_owned(idx);
+        let mut line = self.view.line(idx);
+        line.flip_bit(bit);
+        self.view.publish(idx, &line, false);
     }
 
     /// Exact: only a non-zero line counts, as in a sparse store.
@@ -155,11 +175,38 @@ mod tests {
         let line = plan.owned_line_at(1, 9);
         store.set_line(line, encoded(40));
         assert_eq!(view.slot_line(line), Some(encoded(40)));
+        assert!(view.is_marked(line));
         store.flip_bit(line, 2);
         assert_eq!(view.slot_line(line), Some(store.line(line)));
+        assert!(!view.is_marked(line));
         assert!(matches!(view.try_read(line, 1), (ViewRead::Miss, _)));
+        // Flipped back, the slot holds a codeword again, unmarked: the
+        // read proves it clean through the CRC.
         store.flip_bit(line, 2);
-        assert!(matches!(view.try_read(line, 1), (ViewRead::Clean(_), _)));
+        assert!(!view.is_marked(line));
+        assert_eq!(view.try_read(line, 1).0, ViewRead::Clean(encoded(40).data));
+        let mut stats = sudoku_core::CacheStats::default();
+        view.fold_stats(1, &mut stats);
+        assert_eq!((stats.reads, stats.crc_checks), (1, 1));
+        store.set_line(line, encoded(41));
+        assert!(view.is_marked(line));
+    }
+
+    #[test]
+    #[should_panic(expected = "not owned by shard 1")]
+    fn non_owned_flip_panics() {
+        let plan = plan(4);
+        store(&plan, 1).flip_bit(plan.owned_line_at(2, 5), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "set_line stores only codewords")]
+    fn storing_a_non_codeword_is_caught_in_debug_builds() {
+        let plan = plan(2);
+        let mut faulty = encoded(7);
+        faulty.flip_bit(8);
+        store(&plan, 0).set_line(plan.owned_line_at(0, 1), faulty);
     }
 
     #[test]

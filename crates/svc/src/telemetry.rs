@@ -291,6 +291,8 @@ pub struct TelemetryRegistry {
     /// Malformed wire frames (each also closes its connection).
     pub net_malformed: Counter,
     depths: Vec<Gauge>,
+    /// Worst tick-start lag since the watchdog last took it, ns.
+    peak_tick_lag_ns: AtomicU64,
     next_trace: AtomicU64,
     traces: Mutex<VecDeque<TraceRecord>>,
     /// Histogram exemplars: per bucket of `read_latency_ns` (and
@@ -347,6 +349,7 @@ impl TelemetryRegistry {
             net_sheds: Counter::new(),
             net_malformed: Counter::new(),
             depths: (0..n_shards).map(|_| Gauge::new()).collect(),
+            peak_tick_lag_ns: AtomicU64::new(0),
             next_trace: AtomicU64::new(0),
             traces: Mutex::new(VecDeque::with_capacity(TRACE_RING)),
         }
@@ -372,6 +375,25 @@ impl TelemetryRegistry {
     /// Current depth of every shard's request queue.
     pub fn queue_depths(&self) -> Vec<u64> {
         self.depths.iter().map(Gauge::get).collect()
+    }
+
+    /// Records one daemon tick's start lag behind its deadline: into the
+    /// lag histogram, the most-recent-tick gauge, and the peak that
+    /// [`TelemetryRegistry::take_peak_tick_lag`] hands the watchdog.
+    pub fn record_tick_lag(&self, lag_ns: u64) {
+        self.tick_lag_ns.record(lag_ns);
+        self.last_tick_lag_ns.set(lag_ns);
+        self.peak_tick_lag_ns.fetch_max(lag_ns, Ordering::Relaxed);
+    }
+
+    /// The worst tick lag recorded since the previous call, and resets
+    /// it: a late tick between two watchdog scans is seen at the next scan
+    /// even when on-time ticks followed it. With no tick since, this is
+    /// the most recent tick's lag (the peak of a window is at least its
+    /// last tick's lag, so the two agree whenever a tick started).
+    pub fn take_peak_tick_lag(&self) -> u64 {
+        let peak = self.peak_tick_lag_ns.swap(0, Ordering::Relaxed);
+        peak.max(self.last_tick_lag_ns.get())
     }
 
     /// Completes one request's phase accounting: records the phase and

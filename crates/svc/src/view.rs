@@ -4,25 +4,33 @@
 //! shard mutex, and clients and the scrub daemon read them without taking
 //! any lock at all.
 //!
-//! This is what makes the demand hot path "a CRC check plus a few atomic
-//! loads": a clean read loads the line's slot under the seqlock, verifies
-//! the CRC-31 inline, and never touches a mutex. Anything else — a torn
-//! snapshot, an odd epoch (writer in flight), a CRC mismatch (the line is
-//! faulty and needs the ladder), a pending write, or a spared line (the
-//! line was remapped to a spare) — is a **miss**, and the caller falls
-//! back to the locked worker/repair path, which is bit-identical to the
-//! reference.
+//! This is what makes the demand hot path "a few atomic loads": a clean
+//! read loads the line's slot under the seqlock and never touches a
+//! mutex. Each slot also carries a **codeword mark**, published in the
+//! same seqlock epoch as the line: the shard store sets it on every
+//! `set_line` (the cache stores only codewords there — encoded writes,
+//! corrected lines and validated reconstructions) and clears it on every
+//! `flip_bit` (fault injection and stuck-cell reasserts). A marked
+//! snapshot is served without recomputing its CRC-31; an unmarked one is
+//! verified with the CRC inline, exactly as the reference read does.
+//! Anything else — a torn snapshot, an odd epoch (writer in flight), a
+//! CRC mismatch (the line is faulty and needs the ladder), a pending
+//! write, or a spared line (the line was remapped to a spare) — is a
+//! **miss**, and the caller falls back to the locked worker/repair path,
+//! which is bit-identical to the reference.
 //!
 //! # Writer protocol (under the owning shard's mutex)
 //!
 //! Writers are already serialized per line by the shard mutex, so the
 //! seqlock needs no writer CAS: bump the epoch to odd (`Relaxed` store,
 //! then a `Release` fence orders it before the payload), store the eight
-//! data words + packed `crc|ecc` meta word (`Relaxed`), then store the
+//! data words + packed `crc|ecc|mark` meta word (`Relaxed`), then store the
 //! even epoch with `Release`. A reader validates with the mirrored
 //! acquire-fence protocol; equal even epochs on both sides of the payload
-//! loads guarantee an untorn snapshot. The store's own reads hold the
-//! mutex, so they see the last write without the seqlock.
+//! loads guarantee an untorn snapshot. The mark lives in the meta word,
+//! so an untorn snapshot's mark belongs to its own words: a mark can
+//! never vouch for a line it was not published with. The store's own
+//! reads hold the mutex, so they see the last write without the seqlock.
 //!
 //! # Accounting
 //!
@@ -32,10 +40,13 @@
 //! — so aggregate stats stay bit-identical whether a read was served
 //! lock-free or under the lock. An all-zero slot (data, crc *and* ecc all
 //! zero) is the golden never-written line: served as zero with **no** CRC
-//! check, exactly like the reference's `is_zero` fast path. The daemon's
-//! lock-free sweep ([`LineView::sweep`]) counts `lines_scrubbed` and
-//! `crc_checks` the same way the locked `scrub_scan` would have, in
-//! counters of their own.
+//! check, exactly like the reference's `is_zero` fast path. A marked
+//! non-zero line still counts its `crc_checks`: the hardware pays the
+//! check even where the service knows its answer, so counts do not
+//! depend on the mark. The daemon's lock-free sweep ([`LineView::sweep`])
+//! counts `lines_scrubbed` and `crc_checks` the same way the locked
+//! `scrub_scan` would have, in counters of their own, and likewise counts
+//! a marked line as checked clean without running the check.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine, LINE_WORDS};
@@ -46,13 +57,19 @@ use sudoku_obs::Counter;
 /// of the lock-free paths. The slot keeps storing the (faulty) array copy.
 const SPARED: u64 = 1 << 63;
 
+/// Meta-word bit marking a slot whose publisher proved its line a full
+/// CRC+ECC codeword (see [`LineView::publish`]). Published in the same
+/// seqlock epoch as the line, so a snapshot's mark always belongs to its
+/// words.
+const CODEWORD: u64 = 1 << 48;
+
 /// Bounded seqlock retries before giving up and taking the locked path.
 const MAX_RETRIES: u32 = 8;
 
 /// One line's state: seqlock epoch, the eight data words, a packed meta
-/// word (`crc` in bits 0..32, `ecc` in bits 32..48), and the count of
-/// accepted-but-not-yet-applied writes (see [`LineView::begin_write`]) with
-/// the [`SPARED`] mark in its top bit.
+/// word (`crc` in bits 0..32, `ecc` in bits 32..48, the [`CODEWORD`] mark
+/// in bit 48), and the count of accepted-but-not-yet-applied writes (see
+/// [`LineView::begin_write`]) with the [`SPARED`] mark in its top bit.
 struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; LINE_WORDS],
@@ -75,23 +92,25 @@ impl Slot {
         }
     }
 
-    /// The slot's words as a line. Untorn only while no writer is in
-    /// flight: under the owning shard's mutex, or between matching epochs.
-    fn load(&self) -> ProtectedLine {
+    /// The slot's words as a line, and whether it is marked a codeword.
+    /// Untorn only while no writer is in flight: under the owning shard's
+    /// mutex, or between matching epochs.
+    fn load(&self) -> (ProtectedLine, bool) {
         let meta = self.meta.load(Ordering::Relaxed);
-        ProtectedLine {
+        let line = ProtectedLine {
             data: LineData::from_words(std::array::from_fn(|i| {
                 self.words[i].load(Ordering::Relaxed)
             })),
             crc: (meta & 0xFFFF_FFFF) as u32,
             ecc: (meta >> 32) as u16,
-        }
+        };
+        (line, meta & CODEWORD != 0)
     }
 
-    /// An untorn seqlock snapshot, or `None` when a writer stayed in
-    /// flight (or kept tearing the snapshot) for [`MAX_RETRIES`] tries.
-    /// The second element counts the retries taken.
-    fn snapshot(&self) -> (Option<ProtectedLine>, u32) {
+    /// An untorn seqlock snapshot with its codeword mark, or `None` when a
+    /// writer stayed in flight (or kept tearing the snapshot) for
+    /// [`MAX_RETRIES`] tries. The second element counts the retries taken.
+    fn snapshot(&self) -> (Option<(ProtectedLine, bool)>, u32) {
         let mut retries = 0u32;
         loop {
             let s1 = self.seq.load(Ordering::Acquire);
@@ -132,8 +151,10 @@ struct SweepCounters {
 }
 
 /// Outcome of a lock-free view read.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum ViewRead {
-    /// Non-zero line whose CRC verified inline: serve it, no lock.
+    /// Non-zero line whose CRC verified inline, or that its shard
+    /// published as a codeword: serve it, no lock.
     Clean(LineData),
     /// Golden all-zero line (never written / zero slot): serve zero with
     /// no CRC check, mirroring the reference's `is_zero` fast path.
@@ -164,7 +185,10 @@ impl LineView {
     }
 
     /// Lock-free read of `line`, charging accounting to `shard`. Returns
-    /// the outcome plus the number of seqlock retries taken.
+    /// the outcome plus the number of seqlock retries taken. A snapshot
+    /// marked a codeword is clean without recomputing its CRC: the mark
+    /// travels only with a line its publisher proved a full codeword, and
+    /// the read still counts the check the hardware pays.
     pub(crate) fn try_read(&self, line: u64, shard: usize) -> (ViewRead, u32) {
         let slot = &self.slots[line as usize];
         if slot.pending.load(Ordering::Acquire) != 0 {
@@ -174,7 +198,7 @@ impl LineView {
             return (ViewRead::Miss, 0);
         }
         let (snapshot, retries) = slot.snapshot();
-        let Some(candidate) = snapshot else {
+        let Some((candidate, codeword)) = snapshot else {
             return (ViewRead::Miss, retries);
         };
         let counters = &self.reads[shard];
@@ -182,7 +206,7 @@ impl LineView {
             counters.reads.inc();
             return (ViewRead::Zero, retries);
         }
-        if self.codec.crc_ok(&candidate) {
+        if codeword || self.codec.crc_ok(&candidate) {
             counters.reads.inc();
             counters.crc_checks.inc();
             return (ViewRead::Clean(candidate.data), retries);
@@ -193,12 +217,13 @@ impl LineView {
 
     /// The daemon's lock-free pre-check of `lines` (all owned by `shard`),
     /// counted as the locked scan would count them: a golden-zero slot is
-    /// one `lines_scrubbed`, an untorn snapshot passing the full CRC+ECC-1
-    /// check ([`LineCodec::validate`]) one `lines_scrubbed` plus one
-    /// `crc_checks`. Spared lines are skipped uncounted. Every other line
-    /// — dirty, or torn by a writer in flight — is pushed to `locked` for
-    /// the locked scan, which counts it instead, so each line is counted
-    /// exactly once. Returns the number of lines counted here.
+    /// one `lines_scrubbed`, an untorn snapshot marked a codeword or
+    /// passing the full CRC+ECC-1 check ([`LineCodec::validate`]) one
+    /// `lines_scrubbed` plus one `crc_checks`. Spared lines are skipped
+    /// uncounted. Every other line — dirty, or torn by a writer in flight
+    /// — is pushed to `locked` for the locked scan, which counts it
+    /// instead, so each line is counted exactly once. Returns the number
+    /// of lines counted here.
     pub(crate) fn sweep(
         &self,
         shard: usize,
@@ -211,8 +236,8 @@ impl LineView {
                 continue;
             }
             match self.slots[line as usize].snapshot().0 {
-                Some(l) if l.is_zero() => zero += 1,
-                Some(l) if self.codec.validate(&l) => clean += 1,
+                Some((l, _)) if l.is_zero() => zero += 1,
+                Some((l, codeword)) if codeword || self.codec.validate(&l) => clean += 1,
                 _ => locked.push(line),
             }
         }
@@ -227,15 +252,17 @@ impl LineView {
     /// The line `line`'s slot holds. The caller holds the owning shard's
     /// mutex, which every writer of the slot holds too.
     pub(crate) fn line(&self, line: u64) -> ProtectedLine {
-        self.slots[line as usize].load()
+        self.slots[line as usize].load().0
     }
 
-    /// Stores `stored` as `line`'s current state. Must be called while
-    /// holding the owning shard's mutex (writers are serialized by it —
-    /// the seqlock has no writer-side CAS). A spared line's slot keeps
-    /// storing: its array copy still exists, only no lock-free path reads
-    /// it.
-    pub(crate) fn publish(&self, line: u64, stored: &ProtectedLine) {
+    /// Stores `stored` as `line`'s current state, marked a codeword when
+    /// `codeword`. Must be called while holding the owning shard's mutex
+    /// (writers are serialized by it — the seqlock has no writer-side
+    /// CAS). Pass `codeword` only for a line the caller proved a full
+    /// CRC+ECC codeword: lock-free reads and sweeps then trust it without
+    /// a check. A spared line's slot keeps storing: its array copy still
+    /// exists, only no lock-free path reads it.
+    pub(crate) fn publish(&self, line: u64, stored: &ProtectedLine, codeword: bool) {
         let slot = &self.slots[line as usize];
         let s = slot.seq.load(Ordering::Relaxed);
         slot.seq.store(s + 1, Ordering::Relaxed);
@@ -243,8 +270,9 @@ impl LineView {
         for (dst, &w) in slot.words.iter().zip(stored.data.words().iter()) {
             dst.store(w, Ordering::Relaxed);
         }
+        let mark = if codeword { CODEWORD } else { 0 };
         slot.meta.store(
-            (stored.crc as u64) | ((stored.ecc as u64) << 32),
+            (stored.crc as u64) | ((stored.ecc as u64) << 32) | mark,
             Ordering::Relaxed,
         );
         slot.seq.store(s + 2, Ordering::Release);
@@ -331,6 +359,12 @@ mod tests {
             self.slots[line as usize].seq.store(seq, Ordering::Release);
         }
 
+        /// Whether `line`'s slot is marked a codeword. Only meaningful
+        /// while no writer is in flight.
+        pub(crate) fn is_marked(&self, line: u64) -> bool {
+            self.slots[line as usize].load().1
+        }
+
         /// Whether a write to `line` is accepted but not yet retired.
         pub(crate) fn has_pending(&self, line: u64) -> bool {
             self.slots[line as usize].pending.load(Ordering::Acquire) & !SPARED != 0
@@ -365,7 +399,7 @@ mod tests {
     fn published_line_reads_back_clean_with_crc_check() {
         let view = LineView::new(16, 2);
         let stored = encoded(&[5, 100]);
-        view.publish(7, &stored);
+        view.publish(7, &stored, false);
         match view.try_read(7, 0) {
             (ViewRead::Clean(data), _) => assert_eq!(data, stored.data),
             _ => panic!("expected clean hit"),
@@ -375,12 +409,41 @@ mod tests {
     }
 
     #[test]
+    fn marked_line_reads_clean_without_a_crc_and_counts_the_check() {
+        let view = LineView::new(16, 2);
+        // A line whose CRC no longer matches, published marked against
+        // the contract: the read serves it, so it never ran the CRC.
+        let mut forged = encoded(&[5, 100]);
+        forged.data.set_bit(6, true);
+        view.publish(7, &forged, true);
+        assert!(view.is_marked(7));
+        assert_eq!(view.try_read(7, 0).0, ViewRead::Clean(forged.data));
+        // The same line unmarked takes the CRC and misses.
+        view.publish(7, &forged, false);
+        assert_eq!(view.try_read(7, 0).0, ViewRead::Miss);
+        let stored = encoded(&[5, 100]);
+        view.publish(7, &stored, true);
+        assert_eq!(view.try_read(7, 0).0, ViewRead::Clean(stored.data));
+        // Each hit counted one read and one CRC check, as an unmarked
+        // hit does; the miss counted nothing.
+        assert_eq!(folded(&view, 0).reads, 2);
+        assert_eq!(folded(&view, 0).crc_checks, 2);
+        // A zero line published marked is still golden zero: no check.
+        view.publish(8, &ProtectedLine::zero(), true);
+        assert_eq!(view.try_read(8, 1).0, ViewRead::Zero);
+        assert_eq!(
+            (folded(&view, 1).reads, folded(&view, 1).crc_checks),
+            (1, 0)
+        );
+    }
+
+    #[test]
     fn corrupt_line_misses_without_accounting() {
         let view = LineView::new(16, 1);
         let mut stored = encoded(&[9]);
         // Flip a data bit without updating the CRC: the inline check fails.
         stored.data.set_bit(10, true);
-        view.publish(2, &stored);
+        view.publish(2, &stored, false);
         assert!(matches!(view.try_read(2, 0), (ViewRead::Miss, _)));
         assert_eq!(folded(&view, 0), CacheStats::default());
     }
@@ -388,11 +451,11 @@ mod tests {
     #[test]
     fn spared_slot_stores_but_misses_forever() {
         let view = LineView::new(16, 1);
-        view.publish(4, &encoded(&[1]));
+        view.publish(4, &encoded(&[1]), true);
         view.mark_spared(4);
         assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
         // The array copy keeps being stored; readers keep missing.
-        view.publish(4, &encoded(&[2]));
+        view.publish(4, &encoded(&[2]), true);
         assert_eq!(view.line(4), encoded(&[2]));
         assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
         // Pending writes come and go without clearing the mark.
@@ -407,7 +470,7 @@ mod tests {
     fn pending_write_blocks_lock_free_reads_until_retired() {
         let view = LineView::new(16, 1);
         let stored = encoded(&[3, 200]);
-        view.publish(6, &stored);
+        view.publish(6, &stored, false);
         view.begin_write(6);
         view.begin_write(6);
         assert!(matches!(view.try_read(6, 0), (ViewRead::Miss, _)));
@@ -421,35 +484,41 @@ mod tests {
     #[test]
     fn sweep_counts_clean_lines_and_defers_the_rest() {
         let view = LineView::new(16, 2);
-        view.publish(1, &encoded(&[7]));
+        view.publish(1, &encoded(&[7]), false);
         let mut ecc_field = encoded(&[8]);
         ecc_field.ecc ^= 1;
-        view.publish(2, &ecc_field);
+        view.publish(2, &ecc_field, false);
         let mut dirty = encoded(&[9]);
         dirty.data.set_bit(10, true);
-        view.publish(3, &dirty);
-        view.publish(4, &encoded(&[11]));
+        view.publish(3, &dirty, false);
+        view.publish(4, &encoded(&[11]), false);
         view.mark_spared(4);
-        view.publish(5, &encoded(&[12]));
+        view.publish(5, &encoded(&[12]), false);
         view.force_epoch(5, view.epoch(5) + 1);
         view.begin_write(6);
+        view.publish(7, &encoded(&[13]), true);
+        // Marked against the contract: the sweep trusts the mark and
+        // never runs the check that would defer it.
+        view.publish(8, &ecc_field, true);
         let mut locked = Vec::new();
         // 0 and 6 are golden zero (a pending write changes nothing stored),
-        // 1 is clean, 2 fails only its ECC field, 3 its CRC, 4 is spared
-        // and 5 has a writer stuck in flight.
-        assert_eq!(view.sweep(1, 0..7, &mut locked), 3);
+        // 1 is clean, 2 fails only its ECC field, 3 its CRC, 4 is spared,
+        // 5 has a writer stuck in flight, and 7 and 8 are marked.
+        assert_eq!(view.sweep(1, 0..9, &mut locked), 5);
         assert_eq!(locked, vec![2, 3, 5]);
         let stats = folded(&view, 1);
-        assert_eq!((stats.lines_scrubbed, stats.crc_checks), (3, 1));
+        assert_eq!((stats.lines_scrubbed, stats.crc_checks), (5, 3));
         assert_eq!(folded(&view, 0), CacheStats::default());
     }
 
     #[test]
     fn concurrent_publish_never_yields_torn_clean_read() {
         // A writer flips line 0 between two valid encodings while readers
-        // hammer it: every Clean hit must be one of the two golden values
-        // (the CRC would catch a mash of the two, so a torn-but-accepted
-        // snapshot would surface as a wrong-data panic here).
+        // hammer it: every Clean hit must be one of the two golden values.
+        // The writer marks every other pair of publishes, so both values
+        // are read marked and unmarked. Unmarked, the CRC would catch a
+        // mash of the two; marked, only the seqlock stands between a torn
+        // snapshot and a wrong-data panic here.
         let view = std::sync::Arc::new(LineView::new(4, 1));
         let a = encoded(&[1, 64, 300]);
         let b = encoded(&[2, 65, 301]);
@@ -461,7 +530,7 @@ mod tests {
                 let (a, b) = (a, b);
                 s.spawn(move || {
                     for i in 0..200_000u64 {
-                        view.publish(0, if i & 1 == 0 { &a } else { &b });
+                        view.publish(0, if i & 1 == 0 { &a } else { &b }, i & 2 != 0);
                     }
                     stop.store(true, Ordering::Relaxed);
                 });

@@ -65,7 +65,10 @@ pub struct ScanObs {
     pub daemon_expected: bool,
     /// Whether the daemon died to a caught panic.
     pub daemon_dead: bool,
-    /// Latest daemon tick-start lag, ns.
+    /// Worst daemon tick-start lag since the previous scan, ns (the most
+    /// recent tick's when none started since). The live loop takes it
+    /// with [`TelemetryRegistry::take_peak_tick_lag`], so a late tick
+    /// followed by on-time ones is not missed.
     pub last_tick_lag_ns: u64,
     /// Cumulative scrub ticks completed.
     pub scrub_ticks: u64,
@@ -548,7 +551,7 @@ pub fn watchdog_loop(
             now,
             daemon_expected: scrub_every.is_some(),
             daemon_dead: reg.daemon_dead.get() != 0,
-            last_tick_lag_ns: reg.last_tick_lag_ns.get(),
+            last_tick_lag_ns: reg.take_peak_tick_lag(),
             scrub_ticks: reg.scrub_ticks.get(),
             queue_depths: reg.queue_depths(),
             quarantined: state.health().quarantined(),
@@ -626,6 +629,48 @@ mod tests {
         obs.last_tick_lag_ns = 10_000_000;
         dog.scan(&obs);
         assert_eq!(plane.alerts.count(AlertClass::TickLagBreach), 2);
+    }
+
+    #[test]
+    fn a_late_tick_between_scans_raises_one_breach() {
+        let plane = plane(AuditConfig {
+            scrub_deadline: Duration::from_secs(3600),
+            tick_lag_budget: Duration::from_millis(2),
+            ..AuditConfig::default()
+        });
+        let reg = TelemetryRegistry::new(4);
+        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, None);
+        let t0 = Instant::now();
+        let mut scan = |reg: &TelemetryRegistry| {
+            let mut obs = quiet_obs(t0);
+            obs.last_tick_lag_ns = reg.take_peak_tick_lag();
+            dog.scan(&obs);
+        };
+        reg.record_tick_lag(100_000);
+        scan(&reg);
+        // One stalled tick, then catch-up ticks back on time, all between
+        // two scans: the point gauge reads on time by the scan.
+        reg.record_tick_lag(100_000_000);
+        for _ in 0..4 {
+            reg.record_tick_lag(50_000);
+        }
+        assert_eq!(reg.last_tick_lag_ns.get(), 50_000);
+        scan(&reg);
+        assert_eq!(plane.alerts.count(AlertClass::TickLagBreach), 1);
+        for _ in 0..3 {
+            reg.record_tick_lag(50_000);
+            scan(&reg);
+        }
+        assert!(plane.degraded_reasons().is_empty());
+        // A late tick with no tick after it stays breached across scans
+        // that see no tick at all: still one incident, not one per scan.
+        reg.record_tick_lag(10_000_000);
+        scan(&reg);
+        scan(&reg);
+        assert_eq!(plane.alerts.count(AlertClass::TickLagBreach), 2);
+        assert!(plane
+            .degraded_reasons()
+            .contains(&"tick_lag_breach".to_string()));
     }
 
     #[test]
