@@ -30,7 +30,9 @@
 //!   the scrub daemon for `--stall-ms` (alive but not scrubbing) and
 //!   polls `GET /alerts.json` for the watchdog's `daemon_stuck`,
 //!   `deadline_miss`, `tick_lag_breach`, and `scrub_floor_breach`
-//!   alerts; after the daemon panic it polls for `daemon_dead`.
+//!   alerts; after the daemon panic it polls for `daemon_dead`. Only an
+//!   alert raised after its injection counts: one whose `seq` exceeds the
+//!   highest `/alerts.json` listed just before it.
 //!   Per-class time-to-detection is recorded as `ttd_alert_ms` in
 //!   `BENCH_chaos.json`, and **every class must fire within its own
 //!   documented budget** (see [`alert_budget_ms`]; exit 6 otherwise).
@@ -115,9 +117,8 @@ const TTD_CLASSES: [&str; 5] = [
 /// * `deadline_miss` — packet staleness must first *cross* the 20 ms
 ///   guarantee, plus one scan: ≲ 25 ms; budget 75 ms.
 /// * `tick_lag_breach` — the lag is only reported when the delayed tick
-///   finally completes, which the stall itself delays: budget
-///   `stall_ms` + 50 ms (under saturation it typically fires in ≲ 1 ms
-///   off a pre-stall lagging tick).
+///   finally starts, which the stall itself delays: budget
+///   `stall_ms` + 50 ms.
 /// * `scrub_floor_breach` — the adaptive controller must pair
 ///   floor-pinned clamps with deadline misses over `PAIRING_SCANS = 3`
 ///   consecutive scans *after* the stall releases: budget `stall_ms` +
@@ -326,14 +327,40 @@ fn time_to_detection(addr: SocketAddr, deadline: Duration) -> Option<Duration> {
     None
 }
 
-/// Polls `GET /alerts.json` until every named alert class has appeared in
-/// the stream (or the deadline passes), recording each class's first-seen
-/// latency. Undetected classes stay `None`.
-fn time_to_alerts(addr: SocketAddr, classes: &[&str], deadline: Duration) -> Vec<Option<Duration>> {
+/// The highest alert `seq` `/alerts.json` lists (0 before the first
+/// alert, or when the endpoint does not answer).
+fn last_alert_seq(addr: SocketAddr) -> u64 {
+    let Some((200, body)) = http_get(addr, "/alerts.json") else {
+        return 0;
+    };
+    body.split("\"seq\":")
+        .skip(1)
+        .filter_map(|rest| {
+            rest.split(|c: char| !c.is_ascii_digit())
+                .next()?
+                .parse()
+                .ok()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Polls `GET /alerts.json?after=<after>` until every named alert class
+/// has appeared among the alerts whose `seq` exceeds `after` (or the
+/// deadline passes), recording each class's first-seen latency. An alert
+/// raised before the injection (`seq <= after`) never counts. Undetected
+/// classes stay `None`.
+fn time_to_alerts(
+    addr: SocketAddr,
+    classes: &[&str],
+    after: u64,
+    deadline: Duration,
+) -> Vec<Option<Duration>> {
     let start = Instant::now();
+    let path = format!("/alerts.json?after={after}");
     let mut seen: Vec<Option<Duration>> = vec![None; classes.len()];
     while start.elapsed() < deadline && seen.iter().any(Option::is_none) {
-        if let Some((status, body)) = http_get(addr, "/alerts.json") {
+        if let Some((status, body)) = http_get(addr, &path) {
             if status == 200 {
                 for (slot, class) in seen.iter_mut().zip(classes) {
                     if slot.is_none() && body.contains(&format!("\"class\":\"{class}\"")) {
@@ -624,6 +651,7 @@ fn main() {
         std::thread::sleep(Duration::from_millis(opts.panic_after_ms));
         let mut poll_spent = Duration::ZERO;
         if opts.stall_ms > 0 {
+            let after = last_alert_seq(telemetry_addr);
             service.inject_daemon_stall(Duration::from_millis(opts.stall_ms));
             println!("injected scrub daemon stall: {} ms", opts.stall_ms);
             // The stall-driven classes: `daemon_stuck` once the tick
@@ -635,7 +663,7 @@ fn main() {
             // misses (the floor itself proved insufficient).
             let deadline = Duration::from_millis(opts.stall_ms) + Duration::from_secs(2);
             let poll_start = Instant::now();
-            let stall_ttds = time_to_alerts(telemetry_addr, &TTD_CLASSES[..4], deadline);
+            let stall_ttds = time_to_alerts(telemetry_addr, &TTD_CLASSES[..4], after, deadline);
             ttd_alerts[..4].copy_from_slice(&stall_ttds);
             poll_spent += poll_start.elapsed();
             for (class, t) in TTD_CLASSES[..4].iter().zip(&stall_ttds) {
@@ -682,13 +710,19 @@ fn main() {
                 ),
             }
         }
+        let after = last_alert_seq(telemetry_addr);
         service.inject_daemon_panic();
         println!("injected scrub daemon panic");
         {
             // The daemon honors the panic flag at its next tick; the
             // watchdog then notices the dead thread within one scan.
             let poll_start = Instant::now();
-            let dead = time_to_alerts(telemetry_addr, &TTD_CLASSES[4..], Duration::from_secs(2));
+            let dead = time_to_alerts(
+                telemetry_addr,
+                &TTD_CLASSES[4..],
+                after,
+                Duration::from_secs(2),
+            );
             ttd_alerts[4] = dead[0];
             poll_spent += poll_start.elapsed();
             match dead[0] {

@@ -339,8 +339,6 @@ pub struct ServiceReport {
     pub shards: usize,
     /// Aggregate cache counters (all shards + coordinator).
     pub stats: CacheStats,
-    /// Per-shard cache counters.
-    pub per_shard: Vec<CacheStats>,
     /// Service-level latency/queue-depth histograms (demand path + daemon).
     pub hists: ServiceHistograms,
     /// Demand reads served.
@@ -1066,7 +1064,6 @@ impl Service {
         ServiceReport {
             shards: self.state.n_shards(),
             stats: self.state.stats(),
-            per_shard: self.state.shard_stats(),
             hists: reg.service_hists(),
             reads: reg.reads.get(),
             writes: reg.writes.get(),

@@ -633,17 +633,6 @@ impl ShardedCache {
         total
     }
 
-    /// Per-shard counters (index = shard id), excluding the coordinator.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        (0..self.n_shards())
-            .map(|s| {
-                let mut stats = *self.lock_shard_telemetry(s).stats();
-                self.view.fold_stats(s, &mut stats);
-                stats
-            })
-            .collect()
-    }
-
     /// The coordinator's own counters (cross-shard Hash-2 work).
     pub fn coordinator_stats(&self) -> CacheStats {
         self.lock_coord().stats

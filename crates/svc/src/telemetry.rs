@@ -28,9 +28,10 @@
 //! update is a plain relaxed load and store into a stripe only the
 //! calling thread writes (past 15 live writer threads, the rest share
 //! one stripe and pay a locked `fetch_add`); a gauge is one relaxed
-//! atomic read-modify-write. Snapshots are pulled by the sampler (or a scrape), which *does* briefly
-//! take the shard mutexes to read the recovery-ladder [`CacheStats`]; that
-//! cost rides on the sampler interval, never on a request.
+//! atomic read-modify-write. Snapshots are pulled by the sampler (or a
+//! scrape) and take no shard or coordinator mutex: the recovery-ladder
+//! counters are the totals of the heatmap grids the recorders tap, so a
+//! shard lock held for long stalls no scrape.
 //!
 //! [`ServiceReport`]: crate::ServiceReport
 
@@ -43,7 +44,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-use sudoku_core::CacheStats;
 use sudoku_obs::json::JsonObject;
 use sudoku_obs::{
     AtomicHist, CorrelationStat, Counter, Gauge, Heatmaps, Histogram, ServiceHistograms,
@@ -487,15 +487,25 @@ impl TelemetryRegistry {
 
 /// The spatial reliability plane folded into a snapshot: the heatmap's
 /// combined observed-repair grid, the DUE grid, and the per-cell achieved
-/// scrub-interval gauge, all row-major `shard × region`. (The full
-/// nine-grid bundle stays on `/heatmap.json`; snapshots carry the three
-/// a dashboard panels on.)
+/// scrub-interval gauge, all row-major `shard × region`, plus the totals
+/// of the repair-tier grids, which are the live recovery-ladder counters.
+/// (The full nine-grid bundle stays on `/heatmap.json`; snapshots carry
+/// the three a dashboard panels on.)
 #[derive(Clone, Debug)]
 pub struct HeatmapSnapshot {
     /// Shard rows in each grid.
     pub n_shards: usize,
     /// Region columns in each grid.
     pub n_regions: usize,
+    /// ECC-1 grid total: single-bit payload fixes plus ECC-field
+    /// regenerations.
+    pub ecc1_repairs: u64,
+    /// RAID-4 grid total.
+    pub raid4_repairs: u64,
+    /// SDR grid total.
+    pub sdr_repairs: u64,
+    /// Hash-2 grid total (a subset of the RAID-4 and SDR repairs).
+    pub hash2_repairs: u64,
     /// Observed repair events per cell (ECC-1 + RAID-4 + SDR + DUE).
     pub observed: Vec<u64>,
     /// Uncorrectable lines per cell.
@@ -505,11 +515,16 @@ pub struct HeatmapSnapshot {
 }
 
 impl HeatmapSnapshot {
-    /// Captures the three dashboard grids from the live heatmaps.
+    /// Captures the three dashboard grids and the ladder totals from the
+    /// live heatmaps.
     pub fn capture(maps: &Heatmaps) -> HeatmapSnapshot {
         HeatmapSnapshot {
             n_shards: maps.geometry().n_shards(),
             n_regions: maps.geometry().n_regions(),
+            ecc1_repairs: maps.ecc1.total(),
+            raid4_repairs: maps.raid4.total(),
+            sdr_repairs: maps.sdr.total(),
+            hash2_repairs: maps.hash2.total(),
             observed: maps.observed_cells(),
             due: maps.due.snapshot(),
             staleness: maps.staleness.snapshot(),
@@ -585,7 +600,8 @@ pub(crate) enum Read {
     Reg(fn(&TelemetryRegistry) -> u64),
     /// A registry histogram, copied at capture.
     RegHist(fn(&TelemetryRegistry) -> &AtomicHist),
-    /// The rest of the snapshot (shard health, ladder counters, quantiles).
+    /// The rest of the snapshot (shard health, degraded counters,
+    /// quantiles).
     Snap(fn(&TelemetrySnapshot) -> Value),
     /// The audit section.
     Audit(fn(&AuditSnapshot) -> Value),
@@ -598,8 +614,8 @@ pub(crate) enum Read {
 #[derive(Clone, Copy, Debug)]
 struct Metric {
     /// JSON key in the row's object; `None` for Prometheus-only rows (the
-    /// ladder and degraded rows sit in the nested `stats` / `degraded`
-    /// objects instead, the spatial gauges in the `spatial` verdict).
+    /// degraded rows sit in the nested `degraded` object instead, the
+    /// spatial gauges in the `spatial` verdict).
     json: Option<&'static str>,
     /// Prometheus family; `None` for JSON-only rows.
     prom: Option<&'static str>,
@@ -724,26 +740,19 @@ const METRICS: &[Metric] = &[
         "Wire requests shed with RETRY", Read::Reg(|r| r.net_sheds.get())),
     counter(Some("net_malformed"), Some("sudoku_net_malformed_total"),
         "Malformed wire frames", Read::Reg(|r| r.net_malformed.get())),
-    // Recovery ladder (CacheStats).
-    counter(None, Some("sudoku_ecc1_repairs_total"),
-        "ECC-1 single-bit fixes", Read::Snap(|s| Value::U64(s.stats.ecc1_repairs))),
-    counter(None, Some("sudoku_meta_repairs_total"),
-        "ECC-metadata regenerations", Read::Snap(|s| Value::U64(s.stats.meta_repairs))),
-    counter(None, Some("sudoku_multibit_detections_total"),
-        "Lines flagged multibit by CRC", Read::Snap(|s| Value::U64(s.stats.multibit_detections))),
-    counter(None, Some("sudoku_raid4_repairs_total"),
-        "RAID-4 reconstructions", Read::Snap(|s| Value::U64(s.stats.raid4_repairs))),
-    counter(None, Some("sudoku_sdr_repairs_total"),
-        "SDR resurrections", Read::Snap(|s| Value::U64(s.stats.sdr_repairs))),
-    counter(None, Some("sudoku_sdr_trials_total"),
-        "SDR flip-and-check trials", Read::Snap(|s| Value::U64(s.stats.sdr_trials))),
-    counter(None, Some("sudoku_hash2_repairs_total"),
+    // Recovery ladder: the totals of the heatmap's repair-tier grids.
+    counter(Some("ecc1_repairs"), Some("sudoku_ecc1_repairs_total"),
+        "ECC-1 repairs: single-bit payload fixes plus ECC-field regenerations",
+        Read::Heatmap(|h| Value::U64(h.ecc1_repairs))),
+    counter(Some("raid4_repairs"), Some("sudoku_raid4_repairs_total"),
+        "RAID-4 reconstructions", Read::Heatmap(|h| Value::U64(h.raid4_repairs))),
+    counter(Some("sdr_repairs"), Some("sudoku_sdr_repairs_total"),
+        "SDR resurrections", Read::Heatmap(|h| Value::U64(h.sdr_repairs))),
+    counter(Some("hash2_repairs"), Some("sudoku_hash2_repairs_total"),
         "Repairs only the Hash-2 dimension delivered",
-        Read::Snap(|s| Value::U64(s.stats.hash2_repairs))),
-    counter(None, Some("sudoku_due_lines_total"),
-        "Lines left uncorrectable", Read::Snap(|s| Value::U64(s.stats.due_lines))),
-    counter(None, Some("sudoku_group_scans_total"),
-        "Whole-group recovery reads", Read::Snap(|s| Value::U64(s.stats.group_scans))),
+        Read::Heatmap(|h| Value::U64(h.hash2_repairs))),
+    counter(Some("due_lines"), Some("sudoku_due_lines_total"),
+        "Lines left uncorrectable", Read::Heatmap(|h| Value::U64(h.due.iter().sum()))),
     // Degraded mode.
     counter(None, Some("sudoku_skipped_h2_escalations_total"),
         "H2 escalations refused (shard down)",
@@ -932,10 +941,10 @@ fn prometheus_family(out: &mut String, name: &str, row: &Metric, value: Value) {
     };
 }
 
-/// One coherent picture of the whole service at a sampling instant: the
-/// registry's lock-free metrics, the recovery-ladder and degraded
-/// counters pulled (briefly, under the shard mutexes) from the engine,
-/// and the audit plane's view.
+/// One picture of the whole service at a sampling instant: the
+/// registry's lock-free metrics, the degraded counters, the heatmap grids
+/// (whose totals are the recovery-ladder counters) and the audit plane's
+/// view. Nothing in it is read under a shard or coordinator mutex.
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
     /// Monotone snapshot sequence number (per sampler/scraper).
@@ -952,9 +961,6 @@ pub struct TelemetrySnapshot {
     pub queue_depths: Vec<u64>,
     /// Per-shard spare-pool occupancy (lines remapped).
     pub spare_occupancy: Vec<u64>,
-    /// Recovery-ladder counters (ECC-1 fixes, SDR trials, RAID-4/H2
-    /// reconstructions, DUEs, group scans) summed over shards+coordinator.
-    pub stats: CacheStats,
     /// Degraded-mode counters (sparing, stuck physics, skipped H2, …).
     pub degraded: DegradedStats,
     /// One value per [`METRICS`] row: the registry copy for the rows that
@@ -976,10 +982,12 @@ fn unix_ms_now() -> u64 {
 }
 
 impl TelemetrySnapshot {
-    /// Captures the system state: lock-free reads of the registry, a
-    /// brief pass under the shard mutexes for [`CacheStats`] and
-    /// [`DegradedStats`] (poison-tolerant — quarantined shards are still
-    /// read), and the audit plane's deadline/burn/alert view.
+    /// Captures the system state without a shard or coordinator mutex.
+    /// The registry, shard health and the heatmap grids are atomics; the
+    /// audit plane's deadline/burn/alert view is copied out of its own
+    /// locks; spare occupancy and [`DegradedStats`] take the per-shard
+    /// spare-pool locks, which every holder takes last and keeps for a
+    /// few table operations.
     pub fn capture(
         seq: u64,
         state: &ShardedCache,
@@ -994,7 +1002,6 @@ impl TelemetrySnapshot {
             daemon_dead: reg.daemon_dead.get() != 0,
             queue_depths: reg.queue_depths(),
             spare_occupancy: state.spare_occupancy(),
-            stats: state.stats(),
             degraded: state.degraded_stats(),
             registry: METRICS
                 .iter()
@@ -1055,8 +1062,7 @@ impl TelemetrySnapshot {
             Read::Audit(_) | Read::Heatmap(_) => None,
             _ => Some(self.value(i)),
         });
-        obj.field_raw("stats", &self.stats.to_json())
-            .field_raw("degraded", &self.degraded.to_json())
+        obj.field_raw("degraded", &self.degraded.to_json())
             .field_raw("recent_traces", &format!("[{}]", traces.join(",")))
             .field_raw("audit", &self.audit.to_json())
             .field_raw("heatmap", &self.heatmap.to_json());

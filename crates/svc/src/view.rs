@@ -518,38 +518,62 @@ mod tests {
         // The writer marks every other pair of publishes, so both values
         // are read marked and unmarked. Unmarked, the CRC would catch a
         // mash of the two; marked, only the seqlock stands between a torn
-        // snapshot and a wrong-data panic here.
-        let view = std::sync::Arc::new(LineView::new(4, 1));
-        let a = encoded(&[1, 64, 300]);
-        let b = encoded(&[2, 65, 301]);
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // snapshot and a wrong-data read here. The run lasts until the
+        // readers have summed `MIN_RETRIES` seqlock retries, under a time
+        // cap. Only the retries of reads that went on to serve a snapshot
+        // count: such a read overlapped a publish that then finished, so
+        // the writer ran beside it. A writer parked mid-publish makes every
+        // read spend all its retries and miss, and those prove nothing.
+        // The writer pauses between publishes so that a read that meets
+        // one can finish before the next.
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        const MIN_RETRIES: u64 = 100_000;
+        const CAP: Duration = Duration::from_secs(10);
+        let view = LineView::new(4, 1);
+        // The two values differ in every word, so any mix of words from
+        // two publishes is neither.
+        let a = encoded(&(0..8).map(|w| 64 * w + 1).collect::<Vec<_>>());
+        let b = encoded(&(0..8).map(|w| 64 * w + 2).collect::<Vec<_>>());
+        let (stop, torn) = (AtomicBool::new(false), AtomicBool::new(false));
+        let retries = AtomicU64::new(0);
         std::thread::scope(|s| {
-            {
-                let view = std::sync::Arc::clone(&view);
-                let stop = std::sync::Arc::clone(&stop);
-                let (a, b) = (a, b);
-                s.spawn(move || {
-                    for i in 0..200_000u64 {
-                        view.publish(0, if i & 1 == 0 { &a } else { &b }, i & 2 != 0);
+            s.spawn(|| {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    view.publish(0, if i & 1 == 0 { &a } else { &b }, i & 2 != 0);
+                    i += 1;
+                    for _ in 0..64 {
+                        std::hint::spin_loop();
                     }
-                    stop.store(true, Ordering::Relaxed);
-                });
-            }
+                }
+            });
             for _ in 0..3 {
-                let view = std::sync::Arc::clone(&view);
-                let stop = std::sync::Arc::clone(&stop);
-                let (a, b) = (a, b);
-                s.spawn(move || {
-                    let mut hits = 0u64;
+                s.spawn(|| {
                     while !stop.load(Ordering::Relaxed) {
-                        if let (ViewRead::Clean(data), _) = view.try_read(0, 0) {
-                            assert!(data == a.data || data == b.data, "torn read escaped");
-                            hits += 1;
+                        let (read, r) = view.try_read(0, 0);
+                        let ViewRead::Clean(data) = read else {
+                            continue;
+                        };
+                        if data != a.data && data != b.data {
+                            torn.store(true, Ordering::Relaxed);
+                            stop.store(true, Ordering::Relaxed);
+                        }
+                        if r > 0 {
+                            retries.fetch_add(u64::from(r), Ordering::Relaxed);
                         }
                     }
-                    hits
                 });
             }
+            let start = Instant::now();
+            while retries.load(Ordering::Relaxed) < MIN_RETRIES
+                && start.elapsed() < CAP
+                && !stop.load(Ordering::Relaxed)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            stop.store(true, Ordering::Relaxed);
         });
+        assert!(!torn.load(Ordering::Relaxed), "torn read escaped");
     }
 }

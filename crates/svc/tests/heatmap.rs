@@ -125,6 +125,57 @@ fn grid_totals_equal_cache_counters_after_mixed_run() {
     assert!(json.contains("\"observed\":["), "{json}");
 }
 
+/// The live plane reads the ladder off the grids, the shutdown harvest
+/// off the quiesced engine's counters: the sampler's final, post-drain
+/// snapshot (the last flight-recorder entry) must carry exactly the
+/// harvest's values, ECC-1 being payload fixes plus ECC-field
+/// regenerations.
+#[test]
+fn final_snapshot_ladder_equals_harvest() {
+    let service = heatmap_service(2048, 1e-3, 53);
+    let recorder = service.flight_recorder().expect("recorder is on").clone();
+    let handle = service.handle();
+    for line in 0..512u64 {
+        handle.write(line, &data_with(3 * line as usize)).unwrap();
+    }
+    for _ in 0..3 {
+        for line in 0..512u64 {
+            let _ = handle.read(line);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let report = service.shutdown();
+    let last = recorder.latest().expect("final snapshot recorded");
+    let (live, stats) = (&last.heatmap, &report.stats);
+    let due: u64 = live.due.iter().sum();
+    assert_eq!(
+        [
+            live.ecc1_repairs,
+            live.raid4_repairs,
+            live.sdr_repairs,
+            live.hash2_repairs,
+            due
+        ],
+        [
+            stats.ecc1_repairs + stats.meta_repairs,
+            stats.raid4_repairs,
+            stats.sdr_repairs,
+            stats.hash2_repairs,
+            stats.due_lines
+        ],
+        "live ladder vs harvest"
+    );
+    let prom = last.to_prometheus();
+    for (family, value) in [
+        ("sudoku_ecc1_repairs_total", live.ecc1_repairs),
+        ("sudoku_raid4_repairs_total", stats.raid4_repairs),
+        ("sudoku_due_lines_total", stats.due_lines),
+    ] {
+        assert!(prom.contains(&format!("\n{family} {value}\n")), "{prom}");
+    }
+    assert!(stats.raid4_repairs + stats.sdr_repairs > 0, "{stats:?}");
+}
+
 /// A seeded burst confined to one region must raise `spatial_correlation`
 /// within an operator-visible budget; the very same flip count spread
 /// i.i.d. over the whole line space must not. Equal totals make the
