@@ -32,7 +32,10 @@
 //!   `deadline_miss`, `tick_lag_breach`, and `scrub_floor_breach`
 //!   alerts; after the daemon panic it polls for `daemon_dead`. Only an
 //!   alert raised after its injection counts: one whose `seq` exceeds the
-//!   highest `/alerts.json` listed just before it.
+//!   highest `/alerts.json` listed just before it. A `tick_lag_breach`
+//!   counts only with a lag of at least half the stall, so a saturation
+//!   lag raised just after the stall began is not taken for the stall's
+//!   own (see [`min_alert_value`]).
 //!   Per-class time-to-detection is recorded as `ttd_alert_ms` in
 //!   `BENCH_chaos.json`, and **every class must fire within its own
 //!   documented budget** (see [`alert_budget_ms`]; exit 6 otherwise).
@@ -135,6 +138,35 @@ fn alert_budget_ms(class: &str, stall_ms: u64) -> u64 {
         "daemon_dead" => 50,
         other => unreachable!("no TTD budget defined for alert class {other}"),
     }
+}
+
+/// The least `value` an alert of `class` must carry to count as the
+/// injected fault's own alert, or `None` when the first alert of the
+/// class counts. A `tick_lag_breach` carries the tick lag in ns, and the
+/// stall's own breach lags by about the whole stall. Under saturation a
+/// millisecond-scale lag can breach the 2 ms budget just after the stall
+/// begins; timing that one would time the wrong alert, so only a lag of
+/// at least half the stall counts.
+fn min_alert_value(class: &str, stall_ms: u64) -> Option<f64> {
+    match class {
+        "tick_lag_breach" => Some(stall_ms as f64 * 1e6 / 2.0),
+        _ => None,
+    }
+}
+
+/// Whether the `/alerts.json` `body` lists an alert of `class` whose
+/// `value` is at least `min_value` (any alert of the class when `None`).
+fn lists_alert(body: &str, class: &str, min_value: Option<f64>) -> bool {
+    let tag = format!("\"class\":\"{class}\"");
+    body.split("{\"seq\":").skip(1).any(|alert| {
+        alert.contains(&tag)
+            && min_value.is_none_or(|min| {
+                alert
+                    .split_once("\"value\":")
+                    .and_then(|(_, rest)| rest.split([',', '}']).next()?.parse::<f64>().ok())
+                    .is_some_and(|value| value >= min)
+            })
+    })
 }
 
 struct Opts {
@@ -347,12 +379,13 @@ fn last_alert_seq(addr: SocketAddr) -> u64 {
 
 /// Polls `GET /alerts.json?after=<after>` until every named alert class
 /// has appeared among the alerts whose `seq` exceeds `after` (or the
-/// deadline passes), recording each class's first-seen latency. An alert
-/// raised before the injection (`seq <= after`) never counts. Undetected
-/// classes stay `None`.
+/// deadline passes), recording each class's first-seen latency. Each
+/// class comes with the least alert `value` that counts
+/// ([`min_alert_value`]). An alert raised before the injection
+/// (`seq <= after`) never counts. Undetected classes stay `None`.
 fn time_to_alerts(
     addr: SocketAddr,
-    classes: &[&str],
+    classes: &[(&str, Option<f64>)],
     after: u64,
     deadline: Duration,
 ) -> Vec<Option<Duration>> {
@@ -362,8 +395,8 @@ fn time_to_alerts(
     while start.elapsed() < deadline && seen.iter().any(Option::is_none) {
         if let Some((status, body)) = http_get(addr, &path) {
             if status == 200 {
-                for (slot, class) in seen.iter_mut().zip(classes) {
-                    if slot.is_none() && body.contains(&format!("\"class\":\"{class}\"")) {
+                for (slot, &(class, min_value)) in seen.iter_mut().zip(classes) {
+                    if slot.is_none() && lists_alert(&body, class, min_value) {
                         *slot = Some(start.elapsed());
                     }
                 }
@@ -663,7 +696,11 @@ fn main() {
             // misses (the floor itself proved insufficient).
             let deadline = Duration::from_millis(opts.stall_ms) + Duration::from_secs(2);
             let poll_start = Instant::now();
-            let stall_ttds = time_to_alerts(telemetry_addr, &TTD_CLASSES[..4], after, deadline);
+            let classes: Vec<(&str, Option<f64>)> = TTD_CLASSES[..4]
+                .iter()
+                .map(|&class| (class, min_alert_value(class, opts.stall_ms)))
+                .collect();
+            let stall_ttds = time_to_alerts(telemetry_addr, &classes, after, deadline);
             ttd_alerts[..4].copy_from_slice(&stall_ttds);
             poll_spent += poll_start.elapsed();
             for (class, t) in TTD_CLASSES[..4].iter().zip(&stall_ttds) {
@@ -719,7 +756,7 @@ fn main() {
             let poll_start = Instant::now();
             let dead = time_to_alerts(
                 telemetry_addr,
-                &TTD_CLASSES[4..],
+                &[(TTD_CLASSES[4], None)],
                 after,
                 Duration::from_secs(2),
             );
@@ -1068,6 +1105,45 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_stall_is_timed_by_its_own_tick_lag_breach() {
+        // Two `/alerts.json` bodies polled after a 100 ms stall: first a
+        // 3.1 ms saturation lag raised just after the stall began, then
+        // also the stall's own 103 ms breach.
+        let alert = |seq: u64, class: &str, value: f64| {
+            format!(
+                "{{\"seq\":{seq},\"unix_ms\":{seq},\"class\":\"{class}\",\
+                 \"severity\":\"warning\",\"shard\":null,\"value\":{value},\
+                 \"threshold\":2000000,\"message\":\"daemon tick started late\"}}"
+            )
+        };
+        let body = |alerts: &[String]| {
+            format!(
+                "{{\"total\":{n},\"criticals\":0,\"dropped\":0,\"after\":4,\
+                 \"alerts\":[{}]}}",
+                alerts.join(","),
+                n = 4 + alerts.len()
+            )
+        };
+        let early = vec![
+            alert(5, "daemon_stuck", 12e6),
+            alert(6, "tick_lag_breach", 3.1e6),
+        ];
+        let mut late = early.clone();
+        late.push(alert(7, "tick_lag_breach", 103.2e6));
+        let (early, late) = (body(&early), body(&late));
+        let floor = min_alert_value("tick_lag_breach", 100);
+        assert_eq!(floor, Some(50e6));
+        assert!(!lists_alert(&early, "tick_lag_breach", floor));
+        assert!(lists_alert(&late, "tick_lag_breach", floor));
+        // The other classes count their first alert, whatever its value.
+        let stuck_floor = min_alert_value("daemon_stuck", 100);
+        assert_eq!(stuck_floor, None);
+        assert!(lists_alert(&early, "daemon_stuck", stuck_floor));
+        assert!(lists_alert(&early, "tick_lag_breach", None));
+        assert!(!lists_alert(&late, "deadline_miss", None));
+    }
 
     #[test]
     fn wire_walk_meets_every_shard_in_any_window() {

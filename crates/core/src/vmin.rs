@@ -75,11 +75,6 @@ impl<S: LineStore> VminCache<S> {
         &self.inner
     }
 
-    /// The permanent-fault map (physics, not controller state).
-    pub fn stuck_map(&self) -> &StuckBitMap {
-        &self.stuck
-    }
-
     fn reassert(&mut self, idx: u64) {
         reassert_stuck(&mut self.inner, &self.stuck, idx);
     }

@@ -50,7 +50,6 @@ pub mod degraded;
 mod error;
 mod exporter;
 pub mod loadgen;
-pub mod promtext;
 mod service;
 mod sharded;
 mod slot;
@@ -74,3 +73,6 @@ pub use telemetry::{
     TracePath, TraceRecord,
 };
 pub use watchdog::{ScanObs, Watchdog};
+
+#[cfg(test)]
+mod promtext;

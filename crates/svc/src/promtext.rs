@@ -1,7 +1,8 @@
 //! A minimal Prometheus text-format (version 0.0.4) parser, for
-//! *validating* what the exporter serves — tests and CI scrape
-//! `/metrics` and run it through [`parse`] instead of grepping for
-//! substrings.
+//! *validating* what the exporter serves — tests scrape `/metrics` and
+//! run it through [`parse`] instead of grepping for substrings. Test-only:
+//! it is compiled into the crate's unit tests, and `tests/audit.rs`
+//! includes this file as a module of its own.
 //!
 //! Covers the subset the exporter emits: `# HELP`/`# TYPE` comments,
 //! plain samples, labeled samples, and histogram series

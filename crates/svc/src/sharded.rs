@@ -16,16 +16,23 @@
 //! drives the exact same [`RepairEngine`] the single-threaded cache uses.
 //!
 //! The deterministic whole-cache scrub ([`ShardedCache::scrub_lines`])
-//! replicates the reference fixpoint schedule — alternating a parallel
-//! shard-local Hash-1 pass with a coordinator-sequential Hash-2 pass until
-//! no progress — so recovery outcomes, [`ScrubReport`]s, and `CacheStats`
-//! totals are invariant in the shard count (property-tested for
-//! N ∈ {1, 2, 4, 8}).
+//! and the recovery of last resort ([`ShardedCache::escalate`]) share one
+//! cross-shard recovery routine. It runs on the caller's thread with every
+//! live shard locked and replicates the reference fixpoint schedule: each
+//! shard's Hash-1 pass, one shard after another, then the coordinator's
+//! Hash-2 pass, until a round makes no progress. Shards' states are
+//! disjoint and Hash-1 groups are shard-local, so recovery outcomes,
+//! [`ScrubReport`]s, and `CacheStats` totals are invariant in the shard
+//! count (property-tested for N ∈ {1, 2, 4, 8}). The two entry points
+//! differ only in how they seed each shard's faulty set: a scrub scans its
+//! hints, an escalation re-checks lines already seen failing.
 //!
-//! The scrub daemon's shard-local pass ([`ShardedCache::scrub_shard_local`])
-//! checks clean lines off the view without the shard lock and locks only
-//! for the lines that need the ladder: dirty or torn slots, and the
-//! lines it was told are faulty.
+//! The scrub daemon never takes the whole-cache path. Each tick
+//! (`daemon_tick` in the service) runs the shard-local sweep, which checks
+//! clean lines off the view without the shard lock and locks only for the
+//! lines that need the ladder (dirty or torn slots, and the lines the tick
+//! just faulted), then hands what the shard could not resolve to
+//! [`ShardedCache::escalate`].
 //!
 //! # Degraded mode
 //!
@@ -100,16 +107,17 @@ struct ShardExtra {
 /// Per-call recovery state of one shard during a scrub or escalation.
 #[derive(Default)]
 struct ScrubState {
-    hints: Vec<u64>,
+    /// The caller's lines this shard owns, until they seed `faulty`.
+    lines: Vec<u64>,
     faulty: Casualties,
     recovered: Recovered,
     report: ScrubReport,
 }
 
-/// One shard's cache plus its in-flight recovery state, borrowed out of
-/// the shard mutexes for the duration of a scrub.
+/// One locked shard plus its in-flight recovery state, for the duration
+/// of a scrub or escalation.
 struct Working<'a> {
-    cache: &'a mut ShardCache,
+    cache: MutexGuard<'a, ShardCache>,
     st: ScrubState,
 }
 
@@ -349,12 +357,6 @@ impl ShardedCache {
         &self.health
     }
 
-    /// The permanent-fault map the array was built with (physics, not
-    /// controller state).
-    pub fn stuck_map(&self) -> &StuckBitMap {
-        &self.stuck
-    }
-
     /// Counts one fail-fast rejection of a request to a quarantined shard.
     pub(crate) fn note_reject(&self) {
         self.rejects.fetch_add(1, Ordering::Relaxed);
@@ -446,20 +448,6 @@ impl ShardedCache {
         }
     }
 
-    /// The Hash-2 groups of every shard's faulty lines, ascending.
-    fn h2_groups(&self, work: &[Option<Working<'_>>]) -> Vec<u64> {
-        let hashes = self.plan.hashes();
-        let mut groups: Vec<u64> = work
-            .iter()
-            .flatten()
-            .flat_map(|w| w.st.faulty.lines())
-            .map(|l| hashes.group_of(HashDim::H2, l))
-            .collect();
-        groups.sort_unstable();
-        groups.dedup();
-        groups
-    }
-
     /// Marks a write for `line` as accepted-but-not-applied: lock-free
     /// reads of the line miss until [`ShardedCache::retire_write`]
     /// balances this call, so a queued fire-and-forget write stays
@@ -530,7 +518,11 @@ impl ShardedCache {
     /// (a DUE), [`ServiceError::ShardDown`] when the owning shard is
     /// quarantined.
     pub fn read(&self, line: u64) -> Result<LineData, ServiceError> {
-        match self.read_local(line) {
+        let shard = self.plan.shard_of_line(line);
+        // The session drops with this statement: escalation locks every
+        // shard, this one included.
+        let local = self.session(shard)?.read(line);
+        match local {
             Err(ServiceError::Uncorrectable(_)) => {
                 // The owner gave up after Hash-1; gather the Hash-2 groups.
                 self.escalate_fetch(line)
@@ -546,22 +538,6 @@ impl ShardedCache {
         self.escalate_inner(&[line], Some(line))
             .1
             .expect("fetch result requested")
-    }
-
-    /// Reads `line` using only the owning shard's (Hash-1) ladder, without
-    /// cross-shard escalation. The service's demand path uses this to count
-    /// escalations explicitly; most callers want [`ShardedCache::read`].
-    /// A spared line is served from the spare pool without touching the
-    /// faulty array at all.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Uncorrectable`] when the shard-local ladder fails
-    /// (or the line was spared after its data was already lost), and
-    /// [`ServiceError::ShardDown`] when the owning shard is quarantined.
-    pub fn read_local(&self, line: u64) -> Result<LineData, ServiceError> {
-        let shard = self.plan.shard_of_line(line);
-        self.session(shard)?.read(line)
     }
 
     /// Flips one stored bit of `line` — a transient fault. Works on
@@ -684,56 +660,22 @@ impl ShardedCache {
 
     /// Deterministic whole-service scrub of the listed lines (plus
     /// whatever group recovery pulls in), replicating the single-threaded
-    /// [`SudokuCache::scrub_lines`] schedule exactly: scan, then alternate
-    /// a parallel shard-local Hash-1 pass with a coordinator-sequential
-    /// cross-shard Hash-2 pass until a fixpoint. Holds every shard lock
-    /// for the duration — the stop-the-world reference path. Quarantined
-    /// shards are skipped; their hinted lines come back unresolved.
+    /// [`SudokuCache::scrub_lines`] schedule exactly: scan the hints, then
+    /// run the cross-shard recovery fixpoint on the caller's thread. Holds
+    /// every shard lock for the duration — the stop-the-world reference
+    /// path. Everything after the scan is [`ShardedCache::escalate`]'s
+    /// path: spared lines are skipped, unresolved lines accumulate sparing
+    /// strikes, and quarantined shards' hinted lines come back unresolved.
     pub fn scrub_lines(&self, hints: &[u64]) -> ScrubReport {
-        let mut guards = self.lock_up_shards();
-        let all_up = guards.iter().all(Option::is_some);
-        let mut work = Self::borrow_working(&mut guards);
-        let mut down_report = ScrubReport::default();
-        for &line in hints {
-            match work[self.plan.shard_of_line(line)].as_mut() {
-                Some(w) => w.st.hints.push(line),
-                None => down_report.unresolved.push(line),
-            }
-        }
-        // Scan phase: per-line checks are line-local, so shards scan their
-        // own hinted lines concurrently.
-        std::thread::scope(|s| {
-            for w in work.iter_mut().flatten() {
-                s.spawn(move || {
-                    w.cache.scrub_scan(
-                        w.st.hints.drain(..),
-                        true,
-                        &mut w.st.report,
-                        &mut w.st.faulty,
-                    );
-                });
-            }
-        });
-        let coord_report = self.fixpoint(&mut work, all_up);
+        let (mut work, down) = self.lock_and_route(hints);
+        // Seed by scanning: the hinted lines found multi-bit are the
+        // faulty sets.
         for w in work.iter_mut().flatten() {
-            w.st.report.unresolved = w.st.faulty.lines().collect();
-            let mut report = std::mem::take(&mut w.st.report);
-            w.cache.finish_scrub(&mut report);
-            w.st.report = report;
+            let st = &mut w.st;
+            w.cache
+                .scrub_scan(st.lines.drain(..), true, &mut st.report, &mut st.faulty);
         }
-        // Physics: stuck cells re-corrupt whatever the scrub wrote back.
-        for (shard, w) in work.iter_mut().enumerate() {
-            if let Some(w) = w {
-                self.reassert_shard(w.cache, shard);
-            }
-        }
-        self.finish_down_lines(&mut down_report);
-        merge_reports(
-            work.iter()
-                .flatten()
-                .map(|w| &w.st.report)
-                .chain([&coord_report, &down_report]),
-        )
+        self.recover(work, down, None).0
     }
 
     /// Scrubs every line of the cache. Equivalent to
@@ -860,7 +802,10 @@ impl ShardedCache {
     /// come back as honest DUEs instead of wrong data; lines owned by dead
     /// shards are unresolved immediately. Unresolved lines accumulate
     /// sparing strikes — repeatedly-DUE lines get remapped to the spare
-    /// pool and stop consuming escalations.
+    /// pool and stop consuming escalations; spared lines are skipped. Runs
+    /// on the caller's thread, on the recovery path of
+    /// [`ShardedCache::scrub_lines`], seeded by re-checking `lines`
+    /// instead of scanning them.
     pub fn escalate(&self, lines: &[u64]) -> ScrubReport {
         self.escalate_inner(lines, None).0
     }
@@ -870,31 +815,73 @@ impl ShardedCache {
         lines: &[u64],
         fetch: Option<u64>,
     ) -> (ScrubReport, Option<Result<LineData, ServiceError>>) {
-        let mut guards = self.lock_up_shards();
-        let all_up = guards.iter().all(Option::is_some);
-        let mut work = Self::borrow_working(&mut guards);
-        let mut down_report = ScrubReport::default();
+        let (mut work, down) = self.lock_and_route(lines);
+        // Seed by re-checking: the lines may have been healed (or cleanly
+        // overwritten) since the caller saw them fail; keep only the
+        // still-multibit ones. Nothing is recovered yet, so this checks
+        // (and classifies) every seed.
+        for w in work.iter_mut().flatten() {
+            for line in w.st.lines.drain(..) {
+                w.st.faulty.insert_seed(line);
+            }
+            w.cache.retain_multibit(&mut w.st.faulty, &w.st.recovered);
+        }
+        self.recover(work, down, fetch)
+    }
+
+    /// The head of cross-shard recovery: locks every *up* shard in
+    /// ascending index order (the global lock order, followed by the
+    /// coordinator — see [`ShardedCache`]) and hands each the `lines` it
+    /// owns. A quarantined or poison-locked shard yields `None` (and is
+    /// quarantined if it was not already); its lines go to the returned
+    /// report, to be charged as DUEs. A spared line is already remapped
+    /// out of the array — reads hit the pool — so it is dropped.
+    fn lock_and_route(&self, lines: &[u64]) -> (Vec<Option<Working<'_>>>, ScrubReport) {
+        let mut work: Vec<Option<Working<'_>>> = (0..self.n_shards())
+            .map(|s| {
+                if !self.health.is_up(s) {
+                    return None;
+                }
+                match self.shards[s].lock() {
+                    Ok(cache) => Some(Working {
+                        cache,
+                        st: ScrubState::default(),
+                    }),
+                    Err(_) => {
+                        self.health.quarantine(s);
+                        None
+                    }
+                }
+            })
+            .collect();
+        let mut down = ScrubReport::default();
         for &line in lines {
             let shard = self.plan.shard_of_line(line);
             match work[shard].as_mut() {
-                // A spared line is already remapped out of the array;
-                // reads hit the pool, so there is nothing to escalate.
-                Some(w) if !self.view.is_spared(line) => {
-                    w.st.faulty.insert_seed(line);
-                }
+                Some(w) if !self.view.is_spared(line) => w.st.lines.push(line),
                 Some(_) => debug_assert!(
                     self.lock_extra(shard).spares.is_spared(line),
                     "line {line} is marked spared in the view only"
                 ),
-                None => down_report.unresolved.push(line),
+                None => down.unresolved.push(line),
             }
         }
-        // Seeds may have been healed (or cleanly overwritten) since the
-        // caller saw them fail; keep only the still-multibit ones. Nothing
-        // is recovered yet, so this checks (and classifies) every seed.
-        for w in work.iter_mut().flatten() {
-            w.cache.retain_multibit(&mut w.st.faulty, &w.st.recovered);
-        }
+        (work, down)
+    }
+
+    /// The tail of cross-shard recovery, over the faulty sets the caller
+    /// seeded: the Hash-1/Hash-2 fixpoint (a skipped Hash-2 pass is
+    /// counted), each shard's DUE accounting, the demand read of `fetch`,
+    /// the strikes for reconstructions the stuck cells undo and for every
+    /// unresolved line, the stuck-cell reassert, the DUEs of dead shards'
+    /// lines, and the merged report.
+    fn recover(
+        &self,
+        mut work: Vec<Option<Working<'_>>>,
+        mut down: ScrubReport,
+        fetch: Option<u64>,
+    ) -> (ScrubReport, Option<Result<LineData, ServiceError>>) {
+        let all_up = work.iter().all(Option::is_some);
         let had_faulty = work.iter().flatten().any(|w| !w.st.faulty.is_empty());
         let coord_report = self.fixpoint(&mut work, all_up);
         if !all_up && had_faulty && self.config.scheme.second_hash_enabled() {
@@ -902,9 +889,7 @@ impl ShardedCache {
         }
         for w in work.iter_mut().flatten() {
             w.st.report.unresolved = w.st.faulty.lines().collect();
-            let mut report = std::mem::take(&mut w.st.report);
-            w.cache.finish_scrub(&mut report);
-            w.st.report = report;
+            w.cache.finish_scrub(&mut w.st.report);
         }
         // Capture the demand read's value now: the store holds whatever the
         // escalation repaired, and the stuck-cell reassert below is about
@@ -930,7 +915,7 @@ impl ShardedCache {
         for (shard, w) in work.iter_mut().enumerate() {
             if let Some(w) = w {
                 self.note_undone_reconstructions(shard, &w.st.recovered);
-                self.reassert_shard(w.cache, shard);
+                self.reassert_shard(&mut w.cache, shard);
                 if !w.st.report.unresolved.is_empty() {
                     let mut extra = self.lock_extra(shard);
                     for &line in &w.st.report.unresolved {
@@ -942,12 +927,22 @@ impl ShardedCache {
                 }
             }
         }
-        self.finish_down_lines(&mut down_report);
+        // Dead shards' lines: their own counters are unreachable, so the
+        // coordinator's DUE counter carries the loss, and the heatmap is
+        // charged directly (no recorder sees these DUEs).
+        down.unresolved.sort_unstable();
+        down.unresolved.dedup();
+        if !down.unresolved.is_empty() {
+            self.lock_coord().stats.due_lines += down.unresolved.len() as u64;
+            for &line in &down.unresolved {
+                self.heatmaps.charge_due(line);
+            }
+        }
         let report = merge_reports(
             work.iter()
                 .flatten()
                 .map(|w| &w.st.report)
-                .chain([&coord_report, &down_report]),
+                .chain([&coord_report, &down]),
         );
         (report, fetched)
     }
@@ -973,66 +968,14 @@ impl ShardedCache {
         }
     }
 
-    /// Sorts/dedups the lines owned by dead shards and charges them to the
-    /// coordinator's DUE counter (their own shard's counters are
-    /// unreachable, but the loss must still be visible in `stats()`).
-    fn finish_down_lines(&self, down_report: &mut ScrubReport) {
-        if down_report.unresolved.is_empty() {
-            return;
-        }
-        down_report.unresolved.sort_unstable();
-        down_report.unresolved.dedup();
-        self.lock_coord().stats.due_lines += down_report.unresolved.len() as u64;
-        // These DUEs bypass every recorder (the owning shard is dead), so
-        // the heatmap is charged directly to keep grid == counter exact.
-        for &line in &down_report.unresolved {
-            self.heatmaps.charge_due(line);
-        }
-    }
-
-    /// Acquires every *up* shard's lock in ascending index order (the
-    /// global lock order, followed by the coordinator — see
-    /// [`ShardedCache`]). A quarantined or poison-locked shard yields
-    /// `None` (and is quarantined if it was not already).
-    fn lock_up_shards(&self) -> Vec<Option<MutexGuard<'_, ShardCache>>> {
-        (0..self.n_shards())
-            .map(|s| {
-                if !self.health.is_up(s) {
-                    return None;
-                }
-                match self.shards[s].lock() {
-                    Ok(guard) => Some(guard),
-                    Err(_) => {
-                        self.health.quarantine(s);
-                        None
-                    }
-                }
-            })
-            .collect()
-    }
-
-    fn borrow_working<'a, 'g>(
-        guards: &'a mut [Option<MutexGuard<'g, ShardCache>>],
-    ) -> Vec<Option<Working<'a>>> {
-        guards
-            .iter_mut()
-            .map(|g| {
-                g.as_mut().map(|g| Working {
-                    cache: g,
-                    st: ScrubState::default(),
-                })
-            })
-            .collect()
-    }
-
     /// The recovery fixpoint over pre-seeded per-shard faulty sets: each
-    /// round runs the shard-local Hash-1 pass on every shard in parallel,
-    /// then (for schemes with a second hash, when every shard is up) the
-    /// coordinator's sequential Hash-2 pass over gathered cross-shard
-    /// groups, stopping when a round makes no progress — the exact
-    /// schedule of the single-threaded ladder, which is what makes
-    /// recovery shard-count-invariant. Both passes take core's all-zero
-    /// fast path (`fast = true`).
+    /// round runs the shard-local Hash-1 pass on every shard, one after
+    /// another, then (for schemes with a second hash, when every shard is
+    /// up) the coordinator's Hash-2 pass over gathered cross-shard groups,
+    /// stopping when a round makes no progress — the exact schedule of the
+    /// single-threaded ladder, which is what makes recovery
+    /// shard-count-invariant. Both passes take core's all-zero fast path
+    /// (`fast = true`).
     fn fixpoint(&self, work: &mut [Option<Working<'_>>], all_up: bool) -> ScrubReport {
         let mut coord = self.lock_coord();
         let mut coord_report = ScrubReport::default();
@@ -1042,19 +985,16 @@ impl ShardedCache {
             if before == 0 {
                 break;
             }
-            std::thread::scope(|s| {
-                for w in work.iter_mut().flatten() {
-                    s.spawn(move || {
-                        w.cache.recovery_pass(
-                            HashDim::H1,
-                            &mut w.st.faulty,
-                            &mut w.st.recovered,
-                            &mut w.st.report,
-                            true,
-                        );
-                    });
-                }
-            });
+            for w in work.iter_mut().flatten() {
+                let st = &mut w.st;
+                w.cache.recovery_pass(
+                    HashDim::H1,
+                    &mut st.faulty,
+                    &mut st.recovered,
+                    &mut st.report,
+                    true,
+                );
+            }
             if use_h2 && work.iter().flatten().any(|w| !w.st.faulty.is_empty()) {
                 self.h2_pass(&mut coord, work, &mut coord_report);
                 for w in work.iter_mut().flatten() {
@@ -1069,8 +1009,8 @@ impl ShardedCache {
         coord_report
     }
 
-    /// One coordinator Hash-2 pass: repair every implicated cross-shard
-    /// group in ascending group order, gathering members and parity slices
+    /// One coordinator Hash-2 pass: repair the Hash-2 group of every
+    /// faulty line in ascending group order, gathering members and parity slices
     /// from the owning shards. Only called with every shard up.
     fn h2_pass(
         &self,
@@ -1079,7 +1019,15 @@ impl ShardedCache {
         report: &mut ScrubReport,
     ) {
         let hashes = self.plan.hashes();
-        for group in self.h2_groups(work) {
+        let mut groups: Vec<u64> = work
+            .iter()
+            .flatten()
+            .flat_map(|w| w.st.faulty.lines())
+            .map(|l| hashes.group_of(HashDim::H2, l))
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
+        for group in groups {
             let members: Vec<u64> = hashes.members(HashDim::H2, group).collect();
             let mut parity = ProtectedLine::zero();
             for w in work.iter().flatten() {
@@ -1137,13 +1085,17 @@ impl ShardSession<'_> {
         owner.reassert_line(&mut self.cache, line);
     }
 
-    /// Reads `line` through the shard-local (Hash-1) ladder, exactly like
-    /// [`ShardedCache::read_local`].
+    /// Reads `line` (which must be owned by this shard) through the
+    /// shard-local (Hash-1) ladder, without cross-shard escalation. A
+    /// spared line is served from the spare pool without touching the
+    /// faulty array at all.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Uncorrectable`] when the local ladder fails (the
-    /// caller escalates — after dropping this session).
+    /// [`ServiceError::Uncorrectable`] when the local ladder fails, or the
+    /// line was spared after its data was already lost (the caller
+    /// escalates, after dropping this session, as [`ShardedCache::read`]
+    /// does).
     pub fn read(&mut self, line: u64) -> Result<LineData, ServiceError> {
         let owner = self.owner;
         if let Some(spared) = owner.spared_lookup(self.shard, line) {
@@ -1608,6 +1560,89 @@ mod tests {
         // Spared reads keep returning the right data from the pool.
         assert_eq!(cache.read(4).unwrap(), data_with(&[4]));
         assert!(cache.degraded_stats().spare_reads >= 1);
+    }
+
+    #[test]
+    fn scrub_skips_a_spared_hint_as_escalation_does() {
+        // The pair of `repeated_due_line_is_spared_and_recovers_on_rewrite`:
+        // two failed reads spare line 0 with its data lost. Its array copy
+        // is still multi-bit, but it is dead to readers: neither a scrub
+        // nor an escalation scans it or charges it another DUE.
+        let mut stuck = StuckBitMap::new();
+        for bit in [10u16, 20, 30, 40] {
+            stuck.insert(0, bit, true);
+            stuck.insert(1, bit, true);
+        }
+        let cache = ShardedCache::with_faults(
+            SudokuConfig::small(Scheme::X, 64, 16),
+            2,
+            stuck,
+            DegradedConfig {
+                spare_cap_per_shard: 4,
+                strike_threshold: 2,
+            },
+        )
+        .unwrap();
+        for line in 0..64u64 {
+            cache
+                .write(line, &data_with(&[line as usize % 512]))
+                .unwrap();
+        }
+        for _ in 0..2 {
+            assert!(cache.read(0).is_err());
+        }
+        assert!(cache.view.is_spared(0));
+        let (dues, due_grid) = (cache.stats().due_lines, cache.heatmaps().due.total());
+        let scrubbed = cache.scrub_lines(&[0]);
+        assert_eq!(scrubbed, ScrubReport::default());
+        assert_eq!(cache.escalate(&[0]), scrubbed);
+        assert_eq!(cache.stats().due_lines, dues);
+        assert_eq!(cache.heatmaps().due.total(), due_grid);
+    }
+
+    #[test]
+    fn scrub_strikes_the_stuck_pair_as_demand_escalation_does() {
+        // The stuck pair of `stuck_sdr_line_spared_with_recovered_data`:
+        // Hash-2 reconstructs both lines and the stuck cells undo both. A
+        // whole-cache scrub counts that and strikes them exactly as the
+        // escalations behind a demand read of each line do.
+        let build = || {
+            let mut stuck = StuckBitMap::new();
+            for bit in [100u16, 200] {
+                stuck.insert(4, bit, true);
+                stuck.insert(5, bit, true);
+            }
+            let cache = ShardedCache::with_faults(
+                SudokuConfig::small(Scheme::Z, 256, 16),
+                2,
+                stuck,
+                DegradedConfig {
+                    spare_cap_per_shard: 4,
+                    strike_threshold: 2,
+                },
+            )
+            .unwrap();
+            for line in 0..256u64 {
+                cache
+                    .write(line, &data_with(&[line as usize % 512]))
+                    .unwrap();
+            }
+            cache
+        };
+        let scrubbed = build();
+        assert!(scrubbed.scrub().fully_repaired());
+        let demanded = build();
+        assert_eq!(demanded.read(4).unwrap(), data_with(&[4]));
+        assert_eq!(demanded.read(5).unwrap(), data_with(&[5]));
+        let (by_scrub, by_read) = (scrubbed.degraded_stats(), demanded.degraded_stats());
+        assert!(by_scrub.undone_reconstructions > 0, "{by_scrub:?}");
+        assert!(by_scrub.strikes > 0, "{by_scrub:?}");
+        assert_eq!(
+            by_scrub.undone_reconstructions,
+            by_read.undone_reconstructions
+        );
+        assert_eq!(by_scrub.strikes, by_read.strikes);
+        assert_eq!(scrubbed.heatmaps().strikes.total(), by_scrub.strikes);
     }
 
     /// Asserts the write-through invariant: with every shard held, each

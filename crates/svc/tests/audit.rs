@@ -12,7 +12,10 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 use sudoku_codes::LineData;
-use sudoku_svc::{promtext, AuditConfig, Service, ServiceConfig, TelemetryConfig};
+use sudoku_svc::{AuditConfig, Service, ServiceConfig, TelemetryConfig};
+
+#[path = "../src/promtext.rs"]
+mod promtext;
 
 fn audit_service(lines: u64, seed: u64, alerts_jsonl: Option<&std::path::Path>) -> Service {
     let mut config = ServiceConfig::small(lines, 4, 1e-4, seed);
