@@ -330,6 +330,10 @@ std::thread_local! {
     /// This thread's last timed lock-free read latency, ns (at least 1;
     /// 0 = none yet): what its untimed lock-free reads are charged.
     static LOCKFREE_NS: Cell<u64> = const { Cell::new(0) };
+
+    /// This thread's last timed inline write latency, ns (at least 1;
+    /// 0 = none yet): what its untimed inline writes are charged.
+    static INLINE_WRITE_NS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// End-of-run summary assembled by [`Service::shutdown`].
@@ -538,7 +542,7 @@ impl ServiceHandle {
             );
         } else {
             self.registry.reads.inc();
-            self.registry.note_carried_read(carried);
+            self.registry.note_carried(false, carried);
         }
         self.registry.clean_read_lockfree_hits.inc();
         if retries != 0 {
@@ -1314,6 +1318,13 @@ struct Request<'d> {
 /// `Ok` carries the data it stored. A caught panic quarantines the shard,
 /// counts a lost write as failed, and answers `None`: the caller then
 /// error-completes the op and whatever is queued behind it.
+///
+/// An inline write is timed only when `trace` is a multiple of
+/// [`LOCKFREE_TIME_EVERY`] or the thread has no timed inline write yet.
+/// Any other inline write skips the clock: it is counted, and records its
+/// thread's last timed latency into the same histograms, with no exemplar
+/// or trace record. Reads (which took the shard lock: a miss, maybe a
+/// DUE) and queued ops are always timed.
 fn serve_and_account<'a>(
     state: &'a ShardedCache,
     demand: &Demand,
@@ -1322,10 +1333,14 @@ fn serve_and_account<'a>(
     req: Request<'_>,
     session: &mut Option<ShardSession<'a>>,
 ) -> Option<Result<LineData, ServiceError>> {
-    let service_start = Instant::now();
-    let queue_wait_ns = req
-        .enqueued
-        .map_or(0, |at| service_start.duration_since(at).as_nanos() as u64);
+    let inline_write = req.enqueued.is_none() && req.write.is_some();
+    // Any other op carries nothing, so it is always timed.
+    let carried = if inline_write {
+        INLINE_WRITE_NS.with(Cell::get)
+    } else {
+        0
+    };
+    let timed = (carried == 0 || req.trace.is_multiple_of(LOCKFREE_TIME_EVERY)).then(Instant::now);
     let mut h2_ns = 0u64;
     let outcome = catch_unwind(AssertUnwindSafe(|| match req.write {
         None => serve_read(state, shard, req.line, session, &mut h2_ns, reg),
@@ -1344,6 +1359,16 @@ fn serve_and_account<'a>(
         }
         return None;
     };
+    let outcome = trace_outcome(&result);
+    let Some(service_start) = timed else {
+        count(reg, true, outcome);
+        reg.note_carried(true, carried);
+        return Some(result);
+    };
+    let service_ns = (service_start.elapsed().as_nanos() as u64).max(1);
+    if inline_write {
+        INLINE_WRITE_NS.with(|ns| ns.set(service_ns));
+    }
     account(
         reg,
         TraceRecord {
@@ -1355,9 +1380,11 @@ fn serve_and_account<'a>(
             } else {
                 TracePath::Inline
             },
-            outcome: trace_outcome(&result),
-            queue_wait_ns,
-            service_ns: service_start.elapsed().as_nanos() as u64,
+            outcome,
+            queue_wait_ns: req
+                .enqueued
+                .map_or(0, |at| service_start.duration_since(at).as_nanos() as u64),
+            service_ns,
             h2_ns,
         },
     );
@@ -1369,7 +1396,13 @@ fn serve_and_account<'a>(
 /// then its one [`TraceRecord`] — latency, queue-wait, service and H2
 /// phase samples, exemplar, and the sampled trace ring.
 fn account(reg: &TelemetryRegistry, record: TraceRecord) {
-    match (record.write, record.outcome) {
+    count(reg, record.write, record.outcome);
+    reg.note_request(record);
+}
+
+/// The op counters a served op's outcome implies.
+fn count(reg: &TelemetryRegistry, write: bool, outcome: TraceOutcome) {
+    match (write, outcome) {
         (false, outcome) => {
             reg.reads.inc();
             if outcome == TraceOutcome::Due {
@@ -1379,7 +1412,6 @@ fn account(reg: &TelemetryRegistry, record: TraceRecord) {
         (true, TraceOutcome::Ok) => reg.writes.inc(),
         (true, _) => reg.failed_writes.inc(),
     }
-    reg.note_request(record);
 }
 
 /// Maps a served op's result to its trace outcome.

@@ -1805,7 +1805,7 @@ mod tests {
         if view.is_spared(line) || view.has_pending(line) {
             return (ViewRead::Miss, 0, 0);
         }
-        let stored = view.line(line);
+        let stored = view.load(line).0;
         if stored.is_zero() {
             (ViewRead::Zero, 1, 0)
         } else if LineCodec::shared().crc_ok(&stored) {
@@ -1892,7 +1892,7 @@ mod tests {
                     let view = &cache.view;
                     let marked = view.is_marked(line);
                     assert!(
-                        !marked || LineCodec::shared().validate(&view.line(line)),
+                        !marked || LineCodec::shared().validate(&view.load(line).0),
                         "seed {seed}, step {step}: line {line} is marked but no codeword"
                     );
                     let (want, want_reads, want_crc) = unmarked_read(&cache, line);
@@ -1978,6 +1978,68 @@ mod tests {
                 .0,
             Some(versioned(line, 1))
         );
+    }
+
+    /// A write whose old value is marked skips its CRC+ECC check; one whose
+    /// old value is unmarked (a flipped bit, a reasserted stuck cell) runs
+    /// it. Either way the sharded cache counts and stores exactly what the
+    /// monolithic reference, which checks every old value, does.
+    #[test]
+    fn write_trusts_the_mark_exactly_as_the_monolith_checks() {
+        let config = SudokuConfig::small(Scheme::Z, 256, 16);
+        let stuck_line = 90u64;
+        let mut stuck = StuckBitMap::new();
+        stuck.insert(stuck_line, 300, true); // `versioned` never sets bit 300
+        let cache =
+            ShardedCache::with_faults(config, 2, stuck.clone(), DegradedConfig::default()).unwrap();
+        let mut mono = SudokuCache::new(config).unwrap();
+        // Both caches take the write; the stuck cell then reasserts, as
+        // the shard session's write does.
+        let write = |mono: &mut SudokuCache, line: u64, data: &LineData| {
+            cache.write(line, data).unwrap();
+            mono.write(line, data);
+            reassert_stuck(mono, &stuck, line);
+        };
+        for line in 0..256u64 {
+            write(&mut mono, line, &versioned(line, 0));
+        }
+        let clean = [3u64, 17, 130, 200];
+        let flipped = 40u64;
+        assert!(clean.iter().all(|&l| cache.view.is_marked(l)));
+        for &line in &clean {
+            write(&mut mono, line, &versioned(line, 1));
+        }
+        cache.inject_fault(flipped, 7);
+        mono.inject_fault(flipped, 7);
+        assert!(!cache.view.is_marked(flipped));
+        write(&mut mono, flipped, &versioned(flipped, 1));
+        assert!(!cache.view.is_marked(stuck_line));
+        write(&mut mono, stuck_line, &versioned(stuck_line, 1));
+
+        let stats = cache.stats();
+        assert_eq!(stats, *mono.stats());
+        assert_eq!(stats.writes, 256 + 6);
+        // One check per overwrite: the populating writes' old values are
+        // the zero codeword, which no write checks.
+        assert_eq!(stats.crc_checks, 6);
+
+        let report = cache.scrub();
+        assert!(report.fully_repaired(), "{report:?}");
+        assert!(mono.scrub().fully_repaired());
+        reassert_stuck(&mut mono, &stuck, stuck_line);
+        assert_eq!(cache.stats(), *mono.stats());
+
+        let written: Vec<u64> = clean.iter().copied().chain([flipped, stuck_line]).collect();
+        for &line in &written {
+            for bit in [50, 60] {
+                cache.inject_fault(line, bit);
+                mono.inject_fault(line, bit);
+            }
+        }
+        for &line in &written {
+            assert_eq!(cache.read(line).unwrap(), versioned(line, 1), "line {line}");
+            assert_eq!(mono.read(line).unwrap(), versioned(line, 1), "line {line}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! A shard owns every `N`-th Hash-1 group ([`ShardPlan`]), so its lines
 //! are a fixed, known set. [`ShardStore`] keeps no table of its own: each
 //! owned line lives in its [`LineView`] slot, the service's only copy of
-//! it (88 bytes per line, seqlock included). `line` loads the slot;
-//! `set_line` publishes into it marked a codeword, and `flip_bit` (fault
+//! it (88 bytes per line, seqlock included). `line` loads the slot, and
+//! `line_and_codeword` returns its codeword mark with it, so a write whose
+//! old value is marked skips the CRC+ECC check of that value. `set_line`
+//! publishes into the slot marked a codeword, and `flip_bit` (fault
 //! injection, stuck-cell reasserts) publishes the flipped line unmarked.
 //! The mark is sound because of [`LineStore::set_line`]'s contract: the
 //! cache stores only codewords there, which debug builds assert. All
@@ -64,10 +66,16 @@ impl LineStore for ShardStore {
 
     /// A line another shard owns reads as the zero codeword.
     fn line(&self, idx: u64) -> ProtectedLine {
+        self.line_and_codeword(idx).0
+    }
+
+    /// The line and its slot's codeword mark, from one slot load (the
+    /// caller holds the shard mutex, so the pair is untorn).
+    fn line_and_codeword(&self, idx: u64) -> (ProtectedLine, bool) {
         if self.owns(idx) {
-            self.view.line(idx)
+            self.view.load(idx)
         } else {
-            ProtectedLine::zero()
+            (ProtectedLine::zero(), true)
         }
     }
 
@@ -86,7 +94,7 @@ impl LineStore for ShardStore {
     /// check it again. Panics if another shard owns `idx`.
     fn flip_bit(&mut self, idx: u64, bit: usize) {
         self.assert_owned(idx);
-        let mut line = self.view.line(idx);
+        let (mut line, _) = self.view.load(idx);
         line.flip_bit(bit);
         self.view.publish(idx, &line, false);
     }

@@ -156,9 +156,10 @@ pub struct TraceRecord {
     /// Time spent queued before a drainer dequeued it, ns.
     pub queue_wait_ns: u64,
     /// Shard-local service time (dequeue → reply), ns. A lock-free read
-    /// is timed only when its trace is a multiple of
-    /// [`LOCKFREE_TIME_EVERY`] (or is its thread's first), and only timed
-    /// reads leave a record, so every record carries a measured time.
+    /// or an inline write is timed only when its trace is a multiple of
+    /// [`LOCKFREE_TIME_EVERY`] (or it is its thread's first on that path),
+    /// and only timed ops leave a record, so every record carries a
+    /// measured time.
     pub service_ns: u64,
     /// Cross-shard Hash-2 gather+repair time (0 when not escalated), ns.
     pub h2_ns: u64,
@@ -193,17 +194,19 @@ impl TraceRecord {
 /// path by the sampling).
 pub const TRACE_SAMPLE: u64 = 64;
 
-/// One lock-free read in this many is timed: the one whose trace ID is a
-/// multiple of it, plus each thread's first. An untimed read skips both
+/// One lock-free read in this many, and one inline write in this many,
+/// is timed: the op whose trace ID is a multiple of it, plus each
+/// thread's first on each of the two paths. An untimed op skips both
 /// clock reads and leaves no exemplar or trace record, but is still
-/// counted and still lands one sample in each histogram a timed read
-/// does, charged with its thread's last timed lock-free latency. So
+/// counted and still lands one sample in each histogram a timed op does,
+/// charged with its thread's last timed latency on the same path. So
 /// every `_count` and bucket total stays exact, and only the `_sum`,
-/// `min` and `max` of the lock-free share are estimates. The inline and
-/// queued paths cost microseconds and are always timed.
+/// `min` and `max` of the lock-free-read and inline-write shares are
+/// estimates. Reads that take the shard lock (misses, which can end in a
+/// DUE) and queued ops are always timed.
 pub const LOCKFREE_TIME_EVERY: u64 = 16;
 
-// Every lock-free trace the ring samples is a timed one.
+// Every lock-free or inline-write trace the ring samples is a timed one.
 const _: () = assert!(TRACE_SAMPLE.is_multiple_of(LOCKFREE_TIME_EVERY));
 
 const TRACE_RING: usize = 64;
@@ -431,15 +434,20 @@ impl TelemetryRegistry {
         }
     }
 
-    /// Accounts the histograms of one untimed lock-free read (see
-    /// [`LOCKFREE_TIME_EVERY`]): the samples [`Self::note_request`] would
-    /// record for it, with `service_ns` the thread's last timed lock-free
-    /// latency, and no exemplar or trace record.
+    /// Accounts the histograms of one untimed lock-free read or inline
+    /// write (see [`LOCKFREE_TIME_EVERY`]): the samples
+    /// [`Self::note_request`] would record for it, with `service_ns` its
+    /// thread's last timed latency on the same path, and no exemplar or
+    /// trace record.
     #[inline]
-    pub(crate) fn note_carried_read(&self, service_ns: u64) {
+    pub(crate) fn note_carried(&self, write: bool, service_ns: u64) {
         self.queue_wait_ns.record(0);
         self.shard_service_ns.record(service_ns);
-        self.read_latency_ns.record(service_ns);
+        if write {
+            self.write_latency_ns.record(service_ns);
+        } else {
+            self.read_latency_ns.record(service_ns);
+        }
     }
 
     /// The latency-histogram exemplars: `(bucket_index, upper_bound_ns,
@@ -772,12 +780,15 @@ const METRICS: &[Metric] = &[
          carries its thread's last timed value, so _sum, min and max are estimates",
         Read::RegHist(|r| &r.read_latency_ns)),
     hist("write_latency_ns", "sudoku_write_latency_ns",
-        "Demand-write latency", Read::RegHist(|r| &r.write_latency_ns)),
+        "Demand-write latency; inline writes are timed 1 in 16, and an untimed one \
+         carries its thread's last timed value, so _sum, min and max are estimates",
+        Read::RegHist(|r| &r.write_latency_ns)),
     hist("queue_wait_ns", "sudoku_queue_wait_ns",
         "Queue-wait phase", Read::RegHist(|r| &r.queue_wait_ns)),
     hist("shard_service_ns", "sudoku_shard_service_ns",
-        "Shard-service phase; lock-free reads are timed 1 in 16, and an untimed one \
-         carries its thread's last timed value, so _sum, min and max are estimates",
+        "Shard-service phase; lock-free reads and inline writes are timed 1 in 16, and \
+         an untimed one carries its thread's last timed value, so _sum, min and max \
+         are estimates",
         Read::RegHist(|r| &r.shard_service_ns)),
     hist("h2_gather_ns", "sudoku_h2_gather_ns",
         "Cross-shard H2 gather+repair phase", Read::RegHist(|r| &r.h2_gather_ns)),

@@ -19,6 +19,11 @@
 //! **miss**, and the caller falls back to the locked worker/repair path,
 //! which is bit-identical to the reference.
 //!
+//! A demand write trusts the mark too. The store hands the cache a line's
+//! old value together with its mark ([`LineView::load`], under the shard
+//! mutex), and a marked old value skips the CRC+ECC check the write would
+//! run on it before folding it into the parities.
+//!
 //! # Writer protocol (under the owning shard's mutex)
 //!
 //! Writers are already serialized per line by the shard mutex, so the
@@ -41,9 +46,9 @@
 //! lock-free or under the lock. An all-zero slot (data, crc *and* ecc all
 //! zero) is the golden never-written line: served as zero with **no** CRC
 //! check, exactly like the reference's `is_zero` fast path. A marked
-//! non-zero line still counts its `crc_checks`: the hardware pays the
-//! check even where the service knows its answer, so counts do not
-//! depend on the mark. The daemon's lock-free sweep ([`LineView::sweep`])
+//! non-zero line, read or a write's old value, still counts its
+//! `crc_checks`: the hardware pays the check even where the service knows
+//! its answer, so counts do not depend on the mark. The daemon's lock-free sweep ([`LineView::sweep`])
 //! counts `lines_scrubbed` and `crc_checks` the same way the locked
 //! `scrub_scan` would have, in counters of their own, and likewise counts
 //! a marked line as checked clean without running the check.
@@ -249,10 +254,11 @@ impl LineView {
         clean + zero
     }
 
-    /// The line `line`'s slot holds. The caller holds the owning shard's
-    /// mutex, which every writer of the slot holds too.
-    pub(crate) fn line(&self, line: u64) -> ProtectedLine {
-        self.slots[line as usize].load().0
+    /// The line `line`'s slot holds, and whether it is marked a codeword.
+    /// The caller holds the owning shard's mutex, which every writer of
+    /// the slot holds too.
+    pub(crate) fn load(&self, line: u64) -> (ProtectedLine, bool) {
+        self.slots[line as usize].load()
     }
 
     /// Stores `stored` as `line`'s current state, marked a codeword when
@@ -345,7 +351,7 @@ mod tests {
         /// Only meaningful while no writer is in flight (tests hold the
         /// owning shard's mutex).
         pub(crate) fn slot_line(&self, line: u64) -> Option<ProtectedLine> {
-            (!self.is_spared(line)).then(|| self.line(line))
+            (!self.is_spared(line)).then(|| self.load(line).0)
         }
 
         /// The seqlock epoch of `line`'s slot: each publish advances it by 2.
@@ -456,7 +462,7 @@ mod tests {
         assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
         // The array copy keeps being stored; readers keep missing.
         view.publish(4, &encoded(&[2]), true);
-        assert_eq!(view.line(4), encoded(&[2]));
+        assert_eq!(view.load(4).0, encoded(&[2]));
         assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
         // Pending writes come and go without clearing the mark.
         view.begin_write(4);
