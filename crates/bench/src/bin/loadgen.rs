@@ -48,7 +48,7 @@
 
 use std::net::IpAddr;
 use std::time::Duration;
-use sudoku_bench::{flag, git_rev, header, json_f64_field, warn_baseline_rev};
+use sudoku_bench::{flag, git_rev, header, json_f64_field, print_shard_waits, warn_baseline_rev};
 use sudoku_core::{Scheme, SudokuConfig};
 use sudoku_fault::StuckBitMap;
 use sudoku_svc::{
@@ -183,6 +183,7 @@ fn main() {
             opts.sample_ms
         );
     }
+    let registry = std::sync::Arc::clone(service.registry());
     let report = sudoku_svc::loadgen::run(service, &load_config);
 
     let lat = &report.service.hists.read_latency_ns;
@@ -200,6 +201,7 @@ fn main() {
         lat.quantile(0.99),
         lat.quantile(0.999)
     );
+    print_shard_waits(&registry);
     println!(
         "scrub: {} ticks, {} lines injected, {} escalations ({} lines), {} unresolved",
         report.service.scrub_ticks,

@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-use sudoku_bench::{flag, git_rev, header, json_f64_field, warn_baseline_rev};
+use sudoku_bench::{flag, git_rev, header, json_f64_field, print_shard_waits, warn_baseline_rev};
 use sudoku_codes::LineData;
 use sudoku_core::{Scheme, SudokuConfig};
 use sudoku_fault::StuckBitMap;
@@ -429,6 +429,7 @@ fn main() {
         let frames = service.handle().registry().net_frames.get();
         let sheds = service.handle().registry().net_sheds.get();
         println!("server: {frames} frames served, {sheds} shed");
+        print_shard_waits(service.registry());
         server.shutdown();
         let report = service.shutdown();
         let p99 = report.scrub_interval_p99_ns;

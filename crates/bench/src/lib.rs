@@ -34,6 +34,19 @@ pub fn header(title: &str) {
     println!("\n{bar}\n| {title} |\n{bar}");
 }
 
+/// Prints the share of served demand ops that waited for a held shard
+/// mutex (the rest found it free or were served lock-free), and the most
+/// clients any waiter saw blocked on one shard, itself included.
+pub fn print_shard_waits(registry: &sudoku_svc::TelemetryRegistry) {
+    let (waited, ops) = registry.waited_ops();
+    println!(
+        "shard waits: {waited} of {ops} demand ops waited on a held shard mutex \
+         ({:.4} %), at most {} at once",
+        100.0 * waited as f64 / ops.max(1) as f64,
+        registry.queue_depth_hist.snapshot().max()
+    );
+}
+
 /// Simple `--flag value` argument extraction.
 #[derive(Clone, Debug)]
 pub struct Args {

@@ -4,14 +4,16 @@
 //!
 //! Each handler calls straight into the [`ServiceHandle`] fast paths —
 //! a clean GET rides the seqlock lock-free read without ever touching a
-//! shard mutex, a PUT takes the inline-claim path — so the service's
-//! demand-path concurrency story survives the network hop intact.
+//! shard mutex, a PUT is applied on the handler thread under the shard
+//! mutex — so the service's demand-path concurrency story survives the
+//! network hop intact.
 //!
 //! Backpressure is explicit, never implicit: a connection that pipelines
-//! more than its in-flight window, or whose target shard queue is at the
-//! bound, gets a typed RETRY response instead of a stalled socket; the
-//! handler thread never blocks on a full shard queue (which would convoy
-//! every other connection it owns). A malformed frame gets a MALFORMED
+//! more than its in-flight window, or whose target shard already has
+//! [`ServiceHandle::queue_bound`] clients blocked on its mutex, gets a
+//! typed RETRY response instead of a stalled socket; the handler thread
+//! does not join the wait on a saturated shard (which would convoy every
+//! other connection it owns). A malformed frame gets a MALFORMED
 //! response and a connection close — after the response flushes, never a
 //! mid-frame reset. Shutdown drains: in-flight responses flush, newly
 //! decoded frames are refused with SHUTTING_DOWN, then connections close.
@@ -423,9 +425,10 @@ impl Conn {
 
     /// The RETRY-shed decision for a GET/PUT on `line`: the connection's
     /// in-flight window is full (a client pipelining faster than it reads
-    /// responses back), or the owning shard's queue is at the bound (an
-    /// enqueue would block this handler thread, convoying every other
-    /// connection it owns — the typed wire refusal is strictly kinder).
+    /// responses back), or the owning shard is saturated (the queue bound
+    /// of clients already wait on its mutex; joining them would block this
+    /// handler thread, convoying every other connection it owns — the
+    /// typed wire refusal is strictly kinder).
     fn shed(&self, handle: &ServiceHandle, cfg: &NetConfig, line: u64) -> bool {
         self.pending >= cfg.window.max(1)
             || handle.shard_depth(handle.shard_of(line)) >= handle.queue_bound()

@@ -67,8 +67,8 @@ pub struct AuditConfig {
     ///
     /// [`TickLagBreach`]: sudoku_obs::AlertClass::TickLagBreach
     pub tick_lag_budget: Duration,
-    /// A shard whose queue sits at its bound for this many *consecutive*
-    /// watchdog scans raises [`QueueSaturation`] (one saturated instant is
+    /// A shard whose mutex waiters sit at the queue bound for this many
+    /// *consecutive* watchdog scans raises [`QueueSaturation`] (one saturated instant is
     /// backpressure working; a streak is a stall).
     ///
     /// [`QueueSaturation`]: sudoku_obs::AlertClass::QueueSaturation
@@ -352,7 +352,8 @@ struct ShardControl {
 /// The adaptive scrub daemon's closed-loop quota law, as a pure step
 /// function the daemon calls once per shard visit.
 ///
-/// The inputs each tick are the shard's live queue depth, the tick-start
+/// The inputs each tick are the shard's live waiter count (clients
+/// blocked on its mutex), the tick-start
 /// lag, and the shard's worst packet staleness; the output is a per-visit
 /// packet quota in `[floor, ceiling]`:
 ///
@@ -429,8 +430,9 @@ impl ScrubController {
 
     /// One visit's quota decision for `shard`. `now_ns` is any monotone
     /// nanosecond clock (consecutive calls for the same shard measure the
-    /// achieved visit period from it); `queue_depth` is the shard's live
-    /// demand-queue depth and `tick_lag_ns` the lag this tick started with.
+    /// achieved visit period from it); `queue_depth` is the number of
+    /// clients blocked on the shard's mutex and `tick_lag_ns` the lag this
+    /// tick started with.
     pub fn decide(
         &mut self,
         shard: usize,

@@ -2,7 +2,7 @@
 //!
 //! The concurrent, sharded SuDoku cache **service**: the single-threaded
 //! [`SudokuCache`] of `sudoku-core` partitioned by Hash-1 RAID-Group into
-//! `N` shards and put behind per-shard claims, a background scrub daemon,
+//! `N` shards and put behind per-shard mutexes, a background scrub daemon,
 //! and a load generator — recovery coexisting with demand traffic, the
 //! operating point the paper budgets for in §VII-B.
 //!
@@ -17,10 +17,11 @@
 //!   single-threaded cache uses. The deterministic whole-cache scrub
 //!   replicates the reference fixpoint schedule exactly — `N`-shard scrub
 //!   outcomes and `CacheStats` totals are invariant in `N`.
-//! * [`Service`] — the live front-end: per-shard bounded request queues
-//!   with backpressure, drained by the client threads that fill them, a
-//!   scrub daemon ticking every shard with per-shard forked fault
-//!   injectors, and graceful drain/shutdown.
+//! * [`Service`] — the live front-end: client threads serve clean reads
+//!   lock-free and everything else themselves under the owning shard's
+//!   mutex (whose waiters are the shard's demand queue), a scrub daemon
+//!   ticks every shard with per-shard forked fault injectors, and
+//!   shutdown closes acceptance and harvests the report.
 //! * [`loadgen`] — replay of `sim::trace` workload mixes (or a zipfian
 //!   stream) against a running service at a target request rate, with a
 //!   golden-copy oracle that counts silent data corruption.
@@ -52,7 +53,6 @@ mod exporter;
 pub mod loadgen;
 mod service;
 mod sharded;
-mod slot;
 mod store;
 pub mod telemetry;
 mod view;

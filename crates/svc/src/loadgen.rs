@@ -228,10 +228,9 @@ fn load_worker(
                 Err(_) => result.shed += 1,
             }
         } else {
-            // Slot-completed read: clean lines are served lock-free off the
-            // seqlock view without ever touching the shard queue; dirty or
-            // suspect lines fall through to a queued packet whose completion
-            // slot resolves even if the shard's worker dies mid-request.
+            // Clean lines are served lock-free off the seqlock view; dirty
+            // or suspect lines are served on this thread under the shard
+            // mutex, and resolve to an error if the shard dies under them.
             match handle.read(line) {
                 Ok(data) => {
                     result.reads += 1;

@@ -1,8 +1,7 @@
 //! The live service front-end: client threads that serve their own ops
-//! and drain batched **work packets** off per-shard bounded queues (flat
-//! combining), a lock-free clean-read fast path, preallocated completion
-//! slots, a background scrub daemon with per-shard forked fault
-//! injectors, a live telemetry plane, and graceful drain/shutdown.
+//! under the owning shard's mutex, a lock-free clean-read fast path, a
+//! background scrub daemon with per-shard forked fault injectors, a live
+//! telemetry plane, and shutdown.
 //!
 //! # The demand path
 //!
@@ -12,33 +11,24 @@
 //! without touching any mutex — the overwhelming common case in the
 //! paper's BER regime. Only a miss (faulty line, torn
 //! snapshot, writer in flight, spared line, quarantined shard) falls
-//! through to the claimed path.
+//! through to the locked path.
 //!
-//! Everything else funnels through one per-shard **claim** (an atomic
-//! flag admitting a single drainer at a time, so **repairs stay
-//! serialized per shard**). A client whose shard claim is free serves its
-//! own op *inline*: drain whatever is FIFO-ahead in the shard queue, run
-//! the op through a [`ShardSession`], release — no op allocation, no
-//! context switch. A held claim is yielded to and retried a few times
-//! (its holder is mid-op, sub-µs) before the client pays the queue path:
-//! the op lands on the owning shard's bounded [`VecDeque`] (producers
-//! block when a shard's queue is at its bound, so a hot shard throttles
-//! its own clients), writes fire-and-forget behind a per-line pending
-//! gate that keeps lock-free readers honest, and reads ride preallocated
-//! per-thread [`CompletionSlot`]s. The threads that enqueue are the only
-//! drainers: every enqueuer tries the claim right after its push, and a
-//! holder re-checks the queue after each release, so whoever drains — the
-//! enqueuer itself or the holder it lost to — pops up to [`BATCH`] ops at
-//! once, serves the packet through one session, writes each result and
-//! flips one atomic flag; the client spins briefly then parks. The slot is
-//! the only completion mechanism.
+//! Every lock-free miss, every write and every injected worker panic is
+//! served on the calling thread under the owning shard's mutex, the one
+//! that already serializes the scrub daemon and cross-shard escalation,
+//! so **repairs stay serialized per shard**. The mutex is the demand
+//! queue: an op first tries it without blocking, and only when another
+//! thread holds it does the op count itself in the shard's depth gauge
+//! while it blocks, record the wait as its queue-wait phase and trace as
+//! [`TracePath::Queued`]. No op is handed to another thread, so none can
+//! be stranded, and a write has returned once it is applied: a later read
+//! of the line, from any thread, sees it.
 //!
 //! Both demand ops share one admission prologue (health and acceptance
-//! checks, one trace ID, the claim-retry loop), and every served op is
-//! completed by one routine: inline and queued ops run the cache
-//! operation through `serve_and_account` under the demand path's only
-//! `catch_unwind`, and it and the lock-free hit share the same counter
-//! and [`TraceRecord`] accounting.
+//! checks, one trace ID), and every op served under the mutex is
+//! completed by one routine, `serve`, which runs the cache operation
+//! under the demand path's only `catch_unwind`; it and the lock-free hit
+//! share the same counter and [`TraceRecord`] accounting.
 //!
 //! The scrub daemon ticks shards round-robin on the configured interval:
 //! inject (per-shard decorrelated [`FaultInjector::fork`] streams, so
@@ -51,63 +41,57 @@
 //!
 //! # Telemetry
 //!
-//! Every drainer and the daemon publish into a shared lock-free
+//! Every client thread and the daemon publish into a shared lock-free
 //! [`TelemetryRegistry`] as they go — counters (including the lock-free
-//! hit/retry rate), queue-depth gauges, and per-phase latency histograms
-//! (queue wait → shard service → cross-shard H2 gather+repair), threaded
-//! by a per-request trace ID. The end-of-run [`ServiceReport`] is a final
-//! read of that registry; with [`ServiceConfig::telemetry`] set, a sampler
-//! thread additionally records periodic [`TelemetrySnapshot`]s into a
-//! bounded flight recorder (and optional JSONL time series), and a
-//! std-only TCP exporter serves `GET /metrics`, `/healthz`, and
-//! `/snapshot.json` while the service runs.
+//! hit/retry rate), per-shard waiter gauges, and per-phase latency
+//! histograms (mutex wait → shard service → cross-shard H2
+//! gather+repair), threaded by a per-request trace ID. The end-of-run
+//! [`ServiceReport`] is a final read of that registry; with
+//! [`ServiceConfig::telemetry`] set, a sampler thread additionally
+//! records periodic [`TelemetrySnapshot`]s into a bounded flight recorder
+//! (and optional JSONL time series), and a std-only TCP exporter serves
+//! `GET /metrics`, `/healthz`, and `/snapshot.json` while the service
+//! runs.
 //!
 //! # Failure semantics
 //!
-//! Nothing on the client path panics, and no completion handle is ever
-//! lost: handles stay *outside* the per-op `catch_unwind`, so a panic
-//! mid-op quarantines the shard and then error-completes the op and
-//! everything queued behind it. Every handle operation returns
+//! Nothing on the client path panics. Every handle operation returns
 //! `Result<_, `[`ServiceError`]`>`:
 //!
 //! * A panic while serving a shard (organic or injected via
 //!   [`ServiceHandle::inject_worker_panic`]) is caught at the op boundary;
-//!   the shard is **quarantined**, its queued ops complete with
-//!   [`ServiceError::ShardDown`], and subsequent requests to it fail fast
-//!   while the other N−1 shards keep serving. The registry (shared, not
-//!   thread-local) keeps everything the packet recorded.
+//!   the shard is **quarantined** and subsequent requests to it fail fast
+//!   with [`ServiceError::ShardDown`] while the other N−1 shards keep
+//!   serving. A client blocked on the dying shard's mutex gets the same
+//!   error once it takes the mutex. The registry (shared, not
+//!   thread-local) keeps everything the shard recorded.
 //! * A scrub daemon panic is caught per tick; scrubbing stops but demand
 //!   traffic continues, and [`ServiceReport::daemon_panicked`] says so.
-//! * Shutdown never panics and never strands a client: it closes
-//!   acceptance and drains every shard itself until every queue is
-//!   verifiably empty, so every accepted op was served (live shards) or
-//!   error-completed (dead shards). Panicked shards land in [`ServiceReport::worker_panics`],
-//!   surviving telemetry is harvested (a poisoned shard mutex does not
-//!   block counter collection), and the degraded-mode counters land in
+//! * Shutdown never panics: it closes acceptance and harvests the report.
+//!   Panicked shards land in [`ServiceReport::worker_panics`], surviving
+//!   telemetry is harvested (a poisoned shard mutex does not block
+//!   counter collection), and the degraded-mode counters land in
 //!   [`ServiceReport::degraded`].
 //!
 //! [`TelemetrySnapshot`]: crate::TelemetrySnapshot
-//! [`CompletionSlot`]: crate::slot::CompletionSlot
 
 use crate::audit::{AuditConfig, AuditPlane, ScrubController};
 use crate::degraded::{DegradedConfig, DegradedStats};
 use crate::error::{ServiceError, StartError};
 use crate::exporter::Exporter;
 use crate::sharded::{ShardSession, ShardedCache};
-use crate::slot::{CompletionSlot, SlotSender};
 use crate::telemetry::{
     FlightRecorder, TelemetryConfig, TelemetryRegistry, TelemetrySnapshot, TraceOutcome, TracePath,
     TraceRecord, LOCKFREE_TIME_EVERY,
 };
 use crate::watchdog::watchdog_loop;
 use std::cell::Cell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use sudoku_codes::LineData;
@@ -115,25 +99,18 @@ use sudoku_core::{CacheStats, ShardPlan, SudokuConfig};
 use sudoku_fault::{FaultInjector, StuckBitMap};
 use sudoku_obs::{CorrelationStat, Heatmaps, ServiceHistograms};
 
-/// Ops per work packet: one shard-mutex acquire is amortized over up to
-/// this many demand operations.
-const BATCH: usize = 32;
-
-/// Yield-and-retry rounds a client spends on a held shard claim before
-/// falling back to the queue. Claims are held for sub-µs inline ops, so
-/// the holder usually finishes within a yield; the queue fallback keeps
-/// the bound on a holder that got preempted mid-op.
-const CLAIM_RETRIES: usize = 16;
-
 /// Configuration of a running [`Service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// The cache geometry and scheme (the service applies
     /// [`SudokuConfig::with_deferred_hash2`] internally per shard).
     pub cache: SudokuConfig,
-    /// Number of shards (each with its own claim and bounded queue).
+    /// Number of shards (each behind its own mutex).
     pub n_shards: usize,
-    /// Bound of each shard's request queue (producers block when full).
+    /// Clients blocked on one shard's mutex at which the shard counts as
+    /// saturated: the wire server sheds RETRY, the watchdog's
+    /// `queue_saturation` streak counts, and the scrub controller reads
+    /// full demand pressure. Nothing blocks on it.
     pub queue_depth: usize,
     /// Scrub daemon tick period; `None` disables the daemon.
     pub scrub_every: Option<Duration>,
@@ -184,149 +161,17 @@ impl ServiceConfig {
     }
 }
 
-/// One demand operation queued for a shard.
-enum Op {
-    Read {
-        line: u64,
-        trace: u64,
-        enqueued: Instant,
-        reply: SlotSender<Result<LineData, ServiceError>>,
-    },
-    Write {
-        line: u64,
-        trace: u64,
-        data: LineData,
-        enqueued: Instant,
-    },
-    /// Chaos injection: the thread that drains this panics on purpose,
-    /// optionally while holding the shard's state mutex (which poisons
-    /// it, like a real mid-repair panic would).
-    Panic { hold_lock: bool },
-}
-
-/// One shard's bounded op queue, drained by one claim holder at a time.
-struct ShardQueue {
-    ops: Mutex<VecDeque<Op>>,
-    /// Lock-free mirror of `ops.len()`: a releasing claim holder re-checks
-    /// it, and an empty-queue drain skips the mutex.
-    len: AtomicUsize,
-    /// Set while a thread is serving this shard — the claim is what keeps
-    /// repairs serialized per shard.
-    claimed: AtomicBool,
-    /// Signalled when ops are popped, releasing producers blocked on the
-    /// queue bound.
-    not_full: Condvar,
-}
-
-impl ShardQueue {
-    fn new() -> Self {
-        ShardQueue {
-            ops: Mutex::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
-            claimed: AtomicBool::new(false),
-            not_full: Condvar::new(),
-        }
-    }
-}
-
-/// The shared demand plane: per-shard queues plus shutdown state.
+/// The state every handle shares: acceptance, the shards that panicked,
+/// and the saturation bound.
 struct Demand {
-    queues: Vec<ShardQueue>,
-    /// Cleared by shutdown; checked by producers under the queue lock, so
-    /// shutdown's verify-empty drain cannot race a late push.
+    /// Cleared by shutdown: later requests get [`ServiceError::ShuttingDown`].
     accepting: AtomicBool,
     /// Shards whose serving thread caught a panic (quarantined).
     panicked: Mutex<BTreeSet<usize>>,
     queue_depth: usize,
 }
 
-impl Demand {
-    /// Enqueues `op` on `shard`'s queue. A producer that finds the queue
-    /// at its bound drains it itself when the claim is free, and waits for
-    /// a pop otherwise (the holder drains until the queue is empty);
-    /// shutdown and shard health are re-checked after every wait. The
-    /// depth gauge is incremented under the queue lock, so it can never
-    /// drift from the queue's true occupancy. `Panic` ops bypass the bound
-    /// and the gauge — chaos must land even on a saturated shard.
-    fn enqueue(
-        &self,
-        shard: usize,
-        op: Op,
-        state: &ShardedCache,
-        reg: &TelemetryRegistry,
-    ) -> Result<(), ServiceError> {
-        let q = &self.queues[shard];
-        let counted = !matches!(op, Op::Panic { .. });
-        let mut ops = q.ops.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !self.accepting.load(Ordering::Acquire) {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if !state.health().is_up(shard) {
-                state.note_reject();
-                return Err(ServiceError::ShardDown(shard));
-            }
-            if !counted || ops.len() < self.queue_depth {
-                break;
-            }
-            // Saturated: the ops ahead of us were pushed by threads that
-            // then tried the claim, so either the claim is free and we
-            // drain, or its holder drains until the queue is empty and the
-            // pops signal `not_full` (under the lock we re-take before
-            // waiting, so the signal cannot be missed).
-            drop(ops);
-            let drained = claim_and_drain(state, self, shard, reg);
-            ops = q.ops.lock().unwrap_or_else(|e| e.into_inner());
-            if drained == 0 && ops.len() >= self.queue_depth {
-                ops = q.not_full.wait(ops).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        ops.push_back(op);
-        q.len.fetch_add(1, Ordering::SeqCst);
-        if counted {
-            reg.depth(shard).inc();
-        }
-        Ok(())
-    }
-
-    /// Pops up to [`BATCH`] ops from `shard`'s queue. `Panic` ops ride in
-    /// a packet of their own: the panic protocol (drop the session, maybe
-    /// poison the mutex) must not share a session with real ops.
-    fn pop_batch(&self, shard: usize) -> Vec<Op> {
-        let q = &self.queues[shard];
-        if q.len.load(Ordering::SeqCst) == 0 {
-            return Vec::new(); // skip the mutex on the empty-queue drain
-        }
-        let mut ops = q.ops.lock().unwrap_or_else(|e| e.into_inner());
-        let mut batch = Vec::with_capacity(BATCH.min(ops.len()));
-        while batch.len() < BATCH {
-            match ops.front() {
-                None => break,
-                Some(Op::Panic { .. }) => {
-                    if batch.is_empty() {
-                        batch.push(ops.pop_front().expect("front exists"));
-                    }
-                    break;
-                }
-                Some(_) => batch.push(ops.pop_front().expect("front exists")),
-            }
-        }
-        drop(ops);
-        if !batch.is_empty() {
-            q.len.fetch_sub(batch.len(), Ordering::SeqCst);
-            q.not_full.notify_all();
-        }
-        batch
-    }
-}
-
 std::thread_local! {
-    /// Per-thread preallocated completion slot: a client blocks on its
-    /// own slot until its drainer answers, so one reusable slot per thread
-    /// replaces a per-request channel allocation. (Writes complete at
-    /// acceptance and need no slot at all.)
-    static READ_SLOT: Arc<CompletionSlot<Result<LineData, ServiceError>>> = CompletionSlot::new();
-
     /// This thread's last timed lock-free read latency, ns (at least 1;
     /// 0 = none yet): what its untimed lock-free reads are charged.
     static LOCKFREE_NS: Cell<u64> = const { Cell::new(0) };
@@ -443,8 +288,8 @@ impl ServiceReport {
 }
 
 /// A cloneable client of a running [`Service`]: serves clean reads
-/// lock-free off the seqlock line view, and routes everything else to the
-/// owning shard's queue, blocking when that queue is full (backpressure).
+/// lock-free off the seqlock line view, and everything else on the
+/// calling thread under the owning shard's mutex.
 #[derive(Clone)]
 pub struct ServiceHandle {
     plan: ShardPlan,
@@ -466,32 +311,8 @@ impl ServiceHandle {
         self.state.health().quarantined()
     }
 
-    /// Why an accepted op came back without an answer: the shard died
-    /// mid-flight, or the whole service is tearing down.
-    fn disconnect_error(&self, s: usize) -> ServiceError {
-        if self.state.health().is_up(s) {
-            ServiceError::ShuttingDown
-        } else {
-            self.state.note_reject();
-            ServiceError::ShardDown(s)
-        }
-    }
-
-    /// The admission prologue every demand op shares: the health and
-    /// acceptance checks, the op's one trace ID, then the claim-retry
-    /// loop. `attempt` tries to serve the op without queueing (lock-free,
-    /// or inline on a free claim); it runs up to `CLAIM_RETRIES + 1`
-    /// times, yielding to the claim holder in between — the holder is
-    /// mid-op and usually sub-µs from release, while the queue costs a
-    /// slot round trip (reads) or a pending window that knocks every
-    /// reader of the line off the lock-free view (writes).
-    /// `Ok((trace, None))` means every attempt lost and the caller
-    /// enqueues under `trace`; on `Err` no trace was allocated.
-    fn admit<T>(
-        &self,
-        shard: usize,
-        mut attempt: impl FnMut(u64) -> Option<T>,
-    ) -> Result<(u64, Option<T>), ServiceError> {
+    /// The health and acceptance checks every request passes first.
+    fn accept(&self, shard: usize) -> Result<(), ServiceError> {
         if !self.state.health().is_up(shard) {
             self.state.note_reject();
             return Err(ServiceError::ShardDown(shard));
@@ -499,20 +320,18 @@ impl ServiceHandle {
         if !self.demand.accepting.load(Ordering::Acquire) {
             return Err(ServiceError::ShuttingDown);
         }
-        let trace = self.registry.next_trace_id();
-        for round in 0..=CLAIM_RETRIES {
-            if let Some(served) = attempt(trace) {
-                return Ok((trace, Some(served)));
-            }
-            if round < CLAIM_RETRIES {
-                thread::yield_now();
-            }
-        }
-        Ok((trace, None))
+        Ok(())
+    }
+
+    /// The admission prologue both demand ops share: [`Self::accept`],
+    /// then the op's one trace ID. On `Err` no trace was allocated.
+    fn admit(&self, shard: usize) -> Result<u64, ServiceError> {
+        self.accept(shard)?;
+        Ok(self.registry.next_trace_id())
     }
 
     /// Serves `line` lock-free off the seqlock view when it is verifiably
-    /// clean. `None` means the caller must take the claimed path.
+    /// clean. `None` means the caller must take the locked path.
     ///
     /// A hit is timed and [`account`]ed under `trace` like any other
     /// served read when `trace` is a multiple of [`LOCKFREE_TIME_EVERY`]
@@ -551,56 +370,141 @@ impl ServiceHandle {
         Some(data)
     }
 
-    /// Serves one op inline on this thread: win `shard`'s claim, drain
-    /// whatever is FIFO-ahead in its queue (write-pending lines settle
-    /// here), then run the op through [`serve_and_account`] directly — no
-    /// op, no slot, no context switch. `None` when another thread holds
-    /// the claim (the caller retries or enqueues behind it).
-    fn serve_inline(
+    /// Takes `shard`'s mutex for a demand session. A free mutex is taken
+    /// without blocking and `None` comes back as the wait. A held one is
+    /// waited for with this thread counted in the shard's depth gauge, and
+    /// the wait's start comes back with the session.
+    fn lock(&self, shard: usize) -> (Result<ShardSession<'_>, ServiceError>, Option<Instant>) {
+        if let Some(session) = self.state.try_session(shard) {
+            return (session, None);
+        }
+        // The wait starts before the gauge counts it, so whoever sees this
+        // thread counted knows its wait began no later.
+        let since = Instant::now();
+        let depth = self.registry.depth(shard);
+        depth.inc();
+        let session = self.state.session(shard);
+        self.registry.queue_depth_hist.record(depth.dec());
+        (session, Some(since))
+    }
+
+    /// Serves one op under `shard`'s mutex on this thread and accounts
+    /// for it: the one completion routine behind every lock-free miss and
+    /// every write. The cache operation runs under the demand path's only
+    /// `catch_unwind`, with the session outside it, so an organic panic
+    /// releases the mutex unpoisoned; it quarantines the shard, counts a
+    /// lost write as failed, and answers [`ServiceError::ShardDown`].
+    ///
+    /// A write that took the mutex without waiting is timed only when
+    /// `trace` is a multiple of [`LOCKFREE_TIME_EVERY`] or the thread has
+    /// no timed inline write yet. Any other such write skips the clock: it
+    /// is counted, and records its thread's last timed latency into the
+    /// same histograms, with no exemplar or trace record. Reads (a miss,
+    /// maybe a DUE) and ops that waited for the mutex are always timed.
+    fn serve(
         &self,
         line: u64,
         shard: usize,
         trace: u64,
         write: Option<&LineData>,
-    ) -> Option<Result<LineData, ServiceError>> {
-        let q = &self.demand.queues[shard];
-        // SeqCst, like every claim swap: see `release_claim`.
-        if q.claimed.swap(true, Ordering::SeqCst) {
-            return None;
-        }
-        drain_claimed(&self.state, &self.demand, shard, &self.registry);
+    ) -> Result<LineData, ServiceError> {
+        let (state, reg) = (&*self.state, &*self.registry);
+        let carried = if write.is_some() {
+            INLINE_WRITE_NS.with(Cell::get)
+        } else {
+            0
+        };
+        let timed = (carried == 0 || trace.is_multiple_of(LOCKFREE_TIME_EVERY)).then(Instant::now);
+        let (locked, waited) = self.lock(shard);
+        let (timed, queue_wait_ns) = match waited {
+            Some(since) => {
+                let acquired = Instant::now();
+                (
+                    Some(acquired),
+                    acquired.duration_since(since).as_nanos() as u64,
+                )
+            }
+            None => (timed, 0),
+        };
+        let mut h2_ns = 0u64;
         let mut session = None;
-        let served = serve_and_account(
-            &self.state,
-            &self.demand,
-            &self.registry,
-            shard,
-            Request {
-                line,
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let live = session.insert(locked?);
+            match write {
+                Some(data) => {
+                    live.write(line, data);
+                    Ok(*data)
+                }
+                // A local ladder failure drops the session *before*
+                // escalating: the cross-shard coordinator takes every
+                // shard mutex in ascending order.
+                None => match live.read(line) {
+                    Err(ServiceError::Uncorrectable(_)) => {
+                        reg.escalated_reads.inc();
+                        session = None;
+                        let h2_start = Instant::now();
+                        let fetched = state.escalate_fetch(line);
+                        // At least 1 ns: `note_request` records the phase
+                        // sample only when it is non-zero.
+                        h2_ns = h2_start.elapsed().as_nanos().max(1) as u64;
+                        fetched
+                    }
+                    other => other,
+                },
+            }
+        }));
+        // Release the shard mutex before the accounting, so the scrub
+        // daemon's chunked passes never wait behind telemetry.
+        drop(session);
+        let Ok(result) = outcome else {
+            fail_shard(state, &self.demand, shard);
+            if write.is_some() {
+                reg.failed_writes.inc();
+            }
+            return Err(ServiceError::ShardDown(shard));
+        };
+        let outcome = trace_outcome(&result);
+        let Some(service_start) = timed else {
+            count(reg, true, outcome);
+            reg.note_carried(true, carried);
+            return result;
+        };
+        let service_ns = (service_start.elapsed().as_nanos() as u64).max(1);
+        if write.is_some() && waited.is_none() {
+            INLINE_WRITE_NS.with(|ns| ns.set(service_ns));
+        }
+        account(
+            reg,
+            TraceRecord {
                 trace,
-                write,
-                enqueued: None,
+                shard: shard as u32,
+                write: write.is_some(),
+                path: if waited.is_some() {
+                    TracePath::Queued
+                } else {
+                    TracePath::Inline
+                },
+                outcome,
+                queue_wait_ns,
+                service_ns,
+                h2_ns,
             },
-            &mut session,
         );
-        release_claim(&self.state, &self.demand, shard, &self.registry);
-        Some(served.unwrap_or(Err(ServiceError::ShardDown(shard))))
+        result
     }
 
-    /// Enqueues a write for `line`'s shard (blocking on a full queue) and
-    /// returns as soon as it is **accepted** — the claim holder applies it
-    /// asynchronously. Acceptance marks the line write-pending in the
-    /// lock-free view, so every subsequent read of the line (from this or
-    /// any other thread that learned of the write) takes the shard queue's
-    /// FIFO path *behind* the write: fire-and-forget stays
-    /// read-your-write consistent. A write a dying shard never applies is
-    /// counted in [`ServiceReport::failed_writes`] and surfaces as
-    /// [`ServiceError::ShardDown`] on later reads of the line.
+    /// Writes `data` to `line` on this thread, under the owning shard's
+    /// mutex, and returns once the write is applied: every later read of
+    /// the line, from any thread, sees it. A write the shard could not
+    /// apply (it panicked under the write, or was quarantined while the
+    /// write waited for its mutex) still returns `Ok` and is counted in
+    /// [`ServiceReport::failed_writes`]; later reads of the line get
+    /// [`ServiceError::ShardDown`].
     ///
     /// # Errors
     ///
     /// [`ServiceError::ShardDown`] when the owning shard is quarantined at
-    /// acceptance, [`ServiceError::ShuttingDown`] when the service no
+    /// admission, [`ServiceError::ShuttingDown`] when the service no
     /// longer accepts requests.
     pub fn write(&self, line: u64, data: &LineData) -> Result<(), ServiceError> {
         self.write_traced(line, data).1
@@ -620,56 +524,26 @@ impl ServiceHandle {
         data: &LineData,
     ) -> (Option<u64>, Result<(), ServiceError>) {
         let shard = self.plan.shard_of_line(line);
-        // Queue-bypass fast path: on a free claim the write is applied
-        // synchronously on this thread — no op allocation, no queue
-        // mutex, no pending-gate round trip. Like a queued write it
-        // completes at acceptance: a shard that dies under it counts it
-        // in `failed_writes`.
-        let (trace, served) = match self.admit(shard, |trace| {
-            self.serve_inline(line, shard, trace, Some(data))
-        }) {
-            Ok(admitted) => admitted,
+        let trace = match self.admit(shard) {
+            Ok(trace) => trace,
             Err(e) => return (None, Err(e)),
         };
-        if served.is_some() {
-            return (Some(trace), Ok(()));
-        }
-        self.state.begin_write(line);
-        let accepted = self.demand.enqueue(
-            shard,
-            Op::Write {
-                line,
-                trace,
-                data: *data,
-                enqueued: Instant::now(),
-            },
-            &self.state,
-            &self.registry,
-        );
-        if accepted.is_err() {
-            // Rejected at the door: nothing will ever apply (or retire) it.
-            self.state.retire_write(line);
-            return (Some(trace), accepted);
-        }
-        // Flat-combining assist: try to drain the shard queue (our write
-        // included) right here. On a small machine this applies the write
-        // without a single context switch; losing the claim race is fine —
-        // the holder's drain covers our op.
-        claim_and_drain(&self.state, &self.demand, shard, &self.registry);
-        (Some(trace), accepted)
+        // A failed apply is already counted in `failed_writes`.
+        let _ = self.serve(line, shard, trace, Some(data));
+        (Some(trace), Ok(()))
     }
 
     /// Blocking read: lock-free off the seqlock view when the line is
-    /// verifiably clean, otherwise enqueued and answered through this
-    /// thread's completion slot.
+    /// verifiably clean, otherwise on this thread under the owning
+    /// shard's mutex (through the repair ladder, escalating across shards
+    /// when the shard cannot repair the line alone).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Uncorrectable`] when even cross-shard recovery
     /// failed (DUE), [`ServiceError::ShardDown`] when the owning shard is
-    /// quarantined (including mid-flight: a request stranded by a shard
-    /// panic reports the shard, never a panic or a hang), and
-    /// [`ServiceError::ShuttingDown`] when the service is gone.
+    /// quarantined (including one that dies while the read waits for its
+    /// mutex), and [`ServiceError::ShuttingDown`] when the service is gone.
     pub fn read(&self, line: u64) -> Result<LineData, ServiceError> {
         self.read_traced(line).1
     }
@@ -683,81 +557,44 @@ impl ServiceHandle {
     /// Same as [`ServiceHandle::read`].
     pub fn read_traced(&self, line: u64) -> (Option<u64>, Result<LineData, ServiceError>) {
         let shard = self.plan.shard_of_line(line);
-        // Each round probes the lock-free view, then tries the claim: a
-        // free claim drains whatever is FIFO-ahead (our line's pending
-        // write included) and runs the locked ladder read right here. A
-        // held claim's release re-check drains anything queued meanwhile,
-        // often publishing our line clean for the next round's probe.
-        let (trace, served) = match self.admit(shard, |trace| {
-            self.fast_read(line, shard, trace)
-                .map(Ok)
-                .or_else(|| self.serve_inline(line, shard, trace, None))
-        }) {
-            Ok(admitted) => admitted,
+        let trace = match self.admit(shard) {
+            Ok(trace) => trace,
             Err(e) => return (None, Err(e)),
         };
-        if let Some(result) = served {
-            return (Some(trace), result);
-        }
-        let result = READ_SLOT.with(|slot| {
-            self.demand.enqueue(
-                shard,
-                Op::Read {
-                    line,
-                    trace,
-                    enqueued: Instant::now(),
-                    reply: slot.arm(),
-                },
-                &self.state,
-                &self.registry,
-            )?;
-            // Flat-combining assist: winning the claim serves our own op
-            // (and everything FIFO-ahead of it, write-pending lines
-            // included) on this thread, filling the slot before the wait
-            // even starts — zero context switches on the miss path.
-            claim_and_drain(&self.state, &self.demand, shard, &self.registry);
-            slot.wait()
-                .unwrap_or_else(|| Err(self.disconnect_error(shard)))
-        });
+        let result = match self.fast_read(line, shard, trace) {
+            Some(data) => Ok(data),
+            None => self.serve(line, shard, trace, None),
+        };
         (Some(trace), result)
     }
 
-    /// Chaos hook: the thread that drains `shard` next panics on purpose
-    /// when it pops this op — with `hold_lock`, while holding the shard's
-    /// state mutex, poisoning it exactly like an organic mid-repair panic.
-    /// The caller drains it itself when the shard's claim is free, so an
-    /// uncontended injection has quarantined the shard by the time this
-    /// returns; otherwise the claim holder serves it. Either way the panic
-    /// is caught at the op boundary, never unwinding into a caller.
+    /// Chaos hook: this thread takes `shard`'s mutex (waiting its turn
+    /// like any demand op) and panics on purpose under it — with
+    /// `hold_lock`, still holding it, poisoning it exactly like an organic
+    /// mid-repair panic. The panic is caught here, never unwinding into
+    /// the caller, and the shard is quarantined by the time this returns.
     ///
     /// # Errors
     ///
     /// The same acceptance errors as any other request.
     pub fn inject_worker_panic(&self, shard: usize, hold_lock: bool) -> Result<(), ServiceError> {
-        self.demand
-            .enqueue(shard, Op::Panic { hold_lock }, &self.state, &self.registry)?;
-        claim_and_drain(&self.state, &self.demand, shard, &self.registry);
+        self.accept(shard)?;
+        let session = self.lock(shard).0?;
+        let _ = catch_unwind(AssertUnwindSafe(|| session.chaos_panic(hold_lock)));
+        fail_shard(&self.state, &self.demand, shard);
         Ok(())
     }
 
-    /// Current depth of each shard's request queue.
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.registry
-            .queue_depths()
-            .into_iter()
-            .map(|d| d as usize)
-            .collect()
-    }
-
-    /// `shard`'s live queue depth, lock-free (the wire server's RETRY-shed
-    /// probe: depth at the bound means an enqueue would block).
+    /// Threads blocked on `shard`'s mutex right now, lock-free (the wire
+    /// server's RETRY-shed probe: [`Self::queue_bound`] waiters mean the
+    /// shard is saturated).
     #[inline]
     pub fn shard_depth(&self, shard: usize) -> usize {
-        self.demand.queues[shard].len.load(Ordering::Relaxed)
+        self.registry.depth(shard).get() as usize
     }
 
-    /// The per-shard queue bound producers block at ([`ServiceConfig`]'s
-    /// `queue_depth`).
+    /// The waiter count at which a shard counts as saturated
+    /// ([`ServiceConfig`]'s `queue_depth`).
     pub fn queue_bound(&self) -> usize {
         self.demand.queue_depth
     }
@@ -835,7 +672,6 @@ impl Service {
         )?);
         let registry = Arc::new(TelemetryRegistry::new(config.n_shards));
         let demand = Arc::new(Demand {
-            queues: (0..config.n_shards).map(|_| ShardQueue::new()).collect(),
             accepting: AtomicBool::new(true),
             panicked: Mutex::new(BTreeSet::new()),
             queue_depth: config.queue_depth.max(1),
@@ -954,7 +790,8 @@ impl Service {
         &self.state
     }
 
-    /// The live metrics registry every drainer and the daemon publish into.
+    /// The live metrics registry every client thread and the daemon
+    /// publish into.
     pub fn registry(&self) -> &Arc<TelemetryRegistry> {
         &self.registry
     }
@@ -992,19 +829,19 @@ impl Service {
         &self.plane
     }
 
-    /// Graceful drain and shutdown: stops the scrub daemon, closes
-    /// acceptance, drains every shard on the calling thread until every
-    /// queue is verifiably empty, then stops the telemetry plane (sampler
-    /// last, so the flight recorder's final snapshot sees the quiesced
-    /// system), and assembles the end-of-run report. Every op accepted before the
-    /// call is fully served by live shards; ops stranded on dead shards
-    /// produce error replies, never hangs.
+    /// Shutdown: stops the scrub daemon, closes acceptance (later
+    /// requests get [`ServiceError::ShuttingDown`]), stops the telemetry
+    /// plane (sampler last, so the flight recorder's final snapshot sees
+    /// the quiesced system), and assembles the end-of-run report. Ops run
+    /// on their clients' threads, so nothing is left queued: an op
+    /// admitted before the call finishes there, under the shard mutex the
+    /// report's harvest takes too.
     ///
     /// Never panics: dead shards and a dead daemon are reported in
     /// [`ServiceReport::worker_panics`] / [`ServiceReport::daemon_panicked`],
     /// with their surviving telemetry still harvested.
     pub fn shutdown(self) -> ServiceReport {
-        // 1. Stop the daemon first so no new scrub work races the drain.
+        // 1. Stop the daemon first so no new scrub work races the harvest.
         self.stop.store(true, Ordering::Relaxed);
         let mut daemon_panicked = false;
         if let Some(handle) = self.daemon {
@@ -1015,32 +852,8 @@ impl Service {
                 Err(_) => daemon_panicked = true,
             }
         }
-        // 2. Drain: close acceptance, wake every producer blocked on a
-        //    queue bound, then drain every shard here until each queue is
-        //    empty under its lock. `accepting` was cleared before each of
-        //    those locks, so a producer that takes a queue lock after our
-        //    empty check sees it cleared and bails: the empty sweep is
-        //    conclusive, and nothing accepted is left unserved. A queue a
-        //    client's claim still covers is drained by that client.
-        self.demand.accepting.store(false, Ordering::SeqCst);
-        for q in &self.demand.queues {
-            let _guard = q.ops.lock().unwrap_or_else(|e| e.into_inner());
-            q.not_full.notify_all();
-        }
-        let demand = &self.demand;
-        loop {
-            for shard in 0..demand.queues.len() {
-                claim_and_drain(&self.state, demand, shard, &self.registry);
-            }
-            let all_empty = demand
-                .queues
-                .iter()
-                .all(|q| q.ops.lock().unwrap_or_else(|e| e.into_inner()).is_empty());
-            if all_empty {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        // 2. Close acceptance.
+        self.demand.accepting.store(false, Ordering::Release);
         let worker_panics: Vec<usize> = self
             .demand
             .panicked
@@ -1125,96 +938,8 @@ fn sampler_loop(
         }
         recorder.push(snap);
         if stop.load(Ordering::Relaxed) {
-            break; // the snapshot above was the final, post-drain capture
+            break; // the snapshot above was the final, post-shutdown capture
         }
-    }
-}
-
-/// Claims `shard` and drains its queue in whole work packets on the
-/// *calling* thread, returning the number of ops served (0 when another
-/// thread already owns the claim). This is the single drain primitive:
-/// every enqueuer calls it right after its push (flat combining), as do a
-/// producer blocked at the queue bound and the shutdown drain. Whoever
-/// wins the claim serves — repairs stay serialized per shard, because the
-/// claim admits one drainer at a time and the shard session mutex covers
-/// the state itself.
-///
-/// After releasing the claim, the queue length is re-checked and the
-/// claim re-taken if a producer pushed in the release window — producers
-/// that lost the claim race rely on the holder to serve what they pushed.
-fn claim_and_drain(
-    state: &ShardedCache,
-    demand: &Demand,
-    shard: usize,
-    reg: &TelemetryRegistry,
-) -> u64 {
-    let q = &demand.queues[shard];
-    // SeqCst, like every claim swap: see `release_claim`.
-    if q.claimed.swap(true, Ordering::SeqCst) {
-        return 0; // another thread owns this shard right now
-    }
-    let served = drain_claimed(state, demand, shard, reg);
-    served + release_claim(state, demand, shard, reg)
-}
-
-/// Drains `shard`'s queue in whole work packets until it is empty,
-/// returning the number of ops served. The caller must hold the claim.
-fn drain_claimed(
-    state: &ShardedCache,
-    demand: &Demand,
-    shard: usize,
-    reg: &TelemetryRegistry,
-) -> u64 {
-    let mut served = 0u64;
-    loop {
-        let batch = demand.pop_batch(shard);
-        if batch.is_empty() {
-            return served;
-        }
-        served += batch.len() as u64;
-        if state.health().is_up(shard) {
-            serve_packet(state, demand, shard, batch, reg);
-        } else {
-            // Quarantined: drain with error replies, never hangs.
-            for op in batch {
-                complete_shard_down(op, shard, state, reg);
-            }
-        }
-    }
-}
-
-/// Releases the claim on `shard`, closing the push-after-empty-pop race:
-/// an op pushed between the holder's last empty pop and the release saw
-/// the shard claimed and counts on the holder to serve it. Reclaim and
-/// drain again (or leave it to whoever beat us to the reclaim). Returns
-/// the number of ops served by the recheck drains.
-///
-/// Nothing else rescues such an op, so the two sides must not both miss
-/// each other. A producer does `len += 1` then swaps `claimed`; the
-/// holder stores `claimed = false` then loads `len` — the store-buffer
-/// pattern, which a `Release` store (a plain store on x86, free to pass
-/// the later load) does not close. With all four operations `SeqCst` they
-/// sit in one total order consistent with each side's program order and
-/// with `claimed`'s modification order. If the producer's swap reads
-/// `true`, it precedes the holder's store in `claimed`'s modification
-/// order, so the producer's `len` increment precedes the holder's load in
-/// the total order and the load sees it (or a later value; a decrement
-/// below it means the op was already popped). If the swap reads `false`,
-/// the producer holds the claim and drains itself.
-fn release_claim(
-    state: &ShardedCache,
-    demand: &Demand,
-    shard: usize,
-    reg: &TelemetryRegistry,
-) -> u64 {
-    let q = &demand.queues[shard];
-    let mut served = 0u64;
-    loop {
-        q.claimed.store(false, Ordering::SeqCst);
-        if q.len.load(Ordering::SeqCst) == 0 || q.claimed.swap(true, Ordering::SeqCst) {
-            return served;
-        }
-        served += drain_claimed(state, demand, shard, reg);
     }
 }
 
@@ -1229,172 +954,11 @@ fn fail_shard(state: &ShardedCache, demand: &Demand, shard: usize) {
         .insert(shard);
 }
 
-/// Error-completes a stranded op (queued behind a panic, or drained off a
-/// dead shard's queue), undoing its depth accounting. The client gets
-/// [`ServiceError::ShardDown`], never a hang.
-fn complete_shard_down(op: Op, shard: usize, state: &ShardedCache, reg: &TelemetryRegistry) {
-    match op {
-        Op::Panic { .. } => {}
-        Op::Read { reply, .. } => {
-            let d = reg.depth(shard).dec();
-            reg.queue_depth_hist.record(d);
-            state.note_reject();
-            reply.complete(Err(ServiceError::ShardDown(shard)));
-        }
-        Op::Write { line, .. } => {
-            let d = reg.depth(shard).dec();
-            reg.queue_depth_hist.record(d);
-            state.note_reject();
-            // The accepted write will never be applied: surface it in the
-            // failed-write counter and re-arm the line's lock-free view.
-            reg.failed_writes.inc();
-            state.retire_write(line);
-        }
-    }
-}
-
-/// Reads `line` through the packet's shard session (opened lazily, so an
-/// all-write packet after an escalation doesn't reacquire for nothing).
-/// A local ladder failure drops the session *before* escalating — the
-/// cross-shard coordinator acquires every shard mutex in ascending order.
-fn serve_read<'a>(
-    state: &'a ShardedCache,
-    shard: usize,
-    line: u64,
-    session: &mut Option<ShardSession<'a>>,
-    h2_ns: &mut u64,
-    reg: &TelemetryRegistry,
-) -> Result<LineData, ServiceError> {
-    let live = match session {
-        Some(live) => live,
-        None => session.insert(state.session(shard)?),
-    };
-    match live.read(line) {
-        Err(ServiceError::Uncorrectable(_)) => {
-            reg.escalated_reads.inc();
-            *session = None;
-            let h2_start = Instant::now();
-            let fetched = state.escalate_fetch(line);
-            // At least 1 ns: `note_request` records the phase sample only
-            // when it is non-zero.
-            *h2_ns = h2_start.elapsed().as_nanos().max(1) as u64;
-            fetched
-        }
-        other => other,
-    }
-}
-
-/// Writes `data` to `line` through the packet's shard session.
-fn serve_write<'a>(
-    state: &'a ShardedCache,
-    shard: usize,
-    line: u64,
-    data: &LineData,
-    session: &mut Option<ShardSession<'a>>,
-) -> Result<(), ServiceError> {
-    let live = match session {
-        Some(live) => live,
-        None => session.insert(state.session(shard)?),
-    };
-    live.write(line, data);
-    Ok(())
-}
-
-/// One demand op as [`serve_and_account`] sees it.
-struct Request<'d> {
-    line: u64,
-    trace: u64,
-    /// The data to store for a write; `None` for a read.
-    write: Option<&'d LineData>,
-    /// When a queued op was enqueued; `None` for an op served inline.
-    enqueued: Option<Instant>,
-}
-
-/// Serves one demand op on `shard`, whose claim the caller holds, and
-/// accounts for it: the one completion routine behind the inline and the
-/// queued paths alike. The cache operation runs under the demand path's
-/// only `catch_unwind`; completion handles stay with the caller, outside
-/// it. A served op is [`account`]ed and answered `Some` — for a write,
-/// `Ok` carries the data it stored. A caught panic quarantines the shard,
-/// counts a lost write as failed, and answers `None`: the caller then
-/// error-completes the op and whatever is queued behind it.
-///
-/// An inline write is timed only when `trace` is a multiple of
-/// [`LOCKFREE_TIME_EVERY`] or the thread has no timed inline write yet.
-/// Any other inline write skips the clock: it is counted, and records its
-/// thread's last timed latency into the same histograms, with no exemplar
-/// or trace record. Reads (which took the shard lock: a miss, maybe a
-/// DUE) and queued ops are always timed.
-fn serve_and_account<'a>(
-    state: &'a ShardedCache,
-    demand: &Demand,
-    reg: &TelemetryRegistry,
-    shard: usize,
-    req: Request<'_>,
-    session: &mut Option<ShardSession<'a>>,
-) -> Option<Result<LineData, ServiceError>> {
-    let inline_write = req.enqueued.is_none() && req.write.is_some();
-    // Any other op carries nothing, so it is always timed.
-    let carried = if inline_write {
-        INLINE_WRITE_NS.with(Cell::get)
-    } else {
-        0
-    };
-    let timed = (carried == 0 || req.trace.is_multiple_of(LOCKFREE_TIME_EVERY)).then(Instant::now);
-    let mut h2_ns = 0u64;
-    let outcome = catch_unwind(AssertUnwindSafe(|| match req.write {
-        None => serve_read(state, shard, req.line, session, &mut h2_ns, reg),
-        Some(data) => serve_write(state, shard, req.line, data, session).map(|()| *data),
-    }));
-    if req.enqueued.is_none() {
-        // An inline op's session serves that op alone: release the shard
-        // mutex before the accounting, so the scrub daemon's chunked
-        // passes never wait behind telemetry.
-        *session = None;
-    }
-    let Ok(result) = outcome else {
-        fail_shard(state, demand, shard);
-        if req.write.is_some() {
-            reg.failed_writes.inc();
-        }
-        return None;
-    };
-    let outcome = trace_outcome(&result);
-    let Some(service_start) = timed else {
-        count(reg, true, outcome);
-        reg.note_carried(true, carried);
-        return Some(result);
-    };
-    let service_ns = (service_start.elapsed().as_nanos() as u64).max(1);
-    if inline_write {
-        INLINE_WRITE_NS.with(|ns| ns.set(service_ns));
-    }
-    account(
-        reg,
-        TraceRecord {
-            trace: req.trace,
-            shard: shard as u32,
-            write: req.write.is_some(),
-            path: if req.enqueued.is_some() {
-                TracePath::Queued
-            } else {
-                TracePath::Inline
-            },
-            outcome,
-            queue_wait_ns: req
-                .enqueued
-                .map_or(0, |at| service_start.duration_since(at).as_nanos() as u64),
-            service_ns,
-            h2_ns,
-        },
-    );
-    Some(result)
-}
-
 /// The accounting every served demand op gets, whichever path served it
-/// (lock-free, inline, or queued): the op counters its outcome implies,
-/// then its one [`TraceRecord`] — latency, queue-wait, service and H2
-/// phase samples, exemplar, and the sampled trace ring.
+/// (lock-free, or under the shard mutex with or without a wait): the op
+/// counters its outcome implies, then its one [`TraceRecord`] — latency,
+/// queue-wait, service and H2 phase samples, exemplar, and the sampled
+/// trace ring.
 fn account(reg: &TelemetryRegistry, record: TraceRecord) {
     count(reg, record.write, record.outcome);
     reg.note_request(record);
@@ -1420,83 +984,6 @@ fn trace_outcome(result: &Result<LineData, ServiceError>) -> TraceOutcome {
         Ok(_) => TraceOutcome::Ok,
         Err(e) if e.is_due() => TraceOutcome::Due,
         Err(_) => TraceOutcome::Error,
-    }
-}
-
-/// Serves one work packet against `shard`, holding one [`ShardSession`]
-/// across the batch (one mutex acquire amortized over up to [`BATCH`]
-/// ops).
-///
-/// Panic protocol: completion handles **never** enter the `catch_unwind`
-/// inside [`serve_and_account`] — only the cache operation does — so a
-/// panic cannot strand or double-complete a client. On a caught panic the
-/// shard is quarantined first, then the current op and everything left in
-/// the packet complete with [`ServiceError::ShardDown`]. The session
-/// `Option` lives outside the closure, so the shard mutex is released
-/// (not poisoned) on the way out; `hold_lock` chaos panics still poison
-/// it via their own acquire.
-fn serve_packet(
-    state: &ShardedCache,
-    demand: &Demand,
-    shard: usize,
-    batch: Vec<Op>,
-    reg: &TelemetryRegistry,
-) {
-    let mut session: Option<ShardSession<'_>> = None;
-    let mut ops = batch.into_iter();
-    while let Some(op) = ops.next() {
-        let (line, trace, enqueued, write, reply) = match op {
-            Op::Panic { hold_lock } => {
-                // Release the session first: a hold_lock panic re-acquires
-                // the shard mutex itself (and poisons it on unwind).
-                drop(session.take());
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    state.chaos_panic(shard, hold_lock);
-                }));
-                fail_shard(state, demand, shard);
-                for rest in ops {
-                    complete_shard_down(rest, shard, state, reg);
-                }
-                return;
-            }
-            Op::Read {
-                line,
-                trace,
-                enqueued,
-                reply,
-            } => (line, trace, enqueued, None, Some(reply)),
-            Op::Write {
-                line,
-                trace,
-                data,
-                enqueued,
-            } => (line, trace, enqueued, Some(data), None),
-        };
-        let d = reg.depth(shard).dec();
-        reg.queue_depth_hist.record(d);
-        let req = Request {
-            line,
-            trace,
-            write: write.as_ref(),
-            enqueued: Some(enqueued),
-        };
-        let served = serve_and_account(state, demand, reg, shard, req, &mut session);
-        if write.is_some() {
-            // Retire *after* the apply, which publishes the line (or on the
-            // way to the teardown below): only then is the view
-            // authoritative for the line again.
-            state.retire_write(line);
-        }
-        let panicked = served.is_none();
-        if let Some(reply) = reply {
-            reply.complete(served.unwrap_or(Err(ServiceError::ShardDown(shard))));
-        }
-        if panicked {
-            for rest in ops {
-                complete_shard_down(rest, shard, state, reg);
-            }
-            return;
-        }
     }
 }
 
@@ -1791,7 +1278,6 @@ mod tests {
     fn shutdown_drains_every_accepted_request() {
         let mut config = ServiceConfig::small(256, 4, 0.0, 1);
         config.scrub_every = None;
-        config.queue_depth = 4; // small queue: the test exercises blocking
         let service = Service::start(config).unwrap();
         let handle = service.handle();
         for line in 0..200u64 {
@@ -1994,10 +1480,8 @@ mod tests {
         for line in 0..64u64 {
             handle.write(line, &data_with(&[line as usize])).unwrap();
         }
-        // Writes complete at acceptance: the first read of each line may
-        // queue behind its still-pending write (FIFO gives read-your-write),
-        // after which the line is published and the second read MUST be
-        // served straight from the seqlock view.
+        // A write has published its line by the time it returns, so every
+        // read below MUST be served straight from the seqlock view.
         for line in 0..64u64 {
             assert_eq!(handle.read(line).unwrap(), data_with(&[line as usize]));
         }
@@ -2007,7 +1491,7 @@ mod tests {
         let report = service.shutdown();
         assert_eq!(report.reads, 128);
         assert!(
-            report.lockfree_reads >= 64,
+            report.lockfree_reads == 128,
             "clean reads must bypass the queue: {} lock-free of {}",
             report.lockfree_reads,
             report.reads

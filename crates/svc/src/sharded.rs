@@ -68,7 +68,7 @@ use crate::error::ServiceError;
 use crate::store::ShardStore;
 use crate::view::{LineView, ViewRead};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, PoisonError, TryLockError};
 use sudoku_codes::{LineCodec, LineData, ProtectedLine};
 use sudoku_core::{
     reassert_stuck, CacheStats, Casualties, ConfigError, GroupScratch, GroupView, HashDim,
@@ -362,21 +362,38 @@ impl ShardedCache {
         self.rejects.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Fails fast (counting a rejection) when `shard` is quarantined.
+    fn check_up(&self, shard: usize) -> Result<(), ServiceError> {
+        if self.health.is_up(shard) {
+            return Ok(());
+        }
+        self.note_reject();
+        Err(ServiceError::ShardDown(shard))
+    }
+
     /// Acquires `shard`'s cache for a demand operation: fails fast when the
-    /// shard is quarantined, and quarantines it on the spot when its mutex
-    /// turns out to be poisoned (a thread panicked mid-operation).
+    /// shard is quarantined, before the wait or after it (a shard that died
+    /// while this thread waited must not serve it), and quarantines it on
+    /// the spot when its mutex turns out to be poisoned (a thread panicked
+    /// mid-operation).
     fn lock_shard(&self, shard: usize) -> Result<MutexGuard<'_, ShardCache>, ServiceError> {
-        if !self.health.is_up(shard) {
-            self.note_reject();
+        self.check_up(shard)?;
+        let locked = self.shards[shard].lock();
+        self.checked(shard, locked)
+    }
+
+    /// The checks of [`ShardedCache::lock_shard`] after its lock attempt.
+    fn checked<'a>(
+        &self,
+        shard: usize,
+        locked: LockResult<MutexGuard<'a, ShardCache>>,
+    ) -> Result<MutexGuard<'a, ShardCache>, ServiceError> {
+        let Ok(guard) = locked else {
+            self.health.quarantine(shard);
             return Err(ServiceError::ShardDown(shard));
-        }
-        match self.shards[shard].lock() {
-            Ok(guard) => Ok(guard),
-            Err(_) => {
-                self.health.quarantine(shard);
-                Err(ServiceError::ShardDown(shard))
-            }
-        }
+        };
+        self.check_up(shard)?;
+        Ok(guard)
     }
 
     /// Telemetry-path lock: counters and stored lines of a quarantined (or
@@ -448,22 +465,6 @@ impl ShardedCache {
         }
     }
 
-    /// Marks a write for `line` as accepted-but-not-applied: lock-free
-    /// reads of the line miss until [`ShardedCache::retire_write`]
-    /// balances this call, so a queued fire-and-forget write stays
-    /// read-your-write consistent (the queue's FIFO order serves the read
-    /// after the write).
-    pub(crate) fn begin_write(&self, line: u64) {
-        self.view.begin_write(line);
-    }
-
-    /// Balances one [`ShardedCache::begin_write`] once the write has been
-    /// applied (which publishes it) — or consumed by a teardown path that
-    /// will never apply it.
-    pub(crate) fn retire_write(&self, line: u64) {
-        self.view.retire_write(line);
-    }
-
     /// Attempts a lock-free clean read of `line`, owned by `shard`, via
     /// the seqlock view: `Some(data)` when the line is verifiably clean
     /// (CRC checked inline or published as a codeword, or golden zero),
@@ -482,8 +483,8 @@ impl ShardedCache {
         }
     }
 
-    /// Opens a per-shard demand session: the shard mutex held across a
-    /// whole work packet, amortizing one lock acquire over many ops.
+    /// Opens a per-shard demand session: the shard mutex, held until the
+    /// session drops. Blocks while another thread holds it.
     ///
     /// # Errors
     ///
@@ -495,6 +496,24 @@ impl ShardedCache {
             owner: self,
             shard,
         })
+    }
+
+    /// [`ShardedCache::session`] without blocking: `None` while another
+    /// thread holds the shard mutex.
+    pub(crate) fn try_session(
+        &self,
+        shard: usize,
+    ) -> Option<Result<ShardSession<'_>, ServiceError>> {
+        let locked = match self.shards[shard].try_lock() {
+            Ok(guard) => Ok(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Err(poisoned),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        Some(self.checked(shard, locked).map(|cache| ShardSession {
+            cache,
+            owner: self,
+            shard,
+        }))
     }
 
     /// Writes `data` to `line` on its owning shard (or its spare-pool slot,
@@ -648,14 +667,14 @@ impl ShardedCache {
 
     /// Chaos hook: panics on purpose — optionally while holding `shard`'s
     /// cache mutex, poisoning it the way a real mid-repair panic would.
-    /// Used by the service's `Op::Panic` injection and the chaos bin;
-    /// never called on any production path.
+    /// Never called on any production path.
     pub fn chaos_panic(&self, shard: usize, hold_lock: bool) -> ! {
-        if hold_lock {
-            let _guard = self.lock_shard_telemetry(shard);
-            panic!("injected worker panic on shard {shard} (lock held)");
+        ShardSession {
+            cache: self.lock_shard_telemetry(shard),
+            owner: self,
+            shard,
         }
-        panic!("injected worker panic on shard {shard}");
+        .chaos_panic(hold_lock)
     }
 
     /// Deterministic whole-service scrub of the listed lines (plus
@@ -1057,8 +1076,7 @@ impl ShardedCache {
     }
 }
 
-/// A demand session holding one shard's cache mutex across a whole work
-/// packet: `N` reads/writes pay for one lock acquire. Created by
+/// A demand session holding one shard's cache mutex. Created by
 /// [`ShardedCache::session`]; dropping it releases the shard.
 ///
 /// The session holds **only** the shard cache guard — the spare table
@@ -1072,6 +1090,20 @@ pub struct ShardSession<'a> {
 }
 
 impl ShardSession<'_> {
+    /// Chaos hook: panics on purpose — with `hold_lock` still holding the
+    /// shard mutex, which the unwind poisons the way a real mid-repair
+    /// panic would; otherwise after releasing it. Used by
+    /// `ServiceHandle::inject_worker_panic`; never called on any
+    /// production path.
+    pub(crate) fn chaos_panic(self, hold_lock: bool) -> ! {
+        let shard = self.shard;
+        if hold_lock {
+            panic!("injected worker panic on shard {shard} (lock held)");
+        }
+        drop(self);
+        panic!("injected worker panic on shard {shard}");
+    }
+
     /// Writes `data` to `line` (which must be owned by this shard),
     /// landing in the spare pool when the line has been remapped.
     pub fn write(&mut self, line: u64, data: &LineData) {
@@ -1646,8 +1678,8 @@ mod tests {
     }
 
     /// Asserts the write-through invariant: with every shard held, each
-    /// non-spared line with no pending write has a view slot equal to its
-    /// owning store's line, and each spared line's slot is marked spared.
+    /// non-spared line has a view slot equal to its owning store's line,
+    /// and each spared line's slot is marked spared.
     fn assert_view_coherent(cache: &ShardedCache, step: usize) {
         let view = &cache.view;
         for shard in 0..cache.n_shards() {
@@ -1660,7 +1692,7 @@ mod tests {
                         None,
                         "step {step}, spared line {line}"
                     );
-                } else if !view.has_pending(line) {
+                } else {
                     assert_eq!(
                         view.slot_line(line),
                         Some(guard.stored_line(line)),
@@ -1737,19 +1769,13 @@ mod tests {
                 rng ^= rng << 17;
                 rng % bound
             };
-            let mut pending: Vec<u64> = Vec::new();
             let mut version = 0u64;
             for step in 0..600 {
                 let line = next(n_lines);
-                match next(9) {
-                    0 | 1 => {
+                match next(8) {
+                    0..=2 => {
                         version += 1;
                         cache.write(line, &versioned(line, version)).unwrap();
-                    }
-                    2 => {
-                        // A queued write: accepted now, applied later.
-                        cache.begin_write(line);
-                        pending.push(line);
                     }
                     3 => {
                         for _ in 0..=next(2) {
@@ -1773,23 +1799,12 @@ mod tests {
                     6 => {
                         cache.escalate(&[line, 4, 5]);
                     }
-                    7 => {
-                        let _ = cache.read(if next(2) == 0 { 4 } else { line });
-                    }
                     _ => {
-                        if let Some(line) = pending.pop() {
-                            version += 1;
-                            cache.write(line, &versioned(line, version)).unwrap();
-                            cache.retire_write(line);
-                        }
+                        let _ = cache.read(if next(2) == 0 { 4 } else { line });
                     }
                 }
                 assert_view_coherent(&cache, step);
             }
-            for line in pending.drain(..) {
-                cache.retire_write(line);
-            }
-            assert_view_coherent(&cache, 600);
         });
         assert!(
             cache.degraded_stats().spared_lines >= 1,
@@ -1802,7 +1817,7 @@ mod tests {
     /// non-zero snapshot goes through the CRC, as before the mark.
     fn unmarked_read(cache: &ShardedCache, line: u64) -> (ViewRead, u64, u64) {
         let view = &cache.view;
-        if view.is_spared(line) || view.has_pending(line) {
+        if view.is_spared(line) {
             return (ViewRead::Miss, 0, 0);
         }
         let stored = view.load(line).0;
@@ -1815,7 +1830,7 @@ mod tests {
         }
     }
 
-    /// After every step of a seeded mix of writes, queued writes, fault
+    /// After every step of a seeded mix of writes, fault
     /// injections, stuck-cell reasserts, scrub ticks, escalations and
     /// demand reads, every marked slot holds a codeword, and a lock-free
     /// read of every line returns and counts exactly what it would with
@@ -1846,15 +1861,10 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut pending: Vec<u64> = Vec::new();
             for step in 0..300u64 {
                 let line = next(n_lines);
-                match next(10) {
-                    0..=2 => cache.write(line, &versioned(line, step)).unwrap(),
-                    3 => {
-                        cache.begin_write(line);
-                        pending.push(line);
-                    }
+                match next(9) {
+                    0..=3 => cache.write(line, &versioned(line, step)).unwrap(),
                     4 => {
                         for _ in 0..=next(2) {
                             cache.inject_fault(line, next(553) as usize);
@@ -1877,14 +1887,8 @@ mod tests {
                     7 => {
                         cache.escalate(&[line]);
                     }
-                    8 => {
-                        let _ = cache.read(line);
-                    }
                     _ => {
-                        if let Some(line) = pending.pop() {
-                            cache.write(line, &versioned(line, step)).unwrap();
-                            cache.retire_write(line);
-                        }
+                        let _ = cache.read(line);
                     }
                 }
                 for line in 0..n_lines {

@@ -6,10 +6,10 @@
 //!
 //! Until this plane existed, a soak or chaos run was a black box until
 //! `shutdown()` assembled the final [`ServiceReport`]; now the recovery
-//! ladder is observable *while it operates*: per-shard queue depth and
+//! ladder is observable *while it operates*: per-shard mutex waiters and
 //! health, scrub-daemon progress and tick lag, ECC-1 / SDR / RAID-4 /
 //! Hash-2 ladder counters, spare-pool occupancy, and per-phase request
-//! latency (queue wait → shard service → cross-shard H2 gather+repair)
+//! latency (mutex wait → shard service → cross-shard H2 gather+repair)
 //! threaded by a per-request trace ID.
 //!
 //! Every exported value is declared once, as one row of the `METRICS`
@@ -92,9 +92,10 @@ impl Default for TelemetryConfig {
 pub enum TracePath {
     /// Served off the seqlock line view, no shard mutex.
     Lockfree,
-    /// Served inline by the requester holding the shard claim.
+    /// Served under the shard mutex, which was free.
     Inline,
-    /// Rode the bounded shard queue to a drainer.
+    /// Served under the shard mutex after waiting for another thread to
+    /// release it.
     Queued,
 }
 
@@ -143,7 +144,7 @@ pub type Exemplar = (usize, u64, u64);
 /// concrete end-to-end traces without a per-request lock on the hot path.
 #[derive(Clone, Copy, Debug)]
 pub struct TraceRecord {
-    /// The per-request trace ID the handle allocated at enqueue time.
+    /// The per-request trace ID the handle allocated at admission.
     pub trace: u64,
     /// Owning shard.
     pub shard: u32,
@@ -153,9 +154,10 @@ pub struct TraceRecord {
     pub path: TracePath,
     /// How it ended.
     pub outcome: TraceOutcome,
-    /// Time spent queued before a drainer dequeued it, ns.
+    /// Time spent blocked on the shard mutex another thread held (0 when
+    /// it was free), ns.
     pub queue_wait_ns: u64,
-    /// Shard-local service time (dequeue → reply), ns. A lock-free read
+    /// Shard-local service time (mutex taken → reply), ns. A lock-free read
     /// or an inline write is timed only when its trace is a multiple of
     /// [`LOCKFREE_TIME_EVERY`] (or it is its thread's first on that path),
     /// and only timed ops leave a record, so every record carries a
@@ -166,9 +168,8 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// End-to-end latency: queue wait plus service (H2 time is inside the
-    /// service span — escalation happens while the drainer owns the
-    /// request).
+    /// End-to-end latency: mutex wait plus service (H2 time is inside the
+    /// service span — the client escalates while serving the request).
     pub fn total_ns(&self) -> u64 {
         self.queue_wait_ns + self.service_ns
     }
@@ -203,7 +204,7 @@ pub const TRACE_SAMPLE: u64 = 64;
 /// every `_count` and bucket total stays exact, and only the `_sum`,
 /// `min` and `max` of the lock-free-read and inline-write shares are
 /// estimates. Reads that take the shard lock (misses, which can end in a
-/// DUE) and queued ops are always timed.
+/// DUE) and ops that waited for the shard mutex are always timed.
 pub const LOCKFREE_TIME_EVERY: u64 = 16;
 
 // Every lock-free or inline-write trace the ring samples is a timed one.
@@ -211,8 +212,8 @@ const _: () = assert!(TRACE_SAMPLE.is_multiple_of(LOCKFREE_TIME_EVERY));
 
 const TRACE_RING: usize = 64;
 
-/// The lock-free metrics registry shared by every drainer, the scrub
-/// daemon, the client handles, the sampler, and the scrape endpoint.
+/// The lock-free metrics registry shared by the client handles, the scrub
+/// daemon, the sampler, and the scrape endpoint.
 ///
 /// Writers update counters/gauges/histograms wait-free; readers snapshot
 /// via [`TelemetrySnapshot::capture`] without stopping the world.
@@ -268,9 +269,10 @@ pub struct TelemetryRegistry {
     pub read_latency_ns: AtomicHist,
     /// End-to-end demand-write latency, ns.
     pub write_latency_ns: AtomicHist,
-    /// Phase: time queued before a drainer dequeued the request, ns.
+    /// Phase: time blocked on a held shard mutex, ns (0 for an op that
+    /// found it free).
     pub queue_wait_ns: AtomicHist,
-    /// Phase: shard-local service time (dequeue → reply), ns.
+    /// Phase: shard-local service time (mutex taken → reply), ns.
     pub shard_service_ns: AtomicHist,
     /// Phase: cross-shard Hash-2 gather+repair time, ns (demand + scrub).
     pub h2_gather_ns: AtomicHist,
@@ -278,7 +280,8 @@ pub struct TelemetryRegistry {
     pub scrub_tick_ns: AtomicHist,
     /// Scrub-tick start lag behind the deadline, ns.
     pub tick_lag_ns: AtomicHist,
-    /// Per-shard request-queue depth sampled at dequeue.
+    /// Per-shard waiter count, sampled as each waiting op takes the shard
+    /// mutex (itself included).
     pub queue_depth_hist: AtomicHist,
     /// Adaptive scrub quota per daemon visit, packets.
     pub scrub_quota_hist: AtomicHist,
@@ -289,7 +292,8 @@ pub struct TelemetryRegistry {
     pub net_open_connections: Gauge,
     /// Wire request frames decoded (well-formed, any opcode).
     pub net_frames: Counter,
-    /// Wire requests shed with RETRY (in-flight window or queue full).
+    /// Wire requests shed with RETRY (in-flight window full or shard
+    /// saturated).
     pub net_sheds: Counter,
     /// Malformed wire frames (each also closes its connection).
     pub net_malformed: Counter,
@@ -369,13 +373,22 @@ impl TelemetryRegistry {
         self.next_trace.load(Ordering::Relaxed)
     }
 
-    /// `shard`'s live queue-depth gauge.
+    /// `shard`'s live depth gauge: threads blocked on its mutex.
     #[inline]
     pub fn depth(&self, shard: usize) -> &Gauge {
         &self.depths[shard]
     }
 
-    /// Current depth of every shard's request queue.
+    /// Served demand ops that waited for a held shard mutex, and all
+    /// served demand ops: the `queue_wait_ns` samples above its first
+    /// bucket (1 ns), and all its samples (every served op records one).
+    pub fn waited_ops(&self) -> (u64, u64) {
+        let waits = self.queue_wait_ns.snapshot();
+        let free = waits.all_buckets().first().map_or(0, |&(_, c)| c);
+        (waits.count() - free, waits.count())
+    }
+
+    /// Threads blocked on each shard's mutex right now.
     pub fn queue_depths(&self) -> Vec<u64> {
         self.depths.iter().map(Gauge::get).collect()
     }
@@ -679,7 +692,7 @@ fn spatial(audit: &AuditSnapshot, read: fn(&CorrelationStat) -> Value) -> Value 
 const METRICS: &[Metric] = &[
     // Shards.
     gauge(Some("queue_depths"), Some("sudoku_queue_depth"),
-        "Live request-queue depth per shard",
+        "Threads blocked on each shard's mutex",
         Read::Snap(|s| Value::Shards(s.queue_depths.clone()))),
     gauge(Some("spare_occupancy"), Some("sudoku_spare_occupancy"),
         "Spare-pool occupancy per shard", Read::Snap(|s| Value::Shards(s.spare_occupancy.clone()))),
@@ -784,7 +797,7 @@ const METRICS: &[Metric] = &[
          carries its thread's last timed value, so _sum, min and max are estimates",
         Read::RegHist(|r| &r.write_latency_ns)),
     hist("queue_wait_ns", "sudoku_queue_wait_ns",
-        "Queue-wait phase", Read::RegHist(|r| &r.queue_wait_ns)),
+        "Shard-mutex wait phase", Read::RegHist(|r| &r.queue_wait_ns)),
     hist("shard_service_ns", "sudoku_shard_service_ns",
         "Shard-service phase; lock-free reads and inline writes are timed 1 in 16, and \
          an untimed one carries its thread's last timed value, so _sum, min and max \
@@ -968,7 +981,7 @@ pub struct TelemetrySnapshot {
     pub shards: usize,
     /// Whether the scrub daemon died to a caught panic.
     pub daemon_dead: bool,
-    /// Per-shard live queue depth.
+    /// Per-shard threads blocked on the shard mutex.
     pub queue_depths: Vec<u64>,
     /// Per-shard spare-pool occupancy (lines remapped).
     pub spare_occupancy: Vec<u64>,

@@ -14,10 +14,10 @@
 //! snapshot is served without recomputing its CRC-31; an unmarked one is
 //! verified with the CRC inline, exactly as the reference read does.
 //! Anything else — a torn snapshot, an odd epoch (writer in flight), a
-//! CRC mismatch (the line is faulty and needs the ladder), a pending
-//! write, or a spared line (the line was remapped to a spare) — is a
-//! **miss**, and the caller falls back to the locked worker/repair path,
-//! which is bit-identical to the reference.
+//! CRC mismatch (the line is faulty and needs the ladder), or a spared
+//! line (the line was remapped to a spare) — is a **miss**, and the
+//! caller falls back to the locked repair path, which is bit-identical to
+//! the reference.
 //!
 //! A demand write trusts the mark too. The store hands the cache a line's
 //! old value together with its mark ([`LineView::load`], under the shard
@@ -58,10 +58,6 @@ use sudoku_codes::{LineCodec, LineData, ProtectedLine, LINE_WORDS};
 use sudoku_core::CacheStats;
 use sudoku_obs::Counter;
 
-/// `pending` bit marking a line remapped to a spare slot: permanently out
-/// of the lock-free paths. The slot keeps storing the (faulty) array copy.
-const SPARED: u64 = 1 << 63;
-
 /// Meta-word bit marking a slot whose publisher proved its line a full
 /// CRC+ECC codeword (see [`LineView::publish`]). Published in the same
 /// seqlock epoch as the line, so a snapshot's mark always belongs to its
@@ -73,18 +69,17 @@ const MAX_RETRIES: u32 = 8;
 
 /// One line's state: seqlock epoch, the eight data words, a packed meta
 /// word (`crc` in bits 0..32, `ecc` in bits 32..48, the [`CODEWORD`] mark
-/// in bit 48), and the count of accepted-but-not-yet-applied writes (see
-/// [`LineView::begin_write`]) with the [`SPARED`] mark in its top bit.
+/// in bit 48), and the spared mark.
 struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; LINE_WORDS],
     meta: AtomicU64,
-    /// Writes accepted into the shard queue but not yet applied (which
-    /// publishes them). While nonzero, lock-free reads miss: they fall to
-    /// the shard queue, whose FIFO order puts them *behind* the write —
-    /// that is what makes fire-and-forget writes read-your-write
-    /// consistent. The [`SPARED`] bit keeps it nonzero forever.
-    pending: AtomicU64,
+    /// Non-zero once the line is remapped to a spare slot: permanently out
+    /// of the lock-free paths. The slot keeps storing the (faulty) array
+    /// copy. A whole word, not an `AtomicBool`: with no padding byte, a
+    /// fresh slot is all zero words, and a bool made building a 16 Ki-line
+    /// view about a fifth slower.
+    spared: AtomicU64,
 }
 
 impl Slot {
@@ -93,7 +88,7 @@ impl Slot {
             seq: AtomicU64::new(0),
             words: std::array::from_fn(|_| AtomicU64::new(0)),
             meta: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
+            spared: AtomicU64::new(0),
         }
     }
 
@@ -164,8 +159,8 @@ pub(crate) enum ViewRead {
     /// Golden all-zero line (never written / zero slot): serve zero with
     /// no CRC check, mirroring the reference's `is_zero` fast path.
     Zero,
-    /// Torn snapshot, writer in flight, CRC mismatch, pending write or
-    /// spared line: fall back to the locked path (which does all the
+    /// Torn snapshot, writer in flight, CRC mismatch or spared line: fall
+    /// back to the locked path (which does all the
     /// accounting).
     Miss,
 }
@@ -196,10 +191,7 @@ impl LineView {
     /// the read still counts the check the hardware pays.
     pub(crate) fn try_read(&self, line: u64, shard: usize) -> (ViewRead, u32) {
         let slot = &self.slots[line as usize];
-        if slot.pending.load(Ordering::Acquire) != 0 {
-            // A write for this line is queued but not applied yet (the
-            // locked path's FIFO queue orders this read after it), or the
-            // line is spared.
+        if slot.spared.load(Ordering::Acquire) != 0 {
             return (ViewRead::Miss, 0);
         }
         let (snapshot, retries) = slot.snapshot();
@@ -287,35 +279,12 @@ impl LineView {
     /// Permanently takes `line` out of the lock-free paths (it was
     /// remapped to a spare slot): reads miss and sweeps skip it forever.
     pub(crate) fn mark_spared(&self, line: u64) {
-        self.slots[line as usize]
-            .pending
-            .fetch_or(SPARED, Ordering::Release);
+        self.slots[line as usize].spared.store(1, Ordering::Release);
     }
 
     /// Whether `line` was marked spared.
     pub(crate) fn is_spared(&self, line: u64) -> bool {
-        self.slots[line as usize].pending.load(Ordering::Acquire) & SPARED != 0
-    }
-
-    /// Marks a write for `line` as accepted (queued, not yet applied):
-    /// lock-free reads of the line miss until [`LineView::retire_write`]
-    /// balances this call. Called by the *client* thread at enqueue — the
-    /// increment is in its program order, so its own subsequent reads are
-    /// guaranteed to take the queued path behind the write.
-    pub(crate) fn begin_write(&self, line: u64) {
-        self.slots[line as usize]
-            .pending
-            .fetch_add(1, Ordering::Release);
-    }
-
-    /// Balances one [`LineView::begin_write`]: the write was applied and
-    /// published (or consumed by a teardown path — either way it will
-    /// never be applied later, so the view is authoritative again once
-    /// the count drains).
-    pub(crate) fn retire_write(&self, line: u64) {
-        self.slots[line as usize]
-            .pending
-            .fetch_sub(1, Ordering::Release);
+        self.slots[line as usize].spared.load(Ordering::Acquire) != 0
     }
 
     /// Folds `shard`'s lock-free accounting into `stats`: every lock-free
@@ -369,11 +338,6 @@ mod tests {
         /// while no writer is in flight.
         pub(crate) fn is_marked(&self, line: u64) -> bool {
             self.slots[line as usize].load().1
-        }
-
-        /// Whether a write to `line` is accepted but not yet retired.
-        pub(crate) fn has_pending(&self, line: u64) -> bool {
-            self.slots[line as usize].pending.load(Ordering::Acquire) & !SPARED != 0
         }
     }
 
@@ -464,27 +428,7 @@ mod tests {
         view.publish(4, &encoded(&[2]), true);
         assert_eq!(view.load(4).0, encoded(&[2]));
         assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
-        // Pending writes come and go without clearing the mark.
-        view.begin_write(4);
-        view.retire_write(4);
-        assert!(!view.has_pending(4));
-        assert!(matches!(view.try_read(4, 0), (ViewRead::Miss, _)));
         assert_eq!(view.slot_line(4), None);
-    }
-
-    #[test]
-    fn pending_write_blocks_lock_free_reads_until_retired() {
-        let view = LineView::new(16, 1);
-        let stored = encoded(&[3, 200]);
-        view.publish(6, &stored, false);
-        view.begin_write(6);
-        view.begin_write(6);
-        assert!(matches!(view.try_read(6, 0), (ViewRead::Miss, _)));
-        view.retire_write(6);
-        // One write still in flight: still a miss.
-        assert!(matches!(view.try_read(6, 0), (ViewRead::Miss, _)));
-        view.retire_write(6);
-        assert!(matches!(view.try_read(6, 0), (ViewRead::Clean(_), _)));
     }
 
     #[test]
@@ -501,13 +445,12 @@ mod tests {
         view.mark_spared(4);
         view.publish(5, &encoded(&[12]), false);
         view.force_epoch(5, view.epoch(5) + 1);
-        view.begin_write(6);
         view.publish(7, &encoded(&[13]), true);
         // Marked against the contract: the sweep trusts the mark and
         // never runs the check that would defer it.
         view.publish(8, &ecc_field, true);
         let mut locked = Vec::new();
-        // 0 and 6 are golden zero (a pending write changes nothing stored),
+        // 0 and 6 are golden zero,
         // 1 is clean, 2 fails only its ECC field, 3 its CRC, 4 is spared,
         // 5 has a writer stuck in flight, and 7 and 8 are marked.
         assert_eq!(view.sweep(1, 0..9, &mut locked), 5);

@@ -72,7 +72,7 @@ pub struct ScanObs {
     pub last_tick_lag_ns: u64,
     /// Cumulative scrub ticks completed.
     pub scrub_ticks: u64,
-    /// Per-shard live queue depth.
+    /// Per-shard threads blocked on the shard mutex.
     pub queue_depths: Vec<u64>,
     /// Quarantined shards, ascending.
     pub quarantined: Vec<usize>,

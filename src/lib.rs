@@ -18,7 +18,7 @@
 //! * [`obs`] — recovery-event telemetry: the escalation-chain event log,
 //!   allocation-free histograms, phase spans, and forensic replay;
 //! * [`svc`] — the concurrent sharded cache service: Hash-1-sharded
-//!   storage behind per-shard claims and queues, a background scrub daemon,
+//!   storage behind per-shard mutexes, a background scrub daemon,
 //!   cross-shard Hash-2 escalation, and a load generator.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
