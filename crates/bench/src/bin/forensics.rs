@@ -23,20 +23,12 @@
 //! correlation verdict — *where* the failures landed, alongside the
 //! chains' *how they were repaired*.
 
-use sudoku_bench::{header, json_f64_field, json_u64_array_field, Args};
+use sudoku_bench::{header, json_f64_field, json_u64_array_field, Args, Flags};
 use sudoku_core::Scheme;
 use sudoku_fault::ScrubSchedule;
 use sudoku_obs::forensics::{breakdown, chains, Chain};
 use sudoku_obs::RecoveryEvent;
 use sudoku_reliability::montecarlo::{run_interval_campaign_observed, McConfig, Observe};
-
-fn arg_value(flag: &str) -> Option<String> {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == flag)
-        .and_then(|i| argv.get(i + 1))
-        .cloned()
-}
 
 /// Loads a heatmap snapshot (the `/heatmap.json` document) and renders
 /// the observed-repair grid, the hottest cell, and — when the snapshot
@@ -139,10 +131,11 @@ fn print_exemplar(title: &str, chain: Option<&&Chain>) {
 fn main() {
     let args = Args::parse(200, 0);
     header("Recovery forensics — escalation chains from the event log");
-    let heatmap = arg_value("--heatmap");
-    let events = match arg_value("--input") {
+    let flags = Flags::from_env();
+    let heatmap = flags.str("--heatmap");
+    let events = match flags.str("--input") {
         Some(path) => {
-            let events = load_events(&path);
+            let events = load_events(path);
             println!("loaded {} recovery events from {path}\n", events.len());
             events
         }

@@ -48,12 +48,11 @@
 
 use std::net::IpAddr;
 use std::time::Duration;
-use sudoku_bench::{flag, git_rev, header, json_f64_field, print_shard_waits, warn_baseline_rev};
-use sudoku_core::{Scheme, SudokuConfig};
-use sudoku_fault::StuckBitMap;
+use sudoku_bench::{
+    flag, git_rev, header, json_f64_field, print_shard_waits, warn_baseline_rev, Flags,
+};
 use sudoku_svc::{
-    parse_bind_addr, AddrMode, AuditConfig, DegradedConfig, LoadgenConfig, Service, ServiceConfig,
-    TelemetryConfig,
+    parse_bind_addr, AuditConfig, LoadgenConfig, Service, ServiceConfig, TelemetryConfig,
 };
 
 struct Opts {
@@ -77,36 +76,36 @@ struct Opts {
 
 impl Opts {
     fn parse() -> Opts {
-        let argv: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<&str> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1))
-                .map(String::as_str)
-        };
-        let u =
-            |flag: &str, default: u64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
-        let f =
-            |flag: &str, default: f64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
+        let flags = Flags::from_env();
         Opts {
-            shards: u("--shards", 4) as usize,
-            clients: u("--clients", 4) as usize,
-            requests: u("--requests", 10_000),
-            rate: u("--rate", 0),
-            lines: u("--lines", 1 << 14),
-            ber: f("--ber", 1e-4),
-            theta: f("--theta", 0.8),
-            write_frac: f("--write-frac", 0.3),
-            tick_ms: u("--tick-ms", 1),
-            queue: u("--queue", 64) as usize,
-            seed: u("--seed", 42),
-            telemetry_port: get("--telemetry-port").and_then(|v| v.parse().ok()),
-            bind: get("--bind")
-                .map(|v| parse_bind_addr(v).unwrap_or_else(|e| panic!("{e}")))
+            shards: flags.get("--shards", 4),
+            clients: flags.get("--clients", 4),
+            requests: flags.get("--requests", 10_000),
+            rate: flags.get("--rate", 0),
+            lines: flags.get("--lines", 1 << 14),
+            ber: flags.get("--ber", 1e-4),
+            theta: flags.get("--theta", 0.8),
+            write_frac: flags.get("--write-frac", 0.3),
+            tick_ms: flags.get("--tick-ms", 1),
+            queue: flags.get("--queue", 64),
+            seed: flags.get("--seed", 42),
+            telemetry_port: flags.opt("--telemetry-port"),
+            bind: flags
+                .parse_with("--bind", parse_bind_addr)
                 .unwrap_or(IpAddr::from([127, 0, 0, 1])),
-            flight_recorder: get("--flight-recorder").map(String::from),
-            sample_ms: u("--sample-ms", 50),
-            alerts: get("--alerts").map(String::from),
+            flight_recorder: flags.str("--flight-recorder").map(String::from),
+            sample_ms: flags.get("--sample-ms", 50),
+            alerts: flags.str("--alerts").map(String::from),
+        }
+    }
+
+    /// The service both runs start from: the soak's cache, shards, queue
+    /// bound and scrub tick, at `ber`.
+    fn service_config(&self, ber: f64) -> ServiceConfig {
+        ServiceConfig {
+            queue_depth: self.queue,
+            scrub_every: Some(Duration::from_millis(self.tick_ms.max(1))),
+            ..ServiceConfig::small(self.lines, self.shards, ber, self.seed)
         }
     }
 
@@ -150,27 +149,19 @@ fn main() {
     );
 
     let service_config = ServiceConfig {
-        cache: SudokuConfig::small(Scheme::Z, opts.lines, 16),
-        n_shards: opts.shards,
-        queue_depth: opts.queue,
-        scrub_every: Some(Duration::from_millis(opts.tick_ms.max(1))),
-        ber: opts.ber,
-        seed: opts.seed,
-        stuck: StuckBitMap::new(),
-        degraded: DegradedConfig::default(),
         telemetry: opts.telemetry(),
         audit: AuditConfig {
             alerts_jsonl: opts.alerts.as_ref().map(Into::into),
             ..AuditConfig::default()
         },
-        adaptive_scrub: true,
+        ..opts.service_config(opts.ber)
     };
     let load_config = LoadgenConfig {
         workers: opts.clients,
         requests_per_worker: opts.requests,
         target_rps: opts.rate,
         write_frac: opts.write_frac,
-        mode: AddrMode::Zipf { theta: opts.theta },
+        theta: opts.theta,
         seed: opts.seed,
     };
     let service = Service::start(service_config).expect("valid service config");
@@ -367,17 +358,8 @@ fn main() {
 /// comparison. BER is zeroed so both runs sweep identical (clean) work.
 fn idle_sweep_rate(opts: &Opts, adaptive: bool) -> f64 {
     let config = ServiceConfig {
-        cache: SudokuConfig::small(Scheme::Z, opts.lines, 16),
-        n_shards: opts.shards,
-        queue_depth: opts.queue,
-        scrub_every: Some(Duration::from_millis(opts.tick_ms.max(1))),
-        ber: 0.0,
-        seed: opts.seed,
-        stuck: StuckBitMap::new(),
-        degraded: DegradedConfig::default(),
-        telemetry: None,
-        audit: AuditConfig::default(),
         adaptive_scrub: adaptive,
+        ..opts.service_config(0.0)
     };
     let started = std::time::Instant::now();
     let service = Service::start(config).expect("valid idle service config");

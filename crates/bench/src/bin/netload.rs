@@ -38,14 +38,14 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
-use sudoku_bench::{flag, git_rev, header, json_f64_field, print_shard_waits, warn_baseline_rev};
+use sudoku_bench::{
+    flag, git_rev, header, json_f64_field, print_shard_waits, warn_baseline_rev, Flags,
+};
 use sudoku_codes::LineData;
-use sudoku_core::{Scheme, SudokuConfig};
-use sudoku_fault::StuckBitMap;
 use sudoku_net::{NetConfig, NetServer, Request, Status, WireClient};
 use sudoku_obs::Histogram;
 use sudoku_sim::ZipfGen;
-use sudoku_svc::{AuditConfig, DegradedConfig, Service, ServiceConfig};
+use sudoku_svc::{Service, ServiceConfig};
 
 struct Opts {
     shards: usize,
@@ -69,58 +69,34 @@ struct Opts {
 
 impl Opts {
     fn parse() -> Opts {
-        let argv: Vec<String> = std::env::args().collect();
-        let get = |flag: &str| -> Option<&str> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1))
-                .map(String::as_str)
-        };
-        let u =
-            |flag: &str, default: u64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
-        let f =
-            |flag: &str, default: f64| get(flag).and_then(|v| v.parse().ok()).unwrap_or(default);
-        let addr = |flag: &str| -> Option<SocketAddr> {
-            get(flag).map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("bad socket address {v:?} for {flag}"))
-            })
-        };
-        let clients = u("--clients", 2) as usize;
+        let flags = Flags::from_env();
+        let clients = flags.get("--clients", 2);
         Opts {
-            shards: u("--shards", 4) as usize,
+            shards: flags.get("--shards", 4),
             clients,
-            requests: u("--requests", 100_000),
-            rate: u("--rate", 0),
-            lines: u("--lines", 1 << 14),
-            ber: f("--ber", 0.0),
-            theta: f("--theta", 0.8),
-            write_frac: f("--write-frac", 0.3),
-            window: u("--window", 512) as usize,
-            handlers: u("--handlers", 2) as usize,
-            queue: u("--queue", 64) as usize,
-            seed: u("--seed", 42),
-            serve: addr("--serve"),
-            serve_secs: u("--serve-secs", 600),
-            connect: addr("--connect"),
-            client_offset: u("--client-offset", 0),
-            clients_total: u("--clients-total", clients as u64),
+            requests: flags.get("--requests", 100_000),
+            rate: flags.get("--rate", 0),
+            lines: flags.get("--lines", 1 << 14),
+            ber: flags.get("--ber", 0.0),
+            theta: flags.get("--theta", 0.8),
+            write_frac: flags.get("--write-frac", 0.3),
+            window: flags.get("--window", 512),
+            handlers: flags.get("--handlers", 2),
+            queue: flags.get("--queue", 64),
+            seed: flags.get("--seed", 42),
+            serve: flags.opt("--serve"),
+            serve_secs: flags.get("--serve-secs", 600),
+            connect: flags.opt("--connect"),
+            client_offset: flags.get("--client-offset", 0),
+            clients_total: flags.get("--clients-total", clients as u64),
         }
     }
 
     fn service_config(&self) -> ServiceConfig {
         ServiceConfig {
-            cache: SudokuConfig::small(Scheme::Z, self.lines, 16),
-            n_shards: self.shards,
-            queue_depth: self.queue,
             scrub_every: Some(Duration::from_millis(1)),
-            ber: self.ber,
-            seed: self.seed,
-            stuck: StuckBitMap::new(),
-            degraded: DegradedConfig::default(),
-            telemetry: None,
-            audit: AuditConfig::default(),
-            adaptive_scrub: true,
+            queue_depth: self.queue,
+            ..ServiceConfig::small(self.lines, self.shards, self.ber, self.seed)
         }
     }
 }

@@ -47,7 +47,66 @@ pub fn print_shard_waits(registry: &sudoku_svc::TelemetryRegistry) {
     );
 }
 
-/// Simple `--flag value` argument extraction.
+/// A binary's command line, read as `--flag value` pairs: the one flag
+/// reader every bin uses. A value that does not parse is an error naming
+/// the flag, never a silent default.
+#[derive(Clone, Debug)]
+pub struct Flags(Vec<String>);
+
+impl Flags {
+    /// The process's own arguments.
+    pub fn from_env() -> Flags {
+        Flags(std::env::args().collect())
+    }
+
+    /// The raw value after `--name`, when the flag is present.
+    pub fn str(&self, name: &str) -> Option<&str> {
+        let at = self.0.iter().position(|a| a == name)?;
+        self.0.get(at + 1).map(String::as_str)
+    }
+
+    /// `name`'s value through `parse`, `None` when the flag is absent.
+    /// A value `parse` refuses prints an error naming the flag and exits
+    /// the process with status 2.
+    pub fn parse_with<T, E: std::fmt::Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Option<T> {
+        self.try_parse_with(name, parse).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Flags::parse_with`] for a [`FromStr`](std::str::FromStr) value.
+    pub fn opt<T: std::str::FromStr>(&self, name: &str) -> Option<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.parse_with(name, str::parse)
+    }
+
+    /// [`Flags::opt`], or `default` when the flag is absent.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.opt(name).unwrap_or(default)
+    }
+
+    fn try_parse_with<T, E: std::fmt::Display>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, String> {
+        self.str(name)
+            .map(|v| parse(v).map_err(|e| format!("{name} {v:?}: {e}")))
+            .transpose()
+    }
+}
+
+/// The common experiment flags.
 #[derive(Clone, Debug)]
 pub struct Args {
     /// RNG seed (`--seed`, default 42).
@@ -67,21 +126,14 @@ pub struct Args {
 impl Args {
     /// Parses the process arguments with the given defaults.
     pub fn parse(default_trials: u64, default_accesses: u64) -> Args {
-        let argv: Vec<String> = std::env::args().collect();
-        let get_str = |flag: &str| -> Option<String> {
-            argv.iter()
-                .position(|a| a == flag)
-                .and_then(|i| argv.get(i + 1))
-                .cloned()
-        };
-        let get = |flag: &str| -> Option<u64> { get_str(flag).and_then(|v| v.parse().ok()) };
+        let flags = Flags::from_env();
         Args {
-            seed: get("--seed").unwrap_or(42),
-            trials: get("--trials").unwrap_or(default_trials),
-            threads: get("--threads").unwrap_or(0) as usize,
-            accesses: get("--accesses").unwrap_or(default_accesses),
-            events: get_str("--events"),
-            metrics_json: get_str("--metrics-json"),
+            seed: flags.get("--seed", 42),
+            trials: flags.get("--trials", default_trials),
+            threads: flags.get("--threads", 0),
+            accesses: flags.get("--accesses", default_accesses),
+            events: flags.str("--events").map(String::from),
+            metrics_json: flags.str("--metrics-json").map(String::from),
         }
     }
 
@@ -269,6 +321,28 @@ mod tests {
         assert!(a.events.is_none());
         assert!(a.metrics_json.is_none());
         assert!(!a.observe().enabled());
+    }
+
+    #[test]
+    fn flags_parse_values_and_name_the_flag_they_refuse() {
+        let argv = |args: &[&str]| Flags(args.iter().map(|a| a.to_string()).collect());
+        let flags = argv(&["bin", "--requests", "2e5", "--ber", "1e-4", "--seed"]);
+        assert_eq!(flags.get("--ber", 0.5), 1e-4);
+        assert_eq!(flags.get("--shards", 4u64), 4);
+        assert_eq!(flags.str("--requests"), Some("2e5"));
+        // A flag with no value after it is absent.
+        assert_eq!(flags.str("--seed"), None);
+        let err = flags
+            .try_parse_with("--requests", str::parse::<u64>)
+            .unwrap_err();
+        assert!(err.starts_with("--requests \"2e5\""), "{err}");
+        assert_eq!(
+            flags.try_parse_with("--ber", str::parse::<f64>),
+            Ok(Some(1e-4))
+        );
+        let bad = argv(&["bin", "--ber", "x"]);
+        let err = bad.try_parse_with("--ber", str::parse::<f64>).unwrap_err();
+        assert!(err.contains("--ber") && err.contains("\"x\""), "{err}");
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //!   mutex (whose waiters are the shard's demand queue), a scrub daemon
 //!   ticks every shard with per-shard forked fault injectors, and
 //!   shutdown closes acceptance and harvests the report.
-//! * [`loadgen`] — replay of `sim::trace` workload mixes (or a zipfian
-//!   stream) against a running service at a target request rate, with a
-//!   golden-copy oracle that counts silent data corruption.
+//! * [`loadgen`] — the one in-process demand client: a zipfian stream
+//!   against a running service at a target request rate, with a
+//!   golden-copy oracle that counts silent data corruption. The `loadgen`
+//!   and `chaos` soaks both run its worker.
 //! * [`telemetry`] / [`Exporter`] — the live telemetry plane: a lock-free
 //!   [`TelemetryRegistry`] every thread updates wait-free, a sampler
 //!   thread recording periodic [`TelemetrySnapshot`]s into a bounded
@@ -65,7 +66,7 @@ pub use audit::{
 pub use degraded::{DegradedConfig, DegradedStats, ShardHealth, SpareTable};
 pub use error::{ServiceError, StartError};
 pub use exporter::{parse_bind_addr, Exporter};
-pub use loadgen::{AddrMode, LoadReport, LoadgenConfig};
+pub use loadgen::{LoadReport, LoadgenConfig, WorkerResult};
 pub use service::{Service, ServiceConfig, ServiceHandle, ServiceReport};
 pub use sharded::{merge_reports, ShardSession, ShardedCache};
 pub use telemetry::{

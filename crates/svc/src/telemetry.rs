@@ -404,12 +404,11 @@ impl TelemetryRegistry {
 
     /// The worst tick lag recorded since the previous call, and resets
     /// it: a late tick between two watchdog scans is seen at the next scan
-    /// even when on-time ticks followed it. With no tick since, this is
-    /// the most recent tick's lag (the peak of a window is at least its
-    /// last tick's lag, so the two agree whenever a tick started).
+    /// even when on-time ticks followed it. With no tick since, this is 0:
+    /// a lag is read once, by the scan after its tick started (a daemon
+    /// that stops ticking is `daemon_stuck`'s to report).
     pub fn take_peak_tick_lag(&self) -> u64 {
-        let peak = self.peak_tick_lag_ns.swap(0, Ordering::Relaxed);
-        peak.max(self.last_tick_lag_ns.get())
+        self.peak_tick_lag_ns.swap(0, Ordering::Relaxed)
     }
 
     /// Completes one request's phase accounting: records the phase and

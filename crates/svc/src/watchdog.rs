@@ -65,10 +65,11 @@ pub struct ScanObs {
     pub daemon_expected: bool,
     /// Whether the daemon died to a caught panic.
     pub daemon_dead: bool,
-    /// Worst daemon tick-start lag since the previous scan, ns (the most
-    /// recent tick's when none started since). The live loop takes it
-    /// with [`TelemetryRegistry::take_peak_tick_lag`], so a late tick
-    /// followed by on-time ones is not missed.
+    /// Worst daemon tick-start lag since the previous scan, ns (0 when
+    /// no tick started since). The live loop takes it with
+    /// [`TelemetryRegistry::take_peak_tick_lag`], so a late tick followed
+    /// by on-time ones is not missed, and a scan with no tick closes an
+    /// open lag episode.
     pub last_tick_lag_ns: u64,
     /// Cumulative scrub ticks completed.
     pub scrub_ticks: u64,
@@ -662,15 +663,50 @@ mod tests {
             scan(&reg);
         }
         assert!(plane.degraded_reasons().is_empty());
-        // A late tick with no tick after it stays breached across scans
-        // that see no tick at all: still one incident, not one per scan.
+        // A late tick is read by the scan after it; a scan that sees no
+        // tick reads no lag, and clears the episode.
         reg.record_tick_lag(10_000_000);
-        scan(&reg);
         scan(&reg);
         assert_eq!(plane.alerts.count(AlertClass::TickLagBreach), 2);
         assert!(plane
             .degraded_reasons()
             .contains(&"tick_lag_breach".to_string()));
+        scan(&reg);
+        assert!(plane.degraded_reasons().is_empty());
+    }
+
+    #[test]
+    fn a_stall_after_a_late_tick_raises_its_own_breach() {
+        // A saturation-late tick just before a stall, then a scan during
+        // the stall (no tick), then the stall's own lag: the stall must
+        // raise a fresh alert carrying its own lag, not hide inside the
+        // episode the small lag opened.
+        let plane = plane(AuditConfig {
+            scrub_deadline: Duration::from_secs(3600),
+            tick_lag_budget: Duration::from_millis(2),
+            ..AuditConfig::default()
+        });
+        let reg = TelemetryRegistry::new(4);
+        let mut dog = Watchdog::new(Arc::clone(&plane), 4, 64, None, None);
+        let t0 = Instant::now();
+        let mut scan = |reg: &TelemetryRegistry| {
+            let mut obs = quiet_obs(t0);
+            obs.last_tick_lag_ns = reg.take_peak_tick_lag();
+            dog.scan(&obs);
+        };
+        reg.record_tick_lag(3_000_000);
+        scan(&reg);
+        scan(&reg);
+        reg.record_tick_lag(101_000_000);
+        scan(&reg);
+        assert_eq!(plane.alerts.count(AlertClass::TickLagBreach), 2);
+        let stall = plane
+            .alerts
+            .recent(16)
+            .into_iter()
+            .rfind(|a| a.class == AlertClass::TickLagBreach)
+            .expect("the stall's breach");
+        assert!(stall.value >= 100e6, "{stall:?}");
     }
 
     #[test]
