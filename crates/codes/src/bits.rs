@@ -34,7 +34,7 @@ pub struct LineData(pub(crate) [u64; LINE_WORDS]);
 
 impl LineData {
     /// An all-zero line.
-    pub fn zero() -> Self {
+    pub const fn zero() -> Self {
         LineData([0; LINE_WORDS])
     }
 
@@ -134,7 +134,14 @@ impl LineData {
     /// Whether every bit is zero.
     #[inline]
     pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
+        self.or_words() == 0
+    }
+
+    /// The OR of the backing words: zero exactly when every bit is. No
+    /// early exit, so the test compiles to straight-line code.
+    #[inline]
+    pub(crate) fn or_words(&self) -> u64 {
+        self.0.iter().fold(0, |acc, &w| acc | w)
     }
 
     /// Iterator over the positions of set bits, ascending.

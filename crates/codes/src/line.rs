@@ -83,8 +83,12 @@ pub struct ProtectedLine {
 
 impl ProtectedLine {
     /// The all-zero codeword (valid: zero data has zero CRC and zero ECC).
-    pub fn zero() -> Self {
-        ProtectedLine::default()
+    pub const fn zero() -> Self {
+        ProtectedLine {
+            data: LineData::zero(),
+            crc: 0,
+            ecc: 0,
+        }
     }
 
     /// Reads stored bit `i` (0..553, spanning data, CRC, ECC).
@@ -147,9 +151,11 @@ impl ProtectedLine {
         self.xor(other).iter_ones().collect()
     }
 
-    /// Whether every stored bit is zero.
+    /// Whether every stored bit is zero (one OR over every field, no
+    /// branches).
+    #[inline]
     pub fn is_zero(&self) -> bool {
-        self.data.is_zero() && self.crc == 0 && self.ecc == 0
+        (self.data.or_words() | self.crc as u64 | self.ecc as u64) == 0
     }
 }
 

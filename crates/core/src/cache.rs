@@ -110,8 +110,10 @@ impl<S: LineStore> GroupView for CacheGroupView<'_, S> {
                 };
                 out.extend(lines.filter_map(in_group));
                 out.extend(self.recovered.lines().filter_map(in_group));
-                out.sort_unstable();
-                out.dedup();
+                if out.len() > 1 {
+                    out.sort_unstable();
+                    out.dedup();
+                }
             }
             _ => out.extend(0..n),
         }
@@ -126,10 +128,9 @@ impl<S: LineStore> GroupView for CacheGroupView<'_, S> {
         if let Some(r) = self.recovered.get(m) {
             return MemberState::Recovered(r);
         }
-        if !self.store.is_materialized(m) {
+        let Some(raw) = self.store.materialized_line(m) else {
             return MemberState::Zero;
-        }
-        let raw = self.store.line(m);
+        };
         match self.casualties.and_then(|c| c.classified(m)) {
             Some(listed) if listed == raw => MemberState::Casualty(raw),
             _ => MemberState::Stored(raw),

@@ -10,6 +10,10 @@
 //!   zero data everywhere — a full-size 64 MB cache interval (2²⁰ lines of
 //!   553 bits at BER 5.3e-6) then touches only its ~3 070 faulty lines,
 //!   keeping Monte-Carlo at paper scale cheap.
+//!
+//! A group scan reads each member once, through
+//! [`LineStore::materialized_line`]: the stored line, or `None` when the
+//! store knows it is the zero codeword (one map probe on a sparse store).
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -95,13 +99,20 @@ pub trait LineStore {
         self.set_line(idx, l);
     }
 
-    /// Whether the line at `idx` might differ from the all-zero codeword.
+    /// The stored line at `idx` if it might differ from the all-zero
+    /// codeword, `None` if it is known to be zero: one read, where a
+    /// presence test and [`LineStore::line`] would take two.
     ///
-    /// Sparse stores return `false` for untouched lines, letting group
+    /// Sparse stores return `None` for untouched lines, letting group
     /// scans skip work that cannot change anything (the zero codeword is
-    /// valid and XOR-neutral). Dense stores conservatively return `true`.
-    fn is_materialized(&self, _idx: u64) -> bool {
-        true
+    /// valid and XOR-neutral). The default, for dense stores, always
+    /// returns the line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    fn materialized_line(&self, idx: u64) -> Option<ProtectedLine> {
+        Some(self.line(idx))
     }
 
     /// The materialized line indices in arbitrary order, or `None` when
@@ -222,8 +233,10 @@ impl LineStore for SparseStore {
         }
     }
 
-    fn is_materialized(&self, idx: u64) -> bool {
-        self.touched.contains_key(&idx)
+    /// One map probe.
+    fn materialized_line(&self, idx: u64) -> Option<ProtectedLine> {
+        assert!(idx < self.n_lines, "line {idx} out of range");
+        self.touched.get(&idx).copied()
     }
 
     fn materialized_lines(&self) -> Option<impl ExactSizeIterator<Item = u64> + '_> {
@@ -274,6 +287,18 @@ mod tests {
         assert!(s.line(5).bit(100));
         s.flip_bit(5, 100);
         assert_eq!(s.materialized(), 0);
+    }
+
+    #[test]
+    fn materialized_line_reads_only_touched_lines() {
+        let mut s = SparseStore::new(10);
+        assert_eq!(s.materialized_line(4), None);
+        s.flip_bit(4, 9);
+        assert_eq!(s.materialized_line(4), Some(s.line(4)));
+        s.flip_bit(4, 9);
+        assert_eq!(s.materialized_line(4), None);
+        let d = DenseStore::new(10);
+        assert_eq!(d.materialized_line(4), Some(ProtectedLine::zero()));
     }
 
     #[test]

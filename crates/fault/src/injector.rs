@@ -99,39 +99,48 @@ fn ln_one_minus(p: f64) -> f64 {
 
 /// Chooses `k` distinct values in `0..n`, ascending.
 pub fn choose_distinct<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64> {
+    let mut out = Vec::with_capacity(k as usize);
+    choose_distinct_into(rng, n, k, &mut out);
+    out
+}
+
+/// [`choose_distinct`] into a caller's buffer: replaces the contents of
+/// `out` with the same `k` values, drawn in the same order, so the RNG
+/// ends in the same state. Up to 16 sparse draws, a reused buffer makes
+/// the draw allocation-free once it holds `k` values (`n` on the dense
+/// path, where `3k ≥ n`).
+#[inline]
+pub fn choose_distinct_into<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64, out: &mut Vec<u64>) {
     assert!(k <= n, "cannot choose {k} distinct values from {n}");
+    out.clear();
     if k == 0 {
-        return Vec::new();
+        return;
     }
     if k == 1 {
         // A single draw cannot collide; skip the set machinery. Consumes
         // one `gen_range` like both general paths below, so the RNG stream
         // (and hence every downstream trial) is unchanged.
-        return vec![rng.gen_range(0..n)];
+        out.push(rng.gen_range(0..n));
+        return;
     }
     if k * 3 >= n {
         // Dense: partial Fisher-Yates over an index vector.
-        let mut idx: Vec<u64> = (0..n).collect();
+        out.extend(0..n);
         for i in 0..k as usize {
             let j = rng.gen_range(i..n as usize);
-            idx.swap(i, j);
+            out.swap(i, j);
         }
-        let mut out = idx[..k as usize].to_vec();
-        out.sort_unstable();
-        out
+        out.truncate(k as usize);
     } else if k <= 16 {
         // Sparse, tiny k: rejection sampling with a linear-scan dedup —
         // same accept/reject per draw as the set-based path, no heap
         // beyond the output vector.
-        let mut out: Vec<u64> = Vec::with_capacity(k as usize);
         while (out.len() as u64) < k {
             let x = rng.gen_range(0..n);
             if !out.contains(&x) {
                 out.push(x);
             }
         }
-        out.sort_unstable();
-        out
     } else {
         // Sparse: rejection sampling (hash set + one sort; the accepted
         // value sequence matches an ordered-set implementation exactly).
@@ -139,10 +148,9 @@ pub fn choose_distinct<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64>
         while (set.len() as u64) < k {
             set.insert(rng.gen_range(0..n));
         }
-        let mut out: Vec<u64> = set.into_iter().collect();
-        out.sort_unstable();
-        out
+        out.extend(set);
     }
+    out.sort_unstable();
 }
 
 /// One faulty line in a cache-level fault plan.

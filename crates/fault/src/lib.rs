@@ -33,8 +33,8 @@ mod scrub;
 mod thermal;
 
 pub use injector::{
-    choose_distinct, observe_plan, sample_binomial, sample_binomial_at_least_one, FaultInjector,
-    LineFaults,
+    choose_distinct, choose_distinct_into, observe_plan, sample_binomial,
+    sample_binomial_at_least_one, FaultInjector, LineFaults,
 };
 pub use permanent::{StuckBit, StuckBitMap};
 pub use scrub::{ScrubSchedule, FIT_HOURS, SECONDS_PER_HOUR};

@@ -2,10 +2,10 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sudoku_fault::{
-    choose_distinct, sample_binomial, sample_binomial_at_least_one, FaultInjector, ScrubSchedule,
-    StuckBitMap, ThermalModel,
+    choose_distinct, choose_distinct_into, sample_binomial, sample_binomial_at_least_one,
+    FaultInjector, ScrubSchedule, StuckBitMap, ThermalModel,
 };
 
 proptest! {
@@ -59,6 +59,29 @@ proptest! {
         prop_assert_eq!(picks.len() as u64, k);
         prop_assert!(picks.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(picks.iter().all(|&v| v < n));
+    }
+
+    /// choose_distinct_into leaves exactly choose_distinct's values, even in
+    /// a reused buffer with stale contents, and the RNG in the same state.
+    #[test]
+    fn choose_distinct_into_matches_choose_distinct(
+        seed in any::<u64>(),
+        n in 1u64..5_000,
+        frac in 0.0f64..1.0,
+        stale in proptest::collection::vec(any::<u64>(), 0..64)
+    ) {
+        let k = ((n as f64 * frac) as u64).min(n);
+        let mut fresh_rng = StdRng::seed_from_u64(seed);
+        let want = choose_distinct(&mut fresh_rng, n, k);
+        let mut into_rng = StdRng::seed_from_u64(seed);
+        let mut buf = stale;
+        choose_distinct_into(&mut into_rng, n, k, &mut buf);
+        prop_assert_eq!(&buf, &want);
+        prop_assert_eq!(into_rng.gen::<u64>(), fresh_rng.gen::<u64>());
+        // Reused again, for a second draw from the same streams.
+        choose_distinct_into(&mut into_rng, n, k / 2, &mut buf);
+        prop_assert_eq!(buf, choose_distinct(&mut fresh_rng, n, k / 2));
+        prop_assert_eq!(into_rng.gen::<u64>(), fresh_rng.gen::<u64>());
     }
 
     /// A cache plan never lists a line twice and respects fault bounds.

@@ -47,7 +47,9 @@ use sudoku_core::{
     CacheGeometry, Phase, PhaseTimes, Recorder, RecoveryEvent, RecoveryHistograms, Scheme,
     SparseStore, SudokuCache, SudokuConfig,
 };
-use sudoku_fault::{choose_distinct, observe_plan, FaultInjector, LineFaults, ScrubSchedule};
+use sudoku_fault::{
+    choose_distinct, choose_distinct_into, observe_plan, FaultInjector, LineFaults, ScrubSchedule,
+};
 
 /// Trials claimed per worker fetch: large enough that the atomic counter is
 /// off the hot path, small enough that the tail imbalance stays bounded.
@@ -348,9 +350,16 @@ fn inject_interval(
     // never touches the RNG.
     observe_plan(&plan, cache.recorder_mut());
     let mut hints = Vec::with_capacity(plan.len());
+    let mut bits = Vec::new();
     let mut faulty_bits = 0u32;
     for lf in &plan {
-        for pos in choose_distinct(injector.rng(), TOTAL_BITS as u64, lf.faults as u64) {
+        choose_distinct_into(
+            injector.rng(),
+            TOTAL_BITS as u64,
+            lf.faults as u64,
+            &mut bits,
+        );
+        for &pos in &bits {
             cache.inject_fault(lf.line, pos as usize);
         }
         faulty_bits += lf.faults;
@@ -432,14 +441,16 @@ fn worker_threads(requested: usize) -> usize {
 }
 
 /// The one campaign driver. Runs trials `0..trials` on up to `threads`
-/// workers that claim them [`TRIAL_CHUNK`] at a time. Each worker owns one
-/// arena built from `config` and the extra state `worker()` builds (the
-/// fault injector, for kinds that draw from one); `trial(cache, state, i,
-/// tally)` runs trial `i` in that arena and folds its outcome into the
-/// worker's tally. After every trial the driver harvests the trial's
-/// events (at depth `observe`) and returns the arena to golden zero.
-/// Tallies are sums, so the merged result does not depend on which worker
-/// ran which trial.
+/// workers that claim them [`TRIAL_CHUNK`] at a time: the calling thread
+/// is worker 0 and `threads − 1` more are spawned, so a one-thread
+/// campaign spawns none. Each worker owns one arena built from `config`
+/// and the extra state `worker()` builds (the fault injector, for kinds
+/// that draw from one); `trial(cache, state, i, tally)` runs trial `i` in
+/// that arena and folds its outcome into the worker's tally. After every
+/// trial the driver harvests the trial's events (at depth `observe`) and
+/// returns the arena to golden zero. Tallies are sums and the event log is
+/// sorted once merged, so the result does not depend on which worker ran
+/// which trial.
 fn drive<T: Tally, W>(
     config: SudokuConfig,
     trials: u64,
@@ -451,58 +462,53 @@ fn drive<T: Tally, W>(
     let threads = worker_threads(threads).min(trials.max(1) as usize);
     let next = AtomicU64::new(0);
     let start = Instant::now();
+    let work = || {
+        let mut cache = SudokuCache::new_sparse(config).expect("valid Monte-Carlo configuration");
+        let _ = cache.set_recorder(observe.recorder());
+        let observing = observe.enabled();
+        let mut state = worker();
+        let mut tally = T::default();
+        let mut report = ThroughputReport::default();
+        let mut events: Vec<RecoveryEvent> = Vec::new();
+        loop {
+            let chunk = next.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
+            if chunk >= trials {
+                break;
+            }
+            for i in chunk..(chunk + TRIAL_CHUNK).min(trials) {
+                if observing {
+                    cache.recorder_mut().set_interval(i);
+                }
+                trial(&mut cache, &mut state, i, &mut tally);
+                if observing {
+                    // Harvest before the reset clears the ring.
+                    events.extend(cache.drain_events());
+                }
+                // Only an observed run times the reset: the clock pair
+                // costs more than a sparse reset.
+                let t = observing.then(Instant::now);
+                cache.reset_to_golden_zero();
+                if let Some(t) = t {
+                    let dt = t.elapsed().as_secs_f64();
+                    cache.recorder_mut().phases.add(Phase::Reset, dt);
+                }
+            }
+        }
+        report.lines_scrubbed = cache.stats().lines_scrubbed;
+        report.crc_checks = cache.stats().crc_checks;
+        let recorder = cache.set_recorder(Recorder::disabled());
+        let telemetry = CampaignTelemetry {
+            events,
+            hists: recorder.hists,
+            phases: recorder.phases,
+        };
+        (tally, report, telemetry)
+    };
     let parts: Vec<(T, ThroughputReport, CampaignTelemetry)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut cache =
-                        SudokuCache::new_sparse(config).expect("valid Monte-Carlo configuration");
-                    let _ = cache.set_recorder(observe.recorder());
-                    let observing = observe.enabled();
-                    let mut state = worker();
-                    let mut tally = T::default();
-                    let mut report = ThroughputReport::default();
-                    let mut events: Vec<RecoveryEvent> = Vec::new();
-                    loop {
-                        let chunk = next.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
-                        if chunk >= trials {
-                            break;
-                        }
-                        for i in chunk..(chunk + TRIAL_CHUNK).min(trials) {
-                            if observing {
-                                cache.recorder_mut().set_interval(i);
-                            }
-                            trial(&mut cache, &mut state, i, &mut tally);
-                            if observing {
-                                // Harvest before the reset clears the ring.
-                                events.extend(cache.drain_events());
-                            }
-                            // Only an observed run times the reset: the
-                            // clock pair costs more than a sparse reset.
-                            let t = observing.then(Instant::now);
-                            cache.reset_to_golden_zero();
-                            if let Some(t) = t {
-                                let dt = t.elapsed().as_secs_f64();
-                                cache.recorder_mut().phases.add(Phase::Reset, dt);
-                            }
-                        }
-                    }
-                    report.lines_scrubbed = cache.stats().lines_scrubbed;
-                    report.crc_checks = cache.stats().crc_checks;
-                    let recorder = cache.set_recorder(Recorder::disabled());
-                    let telemetry = CampaignTelemetry {
-                        events,
-                        hists: recorder.hists,
-                        phases: recorder.phases,
-                    };
-                    (tally, report, telemetry)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut parts = vec![work()];
+        parts.extend(spawned.into_iter().map(|h| h.join().expect("worker")));
+        parts
     });
     let elapsed = start.elapsed().as_secs_f64();
     let mut total = T::default();
@@ -764,20 +770,22 @@ pub fn run_group_trial_in(
     // Pick a random Hash-1 group and distinct victim offsets within it.
     let n_groups = scenario.lines_needed() / scenario.group as u64;
     let group = rng.gen_range(0..n_groups);
-    let offsets = choose_distinct(
+    // The victims (the scrub hints) are the offsets moved to the group's
+    // base line, in place; one bit buffer serves every victim's draw.
+    let mut hints = choose_distinct(
         &mut rng,
         scenario.group as u64,
         scenario.fault_counts.len() as u64,
     );
-    let mut hints = Vec::new();
+    let mut bits = Vec::new();
     let mut faulty_bits = 0u32;
-    for (&off, &count) in offsets.iter().zip(scenario.fault_counts.iter()) {
-        let line = group * scenario.group as u64 + off;
-        for pos in choose_distinct(&mut rng, TOTAL_BITS as u64, count as u64) {
-            cache.inject_fault(line, pos as usize);
+    for (line, &count) in hints.iter_mut().zip(scenario.fault_counts.iter()) {
+        *line += group * scenario.group as u64;
+        choose_distinct_into(&mut rng, TOTAL_BITS as u64, count as u64, &mut bits);
+        for &pos in &bits {
+            cache.inject_fault(*line, pos as usize);
         }
         faulty_bits += count;
-        hints.push(line);
     }
     if observing {
         let plan: Vec<LineFaults> = hints

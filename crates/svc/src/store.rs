@@ -99,9 +99,11 @@ impl LineStore for ShardStore {
         self.view.publish(idx, &line, false);
     }
 
-    /// Exact: only a non-zero line counts, as in a sparse store.
-    fn is_materialized(&self, idx: u64) -> bool {
-        !self.line(idx).is_zero()
+    /// One slot load. Exact: only a non-zero line is returned, as in a
+    /// sparse store.
+    fn materialized_line(&self, idx: u64) -> Option<ProtectedLine> {
+        let line = self.line(idx);
+        (!line.is_zero()).then_some(line)
     }
 }
 
@@ -138,7 +140,7 @@ mod tests {
         theirs.set_line(foreign, encoded(4));
         // The slot holds shard 1's line; shard 0's store does not see it.
         assert!(mine.line(foreign).is_zero());
-        assert!(!mine.is_materialized(foreign));
+        assert_eq!(mine.materialized_line(foreign), None);
         assert_eq!(theirs.line(foreign), encoded(4));
     }
 
@@ -160,11 +162,11 @@ mod tests {
         let plan = plan(4);
         let line = plan.owned_line_at(3, 21);
         let mut store = store(&plan, 3);
-        assert!(!store.is_materialized(line));
+        assert_eq!(store.materialized_line(line), None);
         let value = encoded(77);
         store.set_line(line, value);
         assert_eq!(store.line(line), value);
-        assert!(store.is_materialized(line));
+        assert_eq!(store.materialized_line(line), Some(value));
         store.flip_bit(line, 500);
         let mut flipped = value;
         flipped.flip_bit(500);
@@ -172,7 +174,7 @@ mod tests {
         store.flip_bit(line, 500);
         assert_eq!(store.line(line), value);
         store.set_line(line, ProtectedLine::zero());
-        assert!(!store.is_materialized(line));
+        assert_eq!(store.materialized_line(line), None);
     }
 
     #[test]
